@@ -85,10 +85,8 @@ from .executor import (
     UngroundedNumber,
     Value,
     aggregate_row,
-    eval_step,
     execute,
     render_value,
-    resolve_argument,
 )
 from .numeric import (
     DEFAULT_TOLERANCE,

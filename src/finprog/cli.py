@@ -14,13 +14,13 @@ from typing import Optional
 
 from .context import EvidenceContext
 from .corpus import FileUnreadable, SchemaError, candidate_facts, dataset_stats, linearize_table, load_records
-from .decoding import build_vocabulary, next_token_mask, replay
+from .decoding import IllegalToken, build_vocabulary, next_token_mask, replay
 from .dsl import ProgramError, is_valid, parse_program, tokenize_program, validate
 from .equiv import compare_programs
 from .evaluate import breakdown_report, load_predictions
 from .executor import ExecutionError, execute, render_value
 from .numeric import TolerancePolicy
-from .retrieve import build_index, corpus_recall, rank
+from .retrieve import build_index, rank, recall_at_k
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -168,7 +168,9 @@ def _cmd_equiv(args) -> int:
 
 def _cmd_eval(args) -> int:
     loaded = load_records(args.records)
-    preds = load_predictions(args.preds)
+    # a prediction for a rejected record is not scored; the reject is reported
+    rejected = {r.id for r in loaded.rejects} - {r.id for r in loaded.records}
+    preds = [p for p in load_predictions(args.preds) if p.id not in rejected]
     policy = TolerancePolicy.from_floats(
         abs_tol=args.abs_tol,
         rel_tol=args.rel_tol,
@@ -202,12 +204,13 @@ def _cmd_retrieve(args) -> int:
     if not loaded.records:
         print("no records loaded", file=sys.stderr)
         return 2
-    mean, per_record = corpus_recall(loaded.records, args.k)
-    rankings = {}
+    per_record, rankings = [], {}
     for record in loaded.records:
         index = build_index(candidate_facts(record))
         ranked = rank(record.question, index, args.k)
+        per_record.append((record.id, recall_at_k(ranked, record.gold_fact_ids, args.k)))
         rankings[record.id] = [{"fact": fid, "score": score} for fid, score in ranked]
+    mean = sum(r for _, r in per_record) / len(per_record)
     if args.format == "machine":
         payload = {
             "k": args.k,
@@ -259,7 +262,7 @@ def _cmd_mask(args) -> int:
     tokens = [t for t, _ in tokenize_program(args.prefix)] if args.prefix.strip() else []
     try:
         state = replay(tokens, vocab)
-    except Exception as exc:
+    except IllegalToken as exc:
         print(f"prefix is not mask-legal: {exc}", file=sys.stderr)
         return 1
     allowed = sorted(next_token_mask(state, vocab))

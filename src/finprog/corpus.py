@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Optional
 
 from .context import EvidenceContext, FinTable
-from .dsl import Program, ProgramError, parse_program, validate
+from .dsl import GROUNDING_CODES, Program, ProgramError, parse_program, validate
 
 __all__ = [
     "FinTable",
@@ -30,6 +30,8 @@ __all__ = [
     "linearize_table",
     "candidate_facts",
     "dataset_stats",
+    "source_bucket",
+    "steps_bucket",
     "StatsReport",
 ]
 
@@ -108,13 +110,6 @@ def linearize_table(table: FinTable) -> list[str]:
     return sentences
 
 
-def _fact_ids(n_pre: int, n_rows: int, n_post: int) -> list[str]:
-    ids = [f"text:{i}" for i in range(n_pre)]
-    ids += [f"row:{i}" for i in range(n_rows)]
-    ids += [f"text:{n_pre + i}" for i in range(n_post)]
-    return ids
-
-
 def candidate_facts(record: EvidenceRecord) -> list[Fact]:
     """All supporting-fact candidates in document order.
 
@@ -122,18 +117,22 @@ def candidate_facts(record: EvidenceRecord) -> list[Fact]:
     text; table rows sit at the table's position with their own row indexes.
     Ids are stable across loads.
     """
+    return _facts(record.pre_text, record.table, record.post_text)
+
+
+def _facts(pre_text: tuple[str, ...], table: FinTable, post_text: tuple[str, ...]) -> list[Fact]:
     facts = [
         Fact(id=f"text:{i}", content=s, source="text")
-        for i, s in enumerate(record.pre_text)
+        for i, s in enumerate(pre_text)
     ]
     facts += [
         Fact(id=f"row:{i}", content=s, source="table")
-        for i, s in enumerate(linearize_table(record.table))
+        for i, s in enumerate(linearize_table(table))
     ]
-    offset = len(record.pre_text)
+    offset = len(pre_text)
     facts += [
         Fact(id=f"text:{offset + i}", content=s, source="text")
-        for i, s in enumerate(record.post_text)
+        for i, s in enumerate(post_text)
     ]
     return facts
 
@@ -167,63 +166,65 @@ def _normalize_content(text: str) -> str:
 def _map_gold_ind(
     key: str,
     content: Optional[str],
-    facts: list[Fact],
+    facts: dict[str, Fact],
     warnings: list[str],
 ) -> Optional[str]:
-    """Map one gold fact id, preferring content verification for legacy keys."""
-    fact_ids = {f.id for f in facts}
+    """Map one gold fact id, preferring content verification for legacy keys.
+
+    ``facts`` maps each candidate fact id to its fact, in document order.
+    """
     if _CANONICAL_ID_RE.fullmatch(key):
-        return key if key in fact_ids else None
+        return key if key in facts else None
     m = _RELEASE_ID_RE.fullmatch(key)
     if m is None:
         return None
     kind, index = m.group(1), int(m.group(2))
     mapped = f"text:{index}" if kind == "text" else f"row:{index}"
-    by_id = {f.id: f for f in facts}
     if content is not None:
         want = _normalize_content(content)
-        got = by_id.get(mapped)
+        got = facts.get(mapped)
         if got is not None and _normalize_content(got.content) == want:
             warnings.append(f"mapped legacy fact id {key!r} to {mapped!r}")
             return mapped
-        for f in facts:
+        for f in facts.values():
             if _normalize_content(f.content) == want:
                 warnings.append(f"matched legacy fact id {key!r} to {f.id!r} by content")
                 return f.id
-    if mapped in fact_ids:
+    if mapped in facts:
         warnings.append(f"mapped legacy fact id {key!r} to {mapped!r}")
         return mapped
     return None
 
 
-class _RecordBuilder:
-    def __init__(self, raw: dict, ordinal: int):
-        self.raw = raw
-        self.ordinal = ordinal
-        self.record_id = str(raw.get("id") or f"record-{ordinal}")
-        self.warnings: list[str] = []
+class _BuildError(Exception):
+    def __init__(self, field_path: str, reason: str):
+        self.field_path = field_path
+        self.reason = reason
+        super().__init__(f"{field_path}: {reason}")
 
-    def _fail(self, field_path: str, reason: str) -> RejectedRecord:
-        return RejectedRecord(id=self.record_id, field_path=field_path, reason=reason)
 
-    def _sentences(self, name: str):
-        value = self.raw.get(name, [])
-        if not isinstance(value, list) or any(not isinstance(s, str) for s in value):
-            raise _BuildError(name, "must be a list of sentences")
-        return tuple(value)
+def _sentences(raw: dict, name: str) -> tuple[str, ...]:
+    value = raw.get(name, [])
+    if not isinstance(value, list) or any(not isinstance(s, str) for s in value):
+        raise _BuildError(name, "must be a list of sentences")
+    return tuple(value)
 
-    def build(self) -> EvidenceRecord | RejectedRecord:
-        try:
-            return self._build()
-        except _BuildError as exc:
-            return self._fail(exc.field_path, exc.reason)
 
-    def _build(self) -> EvidenceRecord:
-        raw = self.raw
-        if not isinstance(raw, dict):
-            raise _BuildError("", "record is not an object")
-        pre_text = self._sentences("pre_text")
-        post_text = self._sentences("post_text")
+def _build_record(raw, ordinal: int) -> EvidenceRecord | RejectedRecord:
+    """Build one record, or reject it at its first malformed field.
+
+    The gold program is validated once, against the record's evidence:
+    grounding problems (``GROUNDING_CODES``) and warnings become record
+    warnings; any other error rejects the record.
+    """
+    if not isinstance(raw, dict):
+        return RejectedRecord(
+            id=f"record-{ordinal}", field_path="", reason="record is not an object"
+        )
+    record_id = str(raw.get("id") or f"record-{ordinal}")
+    try:
+        pre_text = _sentences(raw, "pre_text")
+        post_text = _sentences(raw, "post_text")
         raw_table = raw.get("table")
         if not isinstance(raw_table, list):
             raise _BuildError("table", "must be a list of rows")
@@ -241,75 +242,56 @@ class _RecordBuilder:
         if not isinstance(program_text, str):
             raise _BuildError("qa.program", "must be a string")
         program_text, warnings = normalize_program_text(program_text)
-        self.warnings.extend(warnings)
         try:
             program = parse_program(program_text)
         except ProgramError as exc:
             raise _BuildError("qa.program", str(exc))
-        errors = [d for d in validate(program) if d.severity == "error"]
-        if errors:
-            raise _BuildError("qa.program", errors[0].message)
+        diagnostics = validate(program, EvidenceContext.build(pre_text + post_text, table))
+        for diag in diagnostics:
+            if diag.severity == "error" and diag.code not in GROUNDING_CODES:
+                raise _BuildError("qa.program", diag.message)
         if "exe_ans" not in qa:
             raise _BuildError("qa.exe_ans", "missing")
+        gold_ids = _gold_ids(qa.get("gold_inds"), _facts(pre_text, table, post_text), warnings)
+    except _BuildError as exc:
+        return RejectedRecord(id=record_id, field_path=exc.field_path, reason=exc.reason)
+    warnings.extend(f"gold program: {diag.message}" for diag in diagnostics)
+    return EvidenceRecord(
+        id=record_id,
+        pre_text=pre_text,
+        post_text=post_text,
+        table=table,
+        question=question,
+        gold_program=program,
+        gold_answer=qa["exe_ans"],
+        gold_fact_ids=gold_ids,
+        warnings=tuple(warnings),
+    )
 
-        record = EvidenceRecord(
-            id=self.record_id,
-            pre_text=pre_text,
-            post_text=post_text,
-            table=table,
-            question=question,
-            gold_program=program,
-            gold_answer=qa["exe_ans"],
-            gold_fact_ids=frozenset(),
-            warnings=(),
+
+def _gold_ids(raw_inds, facts: list[Fact], warnings: list[str]) -> frozenset[str]:
+    if raw_inds is None:
+        raise _BuildError("qa.gold_inds", "missing")
+    if isinstance(raw_inds, dict):
+        items: Iterable[tuple[str, Optional[str]]] = (
+            (str(k), str(v)) for k, v in raw_inds.items()
         )
-        facts = candidate_facts(record)
-        gold_ids = self._gold_ids(qa.get("gold_inds"), facts)
-
-        # grounding problems are ingestion warnings, not rejects
-        ctx = record.context()
-        for diag in validate(program, ctx):
-            self.warnings.append(f"gold program: {diag.message}")
-
-        return EvidenceRecord(
-            id=record.id,
-            pre_text=record.pre_text,
-            post_text=record.post_text,
-            table=record.table,
-            question=record.question,
-            gold_program=record.gold_program,
-            gold_answer=record.gold_answer,
-            gold_fact_ids=gold_ids,
-            warnings=tuple(self.warnings),
-        )
-
-    def _gold_ids(self, raw_inds, facts: list[Fact]) -> frozenset[str]:
-        if raw_inds is None:
-            raise _BuildError("qa.gold_inds", "missing")
-        if isinstance(raw_inds, dict):
-            items: Iterable[tuple[str, Optional[str]]] = (
-                (str(k), str(v)) for k, v in raw_inds.items()
+    elif isinstance(raw_inds, list):
+        items = ((str(k), None) for k in raw_inds)
+    else:
+        raise _BuildError("qa.gold_inds", "must be a list or an object")
+    if not raw_inds:
+        raise _BuildError("qa.gold_inds", "must name at least one fact")
+    by_id = {f.id: f for f in facts}
+    ids = set()
+    for key, content in items:
+        mapped = _map_gold_ind(key, content, by_id, warnings)
+        if mapped is None:
+            raise _BuildError(
+                "qa.gold_inds", f"{key!r} does not resolve to a candidate fact"
             )
-        elif isinstance(raw_inds, list):
-            items = ((str(k), None) for k in raw_inds)
-        else:
-            raise _BuildError("qa.gold_inds", "must be a list or an object")
-        ids = set()
-        for key, content in items:
-            mapped = _map_gold_ind(key, content, facts, self.warnings)
-            if mapped is None:
-                raise _BuildError(
-                    "qa.gold_inds", f"{key!r} does not resolve to a candidate fact"
-                )
-            ids.add(mapped)
-        return frozenset(ids)
-
-
-class _BuildError(Exception):
-    def __init__(self, field_path: str, reason: str):
-        self.field_path = field_path
-        self.reason = reason
-        super().__init__(f"{field_path}: {reason}")
+        ids.add(mapped)
+    return frozenset(ids)
 
 
 def load_records(path) -> LoadResult:
@@ -328,7 +310,7 @@ def load_records(path) -> LoadResult:
     if not stripped:
         raise SchemaError(f"{path} is empty")
 
-    raw_records: list[tuple[dict, int]] = []
+    raw_records: list[tuple[object, int]] = []
     rejects: list[RejectedRecord] = []
     if stripped.startswith("["):
         try:
@@ -353,7 +335,7 @@ def load_records(path) -> LoadResult:
 
     records: list[EvidenceRecord] = []
     for raw, ordinal in raw_records:
-        built = _RecordBuilder(raw, ordinal).build()
+        built = _build_record(raw, ordinal)
         if isinstance(built, EvidenceRecord):
             records.append(built)
         else:
@@ -389,23 +371,7 @@ class StatsReport:
     step_pct: dict
 
     def to_dict(self) -> dict:
-        return {
-            "examples": self.examples,
-            "report_pages": self.report_pages,
-            "vocabulary": self.vocabulary,
-            "avg_text_sentences": self.avg_text_sentences,
-            "avg_text_tokens": self.avg_text_tokens,
-            "avg_table_rows": self.avg_table_rows,
-            "avg_table_tokens": self.avg_table_tokens,
-            "avg_input_tokens": self.avg_input_tokens,
-            "max_input_tokens": self.max_input_tokens,
-            "avg_question_tokens": self.avg_question_tokens,
-            "source_pct": dict(self.source_pct),
-            "fact_count_pct": dict(self.fact_count_pct),
-            "fact_distance_pct": dict(self.fact_distance_pct),
-            "op_pct": dict(self.op_pct),
-            "step_pct": dict(self.step_pct),
-        }
+        return asdict(self)
 
     def format_table(self) -> str:
         lines = [
@@ -432,6 +398,22 @@ class StatsReport:
         block("operations", self.op_pct)
         block("program steps", self.step_pct)
         return "\n".join(lines)
+
+
+def source_bucket(record: EvidenceRecord) -> str:
+    """Where the gold facts come from: text-only, table-only or table-text."""
+    sources = {fact_id.split(":")[0] for fact_id in record.gold_fact_ids}
+    if sources == {"text"}:
+        return "text-only"
+    if sources == {"row"}:
+        return "table-only"
+    return "table-text"
+
+
+def steps_bucket(record: EvidenceRecord) -> str:
+    """The gold program's step count: "1", "2" or ">2"."""
+    steps = len(record.gold_program.steps)
+    return str(steps) if steps <= 2 else ">2"
 
 
 def _pct(counts: dict, total: int) -> dict:
@@ -489,13 +471,7 @@ def dataset_stats(records: list[EvidenceRecord]) -> StatsReport:
         max_input_tokens = max(max_input_tokens, record_input_tokens)
         question_tokens += _tokens(record.question)
 
-        sources = {fid.split(":")[0] for fid in record.gold_fact_ids}
-        if sources == {"text"}:
-            source_counts["text-only"] += 1
-        elif sources == {"row"}:
-            source_counts["table-only"] += 1
-        elif sources:
-            source_counts["table-text"] += 1
+        source_counts[source_bucket(record)] += 1
 
         count = len(record.gold_fact_ids)
         if count == 1:
@@ -516,14 +492,8 @@ def dataset_stats(records: list[EvidenceRecord]) -> StatsReport:
             else:
                 fact_distance_counts[">6"] += 1
 
-        steps = len(record.gold_program.steps)
-        total_steps += steps
-        if steps == 1:
-            step_counts["1"] += 1
-        elif steps == 2:
-            step_counts["2"] += 1
-        else:
-            step_counts[">2"] += 1
+        total_steps += len(record.gold_program.steps)
+        step_counts[steps_bucket(record)] += 1
         for step in record.gold_program.steps:
             op_counts[step.op] = op_counts.get(step.op, 0) + 1
 

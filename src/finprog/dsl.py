@@ -21,7 +21,10 @@ from .numeric import NotANumber, format_decimal, parse_quantity
 MATH_OPS = ("add", "subtract", "multiply", "divide", "exp", "greater")
 TABLE_OPS = ("table-sum", "table-average", "table-max", "table-min")
 ALL_OPS = MATH_OPS + TABLE_OPS
-COMMUTATIVE_OPS = frozenset({"add", "multiply"})
+
+#: Diagnostic codes that only a grounded validation (one given an evidence
+#: context) can produce.
+GROUNDING_CODES = frozenset({"unknown-row-name", "duplicate-row-name", "ungrounded-number"})
 
 #: Predefined constant arguments. The set covers unit conversion (const_1000),
 #: percent scaling (const_100), implicit denominators (const_2..const_5), and
@@ -162,10 +165,6 @@ class Program:
 
     def __len__(self) -> int:
         return len(self.steps)
-
-    @property
-    def final_kind(self) -> str:
-        return result_kind(self.steps[-1].op) if self.steps else "number"
 
 
 _PUNCT = frozenset("(),")

@@ -54,10 +54,6 @@ class SymbolicProgram:
     steps: tuple[SymbolicStep, ...]
     symbols: tuple[tuple, ...]
 
-    @property
-    def final_is_boolean(self) -> bool:
-        return bool(self.steps) and self.steps[-1].op == "greater"
-
 
 def _symbol_key(arg, constants: Mapping[str, Fraction] | None) -> tuple:
     """The identity under which arguments share a symbol.

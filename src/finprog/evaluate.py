@@ -11,11 +11,11 @@ for error analysis.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from decimal import Decimal
 from typing import Iterable, Optional
 
-from .corpus import EvidenceRecord, FileUnreadable, SchemaError
+from .corpus import EvidenceRecord, FileUnreadable, SchemaError, source_bucket, steps_bucket
 from .dsl import Constant, ProgramError, parse_program
 from .equiv import program_accuracy
 from .executor import ExecutionError, execute, render_value
@@ -90,13 +90,7 @@ class RecordVerdict:
     predicted_value: Optional[str]
 
     def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "exe_correct": self.exe_correct,
-            "prog_correct": self.prog_correct,
-            "failure": self.failure,
-            "predicted_value": self.predicted_value,
-        }
+        return asdict(self)
 
 
 def _predictions_by_id(
@@ -180,11 +174,7 @@ class BucketScore:
     program_accuracy: float
 
     def to_dict(self) -> dict:
-        return {
-            "count": self.count,
-            "execution_accuracy": self.execution_accuracy,
-            "program_accuracy": self.program_accuracy,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -238,20 +228,6 @@ class EvalReport:
             for reason, count in sorted(self.failure_counts.items()):
                 lines.append(f"  {reason:<24} {count}")
         return "\n".join(lines)
-
-
-def _source_bucket(record: EvidenceRecord) -> str:
-    sources = {fact_id.split(":")[0] for fact_id in record.gold_fact_ids}
-    if sources == {"row"}:
-        return "table-only"
-    if sources == {"text"}:
-        return "text-only"
-    return "table-text"
-
-
-def _steps_bucket(record: EvidenceRecord) -> str:
-    steps = len(record.gold_program.steps)
-    return str(steps) if steps <= 2 else ">2"
 
 
 def _constants_bucket(record: EvidenceRecord) -> str:
@@ -309,8 +285,8 @@ def breakdown_report(
         execution_accuracy=sum(v.exe_correct for v in verdicts) / n if n else 0.0,
         program_accuracy=sum(v.prog_correct for v in verdicts) / n if n else 0.0,
         verdicts=verdicts,
-        by_source=_bucket_scores(verdicts, ordered, _source_bucket),
-        by_steps=_bucket_scores(verdicts, ordered, _steps_bucket),
+        by_source=_bucket_scores(verdicts, ordered, source_bucket),
+        by_steps=_bucket_scores(verdicts, ordered, steps_bucket),
         by_constants=_bucket_scores(verdicts, ordered, _constants_bucket),
         failure_counts=failure_counts,
     )

@@ -29,9 +29,6 @@ from .numeric import decimal_places, format_decimal
 #: A step result: exact number, or bool from `greater`.
 Value = Union[Fraction, bool]
 
-#: Step results indexed by step number, for #n lookups.
-StepEnv = list
-
 
 class ExecutionError(Exception):
     """Base class for runtime program failures."""
@@ -122,7 +119,7 @@ def aggregate_row(cells: list[Fraction], kind: str) -> Fraction:
 def resolve_argument(
     arg: Argument,
     ctx: EvidenceContext,
-    env: StepEnv,
+    env: list[Value],
     *,
     strict_grounding: bool = False,
     constants: Mapping[str, Fraction] | None = None,
@@ -200,7 +197,7 @@ def execute(
         ctx = EvidenceContext.empty()
     if not program.steps:
         raise InvalidProgram("a program needs at least one step")
-    env: StepEnv = []
+    env: list[Value] = []
     for step in program.steps:
         if step.op not in ALL_OPS:
             raise InvalidProgram(f"unknown operation {step.op!r}")

@@ -153,21 +153,14 @@ def single_op_answer(
     ranked = rank(record.question, index, 2)
     by_id = {f.id: f for f in facts}
     operands = []
-    ctx = record.context()
     for fact_id, _ in ranked:
-        fact = by_id[fact_id]
-        if fact.source == "text":
-            # candidate_facts keeps one running text index across pre/post
-            position = int(fact.id.split(":")[1])
-            quantities = ctx.sentence_quantities[position]
-        else:
-            quantities = tuple(extract_numbers(fact.content))
+        quantities = extract_numbers(by_id[fact_id].content)
         if quantities:
             operands.append(format_decimal(quantities[0].mantissa))
     program_text = f"divide({', '.join(operands)})"
     try:
         program = parse_program(program_text)
-        value = execute(program, ctx)
+        value = execute(program)
     except (ProgramError, ExecutionError) as exc:
         return SingleOpResult(program_text=program_text, value=None, error=str(exc))
     return SingleOpResult(program_text=program_text, value=value, error=None)

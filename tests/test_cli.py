@@ -57,6 +57,71 @@ class TestUsage:
         assert code == 2
 
 
+class TestEmptyGoldRecords:
+    """A record naming no gold facts is rejected at ingest, never a crash."""
+
+    @pytest.fixture()
+    def paths(self, tmp_path, sample_path):
+        good = json.loads(sample_path.read_text(encoding="utf-8").splitlines()[0])
+        empty_list = dict(good, id="empty-list", qa=dict(good["qa"], gold_inds=[]))
+        empty_dict = dict(good, id="empty-dict", qa=dict(good["qa"], gold_inds={}))
+        mixed = tmp_path / "mixed.jsonl"
+        mixed.write_text("\n".join(json.dumps(r) for r in (good, empty_list, empty_dict)))
+        only_empty = tmp_path / "only_empty.jsonl"
+        only_empty.write_text(json.dumps(empty_list))
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text(
+            "\n".join(
+                json.dumps({"id": r["id"], "program": r["qa"]["program"]})
+                for r in (good, empty_list, empty_dict)
+            )
+        )
+        only_empty_preds = tmp_path / "only_empty_preds.jsonl"
+        only_empty_preds.write_text(preds.read_text().splitlines()[1])
+        return {"mixed": (mixed, preds), "only_empty": (only_empty, only_empty_preds)}
+
+    @pytest.mark.parametrize(
+        "command, file, expected",
+        [
+            ("retrieve", "mixed", 1),
+            ("stats", "mixed", 1),
+            ("eval", "mixed", 1),
+            ("retrieve", "only_empty", 2),
+            ("stats", "only_empty", 2),
+            ("eval", "only_empty", 1),
+        ],
+    )
+    def test_exit_codes(self, capsys, paths, command, file, expected):
+        records, preds = paths[file]
+        argv = [command, "--records", str(records), "--format", "machine"]
+        if command == "eval":
+            argv += ["--preds", str(preds)]
+        assert cli_dispatch(argv) == expected
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        if file == "mixed":
+            payload = json.loads(captured.out)
+            if command == "stats":
+                assert sum(payload["source_pct"].values()) == pytest.approx(100.0)
+            elif command == "retrieve":
+                assert [r["id"] for r in payload["per_record"]] == ["alpha/2019/page_12.pdf-0"]
+            else:
+                assert [r["field"] for r in payload["rejects"]] == ["qa.gold_inds"] * 2
+                assert sum(b["count"] for b in payload["by_source"].values()) == 1
+
+    def test_prediction_scored_when_a_reject_shares_its_id(self, capsys, tmp_path, sample_path):
+        good = json.loads(sample_path.read_text(encoding="utf-8").splitlines()[0])
+        twin = dict(good, qa=dict(good["qa"], gold_inds=[]))
+        records = tmp_path / "records.jsonl"
+        records.write_text("\n".join(json.dumps(r) for r in (good, twin)))
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text(json.dumps({"id": good["id"], "program": good["qa"]["program"]}))
+        argv = ["eval", "--records", str(records), "--preds", str(preds), "--format", "machine"]
+        assert cli_dispatch(argv) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["execution_accuracy"] == 1.0
+
+
 class TestEvalCommand:
     def test_gold_predictions_score_perfectly(self, capsys, sample_path, gold_preds_path):
         code = cli_dispatch(

@@ -197,6 +197,51 @@ class TestLoadRecords:
         assert not loaded.rejects
         assert any("999999" in w for w in loaded.records[0].warnings)
 
+    def test_warning_order(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        record = minimal_record()
+        record["qa"] = dict(
+            record["qa"],
+            program="table-sum(net sales, none), add(#0, 999999)",
+            exe_ans=1000179,
+            gold_inds=["text_0"],
+        )
+        write_jsonl(path, [record])
+        loaded = load_records(path)
+        assert loaded.records[0].warnings == (
+            "dropped placeholder 'none' argument from a table operation",
+            "mapped legacy fact id 'text_0' to 'text:0'",
+            "gold program: 999999 does not appear in the evidence",
+        )
+
+    @pytest.mark.parametrize("value", [5, None, "x", [1]])
+    @pytest.mark.parametrize("form", ["jsonl", "array"])
+    def test_non_object_record_rejected(self, tmp_path, value, form):
+        path = tmp_path / "records.json"
+        if form == "jsonl":
+            write_jsonl(path, [minimal_record(), value])
+            ordinal = 2
+        else:
+            path.write_text(json.dumps([minimal_record(), value]))
+            ordinal = 1
+        loaded = load_records(path)
+        assert len(loaded.records) == 1
+        assert [(r.id, r.field_path, r.reason) for r in loaded.rejects] == [
+            (f"record-{ordinal}", "", "record is not an object")
+        ]
+
+    @pytest.mark.parametrize("gold_inds", [[], {}])
+    def test_empty_gold_inds_rejected(self, tmp_path, gold_inds):
+        path = tmp_path / "records.jsonl"
+        record = minimal_record()
+        record["qa"] = dict(record["qa"], gold_inds=gold_inds)
+        write_jsonl(path, [record])
+        loaded = load_records(path)
+        assert not loaded.records
+        assert [(r.field_path, r.reason) for r in loaded.rejects] == [
+            ("qa.gold_inds", "must name at least one fact")
+        ]
+
 
 class TestNormalizeProgramText:
     def test_trailing_none_dropped(self):

@@ -177,6 +177,31 @@ class TestSingleOp:
         assert result.value == Fraction(1, 2)
         assert result.program_text in ("divide(50, 100)", "divide(100, 50)")
 
+    def test_post_table_sentence_and_row(self, tmp_path):
+        import json
+
+        record = {
+            "id": "x-0",
+            "pre_text": ["filler with 7 .", "more filler with 9 ."],
+            "post_text": ["the widget margin was 40 in the period ."],
+            "table": [["", "amount"], ["widget base", "80"], ["other", "3"]],
+            "qa": {
+                "question": "widget margin over widget base",
+                "program": "divide(40, 80)",
+                "exe_ans": 0.5,
+                "gold_inds": ["text:2", "row:0"],
+            },
+        }
+        path = tmp_path / "one.jsonl"
+        path.write_text(json.dumps(record) + "\n")
+        loaded = load_records(path)
+        record = loaded.records[0]
+        ranked = rank(record.question, build_index(candidate_facts(record)), 2)
+        assert [fact_id for fact_id, _ in ranked] == ["row:0", "text:2"]
+        result = single_op_answer(record)
+        assert result.program_text == "divide(80, 40)"
+        assert result.value == Fraction(2) and result.error is None
+
     def test_degrades_without_numbers(self, tmp_path):
         import json
 
