@@ -2,7 +2,7 @@
 
 Subcommands: validate, exec, equiv, eval, retrieve, stats, linearize, mask.
 Exit codes: 0 success, 1 completed with findings (diagnostics, rejects, or an
-execution failure), 2 usage or IO errors.
+execution failure), 2 usage or input errors.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from .corpus import FileUnreadable, SchemaError, candidate_facts, dataset_stats,
 from .decoding import IllegalToken, build_vocabulary, next_token_mask, replay
 from .dsl import ProgramError, is_valid, parse_program, tokenize_program, validate
 from .equiv import compare_programs
-from .evaluate import breakdown_report, load_predictions
+from .evaluate import UnknownRecordId, breakdown_report, load_predictions
 from .executor import ExecutionError, execute, render_value
 from .numeric import TolerancePolicy
 from .retrieve import build_index, rank, recall_at_k
@@ -294,7 +294,7 @@ def cli_dispatch(argv: list[str]) -> int:
         return int(exc.code or 0)
     try:
         return _HANDLERS[args.command](args)
-    except (FileUnreadable, SchemaError) as exc:
+    except (FileUnreadable, SchemaError, UnknownRecordId) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

@@ -2,13 +2,15 @@
 
 Arguments are first replaced by symbols shared across the compared pair
 (equal numbers, constants of equal value, and identical names collapse to one
-symbol). Each symbolic program is then inlined into an expression over those
-symbols, normalized by flattening and sorting commutative chains, and compared
-canonically. Pairs whose canonical forms differ get a randomized fallback:
-both expressions are evaluated at independent random integer points in exact
-rational arithmetic, so identities that normalization does not rewrite (for
-example distributivity) are still recognized, with negligible false-positive
-probability.
+symbol). Each symbolic program is then built into a normalized form over
+those symbols, once per step and in one loop: sums and products are flattened,
+like parts collected and sorted as each form is made, so every form is born
+normalized and carries its canonical key, made once from its parts' keys.
+Pairs whose keys differ get a randomized fallback: every distinct subform of
+both sides is evaluated, children first, at independent random integer points
+in exact rational arithmetic, so identities that normalization does not
+rewrite (for example distributivity) are still recognized, with negligible
+false-positive probability.
 
 Exponentiation is treated as an uninterpreted operation on its operand values:
 ``exp`` chains are compared by where their bases and exponents agree, not by
@@ -18,7 +20,7 @@ power-law rewriting, which is unsound over the reals.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional, Union
 
@@ -36,6 +38,9 @@ from .dsl import (
 )
 
 DEFAULT_SAMPLE_POINTS = 32
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 # A symbolized argument: ("sym", symbol_id) or ("step", earlier_step_index).
 SymbolicArg = tuple[str, int]
@@ -73,7 +78,7 @@ def _symbol_key(arg, constants: Mapping[str, Fraction] | None) -> tuple:
     raise TypeError(f"not a symbolizable argument: {arg!r}")
 
 
-def _symbolize(program: Program, table: dict, constants) -> SymbolicProgram:
+def _symbolic_steps(program: Program, table: dict, constants) -> tuple[SymbolicStep, ...]:
     steps = []
     for step in program.steps:
         args: list[SymbolicArg] = []
@@ -86,7 +91,7 @@ def _symbolize(program: Program, table: dict, constants) -> SymbolicProgram:
                 table[key] = len(table)
             args.append(("sym", table[key]))
         steps.append(SymbolicStep(op=step.op, args=tuple(args)))
-    return SymbolicProgram(steps=tuple(steps), symbols=())
+    return tuple(steps)
 
 
 def pair_symbolize(
@@ -96,173 +101,88 @@ def pair_symbolize(
 ) -> tuple[SymbolicProgram, SymbolicProgram]:
     """Symbolize two programs over one shared symbol table."""
     table: dict = {}
-    s1 = _symbolize(p1, table, constants)
-    s2 = _symbolize(p2, table, constants)
-    symbols = tuple(key for key, _ in sorted(table.items(), key=lambda kv: kv[1]))
-    return (
-        SymbolicProgram(steps=s1.steps, symbols=symbols),
-        SymbolicProgram(steps=s2.steps, symbols=symbols),
-    )
+    steps1 = _symbolic_steps(p1, table, constants)
+    steps2 = _symbolic_steps(p2, table, constants)
+    symbols = tuple(table)  # in id order: ids are given in insertion order
+    return SymbolicProgram(steps1, symbols), SymbolicProgram(steps2, symbols)
 
 
 @dataclass(frozen=True)
-class Leaf:
-    """A symbol, or a table aggregation applied to a row symbol."""
+class Form:
+    """A normalized expression with its canonical key; equal keys mean equal forms.
 
-    label: tuple
-
-
-@dataclass(frozen=True)
-class Sum:
-    """Signed-coefficient terms; the empty sum is zero."""
-
-    terms: tuple[tuple[int, "Expression"], ...]
-
-
-@dataclass(frozen=True)
-class Prod:
-    """Integer-exponent factors; the empty product is one."""
-
-    factors: tuple[tuple["Expression", int], ...]
-
-
-@dataclass(frozen=True)
-class Pow:
-    base: "Expression"
-    exponent: "Expression"
-
-
-@dataclass(frozen=True)
-class Greater:
-    left: "Expression"
-    right: "Expression"
-
-
-Expression = Union[Leaf, Sum, Prod, Pow, Greater]
-
-
-def to_expression(sp: SymbolicProgram) -> Expression:
-    """Inline step references starting from the final step.
-
-    Steps the final step never reaches are dropped: equivalence is defined by
-    the produced value alone.
+    ``parts`` are ``(weight, form)`` pairs. In a ``"+"`` or ``"*"`` chain they
+    are sorted by key and weigh the signed coefficients of a sum or the
+    integer exponents of a product; the empty sum is zero, the empty product
+    one. ``"^"`` (uninterpreted ``exp``) and ``">"`` have their two operands
+    in order, of weight 1. A leaf (``op`` ``"sym"`` or a table operation) has
+    no parts and names its ``symbol`` id.
     """
-    cache: dict[int, Expression] = {}
 
-    def arg_expr(arg: SymbolicArg, op: str) -> Expression:
-        kind, value = arg
-        if kind == "step":
-            return build(value)
-        if op in TABLE_OPS:
-            return Leaf(("agg", op, value))
-        return Leaf(("sym", value))
+    key: str
+    op: str = field(compare=False)
+    parts: tuple[tuple[int, Form], ...] = field(default=(), compare=False)
+    symbol: int = field(default=0, compare=False)
 
-    def build(index: int) -> Expression:
-        if index in cache:
-            return cache[index]
-        step = sp.steps[index]
-        children = [arg_expr(a, step.op) for a in step.args]
-        if step.op == "add":
-            node: Expression = Sum(((1, children[0]), (1, children[1])))
-        elif step.op == "subtract":
-            node = Sum(((1, children[0]), (-1, children[1])))
-        elif step.op == "multiply":
-            node = Prod(((children[0], 1), (children[1], 1)))
-        elif step.op == "divide":
-            node = Prod(((children[0], 1), (children[1], -1)))
-        elif step.op == "exp":
-            node = Pow(children[0], children[1])
-        elif step.op == "greater":
-            node = Greater(children[0], children[1])
-        elif step.op in TABLE_OPS:
-            node = children[0]
-        else:
-            raise ValueError(f"unknown operation {step.op!r}")
-        cache[index] = node
-        return node
 
+_CHAIN_STEPS = {"add": ("+", 1), "subtract": ("+", -1), "multiply": ("*", 1), "divide": ("*", -1)}
+
+
+def _chain(op: str, terms) -> Form:
+    """The normalized sum (``"+"``) or product (``"*"``) of ``(weight, form)`` terms.
+
+    Children of the same kind are flattened with their weights multiplied,
+    and like forms collect their weights. Zero weights drop out, so a/a is
+    one as a rational function. Parts sort by key, and a lone part of weight
+    1 stands for itself.
+    """
+    collected: dict[str, list] = {}
+    for weight, form in terms:
+        for inner_weight, part in form.parts if form.op == op else ((1, form),):
+            entry = collected.setdefault(part.key, [0, part])
+            entry[0] += weight * inner_weight
+    parts = tuple((weight, part) for _, (weight, part) in sorted(collected.items()) if weight != 0)
+    if len(parts) == 1 and parts[0][0] == 1:
+        return parts[0][1]
+    if op == "+":
+        inner = " ".join(f"{weight}*{part.key}" for weight, part in parts)
+    else:
+        inner = " ".join(f"{part.key}^{weight}" for weight, part in parts)
+    return Form(f"({op} {inner})", op, parts)
+
+
+def _leaf(op: str, symbol: int) -> Form:
+    """A symbol, or a table aggregation applied to a row symbol."""
+    if op in TABLE_OPS:
+        return Form(f"{op}[s{symbol}]", op, symbol=symbol)
+    return Form(f"s{symbol}", "sym", symbol=symbol)
+
+
+def to_expression(sp: SymbolicProgram) -> Form:
+    """The normalized form of the final step, built one step at a time.
+
+    Each step's form is made once, from the forms of the steps it references.
+    Steps the final step never reaches do not change it: equivalence is
+    defined by the produced value alone.
+    """
     if not sp.steps:
         raise ValueError("empty program has no expression")
-    return build(len(sp.steps) - 1)
-
-
-def canonical_key(e: Expression) -> str:
-    """A total order on canonical expressions; equal keys mean equal forms."""
-    if isinstance(e, Leaf):
-        if e.label[0] == "sym":
-            return f"s{e.label[1]}"
-        return f"{e.label[1]}[s{e.label[2]}]"
-    if isinstance(e, Sum):
-        inner = " ".join(f"{coef}*{canonical_key(x)}" for coef, x in e.terms)
-        return f"(+ {inner})"
-    if isinstance(e, Prod):
-        inner = " ".join(f"{canonical_key(x)}^{exp}" for x, exp in e.factors)
-        return f"(* {inner})"
-    if isinstance(e, Pow):
-        return f"(^ {canonical_key(e.base)} {canonical_key(e.exponent)})"
-    return f"(> {canonical_key(e.left)} {canonical_key(e.right)})"
-
-
-def normalize(e: Expression) -> Expression:
-    """AC-flatten and sort commutative chains into a canonical form.
-
-    Sums of sums merge with sign distribution and like terms collect integer
-    coefficients; products of products merge with exponent multiplication and
-    like bases collect exponents. Zero coefficients and zero exponents drop
-    out, so a/a normalizes to one as a rational function. Pow and Greater
-    children are normalized in place but never reordered.
-    """
-    if isinstance(e, Leaf):
-        return e
-    if isinstance(e, Sum):
-        coefficients: dict[str, tuple[int, Expression]] = {}
-
-        def add_term(coef: int, child: Expression) -> None:
-            if isinstance(child, Sum):
-                for inner_coef, inner in child.terms:
-                    add_term(coef * inner_coef, inner)
-                return
-            key = canonical_key(child)
-            old_coef, _ = coefficients.get(key, (0, child))
-            coefficients[key] = (old_coef + coef, child)
-
-        for coef, child in e.terms:
-            add_term(coef, normalize(child))
-        terms = tuple(
-            (coef, child)
-            for key, (coef, child) in sorted(coefficients.items())
-            if coef != 0
-        )
-        if len(terms) == 1 and terms[0][0] == 1:
-            return terms[0][1]
-        return Sum(terms)
-    if isinstance(e, Prod):
-        exponents: dict[str, tuple[int, Expression]] = {}
-
-        def add_factor(exp: int, child: Expression) -> None:
-            if isinstance(child, Prod):
-                for inner, inner_exp in child.factors:
-                    add_factor(exp * inner_exp, inner)
-                return
-            key = canonical_key(child)
-            old_exp, _ = exponents.get(key, (0, child))
-            exponents[key] = (old_exp + exp, child)
-
-        for child, exp in e.factors:
-            add_factor(exp, normalize(child))
-        factors = tuple(
-            (child, exp)
-            for key, (exp, child) in sorted(exponents.items())
-            if exp != 0
-        )
-        if len(factors) == 1 and factors[0][1] == 1:
-            return factors[0][0]
-        return Prod(factors)
-    if isinstance(e, Pow):
-        return Pow(normalize(e.base), normalize(e.exponent))
-    if isinstance(e, Greater):
-        return Greater(normalize(e.left), normalize(e.right))
-    raise TypeError(f"not an expression: {e!r}")
+    forms: list[Form] = []
+    for step in sp.steps:
+        operands = [forms[value] if kind == "step" else _leaf(step.op, value) for kind, value in step.args]
+        if step.op in _CHAIN_STEPS:
+            op, sign = _CHAIN_STEPS[step.op]
+            form = _chain(op, ((1, operands[0]), (sign, operands[1])))
+        elif step.op in ("exp", "greater"):
+            op = "^" if step.op == "exp" else ">"
+            key = f"({op} {operands[0].key} {operands[1].key})"
+            form = Form(key, op, ((1, operands[0]), (1, operands[1])))
+        elif step.op in TABLE_OPS:
+            form = operands[0]
+        else:
+            raise ValueError(f"unknown operation {step.op!r}")
+        forms.append(form)
+    return forms[-1]
 
 
 class _SamplingError(Exception):
@@ -276,62 +196,71 @@ def _hashed_int(seed: int, parts: tuple) -> int:
     return value if value != 0 else 1
 
 
-def _point_assignment(sp: SymbolicProgram, seed: int, trial: int) -> dict[tuple, Fraction]:
-    """Symbol values for one sample point, keyed by symbol identity.
+def _sampling_plan(roots: tuple[Form, ...], symbols: tuple) -> tuple[list, list[int]]:
+    """Instructions that evaluate every distinct subform of ``roots`` once.
 
-    Keying by identity rather than id keeps assignments stable regardless of
-    the order the pair was symbolized in, so equivalence is symmetric.
+    Subforms are found with an explicit stack and ordered children before
+    parents, in part order. Returns the instructions for ``_evaluate`` and
+    the position of each root's value.
     """
-    return {
-        ("sym", i): Fraction(_hashed_int(seed, (trial, key)))
-        for i, key in enumerate(sp.symbols)
-    }
+    order: list[Form] = []
+    position: dict[str, int] = {}
+    stack = [(root, False) for root in reversed(roots)]
+    while stack:
+        form, ready = stack.pop()
+        if form.key in position:
+            continue
+        if ready:
+            position[form.key] = len(order)
+            order.append(form)
+        else:
+            stack.append((form, True))
+            stack.extend((part, False) for _, part in reversed(form.parts))
+    divisors = {part.key for form in order if form.op == "*" for weight, part in form.parts if weight < 0}
+    plan = []
+    for form in order:
+        op, arg = form.op, tuple((weight, position[part.key]) for weight, part in form.parts)
+        if any(part.op == ">" for _, part in form.parts):
+            op = "boolean in arithmetic"  # only ">" forms are boolean: every point fails
+        elif op == "sym" or op in TABLE_OPS:
+            # Symbol values are keyed by symbol identity rather than id, so
+            # points do not depend on the order the pair was symbolized in.
+            symbol = symbols[form.symbol]
+            arg = (symbol,) if op == "sym" else ("agg", op, symbol)
+            op = "leaf"
+        plan.append((op, arg, form.key in divisors))
+    return plan, [position[root.key] for root in roots]
 
 
-def _eval_expression(
-    e: Expression,
-    values: dict[tuple, Fraction],
-    sp: SymbolicProgram,
-    seed: int,
-    trial: int,
-) -> Union[Fraction, bool]:
-    if isinstance(e, Leaf):
-        if e.label[0] == "sym":
-            return values[e.label]
-        _, op, symbol = e.label
-        return Fraction(_hashed_int(seed, (trial, "agg", op, sp.symbols[symbol])))
-    if isinstance(e, Sum):
-        total = Fraction(0)
-        for coef, child in e.terms:
-            value = _eval_expression(child, values, sp, seed, trial)
-            if isinstance(value, bool):
-                raise _SamplingError("boolean in arithmetic")
-            total += coef * value
-        return total
-    if isinstance(e, Prod):
-        product = Fraction(1)
-        for child, exp in e.factors:
-            value = _eval_expression(child, values, sp, seed, trial)
-            if isinstance(value, bool):
-                raise _SamplingError("boolean in arithmetic")
-            if value == 0 and exp < 0:
-                raise _SamplingError("division by zero")
-            product *= value**exp
-        return product
-    if isinstance(e, Pow):
-        base = _eval_expression(e.base, values, sp, seed, trial)
-        exponent = _eval_expression(e.exponent, values, sp, seed, trial)
-        if isinstance(base, bool) or isinstance(exponent, bool):
-            raise _SamplingError("boolean in arithmetic")
-        # Uninterpreted: keyed by operand values, shared across the pair.
-        return Fraction(_hashed_int(seed, (trial, "pow", base, exponent)))
-    if isinstance(e, Greater):
-        left = _eval_expression(e.left, values, sp, seed, trial)
-        right = _eval_expression(e.right, values, sp, seed, trial)
-        if isinstance(left, bool) or isinstance(right, bool):
-            raise _SamplingError("boolean in arithmetic")
-        return left > right
-    raise TypeError(f"not an expression: {e!r}")
+def _evaluate(plan: list, seed: int, trial: int) -> list:
+    """Every planned value at one sample point, in exact rational arithmetic.
+
+    Raises _SamplingError as soon as a divisor comes out zero or a boolean
+    would enter arithmetic.
+    """
+    values: list = []
+    for op, arg, divisor in plan:
+        if op == "leaf":
+            value = Fraction(_hashed_int(seed, (trial, *arg)))
+        elif op == "+":
+            value = _ZERO
+            for weight, i in arg:
+                value += values[i] if weight == 1 else weight * values[i]
+        elif op == "*":
+            value = _ONE
+            for weight, i in arg:
+                value *= values[i] if weight == 1 else values[i] ** weight
+        elif op == "^":
+            # Uninterpreted: keyed by operand values, shared across the pair.
+            value = Fraction(_hashed_int(seed, (trial, "pow", values[arg[0][1]], values[arg[1][1]])))
+        elif op == ">":
+            value = values[arg[0][1]] > values[arg[1][1]]
+        else:
+            raise _SamplingError(op)
+        if divisor and value == 0:
+            raise _SamplingError("division by zero")
+        values.append(value)
+    return values
 
 
 @dataclass(frozen=True)
@@ -357,27 +286,24 @@ def compare_programs(
     degenerate (no evaluable sample points exist outside the canonical match).
     """
     s1, s2 = pair_symbolize(p1, p2, constants)
-    left = normalize(to_expression(s1))
-    right = normalize(to_expression(s2))
-    key_left = canonical_key(left)
-    key_right = canonical_key(right)
-    if isinstance(left, Greater) != isinstance(right, Greater):
+    left = to_expression(s1)
+    right = to_expression(s2)
+    key_left, key_right = left.key, right.key
+    if (left.op == ">") != (right.op == ">"):
         return EquivalenceReport(False, "incomparable-types", key_left, key_right)
     if key_left == key_right:
         return EquivalenceReport(True, "canonical-match", key_left, key_right)
 
+    plan, (at_left, at_right) = _sampling_plan((left, right), s1.symbols)
     agreed = 0
-    budget = samples * 20
-    for trial in range(budget):
+    for trial in range(samples * 20):
         if agreed >= samples:
             break
-        values = _point_assignment(s1, seed, trial)
         try:
-            value_left = _eval_expression(left, values, s1, seed, trial)
-            value_right = _eval_expression(right, values, s2, seed, trial)
+            values = _evaluate(plan, seed, trial)
         except _SamplingError:
             continue
-        if value_left != value_right:
+        if values[at_left] != values[at_right]:
             return EquivalenceReport(False, "counterexample", key_left, key_right)
         agreed += 1
     if agreed < samples:

@@ -23,7 +23,10 @@ from .numeric import DEFAULT_TOLERANCE, NotANumber, TolerancePolicy, parse_quant
 
 
 class UnknownRecordId(KeyError):
-    pass
+    """A prediction id that matches no record."""
+
+    def __str__(self) -> str:
+        return str(self.args[0])  # KeyError's own str would quote the message
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ scores incorrect during evaluation.
 
 from __future__ import annotations
 
+import math
 from decimal import Decimal
 from fractions import Fraction
 from typing import Mapping, Optional, Union
@@ -64,15 +65,17 @@ class DomainError(ExecutionError):
 
 def _iroot(n: int, k: int) -> int | None:
     """The exact integer k-th root of n >= 0, or None if n is not a k-th power."""
-    if n in (0, 1):
-        return n
-    if n.bit_length() > 1024:
-        return None
-    guess = round(n ** (1.0 / k))
-    for candidate in (guess - 1, guess, guess + 1):
-        if candidate >= 0 and candidate**k == n:
-            return candidate
-    return None
+    if n.bit_length() <= k:  # n < 2**k, so its root is 0 or 1
+        return n if n < 2 else None
+    if k == 2:
+        root = math.isqrt(n)
+    else:
+        # Integer Newton steps from 2**ceil(bits / k), which is above the
+        # root, decrease until they reach the floor of the root.
+        root = 1 << -(-n.bit_length() // k)
+        while (smaller := ((k - 1) * root + n // root ** (k - 1)) // k) < root:
+            root = smaller
+    return root if root**k == n else None
 
 
 def power(base: Fraction, exponent: Fraction) -> Fraction:

@@ -42,14 +42,18 @@ class NoGoldFacts(ValueError):
 class TfIdfIndex:
     """Immutable index over one fact collection; safe for concurrent queries.
 
-    ``fact_ids`` keeps the insertion order, which is the tie-break order for
+    ``facts`` keeps the insertion order, which is the tie-break order for
     equal scores; build from facts in document order.
     """
 
-    fact_ids: tuple[str, ...]
+    facts: tuple[Fact, ...]
     idf: dict
     vectors: tuple[dict, ...]
     tokenizer: Tokenizer
+
+    @property
+    def fact_ids(self) -> tuple[str, ...]:
+        return tuple(f.id for f in self.facts)
 
 
 def _counts(tokens: list[str]) -> dict:
@@ -83,7 +87,7 @@ def build_index(facts: Iterable[Fact], tokenizer: Tokenizer = tokenize) -> TfIdf
         for tokens in tokenized
     )
     return TfIdfIndex(
-        fact_ids=tuple(f.id for f in fact_list),
+        facts=tuple(fact_list),
         idf=idf,
         vectors=vectors,
         tokenizer=tokenizer,
@@ -99,9 +103,9 @@ def rank(question: str, index: TfIdfIndex, k: int) -> RankedFacts:
     }
     query = _l2_normalize(query)
     scored = []
-    for position, (fact_id, vector) in enumerate(zip(index.fact_ids, index.vectors)):
+    for position, (fact, vector) in enumerate(zip(index.facts, index.vectors)):
         score = sum(weight * vector.get(term, 0.0) for term, weight in query.items())
-        scored.append((-score, position, fact_id))
+        scored.append((-score, position, fact.id))
     scored.sort()
     return [(fact_id, -neg_score) for neg_score, _, fact_id in scored[: max(k, 0)]]
 
@@ -145,13 +149,13 @@ def single_op_answer(
 
     When a retrieved fact has no number the program is emitted with whatever
     numbers exist and fails execution, scoring incorrect; the baseline never
-    raises.
+    raises. A given ``index`` supplies the facts, so it must be built from
+    ``candidate_facts(record)``.
     """
-    facts = candidate_facts(record)
     if index is None:
-        index = build_index(facts)
+        index = build_index(candidate_facts(record))
     ranked = rank(record.question, index, 2)
-    by_id = {f.id: f for f in facts}
+    by_id = {f.id: f for f in index.facts}
     operands = []
     for fact_id, _ in ranked:
         quantities = extract_numbers(by_id[fact_id].content)

@@ -174,6 +174,31 @@ class TestEvalCommand:
         assert code == 1
         assert "rejected records" in out
 
+    def test_unknown_prediction_id_is_input_error(self, capsys, tmp_path, sample_path):
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text(json.dumps({"id": "nope", "program": "add(1, 2)"}) + "\n")
+        code = cli_dispatch(["eval", "--records", str(sample_path), "--preds", str(preds)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == "error: prediction id 'nope' matches no record\n"
+        assert captured.out == ""
+
+    def test_deep_prediction_scored(self, capsys, tmp_path, sample_path):
+        record = sample_path.read_text(encoding="utf-8").splitlines()[0]
+        records = tmp_path / "records.jsonl"
+        records.write_text(record + "\n")
+        steps = ["add(1, 2)"] + [
+            f"{'add' if i % 2 == 0 else 'multiply'}(#{i - 1}, {i + 2})" for i in range(1, 2000)
+        ]
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text(json.dumps({"id": json.loads(record)["id"], "program": ", ".join(steps)}))
+        argv = ["eval", "--records", str(records), "--preds", str(preds), "--format", "machine"]
+        assert cli_dispatch(argv) == 0
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        payload = json.loads(captured.out)
+        assert payload["program_accuracy"] == 0.0
+
 
 class TestExecCommand:
     def test_pure_arithmetic(self, capsys):

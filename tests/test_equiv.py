@@ -2,10 +2,9 @@ from random import Random
 
 from finprog.dsl import parse_program, render_program
 from finprog.equiv import (
-    canonical_key,
+    _chain,
     compare_programs,
     equivalent,
-    normalize,
     pair_symbolize,
     program_accuracy,
     to_expression,
@@ -52,22 +51,22 @@ class TestPairSymbolize:
 class TestToExpression:
     def test_inline_sum(self):
         sp, _ = pair_symbolize(P("add(a, b), subtract(#0, c)"), P("add(a, b)"))
-        assert canonical_key(normalize(to_expression(sp))) == "(+ 1*s0 1*s1 -1*s2)"
+        assert to_expression(sp).key == "(+ 1*s0 1*s1 -1*s2)"
 
     def test_single_divide_is_signed_product(self):
         sp, _ = pair_symbolize(P("divide(a, b)"), P("divide(a, b)"))
-        assert canonical_key(normalize(to_expression(sp))) == "(* s0^1 s1^-1)"
+        assert to_expression(sp).key == "(* s0^1 s1^-1)"
 
     def test_dead_step_dropped(self):
         sp, _ = pair_symbolize(P("add(a, b), add(c, d)"), P("add(a, b)"))
-        assert canonical_key(normalize(to_expression(sp))) == "(+ 1*s2 1*s3)"
+        assert to_expression(sp).key == "(+ 1*s2 1*s3)"
 
 
 class TestNormalize:
     def test_commutativity_same_canonical(self):
-        a = normalize(to_expression(pair_symbolize(P("add(a, b)"), P("add(a, b)"))[0]))
-        b = normalize(to_expression(pair_symbolize(P("add(b, a)"), P("add(b, a)"))[0]))
-        assert canonical_key(a) == canonical_key(b)
+        a = to_expression(pair_symbolize(P("add(a, b)"), P("add(a, b)"))[0])
+        b = to_expression(pair_symbolize(P("add(b, a)"), P("add(b, a)"))[0])
+        assert a.key == b.key
 
     def test_flagship_pair_identical_canonical(self):
         report = compare_programs(P(FLAGSHIP_A), P(FLAGSHIP_B))
@@ -79,24 +78,30 @@ class TestNormalize:
 
     def test_like_terms_collect(self):
         sp, _ = pair_symbolize(P("add(a, a)"), P("add(a, a)"))
-        assert canonical_key(normalize(to_expression(sp))) == "(+ 2*s0)"
+        assert to_expression(sp).key == "(+ 2*s0)"
 
     def test_cancellation_to_zero(self):
         sp, _ = pair_symbolize(P("subtract(a, a)"), P("subtract(a, a)"))
-        assert canonical_key(normalize(to_expression(sp))) == "(+ )"
+        assert to_expression(sp).key == "(+ )"
 
     def test_ratio_of_self_is_one(self):
         sp, _ = pair_symbolize(P("divide(a, a)"), P("divide(a, a)"))
-        assert canonical_key(normalize(to_expression(sp))) == "(* )"
+        assert to_expression(sp).key == "(* )"
 
-    def test_normalize_idempotent_and_sound(self):
+    def test_normalize_idempotent(self):
         rng = Random(83)
+        chains = 0
         for _ in range(300):
             program = random_symbolic_program(rng)
             sp, _ = pair_symbolize(program, program)
-            expr = to_expression(sp)
-            once = normalize(expr)
-            assert canonical_key(normalize(once)) == canonical_key(once)
+            stack = [to_expression(sp)]
+            while stack:
+                form = stack.pop()
+                stack.extend(part for _, part in form.parts)
+                if form.op in ("+", "*"):
+                    assert _chain(form.op, form.parts) == form
+                    chains += 1
+        assert chains > 200
 
 
 class TestEquivalent:
@@ -126,6 +131,14 @@ class TestEquivalent:
     def test_incomparable_types(self):
         report = compare_programs(P("greater(a, b)"), P("add(a, b)"))
         assert not report.equivalent and report.reason == "incomparable-types"
+
+    def test_no_evaluable_point_is_degenerate(self):
+        for left, right in (
+            ("subtract(a, a), divide(b, #0)", "subtract(a, a), divide(c, #0)"),  # zero divisor
+            ("greater(a, b), add(#0, c)", "greater(b, a), add(#0, c)"),  # boolean operand
+        ):
+            report = compare_programs(P(left), P(right))
+            assert not report.equivalent and report.reason == "degenerate", left
 
     def test_greater_operand_order_matters(self):
         assert not equivalent(P("greater(a, b)"), P("greater(b, a)"))
@@ -200,6 +213,40 @@ class TestEquivalent:
                 render_program(a),
                 render_program(b),
             )
+
+
+def _deep_chain(steps: int, distributed: bool = False) -> str:
+    """An alternating add/multiply chain of ``steps`` steps over distinct numbers.
+
+    ``distributed`` rewrites its first product, (1 + 2) * 3, as 1 * 3 + 2 * 3,
+    which normalization does not canonicalize, so only sampling can match it.
+    """
+    if distributed:
+        text = ["multiply(1, 3)", "multiply(2, 3)", "add(#0, #1)"]
+    else:
+        text = ["add(1, 2)", "multiply(#0, 3)"]
+    shift = len(text) - 2
+    for i in range(2, steps):
+        op = "add" if i % 2 == 0 else "multiply"
+        text.append(f"{op}(#{i - 1 + shift}, {i + 2})")
+    return ", ".join(text)
+
+
+class TestDeepPrograms:
+    """Forms are built and sampled without recursion, so depth has no limit."""
+
+    def test_deep_chain_matches_itself_canonically(self):
+        chain = P(_deep_chain(2000))
+        report = compare_programs(chain, chain)
+        assert report.equivalent and report.reason == "canonical-match"
+
+    def test_deep_chain_rewrite_decided_by_sampling(self):
+        chain = P(_deep_chain(2000))
+        rewrite = P(_deep_chain(2000, distributed=True))
+        assert len(rewrite.steps) == 2001
+        report = compare_programs(chain, rewrite, samples=8)
+        assert report.equivalent and report.reason == "randomized-agreement"
+        assert report.canonical_left != report.canonical_right
 
 
 class TestProgramAccuracy:

@@ -160,6 +160,10 @@ class TestPieces:
         assert power(Fraction(9, 4), Fraction(1, 2)) == Fraction(3, 2)
         widened = power(Fraction(2), Fraction(1, 2))
         assert widened == Fraction(float(2**0.5))
+        # past float precision, and past float range
+        for root in (10**20 + 12345, 3**50 + 7, 2**600 + 1):
+            assert power(Fraction(root**2), Fraction(1, 2)) == root
+        assert power(Fraction((10**15 + 7) ** 3, 8), Fraction(2, 3)) == Fraction((10**15 + 7) ** 2, 4)
 
     def test_render_value(self):
         assert render_value(True) == "yes"

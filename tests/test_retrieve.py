@@ -202,6 +202,19 @@ class TestSingleOp:
         assert result.program_text == "divide(80, 40)"
         assert result.value == Fraction(2) and result.error is None
 
+    def test_given_index_supplies_the_facts(self, monkeypatch, sample_records):
+        import finprog.retrieve
+
+        record = sample_records[0]
+        index = build_index(candidate_facts(record))
+        expected = single_op_answer(record)
+
+        def rebuilt(_record):
+            raise AssertionError("candidate_facts called although an index was given")
+
+        monkeypatch.setattr(finprog.retrieve, "candidate_facts", rebuilt)
+        assert single_op_answer(record, index) == expected
+
     def test_degrades_without_numbers(self, tmp_path):
         import json
 
