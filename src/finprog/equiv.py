@@ -22,7 +22,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Optional, Union
+from typing import Mapping, Optional
 
 from .context import normalize_row_name
 from .dsl import (

@@ -70,10 +70,16 @@ def _iroot(n: int, k: int) -> int | None:
     if k == 2:
         root = math.isqrt(n)
     else:
-        # Integer Newton steps from 2**ceil(bits / k), which is above the
-        # root, decrease until they reach the floor of the root.
-        root = 1 << -(-n.bit_length() // k)
-        while (smaller := ((k - 1) * root + n // root ** (k - 1)) // k) < root:
+        # Integer Newton steps from a float estimate good to about 50 bits:
+        # the first step lands at or above the floor of the root, and from
+        # there the steps decrease to it, converging quadratically.
+        def step(x: int) -> int:
+            return ((k - 1) * x + n // x ** (k - 1)) // k
+
+        estimate = math.log2(n) / k
+        shift = max(int(estimate) - 52, 0)  # keep the float in range
+        root = step(int(2 ** (estimate - shift)) << shift)
+        while (smaller := step(root)) < root:
             root = smaller
     return root if root**k == n else None
 

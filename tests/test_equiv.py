@@ -233,7 +233,8 @@ def _deep_chain(steps: int, distributed: bool = False) -> str:
 
 
 class TestDeepPrograms:
-    """Forms are built and sampled without recursion, so depth has no limit."""
+    """Forms are built and sampled without recursion, so depth is no longer
+    bounded by the interpreter's recursion limit."""
 
     def test_deep_chain_matches_itself_canonically(self):
         chain = P(_deep_chain(2000))

@@ -1,3 +1,4 @@
+import time
 from decimal import Decimal
 from fractions import Fraction
 from random import Random
@@ -164,6 +165,14 @@ class TestPieces:
         for root in (10**20 + 12345, 3**50 + 7, 2**600 + 1):
             assert power(Fraction(root**2), Fraction(1, 2)) == root
         assert power(Fraction((10**15 + 7) ** 3, 8), Fraction(2, 3)) == Fraction((10**15 + 7) ** 2, 4)
+
+    def test_power_large_root_index_is_fast(self):
+        # a root just above a power of two, with a five-digit root index:
+        # Newton steps from a power-of-two start need thousands of steps here
+        started = time.perf_counter()
+        assert power(Fraction(524289**10001), Fraction(1, 10001)) == 524289
+        assert power(Fraction(524289), Fraction(10001, 10000)) == Fraction(524289.0**1.0001)
+        assert time.perf_counter() - started < 2.0
 
     def test_render_value(self):
         assert render_value(True) == "yes"
