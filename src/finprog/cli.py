@@ -23,6 +23,20 @@ from .numeric import TolerancePolicy
 from .retrieve import build_index, rank, recall_at_k
 
 
+_SAMPLES_HELP = "random points at which the equivalence fallback must agree (at least 1)"
+
+
+def _sample_count(text: str) -> int:
+    """An argparse type for ``--samples``: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="finprog",
@@ -57,7 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("program_a")
     p.add_argument("program_b")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=32)
+    p.add_argument("--samples", type=_sample_count, default=32, help=_SAMPLES_HELP)
 
     p = sub.add_parser("eval", help="score predictions against a record file")
     p.add_argument("--records", required=True)
@@ -67,7 +81,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-gold-rounding", action="store_true", help="disable the gold-precision rounding clause")
     p.add_argument("--percent-insensitive", action="store_true")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=32)
+    p.add_argument("--samples", type=_sample_count, default=32, help=_SAMPLES_HELP)
     p.add_argument("--strict-grounding", action="store_true")
     add_output(p)
 

@@ -6,11 +6,20 @@ symbol). Each symbolic program is then built into a normalized form over
 those symbols, once per step and in one loop: sums and products are flattened,
 like parts collected and sorted as each form is made, so every form is born
 normalized and carries its canonical key, made once from its parts' keys.
-Pairs whose keys differ get a randomized fallback: every distinct subform of
-both sides is evaluated, children first, at independent random integer points
-in exact rational arithmetic, so identities that normalization does not
-rewrite (for example distributivity) are still recognized, with negligible
-false-positive probability.
+
+Pairs whose keys differ get a randomized fallback, so identities that
+normalization does not rewrite (for example distributivity) are still
+recognized. Every distinct subform of both sides is evaluated, children
+first, at independent random integer points, modulo the prime p = 2**61 - 1
+with plain integers. Both sides are rational functions of the symbols, and
+over Z_p a point can only wrongly say "agree", never "differ": by the
+Schwartz-Zippel / DeMillo-Lipton lemma a point agrees by chance with
+probability at most deg/p. A program can also build a coefficient that is a
+multiple of p, or an exponent that is a multiple of p - 1, which Z_p cannot
+tell from 0. So before the fallback reports agreement it confirms it at one
+point in exact rational arithmetic. Pairs whose final step is ``greater``
+are sampled in exact rational arithmetic throughout: a sign test needs the
+order that Z_p lacks.
 
 Exponentiation is treated as an uninterpreted operation on its operand values:
 ``exp`` chains are compared by where their bases and exponents agree, not by
@@ -22,6 +31,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Mapping, Optional
 
 from .context import normalize_row_name
@@ -200,8 +210,9 @@ def _sampling_plan(roots: tuple[Form, ...], symbols: tuple) -> tuple[list, list[
     """Instructions that evaluate every distinct subform of ``roots`` once.
 
     Subforms are found with an explicit stack and ordered children before
-    parents, in part order. Returns the instructions for ``_evaluate`` and
-    the position of each root's value.
+    parents, in part order. Returns the instructions for ``_evaluate`` (and,
+    through ``_modular_plan``, for ``_evaluate_mod_p``) and the position of
+    each root's value.
     """
     order: list[Form] = []
     position: dict[str, int] = {}
@@ -263,6 +274,115 @@ def _evaluate(plan: list, seed: int, trial: int) -> list:
     return values
 
 
+_P = 2**61 - 1  # a Mersenne prime: residues fit in a machine word
+
+
+def _modular_plan(plan: list) -> list:
+    """``plan`` with each leaf's argument rendered once as the tail of its hash input.
+
+    A leaf's value at ``trial`` is ``_hashed_int(seed, (trial, *arg))``, the
+    hash of ``repr((seed, (trial, *arg)))``; only the head of that text
+    depends on the point, so the rest is encoded here, once per comparison.
+    """
+    return [
+        (op, f", {', '.join(map(repr, arg))}))".encode() if op == "leaf" else arg, divisor)
+        for op, arg, divisor in plan
+    ]
+
+
+def _evaluate_mod_p(plan: list, seed: int, trial: int) -> tuple[list[int], list[int]]:
+    """Every planned value at one sample point over Z_p, from a ``_modular_plan``.
+
+    A value is a pair of numerator and denominator residues, so no modular
+    inverse is taken: sums cross-multiply, and a product raises each part to
+    its weight with ``pow``, the pair swapped for a negative weight. Leaves
+    take the residues of their exact sample values (``_hashed_int``), so
+    every value but an ``exp``'s is the image in Z_p of its exact rational
+    value at the same point. ``exp`` stays uninterpreted, hashed on its
+    operands' residues: the only place an inverse is taken, and only for a
+    denominator other than 1. Raises _SamplingError as soon as a divisor's
+    numerator is 0 mod p or a boolean would enter arithmetic; ``">"`` forms,
+    which need the order Z_p lacks, fail the point too.
+    """
+    head = hashlib.blake2b(f"({seed!r}, ({trial}".encode(), digest_size=8)
+    nums: list[int] = []
+    dens: list[int] = []
+    for op, arg, divisor in plan:
+        den = 1
+        if op == "leaf":
+            digest = head.copy()  # hashing the head once per point
+            digest.update(arg)
+            value = int.from_bytes(digest.digest(), "big") % 2**63 - 2**62
+            num = (value if value != 0 else 1) % _P  # as _hashed_int
+        elif op == "+":
+            num = 0
+            for weight, i in arg:
+                n, d = nums[i], dens[i]
+                if den == 1 and d == 1:
+                    num += weight * n
+                else:
+                    num = (num * d + weight * n * den) % _P
+                    den = den * d % _P
+            num %= _P
+        elif op == "*":
+            num = 1
+            for weight, i in arg:
+                n, d = nums[i], dens[i]
+                if weight < 0:
+                    n, d, weight = d, n, -weight
+                if weight != 1:
+                    n = pow(n, weight, _P)
+                    d = pow(d, weight, _P) if d != 1 else 1
+                num = num * n % _P
+                if d != 1:
+                    den = den * d % _P
+        elif op == "^":
+            # Uninterpreted: keyed by operand residues, shared across the pair.
+            base, exponent = (
+                nums[i] if dens[i] == 1 else nums[i] * pow(dens[i], -1, _P) % _P for _, i in arg
+            )
+            num = _hashed_int(seed, (trial, "pow", base, exponent)) % _P
+        else:
+            raise _SamplingError(op)
+        if divisor and num == 0:
+            raise _SamplingError("division by zero")
+        nums.append(num)
+        dens.append(den)
+    return nums, dens
+
+
+def _agree_exactly(plan: list, roots: tuple[int, int], seed: int, trial: int) -> bool:
+    """Whether both roots take one value at ``trial``, in exact rational arithmetic."""
+    values = _evaluate(plan, seed, trial)
+    return values[roots[0]] == values[roots[1]]
+
+
+def _agree_mod_p(plan: list, roots: tuple[int, int], seed: int, trial: int) -> bool:
+    """Whether both roots take one value at ``trial`` over Z_p: nL * dR == nR * dL."""
+    nums, dens = _evaluate_mod_p(plan, seed, trial)
+    left, right = roots
+    return (nums[left] * dens[right] - nums[right] * dens[left]) % _P == 0
+
+
+def _sample(agree, points: int, trials: int) -> str:
+    """The reason decided by ``agree(trial)`` over the first ``points`` evaluable trials.
+
+    A trial that raises _SamplingError is skipped; after ``trials`` trials
+    without ``points`` agreeing ones the comparison is degenerate.
+    """
+    agreed = 0
+    for trial in range(trials):
+        if agreed >= points:
+            break
+        try:
+            if not agree(trial):
+                return "counterexample"
+        except _SamplingError:
+            continue
+        agreed += 1
+    return "randomized-agreement" if agreed >= points else "degenerate"
+
+
 @dataclass(frozen=True)
 class EquivalenceReport:
     equivalent: bool
@@ -284,7 +404,15 @@ def compare_programs(
     Reasons: canonical-match, randomized-agreement, counterexample,
     incomparable-types (one program ends in a boolean, the other a number),
     degenerate (no evaluable sample points exist outside the canonical match).
+
+    Pairs whose keys differ are compared at ``samples`` evaluable random
+    points, drawn from at most ``20 * samples`` trials; ``samples`` below 1
+    raises ValueError, since no point would then be checked. Points are
+    evaluated over Z_p and an agreement is confirmed at one exact point;
+    pairs ending in ``greater`` are evaluated exactly at every point.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     s1, s2 = pair_symbolize(p1, p2, constants)
     left = to_expression(s1)
     right = to_expression(s2)
@@ -294,21 +422,17 @@ def compare_programs(
     if key_left == key_right:
         return EquivalenceReport(True, "canonical-match", key_left, key_right)
 
-    plan, (at_left, at_right) = _sampling_plan((left, right), s1.symbols)
-    agreed = 0
-    for trial in range(samples * 20):
-        if agreed >= samples:
-            break
-        try:
-            values = _evaluate(plan, seed, trial)
-        except _SamplingError:
-            continue
-        if values[at_left] != values[at_right]:
-            return EquivalenceReport(False, "counterexample", key_left, key_right)
-        agreed += 1
-    if agreed < samples:
-        return EquivalenceReport(False, "degenerate", key_left, key_right)
-    return EquivalenceReport(True, "randomized-agreement", key_left, key_right)
+    plan, roots = _sampling_plan((left, right), s1.symbols)
+    exact = partial(_agree_exactly, plan, roots, seed)
+    trials = samples * 20
+    if left.op == ">":
+        reason = _sample(exact, samples, trials)
+    else:
+        reason = _sample(partial(_agree_mod_p, _modular_plan(plan), roots, seed), samples, trials)
+        if reason == "randomized-agreement":
+            # Z_p errs only towards agreement: confirm it at one exact point.
+            reason = _sample(exact, 1, trials)
+    return EquivalenceReport(reason == "randomized-agreement", reason, key_left, key_right)
 
 
 def equivalent(

@@ -33,6 +33,18 @@ class TestEquivCommand:
     def test_unparseable_program_is_usage_error(self, capsys):
         assert cli_dispatch(["equiv", "add(1, 2)", "nope("]) == 2
 
+    @pytest.mark.parametrize("command", ["equiv", "eval"])
+    def test_samples_below_one_is_usage_error(self, capsys, command, sample_path, gold_preds_path):
+        if command == "equiv":
+            argv = ["equiv", "add(1, 2)", "multiply(1, 3)"]
+        else:
+            argv = ["eval", "--records", str(sample_path), "--preds", str(gold_preds_path)]
+        assert cli_dispatch(argv + ["--samples", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--samples: must be at least 1" in captured.err
+        assert "Traceback" not in captured.err
+
     def test_flagship_pair(self, capsys):
         code = cli_dispatch(
             [

@@ -1,8 +1,16 @@
+import time
 from random import Random
+
+import pytest
 
 from finprog.dsl import parse_program, render_program
 from finprog.equiv import (
+    _P,
     _chain,
+    _evaluate_mod_p,
+    _hashed_int,
+    _modular_plan,
+    _sampling_plan,
     compare_programs,
     equivalent,
     pair_symbolize,
@@ -248,6 +256,60 @@ class TestDeepPrograms:
         report = compare_programs(chain, rewrite, samples=8)
         assert report.equivalent and report.reason == "randomized-agreement"
         assert report.canonical_left != report.canonical_right
+
+
+class TestModularSampling:
+    """The fallback samples over Z_p, p = 2**61 - 1, and confirms agreement exactly."""
+
+    def test_multiple_of_p_is_a_counterexample(self):
+        # add(x, x) doubled 60 more times is 2**61 * x, and
+        # (2**61 - 1) * x + y == y over Z_p, but not over the rationals.
+        doublings = [f"add(#{k}, #{k})" for k in range(60)]
+        left = P(", ".join(["add(x, x)", *doublings, "subtract(#60, x)", "add(#61, y)"]))
+        report = compare_programs(left, P("add(x, y), subtract(#0, x)"))
+        assert report.canonical_left == f"(+ {_P}*s0 1*s1)"
+        assert not report.equivalent and report.reason == "counterexample"
+
+    def test_greater_needs_the_sign_of_a_factor(self):
+        report = compare_programs(
+            P("greater(a, b)"), P("multiply(a, c), multiply(b, c), greater(#0, #1)")
+        )
+        assert not report.equivalent and report.reason == "counterexample"
+
+    def test_distributive_rewrite_under_greater(self):
+        report = compare_programs(
+            P("add(a, b), multiply(#0, c), greater(#1, d)"),
+            P("multiply(a, c), multiply(b, c), add(#0, #1), greater(#2, d)"),
+        )
+        assert report.equivalent and report.reason == "randomized-agreement"
+
+    @pytest.mark.parametrize("steps", [16, 40])
+    def test_squaring_chain_counterexample_is_fast(self, steps):
+        # Squaring multiply(3, 5) steps - 1 times collects an exponent of 2**(steps - 1).
+        chain = ", ".join(["multiply(3, 5)"] + [f"multiply(#{k}, #{k})" for k in range(steps - 1)])
+        start = time.perf_counter()
+        report = compare_programs(P(chain), P(f"{chain}, add(#{steps - 1}, 0)"))
+        elapsed = time.perf_counter() - start
+        assert not report.equivalent and report.reason == "counterexample"
+        assert elapsed < 0.1, elapsed
+
+    def test_leaf_residues_match_hashed_int(self):
+        program = P("add(3.5, const_foo), table-sum(Net Sales), add(#0, #1), add(#2, x)")
+        sp, _ = pair_symbolize(program, program)
+        plan, _ = _sampling_plan((to_expression(sp),), sp.symbols)
+        leaves = [(i, arg) for i, (op, arg, _) in enumerate(plan) if op == "leaf"]
+        kinds = {arg[0] if arg[0] == "agg" else arg[0][0] for _, arg in leaves}
+        assert kinds == {"num", "const", "name", "agg"}
+        for seed in (0, 11, -3):
+            for trial in range(4):
+                nums, dens = _evaluate_mod_p(_modular_plan(plan), seed, trial)
+                for i, arg in leaves:
+                    assert (nums[i], dens[i]) == (_hashed_int(seed, (trial, *arg)) % _P, 1)
+
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_samples_below_one_rejected(self, samples):
+        with pytest.raises(ValueError):
+            compare_programs(P("add(1, 2)"), P("multiply(1, 3)"), samples=samples)
 
 
 class TestProgramAccuracy:
