@@ -9,10 +9,18 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
 
-from .numeric import NotANumber, Quantity, extract_numbers, format_decimal, parse_quantity
+from .numeric import (
+    NotANumber,
+    Quantity,
+    extract_numbers,
+    format_decimal,
+    mantissa_set,
+    parse_quantity,
+)
 
 _NORMALIZE_RE = re.compile(r"[^0-9a-z]+")
 
@@ -42,7 +50,14 @@ class FinTable:
 
     @classmethod
     def from_rows(cls, raw: list[list[str]]) -> "FinTable":
-        """Build from a raw grid whose first row is the header."""
+        """Build from a raw grid whose first row is the header.
+
+        Every row, the header included, must be a list; row ``i`` of another
+        type raises ValueError naming ``i``.
+        """
+        for i, row in enumerate(raw):
+            if not isinstance(row, list):
+                raise ValueError(f"row {i} is not a list")
         if not raw or not raw[0]:
             raise ValueError("table needs a header row")
         header = tuple(str(c) for c in raw[0])
@@ -105,24 +120,33 @@ class EvidenceContext:
     def sentence_quantities(self) -> tuple[tuple[Quantity, ...], ...]:
         return tuple(tuple(extract_numbers(s)) for s in self.text_sentences)
 
+    def _table_texts(self) -> list[str]:
+        """The table's header labels, then each row's name and cells."""
+        texts = list(self.table.header)
+        for name, cells in self.table.rows:
+            texts.append(name)
+            texts.extend(cells)
+        return texts
+
     @cached_property
     def _all_quantities(self) -> tuple[Quantity, ...]:
         """Numbers from sentences, then header labels, then rows (name, cells)."""
         found: list[Quantity] = []
         for quantities in self.sentence_quantities:
             found.extend(quantities)
-        for label in self.table.header:
-            found.extend(extract_numbers(label))
-        for name, cells in self.table.rows:
-            found.extend(extract_numbers(name))
-            for cell in cells:
-                found.extend(extract_numbers(cell))
+        for text in self._table_texts():
+            found.extend(extract_numbers(text))
         return tuple(found)
 
     @cached_property
-    def number_values(self) -> frozenset[Fraction]:
-        """Every number present anywhere in the evidence, as exact values."""
-        return frozenset(Fraction(q.mantissa) for q in self._all_quantities)
+    def number_values(self) -> frozenset[Decimal]:
+        """Every number present anywhere in the evidence, as its signed mantissa.
+
+        The values are ``Decimal``s. A ``Decimal`` hashes and compares equal to
+        the ``Fraction`` of the same value, so ``Fraction(3, 2)`` and
+        ``Decimal("1.50")`` are both members when the evidence says 1.5.
+        """
+        return mantissa_set([*self.text_sentences, *self._table_texts()])
 
     def number_tokens(self) -> list[str]:
         """Canonical number tokens in first-appearance order, deduplicated."""

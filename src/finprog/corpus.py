@@ -154,7 +154,8 @@ def normalize_program_text(text: str) -> tuple[str, list[str]]:
     return cleaned, warnings
 
 
-_CANONICAL_ID_RE = re.compile(r"(text|row):(\d+)")
+# Exactly the ids _facts gives: no leading zeros, ASCII digits only.
+_CANONICAL_ID_RE = re.compile(r"(text|row):(0|[1-9][0-9]*)")
 _RELEASE_ID_RE = re.compile(r"(text|table)_(\d+)")
 
 
@@ -169,12 +170,10 @@ def _map_gold_ind(
     facts: dict[str, Fact],
     warnings: list[str],
 ) -> Optional[str]:
-    """Map one gold fact id, preferring content verification for legacy keys.
+    """Map one legacy gold fact id, preferring content verification.
 
     ``facts`` maps each candidate fact id to its fact, in document order.
     """
-    if _CANONICAL_ID_RE.fullmatch(key):
-        return key if key in facts else None
     m = _RELEASE_ID_RE.fullmatch(key)
     if m is None:
         return None
@@ -252,7 +251,7 @@ def _build_record(raw, ordinal: int) -> EvidenceRecord | RejectedRecord:
                 raise _BuildError("qa.program", diag.message)
         if "exe_ans" not in qa:
             raise _BuildError("qa.exe_ans", "missing")
-        gold_ids = _gold_ids(qa.get("gold_inds"), _facts(pre_text, table, post_text), warnings)
+        gold_ids = _gold_ids(qa.get("gold_inds"), pre_text, table, post_text, warnings)
     except _BuildError as exc:
         return RejectedRecord(id=record_id, field_path=exc.field_path, reason=exc.reason)
     warnings.extend(f"gold program: {diag.message}" for diag in diagnostics)
@@ -269,7 +268,18 @@ def _build_record(raw, ordinal: int) -> EvidenceRecord | RejectedRecord:
     )
 
 
-def _gold_ids(raw_inds, facts: list[Fact], warnings: list[str]) -> frozenset[str]:
+def _gold_ids(
+    raw_inds,
+    pre_text: tuple[str, ...],
+    table: FinTable,
+    post_text: tuple[str, ...],
+    warnings: list[str],
+) -> frozenset[str]:
+    """Resolve gold fact ids against the record's candidate facts.
+
+    A canonical id is checked against the sentence and row counts; the facts
+    themselves (which linearize the table) are built only for legacy ids.
+    """
     if raw_inds is None:
         raise _BuildError("qa.gold_inds", "missing")
     if isinstance(raw_inds, dict):
@@ -282,10 +292,21 @@ def _gold_ids(raw_inds, facts: list[Fact], warnings: list[str]) -> frozenset[str
         raise _BuildError("qa.gold_inds", "must be a list or an object")
     if not raw_inds:
         raise _BuildError("qa.gold_inds", "must name at least one fact")
-    by_id = {f.id: f for f in facts}
+    counts = {"text": len(pre_text) + len(post_text), "row": len(table.rows)}
+    by_id: Optional[dict[str, Fact]] = None
     ids = set()
     for key, content in items:
-        mapped = _map_gold_ind(key, content, by_id, warnings)
+        m = _CANONICAL_ID_RE.fullmatch(key)
+        if m is not None:
+            kind, digits = m.groups()
+            count = counts[kind]
+            # The length test keeps int() cheap on an absurdly long index.
+            exists = len(digits) <= len(str(count)) and int(digits) < count
+            mapped = key if exists else None
+        else:
+            if by_id is None:
+                by_id = {f.id: f for f in _facts(pre_text, table, post_text)}
+            mapped = _map_gold_ind(key, content, by_id, warnings)
         if mapped is None:
             raise _BuildError(
                 "qa.gold_inds", f"{key!r} does not resolve to a candidate fact"

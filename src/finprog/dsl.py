@@ -428,7 +428,7 @@ def validate(
                             i,
                         )
                     )
-                elif ctx is not None and Fraction(arg.value) not in ctx.number_values:
+                elif ctx is not None and arg.value not in ctx.number_values:
                     diags.append(
                         Diagnostic(
                             "ungrounded-number",

@@ -96,10 +96,7 @@ def _symbolic_steps(program: Program, table: dict, constants) -> tuple[SymbolicS
             if isinstance(arg, StepRef):
                 args.append(("step", arg.index))
                 continue
-            key = _symbol_key(arg, constants)
-            if key not in table:
-                table[key] = len(table)
-            args.append(("sym", table[key]))
+            args.append(("sym", table.setdefault(_symbol_key(arg, constants), len(table))))
         steps.append(SymbolicStep(op=step.op, args=tuple(args)))
     return tuple(steps)
 

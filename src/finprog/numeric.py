@@ -12,6 +12,7 @@ import re
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
+from typing import Iterable
 
 SCALE_WORDS = ("thousand", "million", "billion", "trillion")
 
@@ -30,8 +31,8 @@ _NUM = r"(?:\d{1,3}(?:,\d{3})+|\d+)(?:\.\d+)?|\.\d+"
 # so ranges like "2006-2008" read as two positive numbers.
 _SIGN = r"(?<![\w.])[-−]"
 
-_QUANTITY_RE = re.compile(
-    rf"""
+#: One quantity token. Every match starts with one of ``$ ( - − .`` or a digit.
+_QUANTITY_BODY = rf"""
     (?:(?P<cur_a>\$)\s*)?
     (?:
         \(\s*(?:(?P<cur_b>\$)\s*)?(?P<pnum>{_NUM})\s*\)
@@ -41,9 +42,12 @@ _QUANTITY_RE = re.compile(
         \s*(?P<pct>%)
       | \s*(?P<scale>thousand|million|billion|trillion)s?\b
     )?
-    """,
-    re.VERBOSE | re.IGNORECASE,
-)
+    """
+
+# The lookahead admits only the characters a match can start with, so the
+# engine rejects every other position after one character test; the matches
+# are those of the body alone.
+_QUANTITY_RE = re.compile(r"(?=[$(\-−.\d])" + _QUANTITY_BODY, re.VERBOSE | re.IGNORECASE)
 
 
 def format_decimal(value: Decimal) -> str:
@@ -83,23 +87,26 @@ class Quantity:
         return text
 
 
-def _quantity_from_match(m: re.Match, source: str) -> Quantity:
-    digits = m.group("pnum") or m.group("num")
-    negative = bool(m.group("pnum")) or bool(m.group("sign"))
+def _mantissa(pnum: str | None, sign: str | None, num: str | None) -> Decimal:
+    """The signed written magnitude of a match: parentheses or a minus negate."""
+    digits = pnum or num
     try:
         mantissa = Decimal(digits.replace(",", ""))
     except InvalidOperation:  # pragma: no cover - regex precludes this
         raise NotANumber(f"unreadable number: {digits!r}")
-    if negative:
-        mantissa = -mantissa
-    scale = m.group("scale")
+    return -mantissa if pnum or sign else mantissa
+
+
+def _quantity_from_match(m: re.Match, source: str) -> Quantity:
+    cur_a, cur_b, pnum, sign, cur_c, num, pct, scale = m.groups()
+    start, end = m.span()
     return Quantity(
-        surface_text=source[m.start() : m.end()],
-        mantissa=mantissa,
+        surface_text=source[start:end],
+        mantissa=_mantissa(pnum, sign, num),
         scale_word=scale.lower() if scale else None,
-        is_percent=bool(m.group("pct")),
-        is_currency=bool(m.group("cur_a") or m.group("cur_b") or m.group("cur_c")),
-        span=(m.start(), m.end()),
+        is_percent=bool(pct),
+        is_currency=bool(cur_a or cur_b or cur_c),
+        span=(start, end),
     )
 
 
@@ -135,6 +142,18 @@ def extract_numbers(sentence: str) -> list[Quantity]:
     included; they are legal program arguments.
     """
     return [_quantity_from_match(m, sentence) for m in _QUANTITY_RE.finditer(sentence)]
+
+
+def mantissa_set(texts: Iterable[str]) -> frozenset[Decimal]:
+    """The mantissas ``extract_numbers`` reads from the texts, as one set.
+
+    Only the sign and digits of each match are read; no ``Quantity`` is built.
+    """
+    return frozenset(
+        _mantissa(pnum, sign, num)
+        for text in texts
+        for _, _, pnum, sign, _, num, _, _ in _QUANTITY_RE.findall(text)
+    )
 
 
 def to_fraction(value) -> Fraction:

@@ -144,6 +144,25 @@ class TestLoadRecords:
         loaded = load_records(path)
         assert loaded.rejects and loaded.rejects[0].field_path == "table"
 
+    @pytest.mark.parametrize(
+        "table, index",
+        [
+            ([["", "2019"], 5], 1),
+            ([["", "2019"], None], 1),
+            ([5], 0),
+            ([["", "2019"], "ab"], 1),
+            ([{"a": 1}], 0),
+        ],
+    )
+    def test_table_row_that_is_not_a_list_rejected(self, tmp_path, table, index):
+        path = tmp_path / "records.jsonl"
+        write_jsonl(path, [minimal_record(table=table)])
+        loaded = load_records(path)
+        assert not loaded.records
+        assert [(r.field_path, r.reason) for r in loaded.rejects] == [
+            ("table", f"row {index} is not a list")
+        ]
+
     def test_unknown_gold_ind_rejected(self, tmp_path):
         path = tmp_path / "records.jsonl"
         bad = minimal_record()
@@ -151,6 +170,47 @@ class TestLoadRecords:
         write_jsonl(path, [bad])
         loaded = load_records(path)
         assert loaded.rejects and loaded.rejects[0].field_path == "qa.gold_inds"
+
+    # Two pre-table sentences, two rows and one post-table sentence: the
+    # candidate facts are text:0, text:1, row:0, row:1 and text:2.
+    @staticmethod
+    def _page_record(gold_inds):
+        record = minimal_record(
+            pre_text=["filler sentence .", "net sales were 100 in 2019 and 80 in 2018 ."],
+            post_text=["closing note ."],
+            table=[["", "2019", "2018"], ["net sales", "100", "80"], ["cost", "60", "50"]],
+        )
+        record["qa"] = dict(record["qa"], gold_inds=gold_inds)
+        return record
+
+    @pytest.mark.parametrize("key", ["text:01", "row:00", "row:2", "text:3", "text:\u0663"])
+    def test_canonical_id_outside_the_facts_rejected(self, tmp_path, key):
+        path = tmp_path / "records.jsonl"
+        write_jsonl(path, [self._page_record(["text:0", key])])
+        loaded = load_records(path)
+        assert not loaded.records
+        assert [(r.field_path, r.reason) for r in loaded.rejects] == [
+            ("qa.gold_inds", f"{key!r} does not resolve to a candidate fact")
+        ]
+
+    def test_canonical_and_legacy_ids_resolve_together(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        gold_inds = {
+            "text_0": "net sales were 100 in 2019 and 80 in 2018 .",
+            "row:1": "content is not read for canonical ids",
+            "table_0": "the net sales of 2019 is 100 ; the net sales of 2018 is 80 ;",
+            "text_2": "closing note .",
+        }
+        write_jsonl(path, [self._page_record(gold_inds)])
+        loaded = load_records(path)
+        assert not loaded.rejects
+        got = loaded.records[0]
+        assert got.gold_fact_ids == {"text:1", "row:1", "row:0", "text:2"}
+        assert got.warnings == (
+            "matched legacy fact id 'text_0' to 'text:1' by content",
+            "mapped legacy fact id 'table_0' to 'row:0'",
+            "mapped legacy fact id 'text_2' to 'text:2'",
+        )
 
     def test_legacy_ids_map_by_index_with_warning(self, tmp_path):
         path = tmp_path / "records.jsonl"

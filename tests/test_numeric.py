@@ -1,12 +1,16 @@
+import re
 from decimal import Decimal
 from fractions import Fraction
 from random import Random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from finprog.context import EvidenceContext, FinTable
 from finprog.numeric import (
+    _QUANTITY_BODY,
+    _QUANTITY_RE,
     NotANumber,
     Quantity,
     TolerancePolicy,
@@ -18,7 +22,7 @@ from finprog.numeric import (
     values_equal,
 )
 
-from generators import random_number_text
+from generators import random_context, random_number_text
 
 
 class TestParseQuantity:
@@ -96,6 +100,56 @@ class TestExtractNumbers:
                 assert start > previous_end
                 assert sentence[start:end] == q.surface_text
                 previous_end = end
+
+
+# Texts made of the characters a quantity is built from, plus a NUL, a
+# non-ASCII digit (Arabic-Indic three, which ``\d`` matches) and scale words.
+_scan_texts = st.lists(
+    st.sampled_from(
+        list("0123456789,.$()%-−") + [" ", "\t", "\n", "\x00", "\u0663"]
+        + ["thousand", "Million", "billions", "trillion", "x"]
+    ),
+    max_size=24,
+).map("".join)
+
+_UNGATED_RE = re.compile(_QUANTITY_BODY, re.VERBOSE | re.IGNORECASE)
+
+
+def _scan(pattern, text):
+    return [(m.span(), m.groups()) for m in pattern.finditer(text)]
+
+
+class TestQuantityScan:
+    @settings(max_examples=1000)
+    @given(_scan_texts)
+    def test_lookahead_keeps_every_match(self, text):
+        assert _scan(_QUANTITY_RE, text) == _scan(_UNGATED_RE, text)
+        assert bool(_QUANTITY_RE.fullmatch(text)) == bool(_UNGATED_RE.fullmatch(text))
+
+    @given(st.lists(_scan_texts, max_size=4), st.lists(_scan_texts, min_size=2, max_size=2))
+    def test_number_values_are_extracted_mantissas(self, sentences, row):
+        table = FinTable.from_rows([["", "2019"], row])
+        ctx = EvidenceContext.build(sentences, table)
+        texts = [*sentences, "", "2019", *row]
+        assert ctx.number_values == {q.mantissa for t in texts for q in extract_numbers(t)}
+
+    def test_number_values_on_generated_contexts(self):
+        rng = Random(41)
+        for _ in range(200):
+            ctx = random_context(rng)
+            texts = [*ctx.text_sentences, *ctx.table.header]
+            for name, cells in ctx.table.rows:
+                texts += [name, *cells]
+            expected = {q.mantissa for t in texts for q in extract_numbers(t)}
+            assert ctx.number_values == expected
+            assert all(isinstance(v, Decimal) for v in ctx.number_values)
+
+    def test_membership_by_value(self):
+        ctx = EvidenceContext.build(["margin rose 1.5 points ; the change was -0 ."])
+        assert Fraction(3, 2) in ctx.number_values
+        assert Decimal("1.50") in ctx.number_values
+        assert 0 in ctx.number_values and Fraction(0) in ctx.number_values
+        assert Fraction(-3, 2) not in ctx.number_values
 
 
 _mantissas = st.decimals(
