@@ -114,21 +114,19 @@ def _emit(text: str, out: Optional[str]) -> None:
         print(text)
 
 
-def _load_context(args):
+def _load_context(args) -> EvidenceContext:
     """The evidence context selected by --records/--id, or an empty one."""
-    records_path = getattr(args, "records", None)
-    record_id = getattr(args, "id", None)
-    if not records_path:
-        return EvidenceContext.empty(), None
-    loaded = load_records(records_path)
-    if record_id is None:
+    if not args.records:
+        return EvidenceContext.empty()
+    loaded = load_records(args.records)
+    if args.id is None:
         if len(loaded.records) == 1:
-            return loaded.records[0].context(), loaded.records[0]
+            return loaded.records[0].context()
         raise SchemaError("--id is required when the record file has several records")
     for record in loaded.records:
-        if record.id == record_id:
-            return record.context(), record
-    raise SchemaError(f"no record with id {record_id!r}")
+        if record.id == args.id:
+            return record.context()
+    raise SchemaError(f"no record with id {args.id!r}")
 
 
 def _cmd_validate(args) -> int:
@@ -137,8 +135,7 @@ def _cmd_validate(args) -> int:
     except ProgramError as exc:
         print(f"invalid: {exc}")
         return 1
-    ctx, _ = _load_context(args)
-    ctx = ctx if getattr(args, "records", None) else None
+    ctx = _load_context(args) if args.records else None
     diagnostics = validate(program, ctx, allow_symbols=args.symbolic)
     if not diagnostics:
         print("valid")
@@ -155,7 +152,7 @@ def _cmd_exec(args) -> int:
     except ProgramError as exc:
         print(f"invalid: {exc}")
         return 1
-    ctx, _ = _load_context(args)
+    ctx = _load_context(args)
     try:
         value = execute(program, ctx, strict_grounding=args.strict_grounding)
     except ExecutionError as exc:
@@ -271,7 +268,7 @@ def _cmd_linearize(args) -> int:
 
 
 def _cmd_mask(args) -> int:
-    ctx, _ = _load_context(args)
+    ctx = _load_context(args)
     vocab = build_vocabulary(ctx, max_steps=args.max_steps)
     tokens = [t for t, _ in tokenize_program(args.prefix)] if args.prefix.strip() else []
     try:

@@ -52,19 +52,20 @@ class FinTable:
     def from_rows(cls, raw: list[list[str]]) -> "FinTable":
         """Build from a raw grid whose first row is the header.
 
-        Every row, the header included, must be a list; row ``i`` of another
-        type raises ValueError naming ``i``.
+        Every row, the header included, must be a list of strings; row ``i``
+        of another type, or a value of another type in its column ``j``,
+        raises ValueError naming ``i`` (and ``j``).
         """
         for i, row in enumerate(raw):
             if not isinstance(row, list):
                 raise ValueError(f"row {i} is not a list")
+            for j, value in enumerate(row):
+                if not isinstance(value, str):
+                    raise ValueError(f"row {i} column {j} is not a string")
         if not raw or not raw[0]:
             raise ValueError("table needs a header row")
-        header = tuple(str(c) for c in raw[0])
-        rows = tuple(
-            (str(r[0]) if r else "", tuple(str(c) for c in r[1:])) for r in raw[1:]
-        )
-        return cls(header=header, rows=rows)
+        rows = tuple((r[0] if r else "", tuple(r[1:])) for r in raw[1:])
+        return cls(header=tuple(raw[0]), rows=rows)
 
     @property
     def column_labels(self) -> tuple[str, ...]:
@@ -120,23 +121,13 @@ class EvidenceContext:
     def sentence_quantities(self) -> tuple[tuple[Quantity, ...], ...]:
         return tuple(tuple(extract_numbers(s)) for s in self.text_sentences)
 
-    def _table_texts(self) -> list[str]:
-        """The table's header labels, then each row's name and cells."""
-        texts = list(self.table.header)
+    def _texts(self) -> list[str]:
+        """The sentences, then the table's header labels, then each row's name and cells."""
+        texts = [*self.text_sentences, *self.table.header]
         for name, cells in self.table.rows:
             texts.append(name)
             texts.extend(cells)
         return texts
-
-    @cached_property
-    def _all_quantities(self) -> tuple[Quantity, ...]:
-        """Numbers from sentences, then header labels, then rows (name, cells)."""
-        found: list[Quantity] = []
-        for quantities in self.sentence_quantities:
-            found.extend(quantities)
-        for text in self._table_texts():
-            found.extend(extract_numbers(text))
-        return tuple(found)
 
     @cached_property
     def number_values(self) -> frozenset[Decimal]:
@@ -146,15 +137,12 @@ class EvidenceContext:
         the ``Fraction`` of the same value, so ``Fraction(3, 2)`` and
         ``Decimal("1.50")`` are both members when the evidence says 1.5.
         """
-        return mantissa_set([*self.text_sentences, *self._table_texts()])
+        return mantissa_set(self._texts())
 
     def number_tokens(self) -> list[str]:
         """Canonical number tokens in first-appearance order, deduplicated."""
-        seen = set()
-        tokens = []
-        for q in self._all_quantities:
-            token = format_decimal(q.mantissa)
-            if token not in seen:
-                seen.add(token)
-                tokens.append(token)
-        return tokens
+        return list(
+            dict.fromkeys(
+                format_decimal(q.mantissa) for text in self._texts() for q in extract_numbers(text)
+            )
+        )

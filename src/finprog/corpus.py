@@ -104,7 +104,7 @@ def linearize_table(table: FinTable) -> list[str]:
         clauses = [
             f"the {name} of {label} is {cell}"
             for label, cell in zip(table.column_labels, cells)
-            if str(cell).strip()
+            if cell.strip()
         ]
         sentences.append(" ; ".join(clauses) + " ;" if clauses else "")
     return sentences
@@ -177,8 +177,12 @@ def _map_gold_ind(
     m = _RELEASE_ID_RE.fullmatch(key)
     if m is None:
         return None
-    kind, index = m.group(1), int(m.group(2))
-    mapped = f"text:{index}" if kind == "text" else f"row:{index}"
+    kind, digits = m.group(1), m.group(2).lstrip("0") or "0"
+    mapped = None
+    # An index with more digits than the fact count names no fact; the length
+    # test also keeps int() off an unbounded digit string.
+    if len(digits) <= len(str(len(facts))):
+        mapped = f"text:{int(digits)}" if kind == "text" else f"row:{int(digits)}"
     if content is not None:
         want = _normalize_content(content)
         got = facts.get(mapped)

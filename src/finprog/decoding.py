@@ -10,7 +10,7 @@ extensible to a valid program, so every completed walk parses and validates.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .context import EvidenceContext
 from .dsl import (
@@ -34,7 +34,7 @@ class TokenVocabulary:
     """The candidate tokens for one evidence context.
 
     ``input_numbers`` and ``input_rows`` come from the evidence;
-    ``constant_names`` from the configured constant vocabulary;
+    ``constant_names`` are the names of ``DEFAULT_CONSTANTS``;
     ``max_steps`` bounds the step memory tokens to #0..#(max_steps-1).
     """
 
@@ -56,18 +56,14 @@ class TokenVocabulary:
         return tuple(f"#{i}" for i in range(self.max_steps))
 
 
-def build_vocabulary(
-    ctx: EvidenceContext,
-    max_steps: int,
-    constants: Mapping | None = None,
-) -> TokenVocabulary:
+def build_vocabulary(ctx: EvidenceContext, max_steps: int) -> TokenVocabulary:
     """Collect the three token sources from an evidence context.
 
     Row names that cannot appear in program text (they contain parentheses or
     commas) are excluded, as are input tokens that would collide with special
     or step memory tokens; the three partitions stay disjoint.
     """
-    constant_names = tuple(DEFAULT_CONSTANTS if constants is None else constants)
+    constant_names = tuple(DEFAULT_CONSTANTS)
     reserved = set(MATH_OPS + TABLE_OPS + PUNCTUATION) | set(constant_names)
     reserved.update(f"#{i}" for i in range(max_steps))
 

@@ -28,8 +28,7 @@ GROUNDING_CODES = frozenset({"unknown-row-name", "duplicate-row-name", "unground
 
 #: Predefined constant arguments. The set covers unit conversion (const_1000),
 #: percent scaling (const_100), implicit denominators (const_2..const_5), and
-#: sign flips (const_m1). Callers may supply their own mapping everywhere a
-#: ``constants`` parameter appears.
+#: sign flips (const_m1).
 DEFAULT_CONSTANTS: Mapping[str, Fraction] = {
     "const_1": Fraction(1),
     "const_2": Fraction(2),
@@ -56,16 +55,15 @@ def result_kind(op: str) -> str:
     return "bool" if op == "greater" else "number"
 
 
-def constant_value(name: str, constants: Mapping[str, Fraction] | None = None) -> Fraction | None:
+def constant_value(name: str) -> Fraction | None:
     """Value of a constant name, or None when it cannot be resolved.
 
-    Names outside the configured vocabulary still resolve when they follow the
+    Names outside ``DEFAULT_CONSTANTS`` still resolve when they follow the
     ``const_<number>`` / ``const_m<number>`` spelling; the validator marks
     those with a warning rather than an error.
     """
-    table = DEFAULT_CONSTANTS if constants is None else constants
-    if name in table:
-        return table[name]
+    if name in DEFAULT_CONSTANTS:
+        return DEFAULT_CONSTANTS[name]
     m = _CONST_NAME_RE.fullmatch(name)
     if m is None:
         return None
@@ -308,7 +306,6 @@ def validate(
     ctx: Optional[EvidenceContext] = None,
     *,
     allow_symbols: bool = False,
-    constants: Mapping[str, Fraction] | None = None,
 ) -> list[Diagnostic]:
     """Context-free program checks, plus grounding checks when ctx is given.
 
@@ -400,9 +397,8 @@ def validate(
                         )
                     )
                     continue
-                table = DEFAULT_CONSTANTS if constants is None else constants
-                if arg.name not in table:
-                    if constant_value(arg.name, constants) is None:
+                if arg.name not in DEFAULT_CONSTANTS:
+                    if constant_value(arg.name) is None:
                         diags.append(
                             Diagnostic(
                                 "unknown-constant",

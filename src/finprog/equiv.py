@@ -32,7 +32,7 @@ import hashlib
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from typing import Mapping, Optional
+from typing import Optional
 
 from .context import normalize_row_name
 from .dsl import (
@@ -70,7 +70,7 @@ class SymbolicProgram:
     symbols: tuple[tuple, ...]
 
 
-def _symbol_key(arg, constants: Mapping[str, Fraction] | None) -> tuple:
+def _symbol_key(arg) -> tuple:
     """The identity under which arguments share a symbol.
 
     Numbers by exact value; constants by their value, so const_5 and the
@@ -79,7 +79,7 @@ def _symbol_key(arg, constants: Mapping[str, Fraction] | None) -> tuple:
     if isinstance(arg, NumberLiteral):
         return ("num", Fraction(arg.value))
     if isinstance(arg, Constant):
-        value = constant_value(arg.name, constants)
+        value = constant_value(arg.name)
         if value is None:
             return ("const", arg.name)
         return ("num", value)
@@ -88,7 +88,7 @@ def _symbol_key(arg, constants: Mapping[str, Fraction] | None) -> tuple:
     raise TypeError(f"not a symbolizable argument: {arg!r}")
 
 
-def _symbolic_steps(program: Program, table: dict, constants) -> tuple[SymbolicStep, ...]:
+def _symbolic_steps(program: Program, table: dict) -> tuple[SymbolicStep, ...]:
     steps = []
     for step in program.steps:
         args: list[SymbolicArg] = []
@@ -96,20 +96,16 @@ def _symbolic_steps(program: Program, table: dict, constants) -> tuple[SymbolicS
             if isinstance(arg, StepRef):
                 args.append(("step", arg.index))
                 continue
-            args.append(("sym", table.setdefault(_symbol_key(arg, constants), len(table))))
+            args.append(("sym", table.setdefault(_symbol_key(arg), len(table))))
         steps.append(SymbolicStep(op=step.op, args=tuple(args)))
     return tuple(steps)
 
 
-def pair_symbolize(
-    p1: Program,
-    p2: Program,
-    constants: Mapping[str, Fraction] | None = None,
-) -> tuple[SymbolicProgram, SymbolicProgram]:
+def pair_symbolize(p1: Program, p2: Program) -> tuple[SymbolicProgram, SymbolicProgram]:
     """Symbolize two programs over one shared symbol table."""
     table: dict = {}
-    steps1 = _symbolic_steps(p1, table, constants)
-    steps2 = _symbolic_steps(p2, table, constants)
+    steps1 = _symbolic_steps(p1, table)
+    steps2 = _symbolic_steps(p2, table)
     symbols = tuple(table)  # in id order: ids are given in insertion order
     return SymbolicProgram(steps1, symbols), SymbolicProgram(steps2, symbols)
 
@@ -394,7 +390,6 @@ def compare_programs(
     *,
     samples: int = DEFAULT_SAMPLE_POINTS,
     seed: int = 0,
-    constants: Mapping[str, Fraction] | None = None,
 ) -> EquivalenceReport:
     """Full equivalence decision with the canonical forms it was based on.
 
@@ -410,7 +405,7 @@ def compare_programs(
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
-    s1, s2 = pair_symbolize(p1, p2, constants)
+    s1, s2 = pair_symbolize(p1, p2)
     left = to_expression(s1)
     right = to_expression(s2)
     key_left, key_right = left.key, right.key
@@ -438,9 +433,8 @@ def equivalent(
     *,
     samples: int = DEFAULT_SAMPLE_POINTS,
     seed: int = 0,
-    constants: Mapping[str, Fraction] | None = None,
 ) -> bool:
-    return compare_programs(p1, p2, samples=samples, seed=seed, constants=constants).equivalent
+    return compare_programs(p1, p2, samples=samples, seed=seed).equivalent
 
 
 def program_accuracy(
@@ -449,11 +443,10 @@ def program_accuracy(
     *,
     samples: int = DEFAULT_SAMPLE_POINTS,
     seed: int = 0,
-    constants: Mapping[str, Fraction] | None = None,
 ) -> bool:
     """False for missing or invalid predictions, else the equivalence verdict."""
     if pred is None:
         return False
-    if not is_valid(validate(pred, allow_symbols=True, constants=constants)):
+    if not is_valid(validate(pred, allow_symbols=True)):
         return False
-    return equivalent(pred, gold, samples=samples, seed=seed, constants=constants)
+    return equivalent(pred, gold, samples=samples, seed=seed)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from decimal import Decimal
 from fractions import Fraction
-from typing import Mapping, Optional, Union
+from typing import Optional, Union
 
 from .context import EvidenceContext
 from .dsl import (
@@ -131,7 +131,6 @@ def resolve_argument(
     env: list[Value],
     *,
     strict_grounding: bool = False,
-    constants: Mapping[str, Fraction] | None = None,
 ) -> Union[Fraction, list[Fraction]]:
     """A literal's value, a constant's value, a step lookup, or a row's cells."""
     if isinstance(arg, NumberLiteral):
@@ -140,7 +139,7 @@ def resolve_argument(
             raise UngroundedNumber(f"{arg.render()} does not appear in the evidence")
         return value
     if isinstance(arg, Constant):
-        value = constant_value(arg.name, constants)
+        value = constant_value(arg.name)
         if value is None:
             raise InvalidProgram(f"unknown constant {arg.name!r}")
         return value
@@ -194,7 +193,6 @@ def execute(
     ctx: Optional[EvidenceContext] = None,
     *,
     strict_grounding: bool = False,
-    constants: Mapping[str, Fraction] | None = None,
 ) -> Value:
     """Run every step in order and return the final step's value.
 
@@ -211,9 +209,7 @@ def execute(
         if step.op not in ALL_OPS:
             raise InvalidProgram(f"unknown operation {step.op!r}")
         resolved = [
-            resolve_argument(
-                arg, ctx, env, strict_grounding=strict_grounding, constants=constants
-            )
+            resolve_argument(arg, ctx, env, strict_grounding=strict_grounding)
             for arg in step.args
         ]
         env.append(eval_step(step.op, resolved))

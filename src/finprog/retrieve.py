@@ -2,8 +2,7 @@
 
 The weighting is the common smoothed variant: raw term counts scaled by
 idf = ln((1+N)/(1+df)) + 1, L2-normalized, cosine-scored. Tokenization is
-lowercase alphanumeric runs with numbers kept as tokens; pass a different
-``tokenizer`` to experiment.
+lowercase alphanumeric runs with numbers kept as tokens.
 """
 
 from __future__ import annotations
@@ -11,7 +10,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from .corpus import EvidenceRecord, Fact, candidate_facts
 from .dsl import ProgramError, parse_program
@@ -19,8 +18,6 @@ from .executor import ExecutionError, Value, execute
 from .numeric import extract_numbers, format_decimal
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
-
-Tokenizer = Callable[[str], list[str]]
 
 #: Ranked retrieval output: (fact id, score) with scores non-increasing.
 RankedFacts = list[tuple[str, float]]
@@ -49,7 +46,6 @@ class TfIdfIndex:
     facts: tuple[Fact, ...]
     idf: dict
     vectors: tuple[dict, ...]
-    tokenizer: Tokenizer
 
     @property
     def fact_ids(self) -> tuple[str, ...]:
@@ -70,12 +66,12 @@ def _l2_normalize(vector: dict) -> dict:
     return {t: w / norm for t, w in vector.items()}
 
 
-def build_index(facts: Iterable[Fact], tokenizer: Tokenizer = tokenize) -> TfIdfIndex:
+def build_index(facts: Iterable[Fact]) -> TfIdfIndex:
     """Index a fact collection; raises EmptyCorpus when there are no facts."""
     fact_list = list(facts)
     if not fact_list:
         raise EmptyCorpus("no facts to index")
-    tokenized = [tokenizer(f.content) for f in fact_list]
+    tokenized = [tokenize(f.content) for f in fact_list]
     n = len(fact_list)
     df: dict[str, int] = {}
     for tokens in tokenized:
@@ -86,19 +82,14 @@ def build_index(facts: Iterable[Fact], tokenizer: Tokenizer = tokenize) -> TfIdf
         _l2_normalize({t: c * idf[t] for t, c in _counts(tokens).items()})
         for tokens in tokenized
     )
-    return TfIdfIndex(
-        facts=tuple(fact_list),
-        idf=idf,
-        vectors=vectors,
-        tokenizer=tokenizer,
-    )
+    return TfIdfIndex(facts=tuple(fact_list), idf=idf, vectors=vectors)
 
 
 def rank(question: str, index: TfIdfIndex, k: int) -> RankedFacts:
     """Top-k facts by cosine similarity; ties break by document order."""
     query = {
         t: c * index.idf[t]
-        for t, c in _counts(index.tokenizer(question)).items()
+        for t, c in _counts(tokenize(question)).items()
         if t in index.idf
     }
     query = _l2_normalize(query)
@@ -118,13 +109,11 @@ def recall_at_k(ranked: RankedFacts, gold_ids: frozenset, k: int) -> float:
     return len(top & set(gold_ids)) / len(gold_ids)
 
 
-def corpus_recall(
-    records: Iterable[EvidenceRecord], k: int, tokenizer: Tokenizer = tokenize
-) -> tuple[float, list[tuple[str, float]]]:
+def corpus_recall(records: Iterable[EvidenceRecord], k: int) -> tuple[float, list[tuple[str, float]]]:
     """Mean per-record recall@k, with the per-record values."""
     per_record = []
     for record in records:
-        index = build_index(candidate_facts(record), tokenizer)
+        index = build_index(candidate_facts(record))
         ranked = rank(record.question, index, k)
         per_record.append((record.id, recall_at_k(ranked, record.gold_fact_ids, k)))
     if not per_record:

@@ -163,6 +163,25 @@ class TestLoadRecords:
             ("table", f"row {index} is not a list")
         ]
 
+    @pytest.mark.parametrize(
+        "table, row, column",
+        [
+            ([["", None], [None, {"a": 1}]], 0, 1),
+            ([[5, "2019"], ["net sales", "100"]], 0, 0),
+            ([["", "2019"], [None, "100"]], 1, 0),
+            ([["", "2019"], ["net sales", 100]], 1, 1),
+            ([["", "2019", "2018"], ["net sales", "100", ["80"]]], 1, 2),
+        ],
+    )
+    def test_non_string_table_value_rejected(self, tmp_path, table, row, column):
+        path = tmp_path / "records.jsonl"
+        write_jsonl(path, [minimal_record(table=table)])
+        loaded = load_records(path)
+        assert not loaded.records
+        assert [(r.field_path, r.reason) for r in loaded.rejects] == [
+            ("table", f"row {row} column {column} is not a string")
+        ]
+
     def test_unknown_gold_ind_rejected(self, tmp_path):
         path = tmp_path / "records.jsonl"
         bad = minimal_record()
@@ -235,6 +254,33 @@ class TestLoadRecords:
         write_jsonl(path, [record])
         loaded = load_records(path)
         assert loaded.records[0].gold_fact_ids == {"text:1"}
+
+    def test_long_legacy_index_in_a_list_rejected(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        key = "text_" + "1" * 5000
+        write_jsonl(path, [self._page_record(["text:0", key])])
+        loaded = load_records(path)
+        assert not loaded.records
+        assert [(r.field_path, r.reason) for r in loaded.rejects] == [
+            ("qa.gold_inds", f"{key!r} does not resolve to a candidate fact")
+        ]
+
+    def test_long_zero_padded_legacy_index_maps_by_value(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        write_jsonl(path, [self._page_record(["text_" + "0" * 5000 + "2"])])
+        loaded = load_records(path)
+        assert not loaded.rejects
+        assert loaded.records[0].gold_fact_ids == {"text:2"}
+
+    def test_long_legacy_index_in_a_dict_matches_by_content(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        key = "text_" + "1" * 5000
+        write_jsonl(path, [self._page_record({key: "net sales were 100 in 2019 and 80 in 2018 ."})])
+        loaded = load_records(path)
+        assert not loaded.rejects
+        got = loaded.records[0]
+        assert got.gold_fact_ids == {"text:1"}
+        assert got.warnings == (f"matched legacy fact id {key!r} to 'text:1' by content",)
 
     def test_none_argument_normalized(self, tmp_path):
         path = tmp_path / "records.jsonl"

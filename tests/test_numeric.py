@@ -144,6 +144,11 @@ class TestQuantityScan:
             assert ctx.number_values == expected
             assert all(isinstance(v, Decimal) for v in ctx.number_values)
 
+    def test_number_tokens_in_first_appearance_order(self):
+        table = FinTable.from_rows([["", "2019", "1.5"], ["row 4", "7", "9"]])
+        ctx = EvidenceContext.build(["sales rose 1.50 to 7 .", "costs were 3 ."], table)
+        assert ctx.number_tokens() == ["1.5", "7", "3", "2019", "4", "9"]
+
     def test_membership_by_value(self):
         ctx = EvidenceContext.build(["margin rose 1.5 points ; the change was -0 ."])
         assert Fraction(3, 2) in ctx.number_values
