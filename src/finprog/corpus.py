@@ -224,7 +224,11 @@ def _build_record(raw, ordinal: int) -> EvidenceRecord | RejectedRecord:
         return RejectedRecord(
             id=f"record-{ordinal}", field_path="", reason="record is not an object"
         )
-    record_id = str(raw.get("id") or f"record-{ordinal}")
+    record_id = raw.get("id")
+    if record_id is None or record_id == "":
+        record_id = f"record-{ordinal}"
+    elif not isinstance(record_id, str):
+        return RejectedRecord(id=f"record-{ordinal}", field_path="id", reason="must be a string")
     try:
         pre_text = _sentences(raw, "pre_text")
         post_text = _sentences(raw, "post_text")
@@ -287,9 +291,10 @@ def _gold_ids(
     if raw_inds is None:
         raise _BuildError("qa.gold_inds", "missing")
     if isinstance(raw_inds, dict):
-        items: Iterable[tuple[str, Optional[str]]] = (
-            (str(k), str(v)) for k, v in raw_inds.items()
-        )
+        for key, content in raw_inds.items():
+            if not isinstance(content, str):
+                raise _BuildError("qa.gold_inds", f"content of {key!r} is not a string")
+        items: Iterable[tuple[str, Optional[str]]] = raw_inds.items()
     elif isinstance(raw_inds, list):
         items = ((str(k), None) for k in raw_inds)
     else:

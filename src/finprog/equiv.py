@@ -21,6 +21,13 @@ point in exact rational arithmetic. Pairs whose final step is ``greater``
 are sampled in exact rational arithmetic throughout: a sign test needs the
 order that Z_p lacks.
 
+One evaluator serves residues and exact integers alike, keeping each value
+as a numerator and a denominator. It walks the subforms once per batch of
+points, holding one list of values per subform. The first point is
+evaluated alone, so a counterexample usually costs one point, and all the
+remaining points in one batched pass; points lost to a zero divisor are
+replaced in further passes.
+
 Exponentiation is treated as an uninterpreted operation on its operand values:
 ``exp`` chains are compared by where their bases and exponents agree, not by
 power-law rewriting, which is unsound over the reals.
@@ -29,9 +36,10 @@ power-law rewriting, which is unsound over the reals.
 from __future__ import annotations
 
 import hashlib
+import math
+import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 from typing import Optional
 
 from .context import normalize_row_name
@@ -48,9 +56,6 @@ from .dsl import (
 )
 
 DEFAULT_SAMPLE_POINTS = 32
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 # A symbolized argument: ("sym", symbol_id) or ("step", earlier_step_index).
 SymbolicArg = tuple[str, int]
@@ -188,10 +193,6 @@ def to_expression(sp: SymbolicProgram) -> Form:
     return forms[-1]
 
 
-class _SamplingError(Exception):
-    """Division by zero (or similar) at one sample point; the point is retried."""
-
-
 def _hashed_int(seed: int, parts: tuple) -> int:
     """A reproducible pseudo-random nonzero integer in [-2**62, 2**62]."""
     digest = hashlib.blake2b(repr((seed, parts)).encode(), digest_size=8).digest()
@@ -203,9 +204,8 @@ def _sampling_plan(roots: tuple[Form, ...], symbols: tuple) -> tuple[list, list[
     """Instructions that evaluate every distinct subform of ``roots`` once.
 
     Subforms are found with an explicit stack and ordered children before
-    parents, in part order. Returns the instructions for ``_evaluate`` (and,
-    through ``_modular_plan``, for ``_evaluate_mod_p``) and the position of
-    each root's value.
+    parents, in part order. Returns the instructions for ``_evaluate`` and the
+    position of each root's value.
     """
     order: list[Form] = []
     position: dict[str, int] = {}
@@ -223,156 +223,183 @@ def _sampling_plan(roots: tuple[Form, ...], symbols: tuple) -> tuple[list, list[
     divisors = {part.key for form in order if form.op == "*" for weight, part in form.parts if weight < 0}
     plan = []
     for form in order:
-        op, arg = form.op, tuple((weight, position[part.key]) for weight, part in form.parts)
-        if any(part.op == ">" for _, part in form.parts):
-            op = "boolean in arithmetic"  # only ">" forms are boolean: every point fails
-        elif op == "sym" or op in TABLE_OPS:
+        op = form.op
+        if op == "sym" or op in TABLE_OPS:
             # Symbol values are keyed by symbol identity rather than id, so
             # points do not depend on the order the pair was symbolized in.
             symbol = symbols[form.symbol]
-            arg = (symbol,) if op == "sym" else ("agg", op, symbol)
-            op = "leaf"
+            key = (symbol,) if op == "sym" else ("agg", op, symbol)
+            # The leaf's value at ``trial`` is ``_hashed_int(seed, (trial, *key))``,
+            # the hash of ``repr((seed, (trial, *key)))``. Only the head of that
+            # text depends on the point, so the tail is encoded here, once.
+            op, arg = "leaf", f", {', '.join(map(repr, key))}))".encode()
+        elif any(part.op == ">" for _, part in form.parts):
+            op, arg = "boolean in arithmetic", ()  # only ">" forms are boolean: every point fails
+        else:
+            arg = tuple([(weight, position[part.key]) for weight, part in form.parts])
         plan.append((op, arg, form.key in divisors))
     return plan, [position[root.key] for root in roots]
-
-
-def _evaluate(plan: list, seed: int, trial: int) -> list:
-    """Every planned value at one sample point, in exact rational arithmetic.
-
-    Raises _SamplingError as soon as a divisor comes out zero or a boolean
-    would enter arithmetic.
-    """
-    values: list = []
-    for op, arg, divisor in plan:
-        if op == "leaf":
-            value = Fraction(_hashed_int(seed, (trial, *arg)))
-        elif op == "+":
-            value = _ZERO
-            for weight, i in arg:
-                value += values[i] if weight == 1 else weight * values[i]
-        elif op == "*":
-            value = _ONE
-            for weight, i in arg:
-                value *= values[i] if weight == 1 else values[i] ** weight
-        elif op == "^":
-            # Uninterpreted: keyed by operand values, shared across the pair.
-            value = Fraction(_hashed_int(seed, (trial, "pow", values[arg[0][1]], values[arg[1][1]])))
-        elif op == ">":
-            value = values[arg[0][1]] > values[arg[1][1]]
-        else:
-            raise _SamplingError(op)
-        if divisor and value == 0:
-            raise _SamplingError("division by zero")
-        values.append(value)
-    return values
 
 
 _P = 2**61 - 1  # a Mersenne prime: residues fit in a machine word
 
 
-def _modular_plan(plan: list) -> list:
-    """``plan`` with each leaf's argument rendered once as the tail of its hash input.
+def _times(xs: list[int], ys: list[int], modulus: Optional[int]) -> list[int]:
+    """Entrywise products of two value lists, reduced mod ``modulus`` if given."""
+    if modulus:
+        return [x * y % modulus for x, y in zip(xs, ys)]
+    return [x * y for x, y in zip(xs, ys)]
 
-    A leaf's value at ``trial`` is ``_hashed_int(seed, (trial, *arg))``, the
-    hash of ``repr((seed, (trial, *arg)))``; only the head of that text
-    depends on the point, so the rest is encoded here, once per comparison.
+
+def _evaluate(plan: list, seed: int, batch: range, modulus: Optional[int]) -> tuple[list, list, list[bool]]:
+    """Every planned value at every trial of ``batch``, in one pass over ``plan``.
+
+    Each node keeps one list of numerators and one of denominators, an entry
+    per trial; a denominator list of None means all ones. With ``modulus``
+    the entries are residues, else exact integers in lowest terms. No inverse
+    is taken: sums cross-multiply, and a product raises each part to its
+    weight with ``pow``, the pair swapped for a negative weight. Leaves take
+    their exact sample values (``_hashed_int``), so a residue is the image of
+    the exact value at the same point, except under ``exp``. ``exp`` stays
+    uninterpreted, hashed on its operands' values: their residues (the only
+    inverse, taken for live trials alone), or in exact arithmetic the
+    ``Fraction`` they make. ``">"`` is exact only, as the sign of
+    ``(a*d - c*b)*b*d`` for ``a/b > c/d``.
+
+    Returns the numerators, denominators and the live flag of each trial. A
+    trial dies when a divisor's numerator is 0; a boolean entering arithmetic,
+    or ``">"`` over residues, which lack an order, kills every trial. Once
+    every trial is dead the pass stops, and the value lists stop short.
     """
-    return [
-        (op, f", {', '.join(map(repr, arg))}))".encode() if op == "leaf" else arg, divisor)
-        for op, arg, divisor in plan
-    ]
+    start = hashlib.blake2b(f"({seed!r}, (".encode(), digest_size=8)
+    heads = []
+    for trial in batch:
+        heads.append(start.copy())
+        heads[-1].update(b"%d" % trial)
+    count = len(heads)
+    digest_ints = f">{count}Q"
+    ones = [1] * count
+    live = [True] * count
+    nums: list[list[int]] = []
+    dens: list[Optional[list[int]]] = []
 
+    def reduce(values: list[int]) -> list[int]:
+        return [value % modulus for value in values] if modulus else values
 
-def _evaluate_mod_p(plan: list, seed: int, trial: int) -> tuple[list[int], list[int]]:
-    """Every planned value at one sample point over Z_p, from a ``_modular_plan``.
+    def operand(i: int, t: int):
+        """Node ``i``'s value at trial ``t``: one residue, or one ``Fraction``."""
+        num, den = nums[i][t], dens[i][t] if dens[i] else 1
+        if modulus:
+            return num if den == 1 else num * pow(den, -1, modulus) % modulus
+        return Fraction(num, den)
 
-    A value is a pair of numerator and denominator residues, so no modular
-    inverse is taken: sums cross-multiply, and a product raises each part to
-    its weight with ``pow``, the pair swapped for a negative weight. Leaves
-    take the residues of their exact sample values (``_hashed_int``), so
-    every value but an ``exp``'s is the image in Z_p of its exact rational
-    value at the same point. ``exp`` stays uninterpreted, hashed on its
-    operands' residues: the only place an inverse is taken, and only for a
-    denominator other than 1. Raises _SamplingError as soon as a divisor's
-    numerator is 0 mod p or a boolean would enter arithmetic; ``">"`` forms,
-    which need the order Z_p lacks, fail the point too.
-    """
-    head = hashlib.blake2b(f"({seed!r}, ({trial}".encode(), digest_size=8)
-    nums: list[int] = []
-    dens: list[int] = []
     for op, arg, divisor in plan:
-        den = 1
+        den = None
         if op == "leaf":
-            digest = head.copy()  # hashing the head once per point
-            digest.update(arg)
-            value = int.from_bytes(digest.digest(), "big") % 2**63 - 2**62
-            num = (value if value != 0 else 1) % _P  # as _hashed_int
+            digests = []
+            for head in heads:
+                digest = head.copy()  # the head is hashed once per batch
+                digest.update(arg)
+                digests.append(digest.digest())
+            # As in _hashed_int, each 8-byte digest is a big-endian integer.
+            values = struct.unpack(digest_ints, b"".join(digests))
+            if modulus:
+                num = [(value % 2**63 - 2**62 or 1) % modulus for value in values]
+            else:
+                num = [value % 2**63 - 2**62 or 1 for value in values]
         elif op == "+":
-            num = 0
+            num = None
             for weight, i in arg:
                 n, d = nums[i], dens[i]
-                if den == 1 and d == 1:
-                    num += weight * n
-                else:
-                    num = (num * d + weight * n * den) % _P
-                    den = den * d % _P
-            num %= _P
+                if weight != 1:
+                    n = [weight * x for x in n]
+                if num is None:
+                    num, den = n, d
+                    continue
+                if d:
+                    num = _times(num, d, modulus)
+                if den:
+                    n = _times(n, den, modulus)
+                num = [a + x for a, x in zip(num, n)]
+                if d:
+                    den = d if den is None else _times(den, d, modulus)
+            num = [0] * count if num is None else reduce(num)
         elif op == "*":
-            num = 1
+            num = None
             for weight, i in arg:
                 n, d = nums[i], dens[i]
                 if weight < 0:
                     n, d, weight = d, n, -weight
                 if weight != 1:
-                    n = pow(n, weight, _P)
-                    d = pow(d, weight, _P) if d != 1 else 1
-                num = num * n % _P
-                if d != 1:
-                    den = den * d % _P
+                    n = n and [pow(x, weight, modulus) for x in n]
+                    d = d and [pow(y, weight, modulus) for y in d]
+                if n:
+                    num = n if num is None else _times(num, n, modulus)
+                if d:
+                    den = d if den is None else _times(den, d, modulus)
+            if num is None:
+                num = ones
         elif op == "^":
-            # Uninterpreted: keyed by operand residues, shared across the pair.
-            base, exponent = (
-                nums[i] if dens[i] == 1 else nums[i] * pow(dens[i], -1, _P) % _P for _, i in arg
-            )
-            num = _hashed_int(seed, (trial, "pow", base, exponent)) % _P
+            # Uninterpreted: keyed by operand values, shared across the pair.
+            (_, base), (_, exponent) = arg
+            num = [
+                _hashed_int(seed, (trial, "pow", operand(base, t), operand(exponent, t))) if alive else 0
+                for t, (trial, alive) in enumerate(zip(batch, live))
+            ]
+            num = reduce(num)
+        elif op == ">" and not modulus:
+            (_, left), (_, right) = arg
+            pairs = zip(nums[left], dens[left] or ones, nums[right], dens[right] or ones)
+            num = [int((a * d - c * b) * b * d > 0) for a, b, c, d in pairs]
         else:
-            raise _SamplingError(op)
-        if divisor and num == 0:
-            raise _SamplingError("division by zero")
+            return nums, dens, [False] * count
+        if den is not None and not modulus:
+            # Lowest terms, as Fraction keeps them: a subform used twice
+            # would otherwise square the denominator it brings.
+            common = [math.gcd(a, b) or 1 for a, b in zip(num, den)]
+            num = [a // g for a, g in zip(num, common)]
+            den = [b // g for b, g in zip(den, common)]
+        if divisor:
+            live = [alive and x != 0 for alive, x in zip(live, num)]
+            if not any(live):
+                return nums, dens, live
         nums.append(num)
         dens.append(den)
-    return nums, dens
+    return nums, dens, live
 
 
-def _agree_exactly(plan: list, roots: tuple[int, int], seed: int, trial: int) -> bool:
-    """Whether both roots take one value at ``trial``, in exact rational arithmetic."""
-    values = _evaluate(plan, seed, trial)
-    return values[roots[0]] == values[roots[1]]
+def _sample(plan: list, roots: list[int], seed: int, points: int, trials: int, modulus: Optional[int]) -> str:
+    """The reason decided by the first ``points`` live trials of ``range(trials)``.
 
-
-def _agree_mod_p(plan: list, roots: tuple[int, int], seed: int, trial: int) -> bool:
-    """Whether both roots take one value at ``trial`` over Z_p: nL * dR == nR * dL."""
-    nums, dens = _evaluate_mod_p(plan, seed, trial)
-    left, right = roots
-    return (nums[left] * dens[right] - nums[right] * dens[left]) % _P == 0
-
-
-def _sample(agree, points: int, trials: int) -> str:
-    """The reason decided by ``agree(trial)`` over the first ``points`` evaluable trials.
-
-    A trial that raises _SamplingError is skipped; after ``trials`` trials
-    without ``points`` agreeing ones the comparison is degenerate.
+    Trial 0 is evaluated alone, so a counterexample usually stays a one-point
+    decision. Over Z_p each later batch holds one trial per point still to
+    agree; in exact arithmetic batches double, up to that number.
+    Results are read in trial order: dead trials are skipped, the first
+    disagreement is a counterexample, and after ``trials`` trials without
+    ``points`` agreeing ones the comparison is degenerate. Two values agree
+    when ``nL * dR == nR * dL``, modulo ``modulus`` if given.
     """
-    agreed = 0
-    for trial in range(trials):
-        if agreed >= points:
-            break
-        try:
-            if not agree(trial):
+    left, right = roots
+    agreed, start, size = 0, 0, 1
+    while agreed < points and start < trials:
+        batch = range(start, min(start + size, trials))
+        nums, dens, live = _evaluate(plan, seed, batch, modulus)
+        for t, alive in enumerate(live):
+            if not alive:
+                continue
+            left_den = dens[left][t] if dens[left] else 1
+            right_den = dens[right][t] if dens[right] else 1
+            difference = nums[left][t] * right_den - nums[right][t] * left_den
+            if (difference % modulus if modulus else difference) != 0:
                 return "counterexample"
-        except _SamplingError:
-            continue
-        agreed += 1
+            agreed += 1
+        # Over Z_p a wrong pair agrees by chance with probability at most
+        # deg/p, so once trial 0 agrees the rest are taken in one batch. An
+        # exact sign test (greater) agrees by chance about half the time, so
+        # its batches double instead: the trials evaluated past the first
+        # disagreement never outnumber those before it.
+        start = batch.stop
+        size = points - agreed if modulus else min(2 * size, points - agreed)
     return "randomized-agreement" if agreed >= points else "degenerate"
 
 
@@ -415,15 +442,14 @@ def compare_programs(
         return EquivalenceReport(True, "canonical-match", key_left, key_right)
 
     plan, roots = _sampling_plan((left, right), s1.symbols)
-    exact = partial(_agree_exactly, plan, roots, seed)
     trials = samples * 20
     if left.op == ">":
-        reason = _sample(exact, samples, trials)
+        reason = _sample(plan, roots, seed, samples, trials, None)
     else:
-        reason = _sample(partial(_agree_mod_p, _modular_plan(plan), roots, seed), samples, trials)
+        reason = _sample(plan, roots, seed, samples, trials, _P)
         if reason == "randomized-agreement":
             # Z_p errs only towards agreement: confirm it at one exact point.
-            reason = _sample(exact, 1, trials)
+            reason = _sample(plan, roots, seed, 1, trials, None)
     return EquivalenceReport(reason == "randomized-agreement", reason, key_left, key_right)
 
 

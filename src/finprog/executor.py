@@ -84,30 +84,48 @@ def _iroot(n: int, k: int) -> int | None:
     return root if root**k == n else None
 
 
+#: The largest estimated size, in bits, of an exact ``power`` result. For an
+#: integer exponent n the estimate is |n| times the bit length of the base's
+#: larger term (numerator or denominator); a fractional exponent p/q is
+#: estimated the same way from p and the base's exact q-th root. Bases 0 and
+#: ±1 are exempt. Past the bound ``power`` raises DomainError rather than
+#: build a number whose exact decimal rendering alone takes seconds: at the
+#: bound, rendering takes under 0.1 s on a 2-vCPU host. Growth-rate programs
+#: stay far below it (1.07 ** 2340 is about at it).
+MAX_POWER_BITS = 2**14
+
+
 def power(base: Fraction, exponent: Fraction) -> Fraction:
     """number1 ** number2 with exact results whenever they exist.
 
-    Integer exponents are always exact. Fractional exponents yield the exact
-    rational root when one exists; otherwise the result is computed in
-    floating point and widened. Negative bases with fractional exponents are
-    a DomainError, as is 0 raised to a negative power.
+    Integer exponents are always exact. A fractional exponent p/q yields the
+    exact rational result when the base has an exact q-th root; otherwise
+    the result is computed in floating point and widened. Negative bases with
+    fractional exponents are a DomainError, as is an exact result estimated
+    larger than MAX_POWER_BITS; 0 raised to a negative power is a
+    DivisionByZero.
     """
-    if exponent.denominator == 1:
-        if base == 0 and exponent < 0:
-            raise DivisionByZero("0 cannot be raised to a negative power")
-        return base ** exponent.numerator
-    if base < 0:
-        raise DomainError("negative base with a fractional exponent")
-    powered = base ** exponent.numerator
-    root = exponent.denominator
-    num = _iroot(powered.numerator, root)
-    den = _iroot(powered.denominator, root)
-    if num is not None and den is not None:
-        return Fraction(num, den)
-    try:
-        return Fraction(float(base) ** float(exponent))
-    except (OverflowError, ValueError) as exc:
-        raise DomainError(f"exponentiation out of range: {exc}") from exc
+    if exponent.denominator != 1:
+        if base < 0:
+            raise DomainError("negative base with a fractional exponent")
+        # With p/q in lowest terms, (a/b) ** (p/q) is rational exactly when
+        # a and b are q-th powers; no power of the base is built to find out.
+        num = _iroot(base.numerator, exponent.denominator)
+        den = _iroot(base.denominator, exponent.denominator)
+        if num is None or den is None:
+            try:
+                return Fraction(float(base) ** float(exponent))
+            except (OverflowError, ValueError) as exc:
+                raise DomainError(f"exponentiation out of range: {exc}") from exc
+        base = Fraction(num, den)
+    n = exponent.numerator
+    if base == 0 and n < 0:
+        raise DivisionByZero("0 cannot be raised to a negative power")
+    if base != 0 and abs(base) != 1:
+        size = abs(n) * max(base.numerator.bit_length(), base.denominator.bit_length())
+        if size > MAX_POWER_BITS:
+            raise DomainError(f"result of about {size} bits exceeds the {MAX_POWER_BITS}-bit bound")
+    return base**n
 
 
 def aggregate_row(cells: list[Fraction], kind: str) -> Fraction:

@@ -336,6 +336,40 @@ class TestLoadRecords:
             (f"record-{ordinal}", "", "record is not an object")
         ]
 
+    @pytest.mark.parametrize("value", [{"a": 1}, 5, ["x"], True, 0])
+    def test_non_string_id_rejected(self, tmp_path, value):
+        path = tmp_path / "records.jsonl"
+        write_jsonl(path, [minimal_record(), minimal_record(id=value)])
+        loaded = load_records(path)
+        assert [r.id for r in loaded.records] == ["co/2019/page_1.pdf-0"]
+        assert [(r.id, r.field_path, r.reason) for r in loaded.rejects] == [
+            ("record-2", "id", "must be a string")
+        ]
+
+    @pytest.mark.parametrize("value", [None, "", "absent"])
+    def test_missing_id_defaults_to_ordinal(self, tmp_path, value):
+        path = tmp_path / "records.jsonl"
+        record = minimal_record(id=value)
+        if value == "absent":
+            del record["id"]
+        write_jsonl(path, [minimal_record(), record])
+        loaded = load_records(path)
+        assert not loaded.rejects
+        assert [r.id for r in loaded.records] == ["co/2019/page_1.pdf-0", "record-2"]
+
+    @pytest.mark.parametrize("content", [None, 5, ["None"], {"a": 1}])
+    def test_non_string_legacy_content_rejected(self, tmp_path, content):
+        path = tmp_path / "records.jsonl"
+        # The sentence "None" is what str(None) would have matched by content.
+        record = minimal_record(pre_text=["net sales were 100 in 2019 and 80 in 2018 .", "None"])
+        record["qa"] = dict(record["qa"], gold_inds={"text_0": "net sales were 100 in 2019 and 80 in 2018 .", "text_7": content})
+        write_jsonl(path, [record])
+        loaded = load_records(path)
+        assert not loaded.records
+        assert [(r.field_path, r.reason) for r in loaded.rejects] == [
+            ("qa.gold_inds", "content of 'text_7' is not a string")
+        ]
+
     @pytest.mark.parametrize("gold_inds", [[], {}])
     def test_empty_gold_inds_rejected(self, tmp_path, gold_inds):
         path = tmp_path / "records.jsonl"

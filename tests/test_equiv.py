@@ -1,15 +1,17 @@
 import time
+from fractions import Fraction
 from random import Random
 
 import pytest
 
+from finprog import equiv
 from finprog.dsl import parse_program, render_program
 from finprog.equiv import (
     _P,
     _chain,
-    _evaluate_mod_p,
+    _evaluate,
     _hashed_int,
-    _modular_plan,
+    _sample,
     _sampling_plan,
     compare_programs,
     equivalent,
@@ -297,19 +299,173 @@ class TestModularSampling:
         program = P("add(3.5, const_foo), table-sum(Net Sales), add(#0, #1), add(#2, x)")
         sp, _ = pair_symbolize(program, program)
         plan, _ = _sampling_plan((to_expression(sp),), sp.symbols)
-        leaves = [(i, arg) for i, (op, arg, _) in enumerate(plan) if op == "leaf"]
-        kinds = {arg[0] if arg[0] == "agg" else arg[0][0] for _, arg in leaves}
-        assert kinds == {"num", "const", "name", "agg"}
+        leaves = [i for i, (op, _, _) in enumerate(plan) if op == "leaf"]
+        number, constant, row, name = sp.symbols
+        keys = [(number,), (constant,), ("agg", "table-sum", row), (name,)]
+        assert {key[0] if key[0] == "agg" else key[0][0] for key in keys} == {"num", "const", "name", "agg"}
         for seed in (0, 11, -3):
-            for trial in range(4):
-                nums, dens = _evaluate_mod_p(_modular_plan(plan), seed, trial)
-                for i, arg in leaves:
-                    assert (nums[i], dens[i]) == (_hashed_int(seed, (trial, *arg)) % _P, 1)
+            for modulus in (_P, None):
+                nums, dens, live = _evaluate(plan, seed, range(2, 6), modulus)
+                assert live == [True] * 4
+                for t, trial in enumerate(range(2, 6)):
+                    exact = [_hashed_int(seed, (trial, *key)) for key in keys]
+                    expected = [value % modulus for value in exact] if modulus else exact
+                    assert sorted(nums[i][t] for i in leaves) == sorted(expected)
+                    assert all(dens[i] is None for i in leaves)
 
     @pytest.mark.parametrize("samples", [0, -1])
     def test_samples_below_one_rejected(self, samples):
         with pytest.raises(ValueError):
             compare_programs(P("add(1, 2)"), P("multiply(1, 3)"), samples=samples)
+
+
+class TestBatchedSampling:
+    """Every trial of a batch is evaluated in one pass over the plan."""
+
+    @pytest.mark.parametrize(
+        "left, right, reason",
+        [
+            # an empty sum outside a divisor is 0 at every point
+            ("subtract(a, a), multiply(#0, b)", "subtract(c, c), multiply(#0, d)", "randomized-agreement"),
+            # exp over a base with a denominator
+            (
+                "add(a, b), divide(#0, c), exp(#1, d)",
+                "divide(a, c), divide(b, c), add(#0, #1), exp(#2, d)",
+                "randomized-agreement",
+            ),
+            # greater over a quotient whose denominator takes either sign
+            (
+                "add(a, e), divide(#0, b), greater(#1, c)",
+                "divide(a, b), divide(e, b), add(#0, #1), greater(#2, c)",
+                "randomized-agreement",
+            ),
+            # every trial is dead
+            ("subtract(a, a), divide(b, #0)", "subtract(a, a), divide(c, #0)", "degenerate"),
+        ],
+    )
+    def test_batch_paths(self, left, right, reason):
+        for samples in (1, 2, 32):
+            report = compare_programs(P(left), P(right), samples=samples)
+            assert report.reason == reason, samples
+            assert report.equivalent == (reason == "randomized-agreement")
+
+    @staticmethod
+    def _spy(monkeypatch):
+        batches = []
+        evaluate = equiv._evaluate
+
+        def spy(plan, seed, batch, modulus):
+            batches.append((modulus, batch))
+            return evaluate(plan, seed, batch, modulus)
+
+        monkeypatch.setattr(equiv, "_evaluate", spy)
+        return batches
+
+    @pytest.mark.parametrize("samples", [1, 2, 5])
+    def test_agreement_evaluates_exactly_the_needed_trials(self, monkeypatch, samples):
+        batches = self._spy(monkeypatch)
+        report = compare_programs(
+            P("add(a, b), multiply(#0, c)"), P("multiply(a, c), multiply(b, c), add(#0, #1)"), samples=samples
+        )
+        assert report.reason == "randomized-agreement"
+        modular = [range(0, 1)] + ([range(1, samples)] if samples > 1 else [])
+        assert batches == [(_P, batch) for batch in modular] + [(None, range(0, 1))]
+
+    @pytest.mark.parametrize("samples", [1, 2])
+    def test_degenerate_batches_cover_every_trial_once(self, monkeypatch, samples):
+        batches = self._spy(monkeypatch)
+        report = compare_programs(
+            P("subtract(a, a), divide(b, #0)"), P("subtract(a, a), divide(c, #0)"), samples=samples
+        )
+        assert report.reason == "degenerate"
+        assert [len(batch) for _, batch in batches[:2]] == [1, samples]
+        assert [trial for _, batch in batches for trial in batch] == list(range(20 * samples))
+
+    @staticmethod
+    def _halving_chain(levels: int, distributed: bool) -> str:
+        """(a + b) * e, then ``levels`` times x -> x / c + x / d: each level uses x twice."""
+        if distributed:
+            steps = ["multiply(a, e)", "multiply(b, e)", "add(#0, #1)"]
+        else:
+            steps = ["add(a, b)", "multiply(#0, e)"]
+        last = len(steps) - 1
+        for _ in range(levels):
+            steps += [f"divide(#{last}, c)", f"divide(#{last}, d)", f"add(#{last + 1}, #{last + 2})"]
+            last += 3
+        return ", ".join(steps)
+
+    def test_exact_values_stay_in_lowest_terms(self):
+        sp, _ = pair_symbolize(P(self._halving_chain(6, False)), P("add(a, b)"))
+        plan, _ = _sampling_plan((to_expression(sp),), sp.symbols)
+        nums, dens, live = _evaluate(plan, 0, range(3), None)
+        assert live == [True] * 3
+        for num, den in zip(nums, dens):
+            for t in range(3):
+                d = den[t] if den else 1
+                assert abs(d) == Fraction(num[t], d).denominator
+
+    def test_shared_subforms_confirm_fast(self):
+        # Without lowest terms each level would square the denominator.
+        left, right = P(self._halving_chain(16, False)), P(self._halving_chain(16, True))
+        start = time.perf_counter()
+        report = compare_programs(left, right)
+        assert report.reason == "randomized-agreement"
+        assert time.perf_counter() - start < 2.0
+
+    def test_pass_stops_once_every_trial_is_dead(self):
+        sp, _ = pair_symbolize(P("subtract(a, a), divide(b, #0), add(#1, c)"), P("add(a, b)"))
+        plan, _ = _sampling_plan((to_expression(sp),), sp.symbols)
+        nums, dens, live = _evaluate(plan, 0, range(5), _P)
+        assert live == [False] * 5
+        assert len(nums) == len(dens) < len(plan)
+
+    @pytest.mark.parametrize("samples, sizes", [(1, [1]), (2, [1, 1]), (5, [1, 2, 2]), (8, [1, 2, 4, 1])])
+    def test_exact_batches_double(self, monkeypatch, samples, sizes):
+        batches = self._spy(monkeypatch)
+        report = compare_programs(
+            P("add(a, b), multiply(#0, c), greater(#1, d)"),
+            P("multiply(a, c), multiply(b, c), add(#0, #1), greater(#2, d)"),
+            samples=samples,
+        )
+        assert report.reason == "randomized-agreement"
+        assert [modulus for modulus, _ in batches] == [None] * len(sizes)
+        assert [len(batch) for _, batch in batches] == sizes
+
+    @pytest.mark.parametrize("modulus", [_P, None])
+    def test_sampler_follows_the_sequential_rule(self, monkeypatch, modulus):
+        def sequential(outcomes, points):
+            agreed = 0
+            for trial, outcome in enumerate(outcomes):
+                if agreed >= points:
+                    break
+                if outcome == "differ":
+                    return "counterexample", trial
+                agreed += outcome == "agree"
+            return "randomized-agreement" if agreed >= points else "degenerate", None
+
+        rng = Random(3)
+        for _ in range(500):
+            points = rng.randint(1, 4)
+            outcomes = [rng.choice(("agree", "agree", "dead", "differ")) for _ in range(20 * points)]
+            evaluated = []
+
+            def fake(plan, seed, batch, modulus):
+                evaluated.extend(batch)
+                live = [outcomes[trial] != "dead" for trial in batch]
+                right = [2 if outcomes[trial] == "differ" else 1 for trial in batch]
+                return [[1] * len(batch), right], [None, None], live
+
+            monkeypatch.setattr(equiv, "_evaluate", fake)
+            reason, differing = sequential(outcomes, points)
+            assert _sample([], [0, 1], 0, points, len(outcomes), modulus) == reason
+            assert evaluated == list(range(len(evaluated)))
+            # no trial past the sequential rule's last agreeing one is evaluated
+            agreeing = [t for t, outcome in enumerate(outcomes) if outcome == "agree"]
+            if len(agreeing) >= points and "differ" not in outcomes[: agreeing[points - 1]]:
+                assert evaluated[-1] == agreeing[points - 1]
+            if modulus is None and differing is not None:
+                # doubling batches evaluate no more trials past it than before it
+                assert len(evaluated) <= 2 * differing + 1
 
 
 class TestProgramAccuracy:

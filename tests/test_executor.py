@@ -14,6 +14,7 @@ from finprog.dsl import (
     render_program,
 )
 from finprog.executor import (
+    MAX_POWER_BITS,
     BooleanInArithmetic,
     DivisionByZero,
     DomainError,
@@ -173,6 +174,35 @@ class TestPieces:
         assert power(Fraction(524289**10001), Fraction(1, 10001)) == 524289
         assert power(Fraction(524289), Fraction(10001, 10000)) == Fraction(524289.0**1.0001)
         assert time.perf_counter() - started < 2.0
+
+    @pytest.mark.parametrize(
+        "program",
+        ["exp(3, 8192)", "exp(0.5, 8192)", "exp(1.07, 2340)", "exp(1.0000001, 682)", "exp(4, 4095.5)"],
+    )
+    def test_power_at_the_size_bound_executes_and_renders_fast(self, program):
+        started = time.perf_counter()
+        value = execute(parse_program(program))
+        render_value(value)
+        assert time.perf_counter() - started < 0.5
+        assert max(value.numerator.bit_length(), value.denominator.bit_length()) <= MAX_POWER_BITS
+
+    @pytest.mark.parametrize(
+        "program",
+        ["exp(3, 1000000)", "exp(3, 10000000)", "exp(0.5, 8193)", "exp(1.07, -2341)", "exp(4, 8192.5)"],
+    )
+    def test_power_past_the_size_bound_is_a_domain_error(self, program):
+        started = time.perf_counter()
+        with pytest.raises(DomainError):
+            render_value(execute(parse_program(program)))
+        assert time.perf_counter() - started < 0.5
+
+    @pytest.mark.parametrize("program", ["exp(1, 1000000000)", "exp(-1, 1000000001)", "exp(0, 1000000000)"])
+    def test_power_of_zero_and_unit_bases_is_exempt(self, program):
+        assert abs(execute(parse_program(program))) <= 1
+
+    def test_zero_to_a_negative_fractional_power(self):
+        with pytest.raises(DivisionByZero):
+            execute(parse_program("exp(0, -0.5)"))
 
     def test_render_value(self):
         assert render_value(True) == "yes"
