@@ -13,14 +13,14 @@ import sys
 from typing import Optional
 
 from .context import EvidenceContext
-from .corpus import FileUnreadable, SchemaError, candidate_facts, dataset_stats, linearize_table, load_records
+from .corpus import FileUnreadable, SchemaError, dataset_stats, linearize_table, load_records
 from .decoding import IllegalToken, build_vocabulary, next_token_mask, replay
 from .dsl import ProgramError, is_valid, parse_program, tokenize_program, validate
 from .equiv import compare_programs
 from .evaluate import UnknownRecordId, breakdown_report, load_predictions
 from .executor import ExecutionError, execute, render_value
 from .numeric import TolerancePolicy
-from .retrieve import build_index, rank, recall_at_k
+from .retrieve import rank_records, recall_at_k
 
 
 _SAMPLES_HELP = "random points at which the equivalence fallback must agree (at least 1)"
@@ -216,9 +216,7 @@ def _cmd_retrieve(args) -> int:
         print("no records loaded", file=sys.stderr)
         return 2
     per_record, rankings = [], {}
-    for record in loaded.records:
-        index = build_index(candidate_facts(record))
-        ranked = rank(record.question, index, args.k)
+    for record, ranked in rank_records(loaded.records, args.k):
         per_record.append((record.id, recall_at_k(ranked, record.gold_fact_ids, args.k)))
         rankings[record.id] = [{"fact": fid, "score": score} for fid, score in ranked]
     mean = sum(r for _, r in per_record) / len(per_record)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import asdict, dataclass
-from typing import Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .context import EvidenceContext, FinTable
 from .dsl import GROUNDING_CODES, Program, ProgramError, parse_program, validate
@@ -213,12 +213,38 @@ def _sentences(raw: dict, name: str) -> tuple[str, ...]:
     return tuple(value)
 
 
-def _build_record(raw, ordinal: int) -> EvidenceRecord | RejectedRecord:
+class _Page(NamedTuple):
+    """A record's evidence as built at load, with the context it is validated against."""
+
+    pre_text: tuple[str, ...]
+    post_text: tuple[str, ...]
+    table: FinTable
+    context: EvidenceContext
+
+
+def _page(raw: dict) -> _Page:
+    """Build a record's evidence, or raise _BuildError at its first malformed field."""
+    pre_text = _sentences(raw, "pre_text")
+    post_text = _sentences(raw, "post_text")
+    raw_table = raw.get("table")
+    if not isinstance(raw_table, list):
+        raise _BuildError("table", "must be a list of rows")
+    try:
+        table = FinTable.from_rows(raw_table)
+    except ValueError as exc:
+        raise _BuildError("table", str(exc))
+    return _Page(pre_text, post_text, table, EvidenceContext.build(pre_text + post_text, table))
+
+
+def _build_record(
+    raw, ordinal: int, page_of: Callable[[dict], _Page]
+) -> EvidenceRecord | RejectedRecord:
     """Build one record, or reject it at its first malformed field.
 
-    The gold program is validated once, against the record's evidence:
-    grounding problems (``GROUNDING_CODES``) and warnings become record
-    warnings; any other error rejects the record.
+    ``page_of`` builds the record's evidence (see ``_page``). The gold program
+    is validated once, against that evidence: grounding problems
+    (``GROUNDING_CODES``) and warnings become record warnings; any other
+    error rejects the record.
     """
     if not isinstance(raw, dict):
         return RejectedRecord(
@@ -230,15 +256,7 @@ def _build_record(raw, ordinal: int) -> EvidenceRecord | RejectedRecord:
     elif not isinstance(record_id, str):
         return RejectedRecord(id=f"record-{ordinal}", field_path="id", reason="must be a string")
     try:
-        pre_text = _sentences(raw, "pre_text")
-        post_text = _sentences(raw, "post_text")
-        raw_table = raw.get("table")
-        if not isinstance(raw_table, list):
-            raise _BuildError("table", "must be a list of rows")
-        try:
-            table = FinTable.from_rows(raw_table)
-        except ValueError as exc:
-            raise _BuildError("table", str(exc))
+        page = page_of(raw)
         qa = raw.get("qa")
         if not isinstance(qa, dict):
             raise _BuildError("qa", "must be an object")
@@ -253,21 +271,24 @@ def _build_record(raw, ordinal: int) -> EvidenceRecord | RejectedRecord:
             program = parse_program(program_text)
         except ProgramError as exc:
             raise _BuildError("qa.program", str(exc))
-        diagnostics = validate(program, EvidenceContext.build(pre_text + post_text, table))
+        diagnostics = validate(program, page.context)
         for diag in diagnostics:
             if diag.severity == "error" and diag.code not in GROUNDING_CODES:
                 raise _BuildError("qa.program", diag.message)
         if "exe_ans" not in qa:
             raise _BuildError("qa.exe_ans", "missing")
-        gold_ids = _gold_ids(qa.get("gold_inds"), pre_text, table, post_text, warnings)
+        # bool is an int: parse_answer reads true and false as yes and no.
+        if not isinstance(qa["exe_ans"], (int, float, str)):
+            raise _BuildError("qa.exe_ans", "must be a number, a string or a boolean")
+        gold_ids = _gold_ids(qa.get("gold_inds"), page.pre_text, page.table, page.post_text, warnings)
     except _BuildError as exc:
         return RejectedRecord(id=record_id, field_path=exc.field_path, reason=exc.reason)
     warnings.extend(f"gold program: {diag.message}" for diag in diagnostics)
     return EvidenceRecord(
         id=record_id,
-        pre_text=pre_text,
-        post_text=post_text,
-        table=table,
+        pre_text=page.pre_text,
+        post_text=page.post_text,
+        table=page.table,
         question=question,
         gold_program=program,
         gold_answer=qa["exe_ans"],
@@ -330,6 +351,12 @@ def load_records(path) -> LoadResult:
     Raises FileUnreadable for IO problems and SchemaError for file-level
     format problems (an empty file, or content that is neither a JSON array
     nor JSON lines). Per-record problems become RejectedRecord entries.
+
+    Adjacent records with equal evidence (several questions on one report
+    page) share its immutable objects: their ``pre_text``, ``post_text`` and
+    ``table`` are the same objects, and their gold programs are validated
+    against one context, whose number set is computed once. Every record
+    still gets its own parse, checks, warnings and gold ids.
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -363,9 +390,23 @@ def load_records(path) -> LoadResult:
                     )
                 )
 
+    # The last page whose evidence built: its raw evidence and what was built
+    # from it. Rejected evidence never enters, so the slot holds only lists of
+    # strings; raw evidence equal to it is equal string for string (no
+    # 1 == True == 1.0) and builds equal objects, so the next record reuses them.
+    last_raw, last_page = None, None
+
+    def page_of(raw: dict) -> _Page:
+        nonlocal last_raw, last_page
+        evidence = (raw.get("pre_text", []), raw.get("post_text", []), raw.get("table"))
+        if evidence != last_raw:
+            last_page = _page(raw)
+            last_raw = evidence
+        return last_page
+
     records: list[EvidenceRecord] = []
     for raw, ordinal in raw_records:
-        built = _build_record(raw, ordinal)
+        built = _build_record(raw, ordinal, page_of)
         if isinstance(built, EvidenceRecord):
             records.append(built)
         else:
@@ -446,6 +487,15 @@ def steps_bucket(record: EvidenceRecord) -> str:
     return str(steps) if steps <= 2 else ">2"
 
 
+def _fact_position(record: EvidenceRecord, fact_id: str) -> int:
+    """The index of a fact id in ``candidate_facts(record)``, from counts alone."""
+    kind, index = fact_id.split(":")
+    k = int(index)
+    if kind == "row":
+        return len(record.pre_text) + k
+    return k if k < len(record.pre_text) else k + len(record.table.rows)
+
+
 def _pct(counts: dict, total: int) -> dict:
     if total == 0:
         return {k: 0.0 for k in counts}
@@ -512,8 +562,7 @@ def dataset_stats(records: list[EvidenceRecord]) -> StatsReport:
             fact_count_counts[">2"] += 1
         if count >= 2:
             multi_fact_records += 1
-            positions = {f.id: i for i, f in enumerate(candidate_facts(record))}
-            spots = sorted(positions[fid] for fid in record.gold_fact_ids)
+            spots = sorted(_fact_position(record, fid) for fid in record.gold_fact_ids)
             distance = spots[-1] - spots[0]
             if distance <= 3:
                 fact_distance_counts["<=3"] += 1

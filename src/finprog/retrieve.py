@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .corpus import EvidenceRecord, Fact, candidate_facts
 from .dsl import ProgramError, parse_program
@@ -109,13 +109,28 @@ def recall_at_k(ranked: RankedFacts, gold_ids: frozenset, k: int) -> float:
     return len(top & set(gold_ids)) / len(gold_ids)
 
 
+def rank_records(
+    records: Iterable[EvidenceRecord], k: int
+) -> Iterator[tuple[EvidenceRecord, RankedFacts]]:
+    """Each record with its top-k facts, in order.
+
+    Adjacent records with equal evidence (several questions on one report
+    page) are ranked against one index, built for the first of them.
+    """
+    indexed = index = None
+    for record in records:
+        evidence = (record.pre_text, record.table, record.post_text)
+        if evidence != indexed:
+            indexed, index = evidence, build_index(candidate_facts(record))
+        yield record, rank(record.question, index, k)
+
+
 def corpus_recall(records: Iterable[EvidenceRecord], k: int) -> tuple[float, list[tuple[str, float]]]:
     """Mean per-record recall@k, with the per-record values."""
-    per_record = []
-    for record in records:
-        index = build_index(candidate_facts(record))
-        ranked = rank(record.question, index, k)
-        per_record.append((record.id, recall_at_k(ranked, record.gold_fact_ids, k)))
+    per_record = [
+        (record.id, recall_at_k(ranked, record.gold_fact_ids, k))
+        for record, ranked in rank_records(records, k)
+    ]
     if not per_record:
         raise EmptyCorpus("no records to evaluate")
     mean = sum(r for _, r in per_record) / len(per_record)

@@ -1,3 +1,4 @@
+import json
 import pathlib
 import sys
 
@@ -20,3 +21,16 @@ def sample_records():
     loaded = load_records(SAMPLE_PATH)
     assert not loaded.rejects, loaded.rejects
     return loaded.records
+
+
+@pytest.fixture()
+def aaba_path(tmp_path) -> pathlib.Path:
+    """Sample records on report pages A, A, B, A: the last A follows another page."""
+    lines = SAMPLE_PATH.read_text(encoding="utf-8").splitlines()
+    page_a = json.loads(lines[0])
+    assert json.loads(lines[1])["table"] == page_a["table"]
+    assert json.loads(lines[2])["table"] != page_a["table"]
+    path = tmp_path / "aaba.jsonl"
+    last = json.dumps(dict(page_a, id="alpha/2019/page_12.pdf-2"))
+    path.write_text("\n".join([*lines[:3], last]) + "\n", encoding="utf-8")
+    return path

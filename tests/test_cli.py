@@ -286,6 +286,31 @@ class TestRetrieveCommand:
         assert len(payload["per_record"]) == 20
         assert all(len(entry["fact"]) > 0 for r in payload["rankings"].values() for entry in r)
 
+    def test_one_index_per_run_of_equal_evidence(self, capsys, monkeypatch, aaba_path):
+        import finprog.retrieve
+        from finprog.corpus import candidate_facts, load_records
+        from finprog.retrieve import build_index, rank, recall_at_k
+
+        fresh_recall, fresh_rankings = [], {}
+        for record in load_records(aaba_path).records:
+            ranked = rank(record.question, build_index(candidate_facts(record)), 3)
+            recall = recall_at_k(ranked, record.gold_fact_ids, 3)
+            fresh_recall.append({"id": record.id, "recall": recall})
+            fresh_rankings[record.id] = [{"fact": f, "score": score} for f, score in ranked]
+        built = []
+
+        def counted(facts):
+            built.append(1)
+            return build_index(facts)
+
+        monkeypatch.setattr(finprog.retrieve, "build_index", counted)
+        code = cli_dispatch(["retrieve", "--records", str(aaba_path), "--format", "machine"])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert payload["per_record"] == fresh_recall
+        assert payload["rankings"] == fresh_rankings
+        assert len(built) == 3
+
 
 class TestLinearizeCommand:
     def test_single_record(self, capsys, sample_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -11,6 +12,7 @@ from finprog.corpus import (
     linearize_table,
     load_records,
     normalize_program_text,
+    _fact_position,
 )
 
 
@@ -382,6 +384,92 @@ class TestLoadRecords:
             ("qa.gold_inds", "must name at least one fact")
         ]
 
+    @pytest.mark.parametrize("exe_ans", [None, {"a": 1}, [1]])
+    def test_non_scalar_exe_ans_rejected(self, tmp_path, exe_ans):
+        path = tmp_path / "records.jsonl"
+        record = minimal_record()
+        record["qa"] = dict(record["qa"], exe_ans=exe_ans)
+        write_jsonl(path, [record])
+        loaded = load_records(path)
+        assert not loaded.records
+        assert [(r.id, r.field_path, r.reason) for r in loaded.rejects] == [
+            ("co/2019/page_1.pdf-0", "qa.exe_ans", "must be a number, a string or a boolean")
+        ]
+
+    @pytest.mark.parametrize("exe_ans", [20.5, "20%", True])
+    def test_scalar_exe_ans_kept_verbatim(self, tmp_path, exe_ans):
+        path = tmp_path / "records.jsonl"
+        record = minimal_record()
+        record["qa"] = dict(record["qa"], exe_ans=exe_ans)
+        write_jsonl(path, [record])
+        (got,) = load_records(path).records
+        assert got.gold_answer == exe_ans and type(got.gold_answer) is type(exe_ans)
+
+
+class TestPageSharing:
+    """Adjacent records with equal evidence share what was built from it."""
+
+    def test_records_equal_to_loading_each_line_alone(self, tmp_path, aaba_path):
+        alone = []
+        for i, line in enumerate(aaba_path.read_text(encoding="utf-8").splitlines()):
+            one = tmp_path / f"one-{i}.jsonl"
+            one.write_text(line + "\n", encoding="utf-8")
+            alone.extend(load_records(one).records)
+        assert len(alone) == 4
+        assert load_records(aaba_path).records == alone
+
+    def test_adjacent_records_of_one_page_share_evidence(self, aaba_path):
+        first, second, other, _ = load_records(aaba_path).records
+        assert first.pre_text is second.pre_text
+        assert first.post_text is second.post_text
+        assert first.table is second.table
+        assert other.table is not first.table
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"pre_text": ["net sales were 100 in 2019 and 80 in 2018 .", "more ."]},
+            {"post_text": ["net sales were 100 in 2019 and 80 in 2018 ."]},
+            {"pre_text": [], "post_text": ["net sales were 100 in 2019 and 80 in 2018 ."]},
+            {"table": [["", "2019", "2018"], ["net sales", "100", "81"]]},
+        ],
+    )
+    def test_adjacent_records_differing_in_one_field(self, tmp_path, change):
+        path = tmp_path / "records.jsonl"
+        write_jsonl(path, [minimal_record(), minimal_record(id="co/2019/page_1.pdf-1", **change)])
+        first, second = load_records(path).records
+        write_jsonl(path, [minimal_record(id="co/2019/page_1.pdf-1", **change)])
+        assert [second] == load_records(path).records
+        assert (first.pre_text, first.post_text, first.table) != (
+            second.pre_text,
+            second.post_text,
+            second.table,
+        )
+
+    def test_rejected_table_rejected_again(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        bad_table = [["", "2019"], ["net sales", 100]]
+        write_jsonl(
+            path,
+            [minimal_record(id="p-0", table=bad_table), minimal_record(id="p-1", table=bad_table)],
+        )
+        loaded = load_records(path)
+        assert not loaded.records
+        assert [(r.id, r.field_path, r.reason) for r in loaded.rejects] == [
+            ("p-0", "table", "row 1 column 1 is not a string"),
+            ("p-1", "table", "row 1 column 1 is not a string"),
+        ]
+
+    def test_each_record_keeps_its_own_grounding_warnings(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        ungrounded = minimal_record(id="co/2019/page_1.pdf-1")
+        ungrounded["qa"] = dict(ungrounded["qa"], program="subtract(999999, 80)", exe_ans=999919)
+        write_jsonl(path, [minimal_record(), ungrounded])
+        first, second = load_records(path).records
+        assert first.table is second.table
+        assert first.warnings == ()
+        assert second.warnings == ("gold program: 999999 does not appear in the evidence",)
+
 
 class TestNormalizeProgramText:
     def test_trailing_none_dropped(self):
@@ -433,6 +521,28 @@ class TestDatasetStats:
     def test_fact_distance_buckets(self, sample_records):
         stats = dataset_stats(sample_records)
         assert stats.fact_distance_pct[">6"] > 0  # the nine-sentence record
+
+    def test_fact_positions_from_counts(self, sample_records):
+        from random import Random
+
+        from generators import random_context
+
+        records = list(sample_records)
+        rng = Random(11)
+        for _ in range(200):
+            ctx = random_context(rng)
+            cut = rng.randint(0, len(ctx.text_sentences))
+            records.append(
+                dataclasses.replace(
+                    sample_records[0],
+                    pre_text=ctx.text_sentences[:cut],
+                    post_text=ctx.text_sentences[cut:],
+                    table=ctx.table,
+                )
+            )
+        for record in records:
+            for position, fact in enumerate(candidate_facts(record)):
+                assert _fact_position(record, fact.id) == position
 
     def test_source_buckets(self, sample_records):
         stats = dataset_stats(sample_records)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 from random import Random
@@ -11,6 +12,7 @@ from finprog.retrieve import (
     build_index,
     corpus_recall,
     rank,
+    rank_records,
     recall_at_k,
     single_op_answer,
     tokenize,
@@ -148,6 +150,38 @@ class TestRecall:
         assert len(per_record) == len(sample_records)
         full, _ = corpus_recall(sample_records, k=30)
         assert full == 1.0
+
+    def test_one_index_per_run_of_equal_evidence(self, monkeypatch, aaba_path):
+        import finprog.retrieve
+
+        records = load_records(aaba_path).records
+        fresh = [
+            (r.id, recall_at_k(rank(r.question, build_index(candidate_facts(r)), 3), r.gold_fact_ids, 3))
+            for r in records
+        ]
+        built = []
+
+        def counted(facts):
+            built.append(1)
+            return build_index(facts)
+
+        monkeypatch.setattr(finprog.retrieve, "build_index", counted)
+        mean, per_record = corpus_recall(records, k=3)
+        assert per_record == fresh
+        assert mean == sum(r for _, r in fresh) / len(fresh)
+        assert len(built) == 3
+
+    @pytest.mark.parametrize("field", ["pre_text", "table", "post_text"])
+    def test_records_differing_in_one_field_get_their_own_index(self, sample_records, field):
+        record = next(r for r in sample_records if r.post_text and len(r.table.rows) > 1)
+        if field == "table":
+            other = dataclasses.replace(record.table, rows=record.table.rows[::-1])
+        else:
+            other = getattr(record, field)[::-1] + ("another sentence .",)
+        records = [record, dataclasses.replace(record, id="other", **{field: other})]
+        fresh = [rank(r.question, build_index(candidate_facts(r)), 30) for r in records]
+        assert fresh[0] != fresh[1]
+        assert [ranked for _, ranked in rank_records(records, 30)] == fresh
 
 
 class TestSingleOp:
