@@ -12,12 +12,14 @@ from .corpus import (
     Fact,
     FileUnreadable,
     LoadResult,
+    PredictionRecord,
     RejectedRecord,
     SchemaError,
     StatsReport,
     candidate_facts,
     dataset_stats,
     linearize_table,
+    load_predictions,
     load_records,
 )
 from .decoding import (
@@ -64,12 +66,10 @@ from .equiv import (
 )
 from .evaluate import (
     EvalReport,
-    PredictionRecord,
     RecordVerdict,
     UnknownRecordId,
     breakdown_report,
     execution_accuracy,
-    load_predictions,
     parse_answer,
     program_accuracy_corpus,
     score_record,

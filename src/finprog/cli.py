@@ -9,15 +9,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Optional
 
 from .context import EvidenceContext
-from .corpus import FileUnreadable, SchemaError, dataset_stats, linearize_table, load_records
+from .corpus import FileUnreadable, SchemaError, dataset_stats, linearize_table, load_predictions, load_records
 from .decoding import IllegalToken, build_vocabulary, next_token_mask, replay
 from .dsl import ProgramError, is_valid, parse_program, tokenize_program, validate
 from .equiv import compare_programs
-from .evaluate import UnknownRecordId, breakdown_report, load_predictions
+from .evaluate import UnknownRecordId, breakdown_report
 from .executor import ExecutionError, execute, render_value
 from .numeric import TolerancePolicy
 from .retrieve import rank_records, recall_at_k
@@ -26,15 +27,19 @@ from .retrieve import rank_records, recall_at_k
 _SAMPLES_HELP = "random points at which the equivalence fallback must agree (at least 1)"
 
 
-def _sample_count(text: str) -> int:
-    """An argparse type for ``--samples``: an integer of at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _at_least(kind: type, low: int):
+    """An argparse type: a finite ``kind`` (int or float) value of at least ``low``."""
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
+        if not low <= value < math.inf:  # also false for nan
+            raise argparse.ArgumentTypeError(f"must be at least {low} and finite, got {text}")
+        return value
+
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -71,17 +76,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("program_a")
     p.add_argument("program_b")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=_sample_count, default=32, help=_SAMPLES_HELP)
+    p.add_argument("--samples", type=_at_least(int, 1), default=32, help=_SAMPLES_HELP)
 
     p = sub.add_parser("eval", help="score predictions against a record file")
     p.add_argument("--records", required=True)
     p.add_argument("--preds", required=True)
-    p.add_argument("--abs-tol", type=float, default=1e-5)
-    p.add_argument("--rel-tol", type=float, default=1e-4)
+    p.add_argument("--abs-tol", type=_at_least(float, 0), default=1e-5)
+    p.add_argument("--rel-tol", type=_at_least(float, 0), default=1e-4)
     p.add_argument("--no-gold-rounding", action="store_true", help="disable the gold-precision rounding clause")
     p.add_argument("--percent-insensitive", action="store_true")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=_sample_count, default=32, help=_SAMPLES_HELP)
+    p.add_argument("--samples", type=_at_least(int, 1), default=32, help=_SAMPLES_HELP)
     p.add_argument("--strict-grounding", action="store_true")
     add_output(p)
 

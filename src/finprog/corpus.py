@@ -6,34 +6,19 @@ qa{question, program, exe_ans, gold_inds}}``; docs/formats.md documents the
 format bit-exactly. Malformed records are collected into a rejects report
 rather than silently dropped, and legacy spellings (``text_3`` fact ids,
 trailing "none" arguments on table operations) are normalized with warnings.
+Prediction files are read here too, through the same line reader.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import asdict, dataclass
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .context import EvidenceContext, FinTable
 from .dsl import GROUNDING_CODES, Program, ProgramError, parse_program, validate
-
-__all__ = [
-    "FinTable",
-    "Fact",
-    "EvidenceRecord",
-    "RejectedRecord",
-    "LoadResult",
-    "FileUnreadable",
-    "SchemaError",
-    "load_records",
-    "linearize_table",
-    "candidate_facts",
-    "dataset_stats",
-    "source_bucket",
-    "steps_bucket",
-    "StatsReport",
-]
 
 
 class FileUnreadable(Exception):
@@ -86,11 +71,13 @@ class LoadResult:
     records: list[EvidenceRecord]
     rejects: list[RejectedRecord]
 
-    def __iter__(self):
-        return iter(self.records)
 
-    def __len__(self) -> int:
-        return len(self.records)
+@dataclass(frozen=True)
+class PredictionRecord:
+    """One model output: a program text, or None when marked absent."""
+
+    id: str
+    program_text: Optional[str]
 
 
 def linearize_table(table: FinTable) -> list[str]:
@@ -280,6 +267,9 @@ def _build_record(
         # bool is an int: parse_answer reads true and false as yes and no.
         if not isinstance(qa["exe_ans"], (int, float, str)):
             raise _BuildError("qa.exe_ans", "must be a number, a string or a boolean")
+        # json reads NaN, Infinity and 1e400 as floats that no answer can equal.
+        if isinstance(qa["exe_ans"], float) and not math.isfinite(qa["exe_ans"]):
+            raise _BuildError("qa.exe_ans", "must be a finite number")
         gold_ids = _gold_ids(qa.get("gold_inds"), page.pre_text, page.table, page.post_text, warnings)
     except _BuildError as exc:
         return RejectedRecord(id=record_id, field_path=exc.field_path, reason=exc.reason)
@@ -345,12 +335,47 @@ def _gold_ids(
     return frozenset(ids)
 
 
+def _decode(text: str):
+    """Decode JSON text, raising ValueError also for nesting past the recursion limit."""
+    try:
+        return json.loads(text)
+    except RecursionError as exc:
+        raise ValueError(str(exc)) from None
+
+
+def _read(path) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise FileUnreadable(f"cannot read {path}: {exc}") from exc
+
+
+def _json_lines(text: str, invalid: Callable[[int, str], None]) -> Iterator[tuple[int, object]]:
+    """(line number, value) for each non-blank line, counted from 1; only "\\n" ends a line.
+
+    A line json cannot decode (malformed, an integer past Python's digit limit,
+    nested too deep) goes to ``invalid(line_no, message)``, which raises or records it.
+    """
+    for line_no, line in enumerate(text.split("\n"), start=1):
+        if line and not line.isspace():
+            try:
+                value = _decode(line)
+            except ValueError as exc:
+                invalid(line_no, str(exc))
+                continue
+            yield line_no, value
+
+
+_NON_BLANK_RE = re.compile(r"\S")
+
+
 def load_records(path) -> LoadResult:
     """Load and schema-validate a record file.
 
-    Raises FileUnreadable for IO problems and SchemaError for file-level
-    format problems (an empty file, or content that is neither a JSON array
-    nor JSON lines). Per-record problems become RejectedRecord entries.
+    Raises FileUnreadable for a file that cannot be read as UTF-8 and
+    SchemaError for file-level format problems (an empty file, or an array
+    that is not valid JSON). Per-record problems become RejectedRecord entries.
 
     Adjacent records with equal evidence (several questions on one report
     page) share its immutable objects: their ``pre_text``, ``post_text`` and
@@ -358,37 +383,24 @@ def load_records(path) -> LoadResult:
     against one context, whose number set is computed once. Every record
     still gets its own parse, checks, warnings and gold ids.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            content = handle.read()
-    except OSError as exc:
-        raise FileUnreadable(f"cannot read {path}: {exc}") from exc
-    stripped = content.strip()
-    if not stripped:
+    text = _read(path)
+    first = _NON_BLANK_RE.search(text)
+    if first is None:
         raise SchemaError(f"{path} is empty")
 
-    raw_records: list[tuple[object, int]] = []
-    rejects: list[RejectedRecord] = []
-    if stripped.startswith("["):
+    # Kept apart so that invalid-JSON rejects come first, ahead of build rejects.
+    invalid_json: list[RejectedRecord] = []
+    items: Iterable[tuple[int, object]]
+    if text.startswith("[", first.start()):
         try:
-            parsed = json.loads(stripped)
-        except json.JSONDecodeError as exc:
+            parsed = _decode(text.strip())
+        except ValueError as exc:
             raise SchemaError(f"{path} is not valid JSON: {exc}")
-        if not isinstance(parsed, list):
-            raise SchemaError(f"{path} must hold a list of records")
-        raw_records = [(item, i) for i, item in enumerate(parsed)]
+        items = enumerate(parsed)  # JSON text that starts with "[" is an array
     else:
-        for line_no, line in enumerate(stripped.splitlines(), start=1):
-            if not line.strip():
-                continue
-            try:
-                raw_records.append((json.loads(line), line_no))
-            except json.JSONDecodeError as exc:
-                rejects.append(
-                    RejectedRecord(
-                        id=f"line-{line_no}", field_path="", reason=f"invalid JSON: {exc}"
-                    )
-                )
+        items = _json_lines(
+            text, lambda n, msg: invalid_json.append(RejectedRecord(f"line-{n}", "", f"invalid JSON: {msg}"))
+        )
 
     # The last page whose evidence built: its raw evidence and what was built
     # from it. Rejected evidence never enters, so the slot holds only lists of
@@ -405,13 +417,31 @@ def load_records(path) -> LoadResult:
         return last_page
 
     records: list[EvidenceRecord] = []
-    for raw, ordinal in raw_records:
+    rejects: list[RejectedRecord] = []
+    for ordinal, raw in items:
         built = _build_record(raw, ordinal, page_of)
         if isinstance(built, EvidenceRecord):
             records.append(built)
         else:
             rejects.append(built)
-    return LoadResult(records=records, rejects=rejects)
+    return LoadResult(records=records, rejects=invalid_json + rejects)
+
+
+def load_predictions(path) -> list[PredictionRecord]:
+    """Read a prediction file: one JSON object {"id", "program"} per line."""
+
+    def invalid(line_no: int, message: str) -> None:
+        raise SchemaError(f"{path}:{line_no} is not valid JSON: {message}")
+
+    predictions = []
+    for line_no, raw in _json_lines(_read(path), invalid):
+        if not isinstance(raw, dict) or "id" not in raw:
+            raise SchemaError(f"{path}:{line_no} must be an object with an id")
+        program = raw.get("program")
+        if program is not None and not isinstance(program, str):
+            raise SchemaError(f"{path}:{line_no} program must be a string or null")
+        predictions.append(PredictionRecord(id=str(raw["id"]), program_text=program))
+    return predictions
 
 
 def _tokens(text: str) -> int:
@@ -481,10 +511,13 @@ def source_bucket(record: EvidenceRecord) -> str:
     return "table-text"
 
 
+def _count_bucket(count: int) -> str:
+    return str(count) if count <= 2 else ">2"
+
+
 def steps_bucket(record: EvidenceRecord) -> str:
     """The gold program's step count: "1", "2" or ">2"."""
-    steps = len(record.gold_program.steps)
-    return str(steps) if steps <= 2 else ">2"
+    return _count_bucket(len(record.gold_program.steps))
 
 
 def _fact_position(record: EvidenceRecord, fact_id: str) -> int:
@@ -532,19 +565,15 @@ def dataset_stats(records: list[EvidenceRecord]) -> StatsReport:
         text_sentences += len(sentences)
         record_text_tokens = sum(_tokens(s) for s in sentences)
         text_tokens += record_text_tokens
-        for s in sentences:
-            vocabulary.update(w.lower() for w in s.split())
 
-        table_rows += len(record.table.rows)
-        record_table_tokens = sum(_tokens(label) for label in record.table.header)
-        for name, cells in record.table.rows:
-            record_table_tokens += _tokens(name) + sum(_tokens(c) for c in cells)
-            vocabulary.update(w.lower() for w in name.split())
-            for c in cells:
-                vocabulary.update(w.lower() for w in c.split())
-        for label in record.table.header:
-            vocabulary.update(w.lower() for w in label.split())
+        rows = record.table.rows
+        table_rows += len(rows)
+        table_texts = [*record.table.header, *(name for name, _ in rows)]
+        table_texts += (cell for _, cells in rows for cell in cells)
+        record_table_tokens = sum(_tokens(text) for text in table_texts)
         table_tokens += record_table_tokens
+        for text in (*sentences, *table_texts):
+            vocabulary.update(w.lower() for w in text.split())
 
         record_input_tokens = record_text_tokens + record_table_tokens
         input_tokens_total += record_input_tokens
@@ -554,12 +583,8 @@ def dataset_stats(records: list[EvidenceRecord]) -> StatsReport:
         source_counts[source_bucket(record)] += 1
 
         count = len(record.gold_fact_ids)
-        if count == 1:
-            fact_count_counts["1"] += 1
-        elif count == 2:
-            fact_count_counts["2"] += 1
-        elif count > 2:
-            fact_count_counts[">2"] += 1
+        if count:
+            fact_count_counts[_count_bucket(count)] += 1
         if count >= 2:
             multi_fact_records += 1
             spots = sorted(_fact_position(record, fid) for fid in record.gold_fact_ids)

@@ -10,12 +10,11 @@ for error analysis.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 from decimal import Decimal
 from typing import Iterable, Optional
 
-from .corpus import EvidenceRecord, FileUnreadable, SchemaError, source_bucket, steps_bucket
+from .corpus import EvidenceRecord, PredictionRecord, source_bucket, steps_bucket
 from .dsl import Constant, ProgramError, parse_program
 from .equiv import program_accuracy
 from .executor import ExecutionError, execute, render_value
@@ -27,38 +26,6 @@ class UnknownRecordId(KeyError):
 
     def __str__(self) -> str:
         return str(self.args[0])  # KeyError's own str would quote the message
-
-
-@dataclass(frozen=True)
-class PredictionRecord:
-    """One model output: a program text, or None when marked absent."""
-
-    id: str
-    program_text: Optional[str]
-
-
-def load_predictions(path) -> list[PredictionRecord]:
-    """Read a prediction file: one JSON object {"id", "program"} per line."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
-    except OSError as exc:
-        raise FileUnreadable(f"cannot read {path}: {exc}") from exc
-    predictions = []
-    for line_no, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            raw = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{path}:{line_no} is not valid JSON: {exc}")
-        if not isinstance(raw, dict) or "id" not in raw:
-            raise SchemaError(f"{path}:{line_no} must be an object with an id")
-        program = raw.get("program")
-        if program is not None and not isinstance(program, str):
-            raise SchemaError(f"{path}:{line_no} program must be a string or null")
-        predictions.append(PredictionRecord(id=str(raw["id"]), program_text=program))
-    return predictions
 
 
 def parse_answer(raw) -> bool | Decimal | None:

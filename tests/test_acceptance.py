@@ -16,7 +16,8 @@ from finprog.corpus import candidate_facts, dataset_stats, load_records
 from finprog.decoding import build_vocabulary
 from finprog.dsl import parse_program, render_program, validate
 from finprog.equiv import equivalent
-from finprog.evaluate import PredictionRecord, breakdown_report, score_record
+from finprog.corpus import PredictionRecord
+from finprog.evaluate import breakdown_report, score_record
 from finprog.executor import ExecutionError, execute
 from finprog.retrieve import corpus_recall, single_op_answer
 

@@ -211,6 +211,99 @@ class TestEvalCommand:
         payload = json.loads(captured.out)
         assert payload["program_accuracy"] == 0.0
 
+    @pytest.mark.parametrize("flag", ["--abs-tol", "--rel-tol"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "1e400", "-1", "x"])
+    def test_tolerance_that_is_not_finite_and_nonnegative_is_usage_error(
+        self, capsys, sample_path, gold_preds_path, flag, value
+    ):
+        argv = ["eval", "--records", str(sample_path), "--preds", str(gold_preds_path), f"{flag}={value}"]
+        assert cli_dispatch(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {flag}: " in captured.err and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("flag", ["--abs-tol", "--rel-tol"])
+    def test_zero_tolerance_accepted(self, capsys, sample_path, gold_preds_path, flag):
+        argv = ["eval", "--records", str(sample_path), "--preds", str(gold_preds_path), flag, "0"]
+        assert cli_dispatch(argv) == 0
+
+    def test_non_finite_gold_answer_is_a_reject(self, capsys, tmp_path, sample_path):
+        line = sample_path.read_text(encoding="utf-8").splitlines()[0]
+        records = tmp_path / "records.jsonl"
+        records.write_text(line.replace('"exe_ans": 1164', '"exe_ans": NaN') + "\n")
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text(json.dumps({"id": json.loads(line)["id"], "program": "add(1, 2)"}) + "\n")
+        argv = ["eval", "--records", str(records), "--preds", str(preds), "--format", "machine"]
+        assert cli_dispatch(argv) == 1
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert json.loads(captured.out)["rejects"] == [
+            {"id": "alpha/2019/page_12.pdf-0", "field": "qa.exe_ans", "reason": "must be a finite number"}
+        ]
+
+
+class TestHostileFiles:
+    """Record and prediction files that json, UTF-8 or line splitting trip over."""
+
+    @pytest.mark.parametrize(
+        "command, which",
+        [("stats", "records"), ("retrieve", "records"), ("eval", "records"), ("eval", "preds")],
+    )
+    def test_file_that_is_not_utf8_is_input_error(
+        self, capsys, tmp_path, sample_path, gold_preds_path, command, which
+    ):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(b"\xff\n")
+        files = {"records": sample_path, "preds": gold_preds_path, which: bad}
+        argv = [command, "--records", str(files["records"])]
+        if command == "eval":
+            argv += ["--preds", str(files["preds"])]
+        assert cli_dispatch(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot read {bad}: ")
+
+    def test_line_separator_inside_a_sentence_loads(self, capsys, tmp_path, sample_path):
+        record = json.loads(sample_path.read_text(encoding="utf-8").splitlines()[0])
+        record["pre_text"][2] = "the increase was driven\u2028by the services segment ."
+        path = tmp_path / "records.jsonl"
+        path.write_text(json.dumps(record, ensure_ascii=False) + "\n", encoding="utf-8")
+        assert cli_dispatch(["stats", "--records", str(path), "--format", "machine"]) == 0
+        assert json.loads(capsys.readouterr().out)["examples"] == 1
+
+    @pytest.mark.parametrize(
+        "line",
+        ['{"id": ' + "1" * 5000 + "}", "[" * 100_000 + "]" * 100_000],
+        ids=["5000-digit-integer", "nested-100000-deep"],
+    )
+    def test_line_json_cannot_decode(self, capsys, tmp_path, sample_path, gold_preds_path, line):
+        records = tmp_path / "records.jsonl"
+        records.write_text(sample_path.read_text(encoding="utf-8") + line + "\n")
+        argv = ["eval", "--records", str(records), "--preds", str(gold_preds_path), "--format", "machine"]
+        assert cli_dispatch(argv) == 1
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert [r["id"] for r in json.loads(captured.out)["rejects"]] == ["line-21"]
+
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text(line + "\n")
+        assert cli_dispatch(["eval", "--records", str(sample_path), "--preds", str(preds)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {preds}:1 is not valid JSON: ")
+
+    def test_deeply_nested_array_file_is_input_error(self, capsys, tmp_path):
+        path = tmp_path / "records.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        assert cli_dispatch(["stats", "--records", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path} is not valid JSON: ")
+
+    def test_reject_ids_count_physical_lines(self, capsys, tmp_path, sample_path, gold_preds_path):
+        records = tmp_path / "records.jsonl"
+        records.write_text("\n\n{bad\n" + sample_path.read_text(encoding="utf-8"))
+        argv = ["eval", "--records", str(records), "--preds", str(gold_preds_path), "--format", "machine"]
+        assert cli_dispatch(argv) == 1
+        assert [r["id"] for r in json.loads(capsys.readouterr().out)["rejects"]] == ["line-3"]
+
 
 class TestExecCommand:
     def test_pure_arithmetic(self, capsys):

@@ -2,18 +2,25 @@ import dataclasses
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import SAMPLE_PATH
 from finprog.context import FinTable
 from finprog.corpus import (
     FileUnreadable,
+    PredictionRecord,
     SchemaError,
     candidate_facts,
     dataset_stats,
     linearize_table,
+    load_predictions,
     load_records,
     normalize_program_text,
     _fact_position,
 )
+from finprog.dsl import render_program
+from finprog.evaluate import score_record
 
 
 def write_jsonl(path, records):
@@ -405,6 +412,105 @@ class TestLoadRecords:
         (got,) = load_records(path).records
         assert got.gold_answer == exe_ans and type(got.gold_answer) is type(exe_ans)
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
+    def test_non_finite_exe_ans_rejected(self, tmp_path, literal):
+        path = tmp_path / "records.jsonl"
+        path.write_text(json.dumps(minimal_record()).replace('"exe_ans": 20', f'"exe_ans": {literal}'))
+        loaded = load_records(path)
+        assert not loaded.records
+        assert [(r.id, r.field_path, r.reason) for r in loaded.rejects] == [
+            ("co/2019/page_1.pdf-0", "qa.exe_ans", "must be a finite number")
+        ]
+
+    def test_file_that_is_not_utf8_is_unreadable(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        path.write_bytes(json.dumps(minimal_record()).encode() + b"\n\xff\n")
+        with pytest.raises(FileUnreadable, match="cannot read"):
+            load_records(path)
+
+    @pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\u0085"])
+    def test_unicode_line_separator_inside_a_sentence(self, tmp_path, separator):
+        path = tmp_path / "records.jsonl"
+        sentence = f"net sales were 100 in 2019 {separator} and 80 in 2018 ."
+        path.write_text(
+            json.dumps(minimal_record(pre_text=[sentence]), ensure_ascii=False) + "\n", encoding="utf-8"
+        )
+        loaded = load_records(path)
+        assert loaded.rejects == []
+        assert [r.pre_text for r in loaded.records] == [(sentence,)]
+
+    @pytest.mark.parametrize(
+        "line",
+        ['{"id": ' + "1" * 5000 + "}", "[" * 100_000 + "]" * 100_000],
+        ids=["5000-digit-integer", "nested-100000-deep"],
+    )
+    def test_line_json_cannot_decode_rejected(self, tmp_path, line):
+        path = tmp_path / "records.jsonl"
+        path.write_text(json.dumps(minimal_record()) + "\n" + line + "\n")
+        loaded = load_records(path)
+        assert len(loaded.records) == 1
+        assert [(r.id, r.field_path) for r in loaded.rejects] == [("line-2", "")]
+        assert loaded.rejects[0].reason.startswith("invalid JSON: ")
+
+    def test_deeply_nested_array_file_is_schema_error(self, tmp_path):
+        path = tmp_path / "records.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        with pytest.raises(SchemaError, match="is not valid JSON"):
+            load_records(path)
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_line_numbers_count_physical_lines(self, tmp_path, newline):
+        path = tmp_path / "records.jsonl"
+        lines = ["", " \t ", "{bad", json.dumps(minimal_record(id=None)), "  "]
+        path.write_bytes(newline.join(lines).encode())
+        loaded = load_records(path)
+        assert [r.id for r in loaded.records] == ["record-4"]
+        assert [r.id for r in loaded.rejects] == ["line-3"]
+
+    def test_invalid_json_rejects_come_first(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        bad = minimal_record(id="bad-0", pre_text="x")
+        path.write_text("\n".join([json.dumps(bad), "{bad", json.dumps(minimal_record())]))
+        loaded = load_records(path)
+        assert [(r.id, r.field_path) for r in loaded.rejects] == [("line-2", ""), ("bad-0", "pre_text")]
+
+
+class TestLoadPredictions:
+    def test_round_trip(self, tmp_path):
+        path = tmp_path / "preds.jsonl"
+        path.write_text('{"id": "a-0", "program": "add(1, 2)"}\n{"id": "b-0", "program": null}\n')
+        preds = load_predictions(path)
+        assert preds[0] == PredictionRecord(id="a-0", program_text="add(1, 2)")
+        assert preds[1].program_text is None
+
+    def test_malformed_line_raises(self, tmp_path):
+        path = tmp_path / "preds.jsonl"
+        path.write_text("not json\n")
+        with pytest.raises(SchemaError):
+            load_predictions(path)
+
+    def test_file_that_is_not_utf8_is_unreadable(self, tmp_path):
+        path = tmp_path / "preds.jsonl"
+        path.write_bytes(b'{"id": "a-0", "program": "add(1, 2)"}\n\xff\n')
+        with pytest.raises(FileUnreadable, match="cannot read"):
+            load_predictions(path)
+
+    @pytest.mark.parametrize(
+        "line",
+        ['{"id": ' + "1" * 5000 + "}", "[" * 100_000 + "]" * 100_000],
+        ids=["5000-digit-integer", "nested-100000-deep"],
+    )
+    def test_line_json_cannot_decode_is_schema_error(self, tmp_path, line):
+        path = tmp_path / "preds.jsonl"
+        path.write_text("\n" + line + "\n")
+        with pytest.raises(SchemaError, match=r":2 is not valid JSON: "):
+            load_predictions(path)
+
+    def test_unicode_line_separator_inside_a_program(self, tmp_path):
+        path = tmp_path / "preds.jsonl"
+        path.write_text('{"id": "a-0", "program": "add(1,\u2028 2)"}\n', encoding="utf-8")
+        assert load_predictions(path) == [PredictionRecord(id="a-0", program_text="add(1,\u2028 2)")]
+
 
 class TestPageSharing:
     """Adjacent records with equal evidence share what was built from it."""
@@ -560,3 +666,75 @@ class TestDatasetStats:
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
             dataset_stats([])
+
+
+
+# Every field_path a reject may name (docs/formats.md, Rejects).
+_RECORD_FIELDS = [("", k) for k in ("id", "pre_text", "post_text", "table", "qa")] + [
+    ("qa", k) for k in ("question", "program", "exe_ans", "gold_inds")
+]
+_FIELD_PATHS = {""} | {f"{owner}.{key}" if owner else key for owner, key in _RECORD_FIELDS}
+_RECORD_LINES = SAMPLE_PATH.read_text(encoding="utf-8").splitlines()
+_PREDICTION_LINES = [
+    json.dumps({"id": r["id"], "program": r["qa"]["program"]}) for r in map(json.loads, _RECORD_LINES)
+]
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+_HOSTILE_LINES = [
+    b'{"id": ' + b"1" * 5000 + b"}",
+    b"[" * 2000 + b"]" * 2000,
+    _RECORD_LINES[0].replace("the increase was", "the increase\u2028was").encode(),
+    _RECORD_LINES[2].replace('"exe_ans": 3251', '"exe_ans": 1e400').encode(),
+    b'{"id": "\xff\xfe"}',
+]
+
+
+@st.composite
+def _mutated_line(draw, lines, fields):
+    """A line with one field (top level, or under qa) set to an arbitrary JSON value."""
+    raw = json.loads(draw(st.sampled_from(lines)))
+    owner, key = draw(st.sampled_from(fields))
+    (raw[owner] if owner else raw)[key] = draw(_JSON_VALUES)
+    return json.dumps(raw).encode()
+
+
+def _files(lines, fields):
+    """One to four lines, each kept as it is, mutated, or hostile."""
+    kept = st.sampled_from([line.encode() for line in lines])
+    line = kept | _mutated_line(lines, fields) | st.sampled_from(_HOSTILE_LINES)
+    return st.lists(line, min_size=1, max_size=4).map(b"\n".join)
+
+
+class TestLoaderFuzz:
+    """Mutated and hostile lines: only the loaders' own errors escape, and what loads scores."""
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(_files(_RECORD_LINES, _RECORD_FIELDS))
+    def test_load_records(self, tmp_path_factory, content):
+        path = tmp_path_factory.getbasetemp() / "fuzz-records.jsonl"
+        path.write_bytes(content)
+        try:
+            loaded = load_records(path)
+        except (FileUnreadable, SchemaError):
+            return
+        for reject in loaded.rejects:
+            assert isinstance(reject.id, str) and reject.id
+            assert reject.field_path in _FIELD_PATHS
+        for record in loaded.records:
+            assert score_record(render_program(record.gold_program), record).id == record.id
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(_files(_PREDICTION_LINES, [("", "id"), ("", "program")]))
+    def test_load_predictions(self, tmp_path_factory, content):
+        path = tmp_path_factory.getbasetemp() / "fuzz-predictions.jsonl"
+        path.write_bytes(content)
+        try:
+            predictions = load_predictions(path)
+        except (FileUnreadable, SchemaError):
+            return
+        for prediction in predictions:
+            assert isinstance(prediction.id, str)
+            assert prediction.program_text is None or isinstance(prediction.program_text, str)

@@ -3,13 +3,12 @@ from random import Random
 
 import pytest
 
+from finprog.corpus import PredictionRecord
 from finprog.dsl import render_program
 from finprog.evaluate import (
-    PredictionRecord,
     UnknownRecordId,
     breakdown_report,
     execution_accuracy,
-    load_predictions,
     parse_answer,
     program_accuracy_corpus,
     score_record,
@@ -186,19 +185,3 @@ class TestBreakdown:
         assert payload["execution_accuracy"] == 1.0
         assert len(payload["verdicts"]) == len(sample_records)
 
-
-class TestLoadPredictions:
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "preds.jsonl"
-        path.write_text('{"id": "a-0", "program": "add(1, 2)"}\n{"id": "b-0", "program": null}\n')
-        preds = load_predictions(path)
-        assert preds[0] == PredictionRecord(id="a-0", program_text="add(1, 2)")
-        assert preds[1].program_text is None
-
-    def test_malformed_line_raises(self, tmp_path):
-        from finprog.corpus import SchemaError
-
-        path = tmp_path / "preds.jsonl"
-        path.write_text("not json\n")
-        with pytest.raises(SchemaError):
-            load_predictions(path)
