@@ -92,7 +92,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("retrieve", help="rank facts and report corpus recall@k")
     p.add_argument("--records", required=True)
-    p.add_argument("--k", type=int, default=3)
+    p.add_argument("--k", type=_at_least(int, 1), default=3, help="facts ranked per record (at least 1)")
     add_output(p)
 
     p = sub.add_parser("stats", help="dataset statistics for a record file")

@@ -437,10 +437,12 @@ def load_predictions(path) -> list[PredictionRecord]:
     for line_no, raw in _json_lines(_read(path), invalid):
         if not isinstance(raw, dict) or "id" not in raw:
             raise SchemaError(f"{path}:{line_no} must be an object with an id")
+        if not isinstance(raw["id"], str):
+            raise SchemaError(f"{path}:{line_no} id must be a string")
         program = raw.get("program")
         if program is not None and not isinstance(program, str):
             raise SchemaError(f"{path}:{line_no} program must be a string or null")
-        predictions.append(PredictionRecord(id=str(raw["id"]), program_text=program))
+        predictions.append(PredictionRecord(id=raw["id"], program_text=program))
     return predictions
 
 

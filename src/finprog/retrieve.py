@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, Optional
 from .corpus import EvidenceRecord, Fact, candidate_facts
 from .dsl import ProgramError, parse_program
 from .executor import ExecutionError, Value, execute
-from .numeric import extract_numbers, format_decimal
+from .numeric import first_mantissa, format_decimal
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
@@ -52,18 +52,17 @@ class TfIdfIndex:
         return tuple(f.id for f in self.facts)
 
 
-def _counts(tokens: list[str]) -> dict:
-    counts: dict[str, float] = {}
-    for token in tokens:
-        counts[token] = counts.get(token, 0.0) + 1.0
-    return counts
+def _unit_vector(counts: dict[str, int], idf: dict) -> dict[str, float]:
+    """Counts weighted by idf and scaled to unit L2 norm; empty counts stay empty.
 
-
-def _l2_normalize(vector: dict) -> dict:
-    norm = math.sqrt(sum(w * w for w in vector.values()))
+    The norm is the ``sum`` of the squared weights in first-token order; that
+    order and ``sum`` fix the last bit of every weight and score.
+    """
+    weights = [c * idf[t] for t, c in counts.items()]
+    norm = math.sqrt(sum([w * w for w in weights]))
     if norm == 0.0:
-        return dict(vector)
-    return {t: w / norm for t, w in vector.items()}
+        return {}
+    return {t: w / norm for t, w in zip(counts, weights)}
 
 
 def build_index(facts: Iterable[Fact]) -> TfIdfIndex:
@@ -71,34 +70,53 @@ def build_index(facts: Iterable[Fact]) -> TfIdfIndex:
     fact_list = list(facts)
     if not fact_list:
         raise EmptyCorpus("no facts to index")
-    tokenized = [tokenize(f.content) for f in fact_list]
-    n = len(fact_list)
+    all_counts = []
     df: dict[str, int] = {}
-    for tokens in tokenized:
-        for term in set(tokens):
+    for fact in fact_list:
+        counts: dict[str, int] = {}
+        for token in tokenize(fact.content):
+            counts[token] = counts.get(token, 0) + 1
+        for term in counts:
             df[term] = df.get(term, 0) + 1
+        all_counts.append(counts)
+    n = len(fact_list)
     idf = {term: math.log((1 + n) / (1 + count)) + 1.0 for term, count in df.items()}
-    vectors = tuple(
-        _l2_normalize({t: c * idf[t] for t, c in _counts(tokens).items()})
-        for tokens in tokenized
-    )
+    vectors = tuple([_unit_vector(counts, idf) for counts in all_counts])
     return TfIdfIndex(facts=tuple(fact_list), idf=idf, vectors=vectors)
+
+
+def _top(question: str, index: TfIdfIndex, k: int) -> list[tuple[int, float]]:
+    """(position, score) of the top-k facts by cosine; ties by position.
+
+    A question with no indexed term scores every fact ``0`` (an int); a fact
+    that shares no term with a non-empty query scores ``0.0``.
+    """
+    idf = index.idf
+    counts: dict[str, int] = {}
+    for term in tokenize(question):
+        if term in idf:
+            counts[term] = counts.get(term, 0) + 1
+    query = list(_unit_vector(counts, idf).items())
+    # A term the fact lacks would add w * 0.0, which leaves a sum unchanged,
+    # so it is skipped. The products are still added by sum(): from Python
+    # 3.12 it compensates rounding, and a running += could differ from it.
+    start = 0.0 if query else 0
+    scores = []
+    for vector in index.vectors:
+        products = []
+        for term, weight in query:
+            if term in vector:
+                products.append(weight * vector[term])
+        scores.append(sum(products, start))
+    # A stable sort keeps equal scores in position order, also in reverse.
+    order = sorted(range(len(scores)), key=scores.__getitem__, reverse=True)
+    return [(p, scores[p]) for p in order[: max(k, 0)]]
 
 
 def rank(question: str, index: TfIdfIndex, k: int) -> RankedFacts:
     """Top-k facts by cosine similarity; ties break by document order."""
-    query = {
-        t: c * index.idf[t]
-        for t, c in _counts(tokenize(question)).items()
-        if t in index.idf
-    }
-    query = _l2_normalize(query)
-    scored = []
-    for position, (fact, vector) in enumerate(zip(index.facts, index.vectors)):
-        score = sum(weight * vector.get(term, 0.0) for term, weight in query.items())
-        scored.append((-score, position, fact.id))
-    scored.sort()
-    return [(fact_id, -neg_score) for neg_score, _, fact_id in scored[: max(k, 0)]]
+    facts = index.facts
+    return [(facts[p].id, score) for p, score in _top(question, index, k)]
 
 
 def recall_at_k(ranked: RankedFacts, gold_ids: frozenset, k: int) -> float:
@@ -158,13 +176,11 @@ def single_op_answer(
     """
     if index is None:
         index = build_index(candidate_facts(record))
-    ranked = rank(record.question, index, 2)
-    by_id = {f.id: f for f in index.facts}
     operands = []
-    for fact_id, _ in ranked:
-        quantities = extract_numbers(by_id[fact_id].content)
-        if quantities:
-            operands.append(format_decimal(quantities[0].mantissa))
+    for position, _ in _top(record.question, index, 2):
+        mantissa = first_mantissa(index.facts[position].content)
+        if mantissa is not None:
+            operands.append(format_decimal(mantissa))
     program_text = f"divide({', '.join(operands)})"
     try:
         program = parse_program(program_text)

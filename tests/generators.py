@@ -11,6 +11,7 @@ convention for uninterpreted operations.
 
 from __future__ import annotations
 
+import math
 import re
 from decimal import Decimal
 from fractions import Fraction
@@ -495,3 +496,42 @@ def bruteforce_next_tokens(
         if completable(prefix + [candidate], depth):
             legal.add(candidate)
     return legal
+
+
+def naive_tfidf_rank(contents: list[str], question: str, k: int) -> list[tuple[int, float]]:
+    """Top-k (position, score) of smoothed TF-IDF cosine ranking, ties by position.
+
+    Written from the formulas alone: float term counts, document frequency
+    over each fact's ``set`` of tokens, idf = ln((1+N)/(1+df)) + 1, vectors
+    L2-normalized with genexpr ``sum``s, and the query scored against every
+    fact term by term, a missing term adding ``w * 0.0``.
+    """
+
+    def tokens(text: str) -> list[str]:
+        return re.findall(r"[a-z0-9]+", text.lower())
+
+    def counts(terms: list[str]) -> dict[str, float]:
+        out: dict[str, float] = {}
+        for term in terms:
+            out[term] = out.get(term, 0.0) + 1.0
+        return out
+
+    def normalized(vector: dict[str, float]) -> dict[str, float]:
+        norm = math.sqrt(sum(w * w for w in vector.values()))
+        return dict(vector) if norm == 0.0 else {t: w / norm for t, w in vector.items()}
+
+    tokenized = [tokens(c) for c in contents]
+    df: dict[str, int] = {}
+    for terms in tokenized:
+        for term in set(terms):
+            df[term] = df.get(term, 0) + 1
+    n = len(contents)
+    idf = {t: math.log((1 + n) / (1 + d)) + 1.0 for t, d in df.items()}
+    vectors = [normalized({t: c * idf[t] for t, c in counts(terms).items()}) for terms in tokenized]
+    query = normalized({t: c * idf[t] for t, c in counts(tokens(question)).items() if t in idf})
+    scored = [
+        (-sum(w * vector.get(t, 0.0) for t, w in query.items()), position)
+        for position, vector in enumerate(vectors)
+    ]
+    scored.sort()
+    return [(position, -neg) for neg, position in scored[: max(k, 0)]]

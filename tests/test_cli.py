@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import pytest
 
@@ -195,6 +196,15 @@ class TestEvalCommand:
         assert captured.err == "error: prediction id 'nope' matches no record\n"
         assert captured.out == ""
 
+    def test_prediction_id_that_is_not_a_string_is_input_error(self, capsys, tmp_path, sample_path):
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text(json.dumps({"id": 5, "program": "add(1, 2)"}) + "\n")
+        code = cli_dispatch(["eval", "--records", str(sample_path), "--preds", str(preds)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == f"error: {preds}:1 id must be a string\n"
+        assert captured.out == ""
+
     def test_deep_prediction_scored(self, capsys, tmp_path, sample_path):
         record = sample_path.read_text(encoding="utf-8").splitlines()[0]
         records = tmp_path / "records.jsonl"
@@ -378,6 +388,21 @@ class TestRetrieveCommand:
         assert payload["k"] == 5
         assert len(payload["per_record"]) == 20
         assert all(len(entry["fact"]) > 0 for r in payload["rankings"].values() for entry in r)
+
+    def test_machine_output_matches_golden_file(self, capsys, sample_path):
+        golden = pathlib.Path(__file__).parent / "data" / "retrieve_sample_k5.json"
+        code = cli_dispatch(
+            ["retrieve", "--records", str(sample_path), "--k", "5", "--format", "machine"]
+        )
+        assert code == 0
+        assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_k_below_one_is_usage_error(self, capsys, sample_path, k):
+        assert cli_dispatch(["retrieve", "--records", str(sample_path), "--k", k]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"--k: must be at least 1 and finite, got {k}" in captured.err
 
     def test_one_index_per_run_of_equal_evidence(self, capsys, monkeypatch, aaba_path):
         import finprog.retrieve

@@ -506,6 +506,13 @@ class TestLoadPredictions:
         with pytest.raises(SchemaError, match=r":2 is not valid JSON: "):
             load_predictions(path)
 
+    @pytest.mark.parametrize("value", [None, ["a-0"], 5])
+    def test_id_that_is_not_a_string_is_schema_error(self, tmp_path, value):
+        path = tmp_path / "preds.jsonl"
+        path.write_text('{"id": "a-0", "program": null}\n' + json.dumps({"id": value, "program": "add(1, 2)"}) + "\n")
+        with pytest.raises(SchemaError, match=r":2 id must be a string$"):
+            load_predictions(path)
+
     def test_unicode_line_separator_inside_a_program(self, tmp_path):
         path = tmp_path / "preds.jsonl"
         path.write_text('{"id": "a-0", "program": "add(1,\u2028 2)"}\n', encoding="utf-8")

@@ -1,9 +1,12 @@
 import dataclasses
+import json
 import math
 from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finprog.corpus import Fact, candidate_facts, load_records
 from finprog.retrieve import (
@@ -17,6 +20,8 @@ from finprog.retrieve import (
     single_op_answer,
     tokenize,
 )
+
+from generators import naive_tfidf_rank
 
 
 def facts(*contents):
@@ -115,6 +120,50 @@ class TestRank:
     def test_deterministic(self):
         index = build_index(facts("a b c", "b c d", "c d e"))
         assert rank("b c", index, 3) == rank("b c", index, 3)
+
+
+# Words that repeat, digit runs, non-ASCII letters (which split tokens) and
+# punctuation; facts may be empty, and a question may share no word with them.
+_WORDS = ["net", "sales", "net", "2019", "7", "1,500", "été", "straße", "İncome", "Rate", "-", "."]
+_contents = st.one_of(
+    st.lists(st.sampled_from(_WORDS), max_size=12).map(" ".join),
+    st.text(max_size=20),
+)
+_questions = st.one_of(
+    st.lists(st.sampled_from(_WORDS + ["unseen", "words"]), max_size=10).map(" ".join),
+    st.just(""),
+    st.just("unseen words only"),
+    st.text(max_size=20),
+)
+
+
+def _exact(ranked):
+    """Ids with each score's type and exact bits; an int score stays an int."""
+    return [(i, type(s), s.hex() if isinstance(s, float) else s) for i, s in ranked]
+
+
+class TestRankMatchesNaiveFormulas:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.lists(_contents, min_size=1, max_size=8), _questions)
+    def test_same_ids_and_score_bits_for_every_k(self, contents, question):
+        index = build_index(facts(*contents))
+        for k in range(len(contents) + 2):
+            naive = [(f"text:{p}", score) for p, score in naive_tfidf_rank(contents, question, k)]
+            assert _exact(rank(question, index, k)) == _exact(naive)
+
+    def test_question_with_no_indexed_term_scores_int_zero(self):
+        index = build_index(facts("net sales", ""))
+        for question in ("", "unseen words"):
+            ranked = rank(question, index, 2)
+            assert ranked == [("text:0", 0), ("text:1", 0)]
+            assert all(type(score) is int for _, score in ranked)
+            assert json.dumps(ranked) == '[["text:0", 0], ["text:1", 0]]'
+
+    def test_fact_without_query_terms_scores_float_zero(self):
+        ranked = rank("net", build_index(facts("net sales", "rate", "")), 3)
+        assert ranked[1:] == [("text:1", 0.0), ("text:2", 0.0)]
+        assert all(type(score) is float for _, score in ranked)
+        assert json.dumps(ranked[1:]) == '[["text:1", 0.0], ["text:2", 0.0]]'
 
 
 class TestRecall:
