@@ -75,14 +75,10 @@ class FinTable:
     def row_names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.rows)
 
-    @cached_property
-    def _normalized_row_names(self) -> tuple[str, ...]:
-        return tuple(normalize_row_name(name) for name, _ in self.rows)
-
     def matching_rows(self, name: str) -> list[int]:
         """Indexes of all rows whose normalized name equals the query's."""
         key = normalize_row_name(name)
-        return [i for i, row_key in enumerate(self._normalized_row_names) if row_key == key]
+        return [i for i, (row_name, _) in enumerate(self.rows) if normalize_row_name(row_name) == key]
 
     def find_row(self, name: str) -> int | None:
         """First row matching the name, or None. Ties resolve to the first."""

@@ -144,17 +144,6 @@ def extract_numbers(sentence: str) -> list[Quantity]:
     return [_quantity_from_match(m, sentence) for m in _QUANTITY_RE.finditer(sentence)]
 
 
-def first_mantissa(text: str) -> Decimal | None:
-    """The mantissa of ``extract_numbers(text)[0]``, or None when it is empty.
-
-    Reads only the first match; no ``Quantity`` is built.
-    """
-    m = _QUANTITY_RE.search(text)
-    if m is None:
-        return None
-    return _mantissa(m["pnum"], m["sign"], m["num"])
-
-
 def mantissa_set(texts: Iterable[str]) -> frozenset[Decimal]:
     """The mantissas ``extract_numbers`` reads from the texts, as one set.
 

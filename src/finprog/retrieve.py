@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, Optional
 from .corpus import EvidenceRecord, Fact, candidate_facts
 from .dsl import ProgramError, parse_program
 from .executor import ExecutionError, Value, execute
-from .numeric import first_mantissa, format_decimal
+from .numeric import extract_numbers, format_decimal
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
@@ -178,9 +178,9 @@ def single_op_answer(
         index = build_index(candidate_facts(record))
     operands = []
     for position, _ in _top(record.question, index, 2):
-        mantissa = first_mantissa(index.facts[position].content)
-        if mantissa is not None:
-            operands.append(format_decimal(mantissa))
+        quantities = extract_numbers(index.facts[position].content)
+        if quantities:
+            operands.append(format_decimal(quantities[0].mantissa))
     program_text = f"divide({', '.join(operands)})"
     try:
         program = parse_program(program_text)

@@ -16,7 +16,6 @@ from finprog.numeric import (
     TolerancePolicy,
     decimal_places,
     extract_numbers,
-    first_mantissa,
     format_decimal,
     parse_quantity,
     round_half_up,
@@ -126,17 +125,6 @@ class TestQuantityScan:
     def test_lookahead_keeps_every_match(self, text):
         assert _scan(_QUANTITY_RE, text) == _scan(_UNGATED_RE, text)
         assert bool(_QUANTITY_RE.fullmatch(text)) == bool(_UNGATED_RE.fullmatch(text))
-
-    @settings(max_examples=1000)
-    @given(st.one_of(_scan_texts, st.text(max_size=40)))
-    def test_first_mantissa_is_the_first_extracted(self, text):
-        quantities = extract_numbers(text)
-        expected = quantities[0].mantissa if quantities else None
-        assert repr(first_mantissa(text)) == repr(expected)
-
-    def test_first_mantissa_in_a_sentence(self):
-        assert first_mantissa("net sales were (1,500.50) million in 2019") == Decimal("-1500.50")
-        assert first_mantissa("no figures here") is None
 
     @given(st.lists(_scan_texts, max_size=4), st.lists(_scan_texts, min_size=2, max_size=2))
     def test_number_values_are_extracted_mantissas(self, sentences, row):
