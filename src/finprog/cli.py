@@ -17,7 +17,7 @@ from .context import EvidenceContext
 from .corpus import FileUnreadable, SchemaError, dataset_stats, linearize_table, load_predictions, load_records
 from .decoding import IllegalToken, build_vocabulary, next_token_mask, replay
 from .dsl import ProgramError, is_valid, parse_program, tokenize_program, validate
-from .equiv import compare_programs
+from .equiv import compare_programs, pair_symbolize, to_expression
 from .evaluate import UnknownRecordId, breakdown_report
 from .executor import ExecutionError, execute, render_value
 from .numeric import TolerancePolicy
@@ -107,7 +107,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mask", help="legal next tokens for a program prefix")
     p.add_argument("--prefix", default="", help="program prefix, e.g. 'add ('")
     add_record_selector(p)
-    p.add_argument("--max-steps", type=int, default=5)
+    p.add_argument("--max-steps", type=_at_least(int, 1), default=5)
     return parser
 
 
@@ -177,8 +177,8 @@ def _cmd_equiv(args) -> int:
     report = compare_programs(a, b, samples=args.samples, seed=args.seed)
     print("equivalent" if report.equivalent else "not equivalent")
     print(f"reason: {report.reason}")
-    print(f"canonical a: {report.canonical_left}")
-    print(f"canonical b: {report.canonical_right}")
+    for label, symbolic in zip("ab", pair_symbolize(a, b)):
+        print(f"canonical {label}: {to_expression(symbolic)}")
     return 0
 
 

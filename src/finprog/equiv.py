@@ -2,18 +2,18 @@
 
 Arguments are first replaced by symbols shared across the compared pair
 (equal numbers, constants of equal value, and identical names collapse to one
-symbol). Each symbolic program is then built into a normalized form over
-those symbols, once per step and in one loop: sums and products are flattened,
-like parts collected and sorted as each form is made, so every form is born
-normalized and carries its canonical key, made once from its parts' keys.
+symbol). Each step of both programs is then interned, once, into one table
+of normalized forms that the pair shares (hash-consing): sums and products
+are flattened and like parts collected, and a form is its operation over its
+parts' ids, so the programs match canonically when their final forms share an id.
 
-Pairs whose keys differ get a randomized fallback, so identities that
+Pairs whose ids differ get a randomized fallback, so identities that
 normalization does not rewrite (for example distributivity) are still
-recognized. Every distinct subform of both sides is evaluated, children
-first, at independent random integer points, modulo the prime p = 2**61 - 1
-with plain integers. Both sides are rational functions of the symbols, and
-over Z_p a point can only wrongly say "agree", never "differ": by the
-Schwartz-Zippel / DeMillo-Lipton lemma a point agrees by chance with
+recognized. The table's forms reachable from both sides are evaluated once,
+children first, at independent random integer points, modulo the prime
+p = 2**61 - 1 with plain integers. Both sides are rational functions of the
+symbols, and over Z_p a point can only wrongly say "agree", never "differ":
+by the Schwartz-Zippel / DeMillo-Lipton lemma a point agrees by chance with
 probability at most deg/p. A program can also build a coefficient that is a
 multiple of p, or an exponent that is a multiple of p - 1, which Z_p cannot
 tell from 0. So before the fallback reports agreement it confirms it at one
@@ -38,7 +38,7 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -115,82 +115,91 @@ def pair_symbolize(p1: Program, p2: Program) -> tuple[SymbolicProgram, SymbolicP
     return SymbolicProgram(steps1, symbols), SymbolicProgram(steps2, symbols)
 
 
-@dataclass(frozen=True)
-class Form:
-    """A normalized expression with its canonical key; equal keys mean equal forms.
-
-    ``parts`` are ``(weight, form)`` pairs. In a ``"+"`` or ``"*"`` chain they
-    are sorted by key and weigh the signed coefficients of a sum or the
-    integer exponents of a product; the empty sum is zero, the empty product
-    one. ``"^"`` (uninterpreted ``exp``) and ``">"`` have their two operands
-    in order, of weight 1. A leaf (``op`` ``"sym"`` or a table operation) has
-    no parts and names its ``symbol`` id.
-    """
-
-    key: str
-    op: str = field(compare=False)
-    parts: tuple[tuple[int, Form], ...] = field(default=(), compare=False)
-    symbol: int = field(default=0, compare=False)
-
-
 _CHAIN_STEPS = {"add": ("+", 1), "subtract": ("+", -1), "multiply": ("*", 1), "divide": ("*", -1)}
+_LEAVES = ("sym", *TABLE_OPS)
 
 
-def _chain(op: str, terms) -> Form:
-    """The normalized sum (``"+"``) or product (``"*"``) of ``(weight, form)`` terms.
+def _intern(node: tuple, table: dict, nodes: list) -> int:
+    """The id of ``node`` in one comparison's table of forms; new nodes are appended.
+
+    A leaf (a symbol or a row's table aggregation) is ``(op, symbol_id)``; any
+    other node is ``(op, parts)`` of ``(weight, id)`` parts interned before it:
+    a sum's coefficients or a product's exponents by id, or the operands of ``"^"`` or ``">"``.
+    """
+    form = table.setdefault(node, len(nodes))
+    if form == len(nodes):
+        nodes.append(node)
+    return form
+
+
+def _chain(op: str, terms, table: dict, nodes: list) -> int:
+    """The id of the normalized sum (``"+"``) or product (``"*"``) of ``(weight, id)`` terms.
 
     Children of the same kind are flattened with their weights multiplied,
     and like forms collect their weights. Zero weights drop out, so a/a is
-    one as a rational function. Parts sort by key, and a lone part of weight
-    1 stands for itself.
+    one as a rational function, and a lone part of weight 1 stands for itself.
     """
-    collected: dict[str, list] = {}
+    collected: dict[int, int] = {}
     for weight, form in terms:
-        for inner_weight, part in form.parts if form.op == op else ((1, form),):
-            entry = collected.setdefault(part.key, [0, part])
-            entry[0] += weight * inner_weight
-    parts = tuple((weight, part) for _, (weight, part) in sorted(collected.items()) if weight != 0)
+        kind, parts = nodes[form]
+        for inner, part in parts if kind == op else ((1, form),):
+            collected[part] = collected.get(part, 0) + weight * inner
+    parts = tuple([(weight, part) for part, weight in sorted(collected.items()) if weight])
     if len(parts) == 1 and parts[0][0] == 1:
         return parts[0][1]
-    if op == "+":
-        inner = " ".join(f"{weight}*{part.key}" for weight, part in parts)
-    else:
-        inner = " ".join(f"{part.key}^{weight}" for weight, part in parts)
-    return Form(f"({op} {inner})", op, parts)
+    return _intern((op, parts), table, nodes)
 
 
-def _leaf(op: str, symbol: int) -> Form:
-    """A symbol, or a table aggregation applied to a row symbol."""
-    if op in TABLE_OPS:
-        return Form(f"{op}[s{symbol}]", op, symbol=symbol)
-    return Form(f"s{symbol}", "sym", symbol=symbol)
-
-
-def to_expression(sp: SymbolicProgram) -> Form:
-    """The normalized form of the final step, built one step at a time.
-
-    Each step's form is made once, from the forms of the steps it references.
-    Steps the final step never reaches do not change it: equivalence is
-    defined by the produced value alone.
-    """
+def _build(sp: SymbolicProgram, table: dict, nodes: list) -> int:
+    """Intern each step's form, made once from the steps it references; returns the last one's id."""
     if not sp.steps:
         raise ValueError("empty program has no expression")
-    forms: list[Form] = []
+    ids: list[int] = []
     for step in sp.steps:
-        operands = [forms[value] if kind == "step" else _leaf(step.op, value) for kind, value in step.args]
+        leaf = step.op if step.op in TABLE_OPS else "sym"
+        operands = [ids[value] if kind == "step" else _intern((leaf, value), table, nodes) for kind, value in step.args]
         if step.op in _CHAIN_STEPS:
             op, sign = _CHAIN_STEPS[step.op]
-            form = _chain(op, ((1, operands[0]), (sign, operands[1])))
+            ids.append(_chain(op, ((1, operands[0]), (sign, operands[1])), table, nodes))
         elif step.op in ("exp", "greater"):
             op = "^" if step.op == "exp" else ">"
-            key = f"({op} {operands[0].key} {operands[1].key})"
-            form = Form(key, op, ((1, operands[0]), (1, operands[1])))
+            ids.append(_intern((op, ((1, operands[0]), (1, operands[1]))), table, nodes))
         elif step.op in TABLE_OPS:
-            form = operands[0]
+            ids.append(operands[0])
         else:
             raise ValueError(f"unknown operation {step.op!r}")
-        forms.append(form)
-    return forms[-1]
+    return ids[-1]
+
+
+def _reachable(nodes: list, roots) -> list[int]:
+    """The ids reachable from ``roots``, in increasing order, found in one pass from the top down."""
+    marked = set(roots)
+    for form in range(max(roots), -1, -1):
+        if form in marked and nodes[form][0] not in _LEAVES:
+            marked.update([part for _, part in nodes[form][1]])
+    return sorted(marked)
+
+
+def to_expression(sp: SymbolicProgram) -> str:
+    """The canonical text of the final step's form; equal texts mean equal forms.
+
+    Each form it reaches is rendered once, in id order, from its parts' text,
+    and chain parts are written in order of their text.
+    """
+    nodes: list = []
+    root = _build(sp, {}, nodes)
+    text: dict[int, str] = {}
+    for form in _reachable(nodes, (root,)):
+        op, arg = nodes[form]
+        if op in _LEAVES:
+            text[form] = f"s{arg}" if op == "sym" else f"{op}[s{arg}]"
+        elif op in ("+", "*"):
+            terms = sorted([(text[part], weight) for weight, part in arg])
+            inner = " ".join([f"{w}*{t}" if op == "+" else f"{t}^{w}" for t, w in terms])
+            text[form] = f"({op} {inner})"
+        else:
+            text[form] = f"({op} {text[arg[0][1]]} {text[arg[1][1]]})"
+    return text[root]
 
 
 def _hashed_int(seed: int, parts: tuple) -> int:
@@ -200,45 +209,37 @@ def _hashed_int(seed: int, parts: tuple) -> int:
     return value if value != 0 else 1
 
 
-def _sampling_plan(roots: tuple[Form, ...], symbols: tuple) -> tuple[list, list[int]]:
-    """Instructions that evaluate every distinct subform of ``roots`` once.
+def _plan(nodes: list, roots: tuple[int, ...], symbols: tuple) -> tuple[list, list[int]]:
+    """Instructions for ``_evaluate`` of every form reachable from ``roots``, and the roots' positions.
 
-    Subforms are found with an explicit stack and ordered children before
-    parents, in part order. Returns the instructions for ``_evaluate`` and the
-    position of each root's value.
+    Divisors and what they need come first, so a pass stops at a divisor
+    that kills every trial before the rest is evaluated. Unreachable forms,
+    such as a divisor in a dead step, are left out and kill no trial.
     """
-    order: list[Form] = []
-    position: dict[str, int] = {}
-    stack = [(root, False) for root in reversed(roots)]
-    while stack:
-        form, ready = stack.pop()
-        if form.key in position:
-            continue
-        if ready:
-            position[form.key] = len(order)
-            order.append(form)
-        else:
-            stack.append((form, True))
-            stack.extend((part, False) for _, part in reversed(form.parts))
-    divisors = {part.key for form in order if form.op == "*" for weight, part in form.parts if weight < 0}
+    order = _reachable(nodes, roots)
+    divisors = {part for form in order if nodes[form][0] == "*" for weight, part in nodes[form][1] if weight < 0}
+    if divisors:
+        first = _reachable(nodes, divisors)
+        order = first + sorted(set(order).difference(first))
+    position = {form: i for i, form in enumerate(order)}
     plan = []
     for form in order:
-        op = form.op
-        if op == "sym" or op in TABLE_OPS:
+        op, arg = nodes[form]
+        if op in _LEAVES:
             # Symbol values are keyed by symbol identity rather than id, so
             # points do not depend on the order the pair was symbolized in.
-            symbol = symbols[form.symbol]
+            symbol = symbols[arg]
             key = (symbol,) if op == "sym" else ("agg", op, symbol)
             # The leaf's value at ``trial`` is ``_hashed_int(seed, (trial, *key))``,
             # the hash of ``repr((seed, (trial, *key)))``. Only the head of that
             # text depends on the point, so the tail is encoded here, once.
             op, arg = "leaf", f", {', '.join(map(repr, key))}))".encode()
-        elif any(part.op == ">" for _, part in form.parts):
+        elif any(nodes[part][0] == ">" for _, part in arg):
             op, arg = "boolean in arithmetic", ()  # only ">" forms are boolean: every point fails
         else:
-            arg = tuple([(weight, position[part.key]) for weight, part in form.parts])
-        plan.append((op, arg, form.key in divisors))
-    return plan, [position[root.key] for root in roots]
+            arg = tuple([(weight, position[part]) for weight, part in arg])
+        plan.append((op, arg, form in divisors))
+    return plan, [position[root] for root in roots]
 
 
 _P = 2**61 - 1  # a Mersenne prime: residues fit in a machine word
@@ -407,8 +408,6 @@ def _sample(plan: list, roots: list[int], seed: int, points: int, trials: int, m
 class EquivalenceReport:
     equivalent: bool
     reason: str
-    canonical_left: str
-    canonical_right: str
 
 
 def compare_programs(
@@ -418,13 +417,13 @@ def compare_programs(
     samples: int = DEFAULT_SAMPLE_POINTS,
     seed: int = 0,
 ) -> EquivalenceReport:
-    """Full equivalence decision with the canonical forms it was based on.
+    """Full equivalence decision with the reason it was based on.
 
     Reasons: canonical-match, randomized-agreement, counterexample,
     incomparable-types (one program ends in a boolean, the other a number),
     degenerate (no evaluable sample points exist outside the canonical match).
 
-    Pairs whose keys differ are compared at ``samples`` evaluable random
+    Pairs whose forms differ are compared at ``samples`` evaluable random
     points, drawn from at most ``20 * samples`` trials; ``samples`` below 1
     raises ValueError, since no point would then be checked. Points are
     evaluated over Z_p and an agreement is confirmed at one exact point;
@@ -433,24 +432,24 @@ def compare_programs(
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     s1, s2 = pair_symbolize(p1, p2)
-    left = to_expression(s1)
-    right = to_expression(s2)
-    key_left, key_right = left.key, right.key
-    if (left.op == ">") != (right.op == ">"):
-        return EquivalenceReport(False, "incomparable-types", key_left, key_right)
-    if key_left == key_right:
-        return EquivalenceReport(True, "canonical-match", key_left, key_right)
+    table, nodes = {}, []
+    left, right = _build(s1, table, nodes), _build(s2, table, nodes)
+    boolean = nodes[left][0] == ">"
+    if boolean != (nodes[right][0] == ">"):
+        return EquivalenceReport(False, "incomparable-types")
+    if left == right:
+        return EquivalenceReport(True, "canonical-match")
 
-    plan, roots = _sampling_plan((left, right), s1.symbols)
+    plan, roots = _plan(nodes, (left, right), s1.symbols)
     trials = samples * 20
-    if left.op == ">":
+    if boolean:
         reason = _sample(plan, roots, seed, samples, trials, None)
     else:
         reason = _sample(plan, roots, seed, samples, trials, _P)
         if reason == "randomized-agreement":
             # Z_p errs only towards agreement: confirm it at one exact point.
             reason = _sample(plan, roots, seed, 1, trials, None)
-    return EquivalenceReport(reason == "randomized-agreement", reason, key_left, key_right)
+    return EquivalenceReport(reason == "randomized-agreement", reason)
 
 
 def equivalent(

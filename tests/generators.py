@@ -2,11 +2,13 @@
 
 The oracles here deliberately avoid the package's execution and equivalence
 machinery: the tree-walking interpreter recomputes every step by recursive
-substitution instead of a memoized environment, and the randomized program
+substitution instead of a memoized environment, the randomized program
 oracle evaluates symbolic programs step by step without building, normalizing,
-or pruning expression trees. Shared pieces are limited to definitional layers:
-quantity parsing, the symbol-identity rule, and the hashed sample-point
-convention for uninterpreted operations.
+or pruning expression trees, and the canonical-key oracle builds each step's
+normalized form as a string that embeds its parts' strings in full, with no
+intern table. Shared pieces are limited to definitional layers: quantity
+parsing, the symbol-identity rule, and the hashed sample-point convention for
+uninterpreted operations.
 """
 
 from __future__ import annotations
@@ -449,6 +451,61 @@ def reorder_independent_steps(program: Program) -> Program | None:
         for s in program.steps[2:]
     ]
     return Program(steps=(second, first, *rest))
+
+
+# ---------------------------------------------------------------------------
+# string-key canonical forms (oracle for the interned forms of equiv)
+
+_ORACLE_CHAINS = {"add": ("+", 1), "subtract": ("+", -1), "multiply": ("*", 1), "divide": ("*", -1)}
+
+
+def _oracle_chain(op: str, terms) -> tuple:
+    """The (key, op, parts) form of a flattened sum or product of (weight, form) terms.
+
+    Same-kind children are flattened with their weights multiplied, like
+    parts collect their weights by key, zero weights drop out, parts sort by
+    key, and a lone part of weight 1 stands for itself.
+    """
+    collected: dict[str, list] = {}
+    for weight, form in terms:
+        _, kind, parts = form
+        for inner, part in parts if kind == op else ((1, form),):
+            entry = collected.setdefault(part[0], [0, part])
+            entry[0] += weight * inner
+    parts = tuple((weight, part) for _, (weight, part) in sorted(collected.items()) if weight != 0)
+    if len(parts) == 1 and parts[0][0] == 1:
+        return parts[0][1]
+    if op == "+":
+        inner_text = " ".join(f"{weight}*{part[0]}" for weight, part in parts)
+    else:
+        inner_text = " ".join(f"{part[0]}^{weight}" for weight, part in parts)
+    return (f"({op} {inner_text})", op, parts)
+
+
+def oracle_canonical_key(sp) -> str:
+    """The canonical key of a symbolic program's final step, built from strings.
+
+    Each step's form is a (key, op, parts) triple whose key embeds its
+    parts' keys in full: ``s<id>`` for a symbol, ``<table-op>[s<id>]`` for an
+    aggregation, ``(+ w*key ...)`` and ``(* key^w ...)`` for chains, and
+    ``(^ base exponent)`` and ``(> left right)`` with operands in order.
+    Equal keys mean equal normalized forms.
+    """
+    forms: list[tuple] = []
+    for step in sp.steps:
+        if step.op in TABLE_OPS:
+            ((_, symbol),) = step.args
+            forms.append((f"{step.op}[s{symbol}]", step.op, ()))
+            continue
+        operands = [forms[value] if kind == "step" else (f"s{value}", "sym", ()) for kind, value in step.args]
+        if step.op in _ORACLE_CHAINS:
+            op, sign = _ORACLE_CHAINS[step.op]
+            forms.append(_oracle_chain(op, ((1, operands[0]), (sign, operands[1]))))
+        else:
+            op = "^" if step.op == "exp" else ">"
+            key = f"({op} {operands[0][0]} {operands[1][0]})"
+            forms.append((key, op, ((1, operands[0]), (1, operands[1]))))
+    return forms[-1][0]
 
 
 # ---------------------------------------------------------------------------

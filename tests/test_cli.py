@@ -25,6 +25,15 @@ class TestEquivCommand:
         assert code == 0
         assert out.splitlines()[0] == "equivalent"
 
+    def test_prints_canonical_text(self, capsys):
+        assert cli_dispatch(["equiv", "add(a, b)", "add(b, a)"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "equivalent",
+            "reason: canonical-match",
+            "canonical a: (+ 1*s0 1*s1)",
+            "canonical b: (+ 1*s0 1*s1)",
+        ]
+
     def test_not_equivalent(self, capsys):
         code = cli_dispatch(["equiv", "subtract(1, 2)", "subtract(2, 1)"])
         out = capsys.readouterr().out
@@ -465,3 +474,10 @@ class TestMaskCommand:
 
     def test_illegal_prefix(self, capsys):
         assert cli_dispatch(["mask", "--prefix", ") ("]) == 1
+
+    @pytest.mark.parametrize("max_steps", ["0", "-1"])
+    def test_max_steps_below_one_is_usage_error(self, capsys, max_steps):
+        assert cli_dispatch(["mask", "--max-steps", max_steps]) == 2
+        captured = capsys.readouterr()
+        assert "argument --max-steps: must be at least 1" in captured.err
+        assert captured.out == ""

@@ -3,16 +3,19 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finprog import equiv
 from finprog.dsl import parse_program, render_program
 from finprog.equiv import (
     _P,
+    _build,
     _chain,
     _evaluate,
     _hashed_int,
+    _plan,
     _sample,
-    _sampling_plan,
     compare_programs,
     equivalent,
     pair_symbolize,
@@ -23,6 +26,7 @@ from finprog.equiv import (
 from generators import (
     generically_evaluable,
     mutate_preserving,
+    oracle_canonical_key,
     oracle_equivalent,
     random_program_pair,
     random_symbolic_program,
@@ -33,6 +37,13 @@ P = parse_program
 
 FLAGSHIP_A = "add(a_1, a_2), add(a_3, a_4), subtract(#0, #1)"
 FLAGSHIP_B = "add(a_4, a_3), add(a_1, a_2), subtract(#1, #0)"
+
+
+def _plan_of(sp):
+    """The sampling plan of one symbolic program's final step."""
+    nodes: list = []
+    root = _build(sp, {}, nodes)
+    return _plan(nodes, (root,), sp.symbols)[0]
 
 
 class TestPairSymbolize:
@@ -61,42 +72,44 @@ class TestPairSymbolize:
 class TestToExpression:
     def test_inline_sum(self):
         sp, _ = pair_symbolize(P("add(a, b), subtract(#0, c)"), P("add(a, b)"))
-        assert to_expression(sp).key == "(+ 1*s0 1*s1 -1*s2)"
+        assert to_expression(sp) == "(+ 1*s0 1*s1 -1*s2)"
 
     def test_single_divide_is_signed_product(self):
         sp, _ = pair_symbolize(P("divide(a, b)"), P("divide(a, b)"))
-        assert to_expression(sp).key == "(* s0^1 s1^-1)"
+        assert to_expression(sp) == "(* s0^1 s1^-1)"
 
     def test_dead_step_dropped(self):
         sp, _ = pair_symbolize(P("add(a, b), add(c, d)"), P("add(a, b)"))
-        assert to_expression(sp).key == "(+ 1*s2 1*s3)"
+        assert to_expression(sp) == "(+ 1*s2 1*s3)"
 
 
 class TestNormalize:
     def test_commutativity_same_canonical(self):
         a = to_expression(pair_symbolize(P("add(a, b)"), P("add(a, b)"))[0])
         b = to_expression(pair_symbolize(P("add(b, a)"), P("add(b, a)"))[0])
-        assert a.key == b.key
+        assert a == b
 
     def test_flagship_pair_identical_canonical(self):
-        report = compare_programs(P(FLAGSHIP_A), P(FLAGSHIP_B))
-        assert report.canonical_left == report.canonical_right
+        s1, s2 = pair_symbolize(P(FLAGSHIP_A), P(FLAGSHIP_B))
+        assert to_expression(s1) == to_expression(s2)
+        assert compare_programs(P(FLAGSHIP_A), P(FLAGSHIP_B)).reason == "canonical-match"
 
     def test_subtract_noncommutative(self):
-        r = compare_programs(P("subtract(a, b)"), P("subtract(b, a)"))
-        assert r.canonical_left != r.canonical_right and not r.equivalent
+        s1, s2 = pair_symbolize(P("subtract(a, b)"), P("subtract(b, a)"))
+        assert to_expression(s1) != to_expression(s2)
+        assert not equivalent(P("subtract(a, b)"), P("subtract(b, a)"))
 
     def test_like_terms_collect(self):
         sp, _ = pair_symbolize(P("add(a, a)"), P("add(a, a)"))
-        assert to_expression(sp).key == "(+ 2*s0)"
+        assert to_expression(sp) == "(+ 2*s0)"
 
     def test_cancellation_to_zero(self):
         sp, _ = pair_symbolize(P("subtract(a, a)"), P("subtract(a, a)"))
-        assert to_expression(sp).key == "(+ )"
+        assert to_expression(sp) == "(+ )"
 
     def test_ratio_of_self_is_one(self):
         sp, _ = pair_symbolize(P("divide(a, a)"), P("divide(a, a)"))
-        assert to_expression(sp).key == "(* )"
+        assert to_expression(sp) == "(* )"
 
     def test_normalize_idempotent(self):
         rng = Random(83)
@@ -104,14 +117,52 @@ class TestNormalize:
         for _ in range(300):
             program = random_symbolic_program(rng)
             sp, _ = pair_symbolize(program, program)
-            stack = [to_expression(sp)]
-            while stack:
-                form = stack.pop()
-                stack.extend(part for _, part in form.parts)
-                if form.op in ("+", "*"):
-                    assert _chain(form.op, form.parts) == form
+            table: dict = {}
+            nodes: list = []
+            _build(sp, table, nodes)
+            size = len(nodes)
+            for form, (op, parts) in enumerate(nodes[:size]):
+                if op in ("+", "*"):
+                    # re-interning a chain's parts finds the chain itself
+                    assert _chain(op, parts, table, nodes) == form
                     chains += 1
+            assert len(table) == len(nodes) == size
         assert chains > 200
+
+
+def _symbolic_pair(rng: Random):
+    """Two random symbolic programs, the second often a commutative swap of the first."""
+    first = random_symbolic_program(rng)
+    roll = rng.random()
+    if roll < 0.4:
+        return first, mutate_preserving(rng, first)
+    if roll < 0.5:
+        return first, reorder_independent_steps(first) or first
+    return first, random_symbolic_program(rng)
+
+
+class TestInternedForms:
+    """The intern table agrees with canonical keys built from strings."""
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_ids_and_text_match_string_keys(self, rng):
+        a, b = _symbolic_pair(rng)
+        s1, s2 = pair_symbolize(a, b)
+        keys = oracle_canonical_key(s1), oracle_canonical_key(s2)
+        assert (to_expression(s1), to_expression(s2)) == keys
+        table: dict = {}
+        nodes: list = []
+        left, right = _build(s1, table, nodes), _build(s2, table, nodes)
+        assert (left == right) == (keys[0] == keys[1]), keys
+
+    def test_pairs_cover_matches_and_mismatches(self):
+        rng = Random(109)
+        matches = 0
+        for _ in range(300):
+            s1, s2 = pair_symbolize(*_symbolic_pair(rng))
+            matches += oracle_canonical_key(s1) == oracle_canonical_key(s2)
+        assert 60 < matches < 240
 
 
 class TestEquivalent:
@@ -257,7 +308,46 @@ class TestDeepPrograms:
         assert len(rewrite.steps) == 2001
         report = compare_programs(chain, rewrite, samples=8)
         assert report.equivalent and report.reason == "randomized-agreement"
-        assert report.canonical_left != report.canonical_right
+        left, right = pair_symbolize(chain, rewrite)
+        assert to_expression(left) != to_expression(right)
+
+    def test_deep_chain_renders_without_recursion(self):
+        sp, _ = pair_symbolize(P(_deep_chain(2000)), P("add(1, 2)"))
+        text = to_expression(sp)
+        assert text.startswith("(* (+ 1*(* ") and text == oracle_canonical_key(sp)
+
+
+def _halving_chain(levels: int, distributed: bool) -> str:
+    """(a + b) * e, then ``levels`` times x -> x / c + x / d: each level uses x twice.
+
+    Written out, the final form is four times longer per level.
+    """
+    if distributed:
+        steps = ["multiply(a, e)", "multiply(b, e)", "add(#0, #1)"]
+    else:
+        steps = ["add(a, b)", "multiply(#0, e)"]
+    last = len(steps) - 1
+    for _ in range(levels):
+        steps += [f"divide(#{last}, c)", f"divide(#{last}, d)", f"add(#{last + 1}, #{last + 2})"]
+        last += 3
+    return ", ".join(steps)
+
+
+class TestReusedSteps:
+    """A reused step costs one table entry, not a copy of its text."""
+
+    @pytest.mark.parametrize(
+        "distributed, reason", [(False, "canonical-match"), (True, "randomized-agreement")]
+    )
+    def test_77_step_chain_decides_fast(self, distributed, reason):
+        chain = P(_halving_chain(25, False))
+        other = P(_halving_chain(25, distributed))
+        assert len(chain.steps) == 77
+        start = time.perf_counter()
+        report = compare_programs(chain, other)
+        elapsed = time.perf_counter() - start
+        assert report.equivalent and report.reason == reason
+        assert elapsed < 0.5, elapsed
 
 
 class TestModularSampling:
@@ -268,8 +358,9 @@ class TestModularSampling:
         # (2**61 - 1) * x + y == y over Z_p, but not over the rationals.
         doublings = [f"add(#{k}, #{k})" for k in range(60)]
         left = P(", ".join(["add(x, x)", *doublings, "subtract(#60, x)", "add(#61, y)"]))
-        report = compare_programs(left, P("add(x, y), subtract(#0, x)"))
-        assert report.canonical_left == f"(+ {_P}*s0 1*s1)"
+        right = P("add(x, y), subtract(#0, x)")
+        report = compare_programs(left, right)
+        assert to_expression(pair_symbolize(left, right)[0]) == f"(+ {_P}*s0 1*s1)"
         assert not report.equivalent and report.reason == "counterexample"
 
     def test_greater_needs_the_sign_of_a_factor(self):
@@ -298,7 +389,7 @@ class TestModularSampling:
     def test_leaf_residues_match_hashed_int(self):
         program = P("add(3.5, const_foo), table-sum(Net Sales), add(#0, #1), add(#2, x)")
         sp, _ = pair_symbolize(program, program)
-        plan, _ = _sampling_plan((to_expression(sp),), sp.symbols)
+        plan = _plan_of(sp)
         leaves = [i for i, (op, _, _) in enumerate(plan) if op == "leaf"]
         number, constant, row, name = sp.symbols
         keys = [(number,), (constant,), ("agg", "table-sum", row), (name,)]
@@ -341,6 +432,12 @@ class TestBatchedSampling:
             ),
             # every trial is dead
             ("subtract(a, a), divide(b, #0)", "subtract(a, a), divide(c, #0)", "degenerate"),
+            # a zero divisor in a step the result does not use kills no trial
+            (
+                "subtract(a, a), divide(b, #0), add(c, d), multiply(#2, e)",
+                "multiply(c, e), multiply(d, e), add(#0, #1)",
+                "randomized-agreement",
+            ),
         ],
     )
     def test_batch_paths(self, left, right, reason):
@@ -381,22 +478,9 @@ class TestBatchedSampling:
         assert [len(batch) for _, batch in batches[:2]] == [1, samples]
         assert [trial for _, batch in batches for trial in batch] == list(range(20 * samples))
 
-    @staticmethod
-    def _halving_chain(levels: int, distributed: bool) -> str:
-        """(a + b) * e, then ``levels`` times x -> x / c + x / d: each level uses x twice."""
-        if distributed:
-            steps = ["multiply(a, e)", "multiply(b, e)", "add(#0, #1)"]
-        else:
-            steps = ["add(a, b)", "multiply(#0, e)"]
-        last = len(steps) - 1
-        for _ in range(levels):
-            steps += [f"divide(#{last}, c)", f"divide(#{last}, d)", f"add(#{last + 1}, #{last + 2})"]
-            last += 3
-        return ", ".join(steps)
-
     def test_exact_values_stay_in_lowest_terms(self):
-        sp, _ = pair_symbolize(P(self._halving_chain(6, False)), P("add(a, b)"))
-        plan, _ = _sampling_plan((to_expression(sp),), sp.symbols)
+        sp, _ = pair_symbolize(P(_halving_chain(6, False)), P("add(a, b)"))
+        plan = _plan_of(sp)
         nums, dens, live = _evaluate(plan, 0, range(3), None)
         assert live == [True] * 3
         for num, den in zip(nums, dens):
@@ -406,7 +490,7 @@ class TestBatchedSampling:
 
     def test_shared_subforms_confirm_fast(self):
         # Without lowest terms each level would square the denominator.
-        left, right = P(self._halving_chain(16, False)), P(self._halving_chain(16, True))
+        left, right = P(_halving_chain(16, False)), P(_halving_chain(16, True))
         start = time.perf_counter()
         report = compare_programs(left, right)
         assert report.reason == "randomized-agreement"
@@ -414,10 +498,18 @@ class TestBatchedSampling:
 
     def test_pass_stops_once_every_trial_is_dead(self):
         sp, _ = pair_symbolize(P("subtract(a, a), divide(b, #0), add(#1, c)"), P("add(a, b)"))
-        plan, _ = _sampling_plan((to_expression(sp),), sp.symbols)
+        plan = _plan_of(sp)
         nums, dens, live = _evaluate(plan, 0, range(5), _P)
         assert live == [False] * 5
         assert len(nums) == len(dens) < len(plan)
+
+    def test_divisors_are_evaluated_first(self):
+        # the zero divisor is interned after the dividend's forms
+        program = P("add(b, c), multiply(#0, d), subtract(a, a), divide(#1, #2)")
+        sp, _ = pair_symbolize(program, program)
+        nums, dens, live = _evaluate(_plan_of(sp), 0, range(5), _P)
+        assert live == [False] * 5
+        assert nums == dens == []  # the pass stopped at the zero divisor, before any other form
 
     @pytest.mark.parametrize("samples, sizes", [(1, [1]), (2, [1, 1]), (5, [1, 2, 2]), (8, [1, 2, 4, 1])])
     def test_exact_batches_double(self, monkeypatch, samples, sizes):
