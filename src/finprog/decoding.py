@@ -33,14 +33,13 @@ class IllegalToken(ValueError):
 class TokenVocabulary:
     """The candidate tokens for one evidence context.
 
-    ``input_numbers`` and ``input_rows`` come from the evidence;
-    ``constant_names`` are the names of ``DEFAULT_CONSTANTS``;
-    ``max_steps`` bounds the step memory tokens to #0..#(max_steps-1).
+    ``input_numbers`` and ``input_rows`` come from the evidence, the
+    constants are ``DEFAULT_CONSTANTS``, and ``max_steps`` bounds the step
+    memory tokens to #0..#(max_steps-1).
     """
 
     input_numbers: tuple[str, ...]
     input_rows: tuple[str, ...]
-    constant_names: tuple[str, ...]
     max_steps: int
 
     @property
@@ -49,7 +48,7 @@ class TokenVocabulary:
 
     @property
     def special_tokens(self) -> tuple[str, ...]:
-        return MATH_OPS + TABLE_OPS + self.constant_names + PUNCTUATION
+        return MATH_OPS + TABLE_OPS + tuple(DEFAULT_CONSTANTS) + PUNCTUATION
 
     @property
     def step_memory_tokens(self) -> tuple[str, ...]:
@@ -63,8 +62,7 @@ def build_vocabulary(ctx: EvidenceContext, max_steps: int) -> TokenVocabulary:
     commas) are excluded, as are input tokens that would collide with special
     or step memory tokens; the three partitions stay disjoint.
     """
-    constant_names = tuple(DEFAULT_CONSTANTS)
-    reserved = set(MATH_OPS + TABLE_OPS + PUNCTUATION) | set(constant_names)
+    reserved = set(MATH_OPS + TABLE_OPS + PUNCTUATION) | set(DEFAULT_CONSTANTS)
     reserved.update(f"#{i}" for i in range(max_steps))
 
     numbers = tuple(t for t in ctx.number_tokens() if t not in reserved)
@@ -82,7 +80,6 @@ def build_vocabulary(ctx: EvidenceContext, max_steps: int) -> TokenVocabulary:
     return TokenVocabulary(
         input_numbers=numbers,
         input_rows=tuple(rows),
-        constant_names=constant_names,
         max_steps=max_steps,
     )
 
@@ -133,7 +130,7 @@ def _numeric_step_refs(state: DecodeState, vocab: TokenVocabulary) -> frozenset[
 def _math_arg_mask(state: DecodeState, vocab: TokenVocabulary) -> frozenset[str]:
     return (
         frozenset(vocab.input_numbers)
-        | frozenset(vocab.constant_names)
+        | frozenset(DEFAULT_CONSTANTS)
         | _numeric_step_refs(state, vocab)
     )
 

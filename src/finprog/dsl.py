@@ -150,8 +150,18 @@ Argument = Union[NumberLiteral, Constant, RowName, StepRef]
 
 @dataclass(frozen=True)
 class OperationStep:
+    """A known operation with its arity; a table operation's argument is a row name."""
+
     op: str
     args: tuple[Argument, ...]
+
+    def __post_init__(self) -> None:
+        if self.op not in ALL_OPS:
+            raise UnknownOperation(f"unknown operation {self.op!r}")
+        if len(self.args) != arity(self.op):
+            raise ArityError(f"{self.op} takes {arity(self.op)} argument(s), got {len(self.args)}")
+        if self.op in TABLE_OPS and not isinstance(self.args[0], RowName):
+            raise ProgramError(f"{self.op} takes a table row name, not {self.args[0]!r}")
 
     def render(self) -> str:
         return f"{self.op}({', '.join(a.render() for a in self.args)})"
@@ -159,7 +169,19 @@ class OperationStep:
 
 @dataclass(frozen=True)
 class Program:
+    """At least one step; every step reference points to an earlier step."""
+
     steps: tuple[OperationStep, ...]
+
+    def __post_init__(self) -> None:
+        if not self.steps:
+            raise ProgramError("a program needs at least one step")
+        for i, step in enumerate(self.steps):
+            for arg in step.args:
+                if isinstance(arg, StepRef) and arg.index >= i:
+                    raise ForwardStepRef(
+                        f"step {i} references #{arg.index}, which is not an earlier step"
+                    )
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -258,6 +280,9 @@ class _Parser:
             raise ArityError(
                 f"{name} takes {arity(name)} argument(s), got {len(args)} (step {step_index})"
             )
+        if name in TABLE_OPS and isinstance(args[0], StepRef):
+            # Checked after the step's other rules, so each keeps its message.
+            raise ProgramSyntaxError(f"{name} takes a table row name, not a step reference", aoff)
         return OperationStep(op=name, args=tuple(args))
 
     def parse(self) -> Program:
@@ -275,11 +300,12 @@ class _Parser:
 
 
 def parse_program(text: str) -> Program:
-    """Parse program text into a structurally valid Program.
+    """Parse program text into a Program, which is well-formed by construction.
 
     Whitespace-insensitive. Numbers may carry $ or % decoration, which is
-    stripped to the mantissa. Raises ProgramSyntaxError, UnknownOperation,
-    ArityError, or ForwardStepRef.
+    stripped to the mantissa. Raises ProgramSyntaxError (also for a step
+    reference as a table operation's argument), UnknownOperation, ArityError,
+    or ForwardStepRef.
     """
     return _Parser(text).parse()
 
@@ -307,7 +333,7 @@ def validate(
     *,
     allow_symbols: bool = False,
 ) -> list[Diagnostic]:
-    """Context-free program checks, plus grounding checks when ctx is given.
+    """Argument checks a well-formed Program can fail, plus grounding when ctx is given.
 
     Returns diagnostics instead of raising; an empty list means valid. With
     ``allow_symbols``, bare names in math-operation positions are accepted as
@@ -316,42 +342,12 @@ def validate(
     resolve to a table row; duplicate row matches produce a warning.
     """
     diags: list[Diagnostic] = []
-    if not program.steps:
-        return [Diagnostic("empty-program", "a program needs at least one step")]
     kinds: list[str] = []
     for i, step in enumerate(program.steps):
-        if step.op not in ALL_OPS:
-            diags.append(Diagnostic("unknown-operation", f"unknown operation {step.op!r}", i))
-            kinds.append("number")
-            continue
         kinds.append(result_kind(step.op))
-        if len(step.args) != arity(step.op):
-            diags.append(
-                Diagnostic(
-                    "arity",
-                    f"{step.op} takes {arity(step.op)} argument(s), got {len(step.args)}",
-                    i,
-                )
-            )
         for arg in step.args:
             if isinstance(arg, StepRef):
-                if arg.index >= i:
-                    diags.append(
-                        Diagnostic(
-                            "forward-step-ref",
-                            f"step {i} references #{arg.index}, which is not an earlier step",
-                            i,
-                        )
-                    )
-                elif step.op in TABLE_OPS:
-                    diags.append(
-                        Diagnostic(
-                            "bad-argument-kind",
-                            f"{step.op} takes a table row name, not a step reference",
-                            i,
-                        )
-                    )
-                elif kinds[arg.index] == "bool":
+                if kinds[arg.index] == "bool":
                     diags.append(
                         Diagnostic(
                             "boolean-step-in-arithmetic",
@@ -388,15 +384,6 @@ def validate(
                             )
                         )
             elif isinstance(arg, Constant):
-                if step.op in TABLE_OPS:
-                    diags.append(
-                        Diagnostic(
-                            "bad-argument-kind",
-                            f"{step.op} takes a table row name, not a constant",
-                            i,
-                        )
-                    )
-                    continue
                 if arg.name not in DEFAULT_CONSTANTS:
                     if constant_value(arg.name) is None:
                         diags.append(
@@ -416,15 +403,7 @@ def validate(
                             )
                         )
             elif isinstance(arg, NumberLiteral):
-                if step.op in TABLE_OPS:
-                    diags.append(
-                        Diagnostic(
-                            "bad-argument-kind",
-                            f"{step.op} takes a table row name, not a number",
-                            i,
-                        )
-                    )
-                elif ctx is not None and arg.value not in ctx.number_values:
+                if ctx is not None and arg.value not in ctx.number_values:
                     diags.append(
                         Diagnostic(
                             "ungrounded-number",

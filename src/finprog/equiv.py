@@ -152,8 +152,6 @@ def _chain(op: str, terms, table: dict, nodes: list) -> int:
 
 def _build(sp: SymbolicProgram, table: dict, nodes: list) -> int:
     """Intern each step's form, made once from the steps it references; returns the last one's id."""
-    if not sp.steps:
-        raise ValueError("empty program has no expression")
     ids: list[int] = []
     for step in sp.steps:
         leaf = step.op if step.op in TABLE_OPS else "sym"
@@ -161,13 +159,11 @@ def _build(sp: SymbolicProgram, table: dict, nodes: list) -> int:
         if step.op in _CHAIN_STEPS:
             op, sign = _CHAIN_STEPS[step.op]
             ids.append(_chain(op, ((1, operands[0]), (sign, operands[1])), table, nodes))
-        elif step.op in ("exp", "greater"):
+        elif step.op in TABLE_OPS:
+            ids.append(operands[0])  # the aggregation leaf of its row name
+        else:
             op = "^" if step.op == "exp" else ">"
             ids.append(_intern((op, ((1, operands[0]), (1, operands[1]))), table, nodes))
-        elif step.op in TABLE_OPS:
-            ids.append(operands[0])
-        else:
-            raise ValueError(f"unknown operation {step.op!r}")
     return ids[-1]
 
 

@@ -15,7 +15,6 @@ from typing import Optional, Union
 
 from .context import EvidenceContext
 from .dsl import (
-    ALL_OPS,
     TABLE_OPS,
     Argument,
     Constant,
@@ -36,7 +35,7 @@ class ExecutionError(Exception):
 
 
 class InvalidProgram(ExecutionError):
-    """The program is structurally unfit to run (validate would flag it)."""
+    """An unknown constant, or a row name where a number belongs (validate flags both)."""
 
 
 class DivisionByZero(ExecutionError):
@@ -60,7 +59,7 @@ class UngroundedNumber(ExecutionError):
 
 
 class DomainError(ExecutionError):
-    """Exponentiation outside the real domain, or beyond representable range."""
+    """Exponentiation outside the real domain, or a result beyond MAX_POWER_BITS."""
 
 
 def _iroot(n: int, k: int) -> int | None:
@@ -84,14 +83,14 @@ def _iroot(n: int, k: int) -> int | None:
     return root if root**k == n else None
 
 
-#: The largest estimated size, in bits, of an exact ``power`` result. For an
-#: integer exponent n the estimate is |n| times the bit length of the base's
-#: larger term (numerator or denominator); a fractional exponent p/q is
-#: estimated the same way from p and the base's exact q-th root. Bases 0 and
-#: ±1 are exempt. Past the bound ``power`` raises DomainError rather than
-#: build a number whose exact decimal rendering alone takes seconds: at the
-#: bound, rendering takes under 0.1 s on a 2-vCPU host. Growth-rate programs
-#: stay far below it (1.07 ** 2340 is about at it).
+#: The largest size, in bits, of a step result's larger term (numerator or
+#: denominator). Past it ``eval_step`` raises DomainError rather than keep a
+#: number whose exact decimal rendering alone takes seconds: at the bound,
+#: rendering takes under 0.1 s on a 2-vCPU host. ``power`` checks an estimate
+#: first, without building the number: |n| times the bit length of the base's
+#: larger term for an integer exponent n, the same from p and the base's exact
+#: q-th root for p/q; bases 0 and ±1 are exempt. Growth-rate programs stay
+#: far below the bound (1.07 ** 2340 is about at it).
 MAX_POWER_BITS = 2**14
 
 
@@ -162,8 +161,6 @@ def resolve_argument(
             raise InvalidProgram(f"unknown constant {arg.name!r}")
         return value
     if isinstance(arg, StepRef):
-        if arg.index >= len(env):
-            raise InvalidProgram(f"#{arg.index} is not an earlier step")
         result = env[arg.index]
         if isinstance(result, bool):
             raise BooleanInArithmetic(
@@ -179,31 +176,36 @@ def resolve_argument(
 
 
 def eval_step(op: str, resolved_args: list) -> Value:
-    """Apply one operation to already-resolved arguments."""
+    """Apply one step's operation to its resolved arguments.
+
+    A number whose larger term (numerator or denominator) has more than
+    MAX_POWER_BITS bits raises DomainError, so no product or sum passes on a
+    result that takes seconds to render.
+    """
     if op in TABLE_OPS:
-        if len(resolved_args) != 1 or not isinstance(resolved_args[0], list):
-            raise InvalidProgram(f"{op} takes exactly one table row")
-        return aggregate_row(resolved_args[0], op.removeprefix("table-"))
-    if len(resolved_args) != 2:
-        raise InvalidProgram(f"{op} takes exactly two numbers")
-    a, b = resolved_args
-    if not isinstance(a, Fraction) or not isinstance(b, Fraction):
-        raise InvalidProgram(f"{op} takes numbers, got a table row or symbol")
-    if op == "add":
-        return a + b
-    if op == "subtract":
-        return a - b
-    if op == "multiply":
-        return a * b
-    if op == "divide":
-        if b == 0:
-            raise DivisionByZero("division by zero")
-        return a / b
-    if op == "exp":
-        return power(a, b)
-    if op == "greater":
-        return a > b
-    raise InvalidProgram(f"unknown operation {op!r}")
+        result = aggregate_row(resolved_args[0], op.removeprefix("table-"))
+    else:
+        a, b = resolved_args
+        if not isinstance(a, Fraction) or not isinstance(b, Fraction):
+            raise InvalidProgram(f"{op} takes numbers, got a table row or symbol")
+        if op == "greater":
+            return a > b
+        if op == "add":
+            result = a + b
+        elif op == "subtract":
+            result = a - b
+        elif op == "multiply":
+            result = a * b
+        elif op == "divide":
+            if b == 0:
+                raise DivisionByZero("division by zero")
+            result = a / b
+        else:
+            result = power(a, b)
+    size = max(result.numerator.bit_length(), result.denominator.bit_length())
+    if size > MAX_POWER_BITS:
+        raise DomainError(f"result of {size} bits exceeds the {MAX_POWER_BITS}-bit bound")
+    return result
 
 
 def execute(
@@ -220,12 +222,8 @@ def execute(
     """
     if ctx is None:
         ctx = EvidenceContext.empty()
-    if not program.steps:
-        raise InvalidProgram("a program needs at least one step")
     env: list[Value] = []
     for step in program.steps:
-        if step.op not in ALL_OPS:
-            raise InvalidProgram(f"unknown operation {step.op!r}")
         resolved = [
             resolve_argument(arg, ctx, env, strict_grounding=strict_grounding)
             for arg in step.args

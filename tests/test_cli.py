@@ -1,5 +1,6 @@
 import json
 import pathlib
+import sys
 
 import pytest
 
@@ -42,6 +43,12 @@ class TestEquivCommand:
 
     def test_unparseable_program_is_usage_error(self, capsys):
         assert cli_dispatch(["equiv", "add(1, 2)", "nope("]) == 2
+
+    def test_step_ref_in_table_op_is_usage_error(self, capsys):
+        assert cli_dispatch(["equiv", "add(a, b), table-sum(#0)", "add(a, b)"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("invalid program:")
 
     @pytest.mark.parametrize("command", ["equiv", "eval"])
     def test_samples_below_one_is_usage_error(self, capsys, command, sample_path, gold_preds_path):
@@ -399,7 +406,10 @@ class TestRetrieveCommand:
         assert all(len(entry["fact"]) > 0 for r in payload["rankings"].values() for entry in r)
 
     def test_machine_output_matches_golden_file(self, capsys, sample_path):
-        golden = pathlib.Path(__file__).parent / "data" / "retrieve_sample_k5.json"
+        # From Python 3.12 sum() compensates rounding, which moves the last
+        # digit of some scores, so each side of that change has its own file.
+        name = "retrieve_sample_k5.json" if sys.version_info < (3, 12) else "retrieve_sample_k5_py312.json"
+        golden = pathlib.Path(__file__).parent / "data" / name
         code = cli_dispatch(
             ["retrieve", "--records", str(sample_path), "--k", "5", "--format", "machine"]
         )

@@ -12,6 +12,7 @@ from finprog.decoding import (
     replay,
 )
 from finprog.dsl import (
+    DEFAULT_CONSTANTS,
     MATH_OPS,
     TABLE_OPS,
     parse_program,
@@ -96,7 +97,7 @@ class TestMask:
         mask = next_token_mask(state, vocab)
         assert "#0" not in mask
         assert set(vocab.input_numbers) <= mask
-        assert set(vocab.constant_names) <= mask
+        assert set(DEFAULT_CONSTANTS) <= mask
         assert "risk-free interest rate" not in mask
 
     def test_second_step_offers_prior_result(self, vocab):

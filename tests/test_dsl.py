@@ -11,6 +11,7 @@ from finprog.dsl import (
     NumberLiteral,
     OperationStep,
     Program,
+    ProgramError,
     ProgramSyntaxError,
     RowName,
     StepRef,
@@ -109,11 +110,71 @@ class TestRender:
             assert parse_program(render_program(program)) == program
 
 
-class TestValidate:
-    def test_hand_built_bad_arity(self):
-        program = Program(steps=(OperationStep("table-sum", (RowName("a"), RowName("b"))),))
-        assert any(d.code == "arity" for d in validate(program))
+def _number(n):
+    return NumberLiteral(Decimal(n))
 
+
+class TestWellFormedByConstruction:
+    @pytest.mark.parametrize(
+        "build, error, text, message",
+        [
+            (
+                lambda: OperationStep("sqrt", (_number(4), _number(2))),
+                UnknownOperation,
+                "sqrt(4, 2)",
+                "unknown operation 'sqrt' at position 0",
+            ),
+            (
+                lambda: OperationStep("table-sum", (RowName("a"), RowName("b"))),
+                ArityError,
+                "table-sum(a, b)",
+                "table-sum takes 1 argument(s), got 2 (step 0)",
+            ),
+            (
+                lambda: OperationStep("table-sum", (StepRef(0),)),
+                ProgramError,
+                "add(1, 2), table-sum(#0)",
+                "table-sum takes a table row name, not a step reference at position 21",
+            ),
+            (
+                lambda: Program(steps=()),
+                ProgramError,
+                "",
+                "unexpected end of program at position 0 (expected operation name)",
+            ),
+            (
+                lambda: Program(steps=(OperationStep("add", (StepRef(0), _number(1))),)),
+                ForwardStepRef,
+                "add(#0, 1)",
+                "step 0 references #0, which is not an earlier step",
+            ),
+        ],
+        ids=["unknown-operation", "arity", "table-argument", "empty-program", "forward-step-ref"],
+    )
+    def test_structural_rule_holds_when_built(self, build, error, text, message):
+        with pytest.raises(ProgramError) as built:
+            build()
+        assert type(built.value) is error
+        with pytest.raises(ProgramError) as parsed:
+            parse_program(text)
+        assert str(parsed.value) == message
+
+    def test_step_ref_in_table_op_is_a_parse_error_after_the_forward_check(self):
+        with pytest.raises(ForwardStepRef, match="step 0 references #0"):
+            parse_program("table-sum(#0)")
+        with pytest.raises(ArityError):
+            parse_program("add(1, 2), table-sum(#0, b)")
+        with pytest.raises(ProgramSyntaxError) as excinfo:
+            parse_program("add(1, 2), table-max( #0 )")
+        assert excinfo.value.position == 22  # of "#0"
+
+    def test_any_table_argument_but_a_row_name_is_refused(self):
+        for arg in (_number(5), Constant("const_100")):
+            with pytest.raises(ProgramError, match="table-min takes a table row name"):
+                OperationStep("table-min", (arg,))
+
+
+class TestValidate:
     def test_clean_program(self):
         assert validate(parse_program("greater(5, 3)")) == []
 
@@ -145,19 +206,12 @@ class TestValidate:
         diags = validate(parse_program("greater(5, 3), add(#0, 1)"))
         assert any(d.code == "boolean-step-in-arithmetic" for d in diags)
 
-    def test_step_ref_in_table_op(self):
-        diags = validate(parse_program("add(1, 2), table-sum(#0)"))
-        assert any(d.code == "bad-argument-kind" for d in diags)
-
     def test_unknown_and_nonstandard_constants(self):
         diags = validate(parse_program("multiply(5, const_bogus)"))
         assert any(d.code == "unknown-constant" for d in diags)
         diags = validate(parse_program("multiply(5, const_250)"))
         assert any(d.code == "nonstandard-constant" and d.severity == "warning" for d in diags)
         assert is_valid(diags)
-
-    def test_empty_program(self):
-        assert validate(Program(steps=()))[0].code == "empty-program"
 
     def test_random_programs_validate_clean(self):
         rng = Random(23)

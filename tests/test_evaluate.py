@@ -108,6 +108,11 @@ class TestScoreRecord:
         verdict = score_record("add(1, 1)", record)
         assert verdict.failure == "value-mismatch" and not verdict.exe_correct
 
+    def test_step_ref_in_table_op_is_a_parse_error(self, sample_records):
+        verdict = score_record("add(a, b), table-sum(#0)", sample_records[0])
+        assert verdict.failure.startswith("parse-error: table-sum takes a table row name")
+        assert not verdict.prog_correct
+
     def test_not_equivalent_when_value_matches_by_luck(self, sample_records):
         record = next(r for r in sample_records if r.id.startswith("alpha") and r.id.endswith("-0"))
         # different program, same value: 1164 = 2 * 582

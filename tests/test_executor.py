@@ -196,6 +196,13 @@ class TestPieces:
             render_value(execute(parse_program(program)))
         assert time.perf_counter() - started < 0.5
 
+    def test_products_past_the_size_bound_are_a_domain_error(self):
+        started = time.perf_counter()
+        program = parse_program("exp(1.07, 2340), multiply(#0, #0), multiply(#1, #1), multiply(#2, #2)")
+        with pytest.raises(DomainError, match="exceeds the 16384-bit bound"):
+            render_value(execute(program))
+        assert time.perf_counter() - started < 0.5
+
     @pytest.mark.parametrize("program", ["exp(1, 1000000000)", "exp(-1, 1000000001)", "exp(0, 1000000000)"])
     def test_power_of_zero_and_unit_bases_is_exempt(self, program):
         assert abs(execute(parse_program(program))) <= 1
