@@ -75,7 +75,6 @@ from .evaluate import (
     score_record,
 )
 from .executor import (
-    BooleanInArithmetic,
     DivisionByZero,
     DomainError,
     EmptyNumericRow,
@@ -91,7 +90,6 @@ from .executor import (
 from .numeric import (
     DEFAULT_TOLERANCE,
     NotANumber,
-    NumericValue,
     Quantity,
     TolerancePolicy,
     extract_numbers,

@@ -10,6 +10,7 @@ extensible to a valid program, so every completed walk parses and validates.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from decimal import Decimal
 from typing import Iterable
 
 from .context import EvidenceContext
@@ -17,6 +18,8 @@ from .dsl import (
     DEFAULT_CONSTANTS,
     MATH_OPS,
     TABLE_OPS,
+    NumberLiteral,
+    ProgramError,
     RowName,
     arity,
     result_kind,
@@ -58,28 +61,30 @@ class TokenVocabulary:
 def build_vocabulary(ctx: EvidenceContext, max_steps: int) -> TokenVocabulary:
     """Collect the three token sources from an evidence context.
 
-    Row names that cannot appear in program text (they contain parentheses or
-    commas) are excluded, as are input tokens that would collide with special
-    or step memory tokens; the three partitions stay disjoint.
+    Numbers and row names that no program argument can hold (past
+    MAX_NUMBER_DIGITS, or with parentheses or commas) are excluded, as are
+    input tokens that would collide with special or step memory tokens; the
+    three partitions stay disjoint.
     """
     reserved = set(MATH_OPS + TABLE_OPS + PUNCTUATION) | set(DEFAULT_CONSTANTS)
     reserved.update(f"#{i}" for i in range(max_steps))
 
-    numbers = tuple(t for t in ctx.number_tokens() if t not in reserved)
-    rows: list[str] = []
-    seen = set(reserved)
-    for name in ctx.table.row_names:
-        if name in seen:
-            continue
-        try:
-            RowName(name)
-        except ValueError:
-            continue
-        seen.add(name)
-        rows.append(name)
+    def usable(tokens, argument) -> tuple[str, ...]:
+        """Each token once that is not reserved and that ``argument`` builds."""
+        kept: dict[str, None] = {}
+        for token in tokens:
+            if token in reserved or token in kept:
+                continue
+            try:
+                argument(token)
+            except ProgramError:
+                continue
+            kept[token] = None
+        return tuple(kept)
+
     return TokenVocabulary(
-        input_numbers=numbers,
-        input_rows=tuple(rows),
+        input_numbers=usable(ctx.number_tokens(), lambda token: NumberLiteral(Decimal(token))),
+        input_rows=usable(ctx.table.row_names, RowName),
         max_steps=max_steps,
     )
 

@@ -42,6 +42,11 @@ DEFAULT_CONSTANTS: Mapping[str, Fraction] = {
     "const_m1": Fraction(-1),
 }
 
+#: The most decimal digits that the numerator or the denominator of a number
+#: literal's or a constant's exact value, in lowest terms, may have. Reported
+#: figures have far fewer; docs/grammar.md says why the bound is 100.
+MAX_NUMBER_DIGITS = 100
+
 _CONST_NAME_RE = re.compile(r"const_(m)?(\d+(?:\.\d+)?)")
 _STEP_REF_RE = re.compile(r"#(\d+)")
 
@@ -55,20 +60,39 @@ def result_kind(op: str) -> str:
     return "bool" if op == "greater" else "number"
 
 
+def _fits(value: Decimal) -> bool:
+    """Whether ``value`` is finite and within MAX_NUMBER_DIGITS, decided exactly."""
+    if not value.is_finite():
+        return False
+    _, digits, exponent = value.as_tuple()
+    if len(digits) + max(exponent, 0) <= MAX_NUMBER_DIGITS and -exponent < MAX_NUMBER_DIGITS:
+        return True  # the numerator is below 10**len(digits), the denominator at most 10**-exponent
+    kept = len(bytes(digits).rstrip(b"\0"))  # the digits without trailing zeros
+    exponent += len(digits) - kept
+    # A value that fits is n/d with d = 2**x * 5**y < 10**MAX_NUMBER_DIGITS:
+    # it is written with k = max(x, y) < 3.33 * MAX_NUMBER_DIGITS places and
+    # fewer than k + MAX_NUMBER_DIGITS digits, so kept + |exponent| stays
+    # below 7.7 * MAX_NUMBER_DIGITS. A longer one is refused before its
+    # Fraction is built, which takes time quadratic in its length.
+    if kept + abs(exponent) > 8 * MAX_NUMBER_DIGITS:
+        return False
+    exact = Fraction(Decimal((0, digits[:kept], exponent)))
+    return max(exact.numerator, exact.denominator) < 10**MAX_NUMBER_DIGITS
+
+
 def constant_value(name: str) -> Fraction | None:
     """Value of a constant name, or None when it cannot be resolved.
 
     Names outside ``DEFAULT_CONSTANTS`` still resolve when they follow the
-    ``const_<number>`` / ``const_m<number>`` spelling; the validator marks
-    those with a warning rather than an error.
+    ``const_<number>`` / ``const_m<number>`` spelling and their value is
+    within MAX_NUMBER_DIGITS; the validator marks those with a warning.
     """
     if name in DEFAULT_CONSTANTS:
         return DEFAULT_CONSTANTS[name]
     m = _CONST_NAME_RE.fullmatch(name)
-    if m is None:
+    if m is None or not _fits(value := Decimal(m.group(2))):
         return None
-    value = Fraction(Decimal(m.group(2)))
-    return -value if m.group(1) else value
+    return -Fraction(value) if m.group(1) else Fraction(value)
 
 
 class ProgramError(ValueError):
@@ -99,9 +123,13 @@ class ForwardStepRef(ProgramError):
 
 @dataclass(frozen=True)
 class NumberLiteral:
-    """A number written directly in the program, decoration already stripped."""
+    """A number written directly in the program, decoration stripped; finite, within MAX_NUMBER_DIGITS."""
 
     value: Decimal
+
+    def __post_init__(self) -> None:
+        if not _fits(self.value):
+            raise ProgramError(f"a number literal must be finite, with terms of at most {MAX_NUMBER_DIGITS} digits")
 
     def render(self) -> str:
         return format_decimal(self.value)
@@ -109,7 +137,13 @@ class NumberLiteral:
 
 @dataclass(frozen=True)
 class Constant:
+    """A named constant that ``constant_value`` resolves."""
+
     name: str
+
+    def __post_init__(self) -> None:
+        if constant_value(self.name) is None:
+            raise ProgramError(f"unknown constant {self.name!r}")
 
     def render(self) -> str:
         return self.name
@@ -123,9 +157,9 @@ class RowName:
 
     def __post_init__(self) -> None:
         if not self.name or any(c in self.name for c in "(),"):
-            raise ValueError(f"row name cannot be rendered: {self.name!r}")
+            raise ProgramError(f"row name cannot be rendered: {self.name!r}")
         if _STEP_REF_RE.fullmatch(self.name):
-            raise ValueError(f"row name would read as a step reference: {self.name!r}")
+            raise ProgramError(f"row name would read as a step reference: {self.name!r}")
 
     def render(self) -> str:
         return self.name
@@ -139,7 +173,7 @@ class StepRef:
 
     def __post_init__(self) -> None:
         if self.index < 0:
-            raise ValueError("step index must be non-negative")
+            raise ProgramError("step index must be non-negative")
 
     def render(self) -> str:
         return f"#{self.index}"
@@ -150,7 +184,7 @@ Argument = Union[NumberLiteral, Constant, RowName, StepRef]
 
 @dataclass(frozen=True)
 class OperationStep:
-    """A known operation with its arity; a table operation's argument is a row name."""
+    """A known operation with its arity and arguments; a table operation's argument is a row name."""
 
     op: str
     args: tuple[Argument, ...]
@@ -160,6 +194,9 @@ class OperationStep:
             raise UnknownOperation(f"unknown operation {self.op!r}")
         if len(self.args) != arity(self.op):
             raise ArityError(f"{self.op} takes {arity(self.op)} argument(s), got {len(self.args)}")
+        for arg in self.args:
+            if not isinstance(arg, (NumberLiteral, Constant, RowName, StepRef)):
+                raise ProgramError(f"{self.op} takes program arguments, not {arg!r}")
         if self.op in TABLE_OPS and not isinstance(self.args[0], RowName):
             raise ProgramError(f"{self.op} takes a table row name, not {self.args[0]!r}")
 
@@ -169,7 +206,7 @@ class OperationStep:
 
 @dataclass(frozen=True)
 class Program:
-    """At least one step; every step reference points to an earlier step."""
+    """At least one step; every step reference points to an earlier step that is not a ``greater``."""
 
     steps: tuple[OperationStep, ...]
 
@@ -178,9 +215,15 @@ class Program:
             raise ProgramError("a program needs at least one step")
         for i, step in enumerate(self.steps):
             for arg in step.args:
-                if isinstance(arg, StepRef) and arg.index >= i:
+                if not isinstance(arg, StepRef):
+                    continue
+                if arg.index >= i:
                     raise ForwardStepRef(
                         f"step {i} references #{arg.index}, which is not an earlier step"
+                    )
+                if self.steps[arg.index].op == "greater":
+                    raise ProgramError(
+                        f"step {i} feeds the boolean result of step {arg.index} into {step.op}"
                     )
 
     def __len__(self) -> int:
@@ -243,12 +286,13 @@ class _Parser:
             raise ProgramSyntaxError("missing argument", off, ("argument",))
         m = _STEP_REF_RE.fullmatch(atom)
         if m is not None:
-            index = int(m.group(1))
-            if index >= step_index:
+            digits = m.group(1).lstrip("0") or "0"
+            # Lengths first: int() refuses a string of more than 4,300 digits.
+            if len(digits) > len(str(step_index)) or int(digits) >= step_index:
                 raise ForwardStepRef(
-                    f"step {step_index} references #{index}, which is not an earlier step"
+                    f"step {step_index} references #{digits}, which is not an earlier step"
                 )
-            return StepRef(index)
+            return StepRef(int(digits))
         if op in TABLE_OPS:
             return RowName(atom)
         if atom.startswith("const_"):
@@ -305,7 +349,8 @@ def parse_program(text: str) -> Program:
     Whitespace-insensitive. Numbers may carry $ or % decoration, which is
     stripped to the mantissa. Raises ProgramSyntaxError (also for a step
     reference as a table operation's argument), UnknownOperation, ArityError,
-    or ForwardStepRef.
+    ForwardStepRef, or the constructors' ProgramError for an unknown constant,
+    a number past MAX_NUMBER_DIGITS, or a ``greater`` result used as an operand.
     """
     return _Parser(text).parse()
 
@@ -333,7 +378,7 @@ def validate(
     *,
     allow_symbols: bool = False,
 ) -> list[Diagnostic]:
-    """Argument checks a well-formed Program can fail, plus grounding when ctx is given.
+    """Row names in math operations and nonstandard constants, plus grounding when ctx is given.
 
     Returns diagnostics instead of raising; an empty list means valid. With
     ``allow_symbols``, bare names in math-operation positions are accepted as
@@ -342,20 +387,9 @@ def validate(
     resolve to a table row; duplicate row matches produce a warning.
     """
     diags: list[Diagnostic] = []
-    kinds: list[str] = []
     for i, step in enumerate(program.steps):
-        kinds.append(result_kind(step.op))
         for arg in step.args:
-            if isinstance(arg, StepRef):
-                if kinds[arg.index] == "bool":
-                    diags.append(
-                        Diagnostic(
-                            "boolean-step-in-arithmetic",
-                            f"step {i} feeds the boolean result of step {arg.index} into {step.op}",
-                            i,
-                        )
-                    )
-            elif isinstance(arg, RowName):
+            if isinstance(arg, RowName):
                 if step.op in MATH_OPS and not allow_symbols:
                     diags.append(
                         Diagnostic(
@@ -385,23 +419,14 @@ def validate(
                         )
             elif isinstance(arg, Constant):
                 if arg.name not in DEFAULT_CONSTANTS:
-                    if constant_value(arg.name) is None:
-                        diags.append(
-                            Diagnostic(
-                                "unknown-constant",
-                                f"constant {arg.name!r} is not defined",
-                                i,
-                            )
+                    diags.append(
+                        Diagnostic(
+                            "nonstandard-constant",
+                            f"constant {arg.name!r} is outside the configured vocabulary",
+                            i,
+                            severity="warning",
                         )
-                    else:
-                        diags.append(
-                            Diagnostic(
-                                "nonstandard-constant",
-                                f"constant {arg.name!r} is outside the configured vocabulary",
-                                i,
-                                severity="warning",
-                            )
-                        )
+                    )
             elif isinstance(arg, NumberLiteral):
                 if ctx is not None and arg.value not in ctx.number_values:
                     diags.append(

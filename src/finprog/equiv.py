@@ -47,12 +47,9 @@ from .dsl import (
     Constant,
     NumberLiteral,
     Program,
-    RowName,
     StepRef,
     TABLE_OPS,
     constant_value,
-    is_valid,
-    validate,
 )
 
 DEFAULT_SAMPLE_POINTS = 32
@@ -84,13 +81,8 @@ def _symbol_key(arg) -> tuple:
     if isinstance(arg, NumberLiteral):
         return ("num", Fraction(arg.value))
     if isinstance(arg, Constant):
-        value = constant_value(arg.name)
-        if value is None:
-            return ("const", arg.name)
-        return ("num", value)
-    if isinstance(arg, RowName):
-        return ("name", normalize_row_name(arg.name))
-    raise TypeError(f"not a symbolizable argument: {arg!r}")
+        return ("num", constant_value(arg.name))
+    return ("name", normalize_row_name(arg.name))
 
 
 def _symbolic_steps(program: Program, table: dict) -> tuple[SymbolicStep, ...]:
@@ -230,8 +222,6 @@ def _plan(nodes: list, roots: tuple[int, ...], symbols: tuple) -> tuple[list, li
             # the hash of ``repr((seed, (trial, *key)))``. Only the head of that
             # text depends on the point, so the tail is encoded here, once.
             op, arg = "leaf", f", {', '.join(map(repr, key))}))".encode()
-        elif any(nodes[part][0] == ">" for _, part in arg):
-            op, arg = "boolean in arithmetic", ()  # only ">" forms are boolean: every point fails
         else:
             arg = tuple([(weight, position[part]) for weight, part in arg])
         plan.append((op, arg, form in divisors))
@@ -259,14 +249,13 @@ def _evaluate(plan: list, seed: int, batch: range, modulus: Optional[int]) -> tu
     their exact sample values (``_hashed_int``), so a residue is the image of
     the exact value at the same point, except under ``exp``. ``exp`` stays
     uninterpreted, hashed on its operands' values: their residues (the only
-    inverse, taken for live trials alone), or in exact arithmetic the
-    ``Fraction`` they make. ``">"`` is exact only, as the sign of
-    ``(a*d - c*b)*b*d`` for ``a/b > c/d``.
+    inverse, taken for live trials alone), or in exact arithmetic the hex of
+    their lowest terms. ``">"`` is only ever a root, and only sampled exactly,
+    as the sign of ``(a*d - c*b)*b*d`` for ``a/b > c/d``.
 
     Returns the numerators, denominators and the live flag of each trial. A
-    trial dies when a divisor's numerator is 0; a boolean entering arithmetic,
-    or ``">"`` over residues, which lack an order, kills every trial. Once
-    every trial is dead the pass stops, and the value lists stop short.
+    trial dies when a divisor's numerator is 0. Once every trial is dead the
+    pass stops, and the value lists stop short.
     """
     start = hashlib.blake2b(f"({seed!r}, (".encode(), digest_size=8)
     heads = []
@@ -284,11 +273,13 @@ def _evaluate(plan: list, seed: int, batch: range, modulus: Optional[int]) -> tu
         return [value % modulus for value in values] if modulus else values
 
     def operand(i: int, t: int):
-        """Node ``i``'s value at trial ``t``: one residue, or one ``Fraction``."""
+        """Node ``i``'s value at trial ``t``: one residue, or the hex of its lowest terms."""
         num, den = nums[i][t], dens[i][t] if dens[i] else 1
         if modulus:
             return num if den == 1 else num * pow(den, -1, modulus) % modulus
-        return Fraction(num, den)
+        if den < 0:
+            num, den = -num, -den
+        return f"{num:x}/{den:x}"  # no decimal repr, which refuses over 4,300 digits
 
     for op, arg, divisor in plan:
         den = None
@@ -344,12 +335,10 @@ def _evaluate(plan: list, seed: int, batch: range, modulus: Optional[int]) -> tu
                 for t, (trial, alive) in enumerate(zip(batch, live))
             ]
             num = reduce(num)
-        elif op == ">" and not modulus:
+        else:  # ">"
             (_, left), (_, right) = arg
             pairs = zip(nums[left], dens[left] or ones, nums[right], dens[right] or ones)
             num = [int((a * d - c * b) * b * d > 0) for a, b, c, d in pairs]
-        else:
-            return nums, dens, [False] * count
         if den is not None and not modulus:
             # Lowest terms, as Fraction keeps them: a subform used twice
             # would otherwise square the denominator it brings.
@@ -465,9 +454,5 @@ def program_accuracy(
     samples: int = DEFAULT_SAMPLE_POINTS,
     seed: int = 0,
 ) -> bool:
-    """False for missing or invalid predictions, else the equivalence verdict."""
-    if pred is None:
-        return False
-    if not is_valid(validate(pred, allow_symbols=True)):
-        return False
-    return equivalent(pred, gold, samples=samples, seed=seed)
+    """False for a missing prediction, else the equivalence verdict."""
+    return pred is not None and equivalent(pred, gold, samples=samples, seed=seed)

@@ -20,7 +20,6 @@ from .dsl import (
     Constant,
     NumberLiteral,
     Program,
-    RowName,
     StepRef,
     constant_value,
 )
@@ -35,7 +34,7 @@ class ExecutionError(Exception):
 
 
 class InvalidProgram(ExecutionError):
-    """An unknown constant, or a row name where a number belongs (validate flags both)."""
+    """A row name where a number belongs (validate flags it)."""
 
 
 class DivisionByZero(ExecutionError):
@@ -48,10 +47,6 @@ class RowNotFound(ExecutionError):
 
 class EmptyNumericRow(ExecutionError):
     pass
-
-
-class BooleanInArithmetic(ExecutionError):
-    """A comparison result was fed into an operation expecting a number."""
 
 
 class UngroundedNumber(ExecutionError):
@@ -139,7 +134,7 @@ def aggregate_row(cells: list[Fraction], kind: str) -> Fraction:
         return max(cells)
     if kind == "min":
         return min(cells)
-    raise InvalidProgram(f"unknown aggregation {kind!r}")
+    raise ValueError(f"unknown aggregation {kind!r}")
 
 
 def resolve_argument(
@@ -156,23 +151,13 @@ def resolve_argument(
             raise UngroundedNumber(f"{arg.render()} does not appear in the evidence")
         return value
     if isinstance(arg, Constant):
-        value = constant_value(arg.name)
-        if value is None:
-            raise InvalidProgram(f"unknown constant {arg.name!r}")
-        return value
+        return constant_value(arg.name)
     if isinstance(arg, StepRef):
-        result = env[arg.index]
-        if isinstance(result, bool):
-            raise BooleanInArithmetic(
-                f"#{arg.index} is a comparison result and cannot be an operand"
-            )
-        return result
-    if isinstance(arg, RowName):
-        index = ctx.table.find_row(arg.name)
-        if index is None:
-            raise RowNotFound(f"no table row matches {arg.name!r}")
-        return ctx.table.numeric_cells(index)
-    raise InvalidProgram(f"unsupported argument {arg!r}")
+        return env[arg.index]  # a number: a Program refuses a reference to a greater step
+    index = ctx.table.find_row(arg.name)
+    if index is None:
+        raise RowNotFound(f"no table row matches {arg.name!r}")
+    return ctx.table.numeric_cells(index)
 
 
 def eval_step(op: str, resolved_args: list) -> Value:

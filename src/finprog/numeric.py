@@ -14,11 +14,6 @@ from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from typing import Iterable
 
-SCALE_WORDS = ("thousand", "million", "billion", "trillion")
-
-#: Exact rational value type used by the executor and the equivalence checker.
-NumericValue = Fraction
-
 
 class NotANumber(ValueError):
     """The given text cannot be read as a single financial quantity."""

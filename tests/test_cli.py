@@ -19,6 +19,14 @@ def gold_preds_path(tmp_path, sample_records):
     return path
 
 
+def _exp_of_squarings(a, b, c, d):
+    """Two equivalent programs whose exact exp base is about 16,000 bits long at a sample point."""
+    squarings = [f"multiply(#{k}, #{k})" for k in range(1, 9)]
+    left = [f"add({a}, {b})", f"multiply(#0, {c})", *squarings[:7], f"exp(#8, {d})"]
+    right = [f"multiply({a}, {c})", f"multiply({b}, {c})", "add(#0, #1)", *squarings[1:], f"exp(#9, {d})"]
+    return ", ".join(left), ", ".join(right)
+
+
 class TestEquivCommand:
     def test_equivalent_pair(self, capsys):
         code = cli_dispatch(["equiv", "add(1, 2)", "add(2, 1)"])
@@ -49,6 +57,25 @@ class TestEquivCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("invalid program:")
+
+    @pytest.mark.parametrize(
+        "left, right",
+        [
+            ("greater(a, b), add(#0, c)", "add(a, c)"),
+            ("add(a, const_foo)", "add(const_foo, a)"),
+            ("add(" + "9" * 5000 + ", x)", "add(1, x)"),
+        ],
+        ids=["boolean-operand", "unknown-constant", "huge-literal"],
+    )
+    def test_argument_rule_is_usage_error(self, capsys, left, right):
+        assert cli_dispatch(["equiv", left, right]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("invalid program:")
+
+    def test_exp_of_a_long_exact_value_decides(self, capsys):
+        assert cli_dispatch(["equiv", *_exp_of_squarings("a", "b", "c", "d")]) == 0
+        assert capsys.readouterr().out.splitlines()[:2] == ["equivalent", "reason: randomized-agreement"]
 
     @pytest.mark.parametrize("command", ["equiv", "eval"])
     def test_samples_below_one_is_usage_error(self, capsys, command, sample_path, gold_preds_path):
@@ -220,6 +247,39 @@ class TestEvalCommand:
         assert code == 2
         assert captured.err == f"error: {preds}:1 id must be a string\n"
         assert captured.out == ""
+
+    def test_argument_rules_are_parse_errors(self, capsys, tmp_path, sample_path):
+        lines = sample_path.read_text(encoding="utf-8").splitlines()[:5]
+        programs = [
+            "add(" + "9" * 5000 + ", 1)",
+            "add(const_" + "9" * 5000 + ", 1)",
+            "add(0." + "0" * 5000 + "1, 1)",
+            "greater(1, 2), add(#0, 1)",
+            "multiply(5, const_bogus)",
+        ]
+        records, preds = tmp_path / "records.jsonl", tmp_path / "preds.jsonl"
+        records.write_text("\n".join(lines) + "\n")
+        preds.write_text(
+            "".join(json.dumps({"id": json.loads(line)["id"], "program": p}) + "\n" for line, p in zip(lines, programs))
+        )
+        argv = ["eval", "--records", str(records), "--preds", str(preds), "--format", "machine"]
+        assert cli_dispatch(argv) == 0
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        failures = [v["failure"] for v in json.loads(captured.out)["verdicts"]]
+        assert all(f.startswith("parse-error: ") for f in failures), failures
+
+    def test_exp_of_a_long_exact_value_scores(self, capsys, tmp_path):
+        gold, pred = _exp_of_squarings(2, 3, 5, 7)
+        qa = {"question": "q", "program": gold, "exe_ans": 0, "gold_inds": ["text:0"]}
+        record = {"id": "r", "pre_text": ["the values were 2 , 3 , 5 and 7 ."], "post_text": [], "table": [["", "a"]], "qa": qa}
+        records, preds = tmp_path / "records.jsonl", tmp_path / "preds.jsonl"
+        records.write_text(json.dumps(record) + "\n")
+        preds.write_text(json.dumps({"id": "r", "program": pred}) + "\n")
+        argv = ["eval", "--records", str(records), "--preds", str(preds), "--format", "machine"]
+        assert cli_dispatch(argv) == 0
+        (verdict,) = json.loads(capsys.readouterr().out)["verdicts"]
+        assert verdict["prog_correct"] and verdict["failure"] == "value-mismatch"
 
     def test_deep_prediction_scored(self, capsys, tmp_path, sample_path):
         record = sample_path.read_text(encoding="utf-8").splitlines()[0]

@@ -114,6 +114,21 @@ class TestLoadRecords:
         reject = loaded.rejects[0]
         assert reject.field_path == "qa.program" and "#1" in reject.reason
 
+    @pytest.mark.parametrize(
+        "program, reason",
+        [
+            ("greater(5, 3), add(#0, 1)", "step 1 feeds the boolean result of step 0 into add"),
+            ("multiply(5, const_bogus)", "unknown constant 'const_bogus'"),
+        ],
+    )
+    def test_argument_rule_rejected(self, tmp_path, program, reason):
+        path = tmp_path / "records.jsonl"
+        bad = minimal_record()
+        bad["qa"] = dict(bad["qa"], program=program)
+        write_jsonl(path, [bad])
+        (reject,) = load_records(path).rejects
+        assert (reject.field_path, reject.reason) == ("qa.program", reason)
+
     def test_empty_file_is_schema_error(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text("")

@@ -78,6 +78,10 @@ class TestBuildVocabulary:
         vocab = build_vocabulary(ctx, max_steps=2)
         assert vocab.input_rows == ("plain row",)
 
+    def test_numbers_no_literal_can_hold_excluded(self):
+        ctx = EvidenceContext.build(["a total of 12 and a serial of " + "7" * 101], FinTable.from_rows([[""]]))
+        assert build_vocabulary(ctx, max_steps=2).input_numbers == ("12",)
+
 
 class TestMask:
     def test_start_state_offers_operation_names_only(self, vocab):

@@ -2,9 +2,14 @@ from decimal import Decimal
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finprog.context import EvidenceContext, FinTable
 from finprog.dsl import (
+    ALL_OPS,
+    MAX_NUMBER_DIGITS,
+    TABLE_OPS,
     ArityError,
     Constant,
     ForwardStepRef,
@@ -21,6 +26,8 @@ from finprog.dsl import (
     render_program,
     validate,
 )
+from finprog.equiv import compare_programs
+from finprog.executor import ExecutionError, execute
 
 from generators import random_context, random_program, random_symbolic_program
 
@@ -168,10 +175,131 @@ class TestWellFormedByConstruction:
             parse_program("add(1, 2), table-max( #0 )")
         assert excinfo.value.position == 22  # of "#0"
 
+    @pytest.mark.parametrize(
+        "build, text, message",
+        [
+            (
+                lambda: Program(
+                    steps=(
+                        OperationStep("greater", (_number(5), _number(3))),
+                        OperationStep("add", (StepRef(0), _number(1))),
+                    )
+                ),
+                "greater(5, 3), add(#0, 1)",
+                "step 1 feeds the boolean result of step 0 into add",
+            ),
+            (
+                lambda: Constant("const_foo"),
+                "add(a, const_foo)",
+                "unknown constant 'const_foo'",
+            ),
+            (
+                lambda: Constant("const_" + "9" * 5000),
+                "add(const_" + "9" * 5000 + ", x)",
+                "unknown constant 'const_" + "9" * 5000 + "'",
+            ),
+            (
+                lambda: NumberLiteral(Decimal("9" * 5000)),
+                "add(" + "9" * 5000 + ", x)",
+                "a number literal must be finite, with terms of at most 100 digits",
+            ),
+            (
+                lambda: NumberLiteral(Decimal("0." + "0" * 5000 + "1")),
+                "add(0." + "0" * 5000 + "1, x)",
+                "a number literal must be finite, with terms of at most 100 digits",
+            ),
+            (lambda: OperationStep("add", ("a", 1)), None, "add takes program arguments, not 'a'"),
+        ],
+        ids=["boolean-operand", "unknown-constant", "huge-constant", "huge-literal", "tiny-literal", "not-an-argument"],
+    )
+    def test_argument_rule_holds_when_built(self, build, text, message):
+        with pytest.raises(ProgramError) as built:
+            build()
+        assert type(built.value) is ProgramError and str(built.value) == message
+        if text is not None:  # parsed text cannot hold a non-argument
+            with pytest.raises(ProgramError) as parsed:
+                parse_program(text)
+            assert str(parsed.value) == message
+
+    def test_number_bound_is_on_exact_lowest_terms(self):
+        fits = [
+            "9" * MAX_NUMBER_DIGITS,
+            "-1" + "0" * (MAX_NUMBER_DIGITS - 1),
+            "0.5" + "0" * 5000,  # 1/2
+            # 2**-332 = 5**332 / 10**332: 332 places, and a denominator of 100 digits
+            f"{5**332}E-332",
+        ]
+        for text in fits:
+            NumberLiteral(Decimal(text))
+        too_large = ["1" + "0" * MAX_NUMBER_DIGITS, f"{5**333}E-333", "1E+5000", "1E-999999"]
+        for text in too_large + ["NaN", "-Infinity"]:
+            with pytest.raises(ProgramError):
+                NumberLiteral(Decimal(text))
+        assert Constant("const_m" + "9" * MAX_NUMBER_DIGITS).render().startswith("const_m9")
+        with pytest.raises(ProgramError):
+            Constant("const_1" + "0" * MAX_NUMBER_DIGITS)
+
+    def test_long_step_reference_is_forward(self):
+        with pytest.raises(ForwardStepRef):
+            parse_program("add(1, 2), add(#" + "9" * 5000 + ", 1)")
+        assert parse_program("add(1, 2), add(#00, 1)").steps[1].args[0] == StepRef(0)
+
     def test_any_table_argument_but_a_row_name_is_refused(self):
         for arg in (_number(5), Constant("const_100")):
             with pytest.raises(ProgramError, match="table-min takes a table row name"):
                 OperationStep("table-min", (arg,))
+
+
+_REASONS = {"canonical-match", "randomized-agreement", "counterexample", "incomparable-types", "degenerate"}
+
+# Any decimal, mostly small finite ones, and long ones on both sides of
+# MAX_NUMBER_DIGITS.
+_DECIMALS = st.one_of(
+    st.integers(-(10**4), 10**4).map(Decimal),
+    st.decimals(min_value=-(10**6), max_value=10**6, places=3),
+    st.decimals(),
+    st.builds(lambda n, e: Decimal(f"{n}E{e}"), st.integers(-(10**110), 10**110), st.integers(-400, 400)),
+)
+_ARGUMENTS = {
+    "number": _DECIMALS.map(NumberLiteral),
+    "constant": (st.sampled_from(["const_100", "const_m1", "const_2.5", "const_bogus"]) | st.text()).map(Constant),
+    "row": (st.sampled_from(["a", "b", "Net Sales"]) | st.text()).map(RowName),
+    "step": st.integers(-1, 4).map(StepRef),
+    "other": st.integers() | st.text() | st.none(),
+}
+
+
+@st.composite
+def _drawn_program(draw):
+    """A Program built from drawn steps, mostly well-formed; ProgramError propagates."""
+    steps = []
+    for _ in range(draw(st.integers(1, 4))):
+        op = draw(st.sampled_from(ALL_OPS * 3 + ("sqrt",)))
+        count = 1 if op in TABLE_OPS else 2
+        if draw(st.integers(0, 9)) == 0:
+            count = draw(st.integers(0, 3))
+        kinds = ["row"] * 6 if op in TABLE_OPS else ["number"] * 3 + ["constant", "row", "step", "step"]
+        args = [draw(_ARGUMENTS[draw(st.sampled_from(kinds + ["other"]))]) for _ in range(count)]
+        steps.append(OperationStep(op, tuple(args)))
+    return Program(tuple(steps))
+
+
+class TestConstructorsFuzz:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.data())
+    def test_a_built_program_is_safe_downstream(self, data):
+        try:
+            program = data.draw(_drawn_program())
+        except ProgramError:
+            return
+        for allow_symbols in (False, True):
+            assert isinstance(validate(program, allow_symbols=allow_symbols), list)
+        try:
+            execute(program)
+        except ExecutionError:
+            pass
+        for other in (program, parse_program("add(1, 2)")):
+            assert compare_programs(program, other).reason in _REASONS
 
 
 class TestValidate:
@@ -203,12 +331,14 @@ class TestValidate:
         assert is_valid(diags)
 
     def test_boolean_step_in_arithmetic(self):
-        diags = validate(parse_program("greater(5, 3), add(#0, 1)"))
-        assert any(d.code == "boolean-step-in-arithmetic" for d in diags)
+        # A boolean fed into arithmetic never reaches validate: building it is refused.
+        with pytest.raises(ProgramError, match="feeds the boolean result of step 0 into add"):
+            parse_program("greater(5, 3), add(#0, 1)")
 
     def test_unknown_and_nonstandard_constants(self):
-        diags = validate(parse_program("multiply(5, const_bogus)"))
-        assert any(d.code == "unknown-constant" for d in diags)
+        # An unknown constant never reaches validate: building it is refused.
+        with pytest.raises(ProgramError, match="unknown constant 'const_bogus'"):
+            parse_program("multiply(5, const_bogus)")
         diags = validate(parse_program("multiply(5, const_250)"))
         assert any(d.code == "nonstandard-constant" and d.severity == "warning" for d in diags)
         assert is_valid(diags)

@@ -7,15 +7,16 @@ import pytest
 
 from finprog.context import EvidenceContext, FinTable
 from finprog.dsl import (
+    NumberLiteral,
     OperationStep,
     Program,
+    ProgramError,
     StepRef,
     parse_program,
     render_program,
 )
 from finprog.executor import (
     MAX_POWER_BITS,
-    BooleanInArithmetic,
     DivisionByZero,
     DomainError,
     EmptyNumericRow,
@@ -82,8 +83,14 @@ class TestBasics:
         )
 
     def test_boolean_into_math_rejected(self):
-        with pytest.raises(BooleanInArithmetic):
-            execute(parse_program("greater(5, 3), add(#0, 1)"))
+        # Such a program cannot be built, so execute never sees it.
+        with pytest.raises(ProgramError, match="feeds the boolean result of step 0 into add"):
+            Program(
+                (
+                    OperationStep("greater", (NumberLiteral(Decimal(5)), NumberLiteral(Decimal(3)))),
+                    OperationStep("add", (StepRef(0), NumberLiteral(Decimal(1)))),
+                )
+            )
 
     def test_final_step_is_answer(self):
         assert execute(parse_program("add(1, 1), add(2, 2)")) == 4
