@@ -16,7 +16,7 @@ from typing import Optional
 from .context import EvidenceContext
 from .corpus import FileUnreadable, SchemaError, dataset_stats, linearize_table, load_predictions, load_records
 from .decoding import IllegalToken, build_vocabulary, next_token_mask, replay
-from .dsl import ProgramError, is_valid, parse_program, tokenize_program, validate
+from .dsl import MAX_PROGRAM_STEPS, ProgramError, is_valid, parse_program, tokenize_program, validate
 from .equiv import compare_programs, pair_symbolize, to_expression
 from .evaluate import UnknownRecordId, breakdown_report
 from .executor import ExecutionError, execute, render_value
@@ -27,8 +27,8 @@ from .retrieve import rank_records, recall_at_k
 _SAMPLES_HELP = "random points at which the equivalence fallback must agree (at least 1)"
 
 
-def _at_least(kind: type, low: int):
-    """An argparse type: a finite ``kind`` (int or float) value of at least ``low``."""
+def _at_least(kind: type, low: int, high: float = math.inf):
+    """An argparse type: a finite ``kind`` (int or float) value of at least ``low`` and at most ``high``."""
 
     def parse(text: str):
         try:
@@ -37,6 +37,8 @@ def _at_least(kind: type, low: int):
             raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
         if not low <= value < math.inf:  # also false for nan
             raise argparse.ArgumentTypeError(f"must be at least {low} and finite, got {text}")
+        if value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {text}")
         return value
 
     return parse
@@ -107,7 +109,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mask", help="legal next tokens for a program prefix")
     p.add_argument("--prefix", default="", help="program prefix, e.g. 'add ('")
     add_record_selector(p)
-    p.add_argument("--max-steps", type=_at_least(int, 1), default=5)
+    p.add_argument("--max-steps", type=_at_least(int, 1, MAX_PROGRAM_STEPS), default=5)
     return parser
 
 

@@ -19,6 +19,7 @@ from .numeric import (
     extract_numbers,
     format_decimal,
     mantissa_set,
+    mantissas,
     parse_quantity,
 )
 
@@ -102,7 +103,12 @@ class FinTable:
 
 @dataclass(frozen=True)
 class EvidenceContext:
-    """Text sentences and one table, with numbers pre-extracted per sentence."""
+    """Text sentences and one table.
+
+    Numbers are read from the texts on demand: ``mentions`` grounds one
+    value, reading only the texts that can hold it; ``number_values`` and
+    ``sentence_quantities`` extract every number once, when first asked.
+    """
 
     text_sentences: tuple[str, ...]
     table: FinTable
@@ -136,8 +142,28 @@ class EvidenceContext:
         The values are ``Decimal``s. A ``Decimal`` hashes and compares equal to
         the ``Fraction`` of the same value, so ``Fraction(3, 2)`` and
         ``Decimal("1.50")`` are both members when the evidence says 1.5.
+        Building it reads every text; to ground a single value, ``mentions``
+        gives the same answer and reads only the texts that can hold it.
         """
         return mantissa_set(self._texts())
+
+    def mentions(self, value: Decimal) -> bool:
+        """Whether the finite ``value`` is in ``number_values``, without building that set.
+
+        An ASCII text can hold the value only if, with its thousands commas
+        removed, it contains the digits of ``format_decimal(abs(value))``,
+        less the leading ``0`` of a magnitude below 1 (the evidence may write
+        ``.5``). Only the texts that pass this test, and texts with other
+        characters (a number may be written in any script's digits), are
+        read, up to the first number equal to the value; so the answer is
+        exactly that of ``value in number_values``.
+        """
+        digits = format_decimal(abs(value))
+        if digits.startswith("0."):
+            digits = digits[1:]
+        return value in mantissas(
+            t for t in self._texts() if not t.isascii() or digits in t.replace(",", "")
+        )
 
     def number_tokens(self) -> list[str]:
         """Canonical number tokens in first-appearance order, deduplicated."""

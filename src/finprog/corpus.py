@@ -380,8 +380,10 @@ def load_records(path) -> LoadResult:
     Adjacent records with equal evidence (several questions on one report
     page) share its immutable objects: their ``pre_text``, ``post_text`` and
     ``table`` are the same objects, and their gold programs are validated
-    against one context, whose number set is computed once. Every record
-    still gets its own parse, checks, warnings and gold ids.
+    against one context. A gold literal is grounded with
+    ``EvidenceContext.mentions``, which reads only the texts that can hold
+    it; the page's whole number set is never built. Every record still gets
+    its own parse, checks, warnings and gold ids.
     """
     text = _read(path)
     first = _NON_BLANK_RE.search(text)

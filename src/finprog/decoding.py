@@ -17,6 +17,7 @@ from .context import EvidenceContext
 from .dsl import (
     DEFAULT_CONSTANTS,
     MATH_OPS,
+    MAX_PROGRAM_STEPS,
     TABLE_OPS,
     NumberLiteral,
     ProgramError,
@@ -64,8 +65,11 @@ def build_vocabulary(ctx: EvidenceContext, max_steps: int) -> TokenVocabulary:
     Numbers and row names that no program argument can hold (past
     MAX_NUMBER_DIGITS, or with parentheses or commas) are excluded, as are
     input tokens that would collide with special or step memory tokens; the
-    three partitions stay disjoint.
+    three partitions stay disjoint. ``max_steps`` may not exceed
+    MAX_PROGRAM_STEPS (ValueError), so every completed walk parses.
     """
+    if max_steps > MAX_PROGRAM_STEPS:
+        raise ValueError(f"max_steps {max_steps} exceeds MAX_PROGRAM_STEPS ({MAX_PROGRAM_STEPS})")
     reserved = set(MATH_OPS + TABLE_OPS + PUNCTUATION) | set(DEFAULT_CONSTANTS)
     reserved.update(f"#{i}" for i in range(max_steps))
 

@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from typing import Mapping, Optional, Union
+from typing import Iterator, Mapping, Optional, Union
 
 from .context import EvidenceContext
 from .numeric import NotANumber, format_decimal, parse_quantity
@@ -46,6 +46,13 @@ DEFAULT_CONSTANTS: Mapping[str, Fraction] = {
 #: literal's or a constant's exact value, in lowest terms, may have. Reported
 #: figures have far fewer; docs/grammar.md says why the bound is 100.
 MAX_NUMBER_DIGITS = 100
+
+#: The most steps a program may have. Reported calculations take a handful;
+#: at this bound an add chain, an alternating add/multiply chain and a chain
+#: that uses each step twice all decide in ``compare_programs`` within tens
+#: of milliseconds, and a longer sum costs more than linearly more.
+#: docs/grammar.md gives the measurements.
+MAX_PROGRAM_STEPS = 128
 
 _CONST_NAME_RE = re.compile(r"const_(m)?(\d+(?:\.\d+)?)")
 _STEP_REF_RE = re.compile(r"#(\d+)")
@@ -206,13 +213,15 @@ class OperationStep:
 
 @dataclass(frozen=True)
 class Program:
-    """At least one step; every step reference points to an earlier step that is not a ``greater``."""
+    """One to MAX_PROGRAM_STEPS steps; every step reference points to an earlier step that is not a ``greater``."""
 
     steps: tuple[OperationStep, ...]
 
     def __post_init__(self) -> None:
         if not self.steps:
             raise ProgramError("a program needs at least one step")
+        if len(self.steps) > MAX_PROGRAM_STEPS:
+            raise ProgramError(f"a program may have at most {MAX_PROGRAM_STEPS} steps")
         for i, step in enumerate(self.steps):
             for arg in step.args:
                 if not isinstance(arg, StepRef):
@@ -233,15 +242,14 @@ class Program:
 _PUNCT = frozenset("(),")
 
 
-def tokenize_program(text: str) -> list[tuple[str, int]]:
-    """Split program text into (token, offset) pairs.
+def tokenize_program(text: str) -> Iterator[tuple[str, int]]:
+    """Split program text into (token, offset) pairs, left to right, as they are read.
 
     Punctuation tokens are "(", ")" and ","; everything between them becomes
     a single trimmed atom, so row names may contain spaces. Atoms therefore
     cannot contain commas; program numbers are written without thousands
     separators.
     """
-    tokens: list[tuple[str, int]] = []
     i, n = 0, len(text)
     while i < n:
         c = text[i]
@@ -249,31 +257,28 @@ def tokenize_program(text: str) -> list[tuple[str, int]]:
             i += 1
             continue
         if c in _PUNCT:
-            tokens.append((c, i))
+            yield c, i
             i += 1
             continue
         j = i
         while j < n and text[j] not in _PUNCT:
             j += 1
-        tokens.append((text[i:j].strip(), i))
+        yield text[i:j].strip(), i
         i = j
-    return tokens
 
 
 class _Parser:
     def __init__(self, text: str):
         self.text = text
+        # Read lazily, so that a refused program's remaining text is never split.
         self.tokens = tokenize_program(text)
-        self.i = 0
-
-    def _peek(self) -> tuple[str, int] | None:
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
+        self.ahead = next(self.tokens, None)
 
     def _next(self, expected: tuple[str, ...]) -> tuple[str, int]:
-        tok = self._peek()
+        tok = self.ahead
         if tok is None:
             raise ProgramSyntaxError("unexpected end of program", len(self.text), expected)
-        self.i += 1
+        self.ahead = next(self.tokens, None)
         return tok
 
     def _expect_punct(self, punct: str) -> None:
@@ -331,14 +336,11 @@ class _Parser:
 
     def parse(self) -> Program:
         steps = [self._step(0)]
-        while True:
-            tok = self._peek()
-            if tok is None:
-                break
-            text, off = tok
+        # Reading stops one step past the bound, where Program refuses the steps.
+        while self.ahead is not None and len(steps) <= MAX_PROGRAM_STEPS:
+            text, off = self._next(("','", "end of program"))
             if text != ",":
                 raise ProgramSyntaxError(f"unexpected token {text!r}", off, ("','", "end of program"))
-            self.i += 1
             steps.append(self._step(len(steps)))
         return Program(steps=tuple(steps))
 
@@ -350,7 +352,8 @@ def parse_program(text: str) -> Program:
     stripped to the mantissa. Raises ProgramSyntaxError (also for a step
     reference as a table operation's argument), UnknownOperation, ArityError,
     ForwardStepRef, or the constructors' ProgramError for an unknown constant,
-    a number past MAX_NUMBER_DIGITS, or a ``greater`` result used as an operand.
+    a number past MAX_NUMBER_DIGITS, a ``greater`` result used as an operand,
+    or more than MAX_PROGRAM_STEPS steps (the text past the bound is not read).
     """
     return _Parser(text).parse()
 
@@ -428,7 +431,7 @@ def validate(
                         )
                     )
             elif isinstance(arg, NumberLiteral):
-                if ctx is not None and arg.value not in ctx.number_values:
+                if ctx is not None and not ctx.mentions(arg.value):
                     diags.append(
                         Diagnostic(
                             "ungrounded-number",

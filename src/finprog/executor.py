@@ -9,7 +9,7 @@ scores incorrect during evaluation.
 from __future__ import annotations
 
 import math
-from decimal import Decimal
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -146,10 +146,9 @@ def resolve_argument(
 ) -> Union[Fraction, list[Fraction]]:
     """A literal's value, a constant's value, a step lookup, or a row's cells."""
     if isinstance(arg, NumberLiteral):
-        value = Fraction(arg.value)
-        if strict_grounding and value not in ctx.number_values:
+        if strict_grounding and not ctx.mentions(arg.value):
             raise UngroundedNumber(f"{arg.render()} does not appear in the evidence")
-        return value
+        return Fraction(arg.value)
     if isinstance(arg, Constant):
         return constant_value(arg.name)
     if isinstance(arg, StepRef):
@@ -217,16 +216,23 @@ def execute(
     return env[-1]
 
 
+#: Decimal arithmetic that never rounds, whatever the number of digits.
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
+
+
 def render_value(value: Value) -> str:
     """Serialize a result: booleans as yes/no, rationals as exact decimals.
 
-    Non-terminating rationals render as numerator/denominator to avoid any
-    silent rounding; the evaluation layer compares exact values, never text.
+    Every digit is kept, and non-terminating rationals render as
+    numerator/denominator, to avoid any silent rounding; the evaluation layer
+    compares exact values, never text. Integers are written through
+    ``Decimal``, which, unlike ``str``, has no digit limit, so every result
+    within MAX_POWER_BITS renders.
     """
     if isinstance(value, bool):
         return "yes" if value else "no"
     places = decimal_places(value)
     if places is None:
-        return f"{value.numerator}/{value.denominator}"
+        return f"{Decimal(value.numerator)}/{Decimal(value.denominator)}"
     scaled = value * Fraction(10) ** places
-    return format_decimal(Decimal(scaled.numerator).scaleb(-places))
+    return format_decimal(Decimal(scaled.numerator).scaleb(-places, _EXACT))

@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Iterator
 
 
 class NotANumber(ValueError):
@@ -139,16 +139,19 @@ def extract_numbers(sentence: str) -> list[Quantity]:
     return [_quantity_from_match(m, sentence) for m in _QUANTITY_RE.finditer(sentence)]
 
 
-def mantissa_set(texts: Iterable[str]) -> frozenset[Decimal]:
-    """The mantissas ``extract_numbers`` reads from the texts, as one set.
+def mantissas(texts: Iterable[str]) -> Iterator[Decimal]:
+    """The mantissas ``extract_numbers`` reads from the texts, in order, as they are read.
 
     Only the sign and digits of each match are read; no ``Quantity`` is built.
     """
-    return frozenset(
-        _mantissa(pnum, sign, num)
-        for text in texts
-        for _, _, pnum, sign, _, num, _, _ in _QUANTITY_RE.findall(text)
-    )
+    for text in texts:
+        for _, _, pnum, sign, _, num, _, _ in _QUANTITY_RE.findall(text):
+            yield _mantissa(pnum, sign, num)
+
+
+def mantissa_set(texts: Iterable[str]) -> frozenset[Decimal]:
+    """The mantissas ``extract_numbers`` reads from the texts, as one set."""
+    return frozenset(mantissas(texts))
 
 
 def to_fraction(value) -> Fraction:

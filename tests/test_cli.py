@@ -1,11 +1,12 @@
 import json
 import pathlib
 import sys
+from decimal import Decimal
 
 import pytest
 
 from finprog.cli import cli_dispatch
-from finprog.dsl import render_program
+from finprog.dsl import MAX_PROGRAM_STEPS, render_program
 
 
 @pytest.fixture()
@@ -72,6 +73,13 @@ class TestEquivCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("invalid program:")
+
+    def test_program_past_the_step_cap_is_usage_error(self, capsys):
+        steps = ["add(a, b)"] + [f"add(#{i}, b)" for i in range(MAX_PROGRAM_STEPS)]
+        assert cli_dispatch(["equiv", ", ".join(steps), "add(a, b)"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"invalid program: a program may have at most {MAX_PROGRAM_STEPS} steps\n"
 
     def test_exp_of_a_long_exact_value_decides(self, capsys):
         assert cli_dispatch(["equiv", *_exp_of_squarings("a", "b", "c", "d")]) == 0
@@ -281,6 +289,16 @@ class TestEvalCommand:
         (verdict,) = json.loads(capsys.readouterr().out)["verdicts"]
         assert verdict["prog_correct"] and verdict["failure"] == "value-mismatch"
 
+    def test_prediction_past_the_int_str_limit_scores(self, capsys, tmp_path, sample_path):
+        record = sample_path.read_text(encoding="utf-8").splitlines()[0]
+        records, preds = tmp_path / "records.jsonl", tmp_path / "preds.jsonl"
+        records.write_text(record + "\n")
+        preds.write_text(json.dumps({"id": json.loads(record)["id"], "program": "exp(15, 4000), divide(#0, 7)"}))
+        argv = ["eval", "--records", str(records), "--preds", str(preds), "--format", "machine"]
+        assert cli_dispatch(argv) == 0
+        (verdict,) = json.loads(capsys.readouterr().out)["verdicts"]
+        assert verdict["failure"] == "value-mismatch"
+
     def test_deep_prediction_scored(self, capsys, tmp_path, sample_path):
         record = sample_path.read_text(encoding="utf-8").splitlines()[0]
         records = tmp_path / "records.jsonl"
@@ -410,6 +428,20 @@ class TestExecCommand:
 
     def test_execution_error_exit_one(self, capsys):
         assert cli_dispatch(["exec", "divide(1, 0)"]) == 1
+
+    def test_result_past_the_int_str_limit_renders(self, capsys):
+        assert cli_dispatch(["exec", "exp(15, 4000), divide(#0, 7)"]) == 0
+        numerator, denominator = capsys.readouterr().out.strip().split("/")
+        assert (Decimal(numerator), denominator) == (15**4000, "7")
+
+    def test_strict_grounding(self, capsys, sample_path):
+        argv = ["exec", "add(987654321, 1)", "--records", str(sample_path), "--id", "bravo/2017/page_45.pdf-0"]
+        assert cli_dispatch(argv) == 0
+        assert cli_dispatch(argv + ["--strict-grounding"]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "987654322",
+            "error: UngroundedNumber: 987654321 does not appear in the evidence",
+        ]
 
 
 class TestValidateCommand:
@@ -544,6 +576,10 @@ class TestMaskCommand:
 
     def test_illegal_prefix(self, capsys):
         assert cli_dispatch(["mask", "--prefix", ") ("]) == 1
+
+    def test_max_steps_past_the_step_cap_is_usage_error(self, capsys):
+        assert cli_dispatch(["mask", "--max-steps", str(MAX_PROGRAM_STEPS + 1)]) == 2
+        assert f"argument --max-steps: must be at most {MAX_PROGRAM_STEPS}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("max_steps", ["0", "-1"])
     def test_max_steps_below_one_is_usage_error(self, capsys, max_steps):

@@ -19,7 +19,7 @@ from finprog.corpus import (
     normalize_program_text,
     _fact_position,
 )
-from finprog.dsl import render_program
+from finprog.dsl import MAX_PROGRAM_STEPS, render_program
 from finprog.evaluate import score_record
 
 
@@ -326,6 +326,33 @@ class TestLoadRecords:
         loaded = load_records(path)
         assert not loaded.rejects
         assert any("999999" in w for w in loaded.records[0].warnings)
+
+    def test_ungrounded_gold_literal_warning_text(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        record = minimal_record()
+        record["qa"] = dict(record["qa"], program="subtract(100, 80), divide(#0, 81)", exe_ans=0.24691)
+        write_jsonl(path, [record])
+        (got,) = load_records(path).records
+        assert got.warnings == ("gold program: 81 does not appear in the evidence",)
+
+    def test_literal_grounded_in_another_spelling(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        record = minimal_record(pre_text=["sales were $1,000.50 million , up .5 % ; costs were (30) ."])
+        record["qa"] = dict(record["qa"], program="add(1000.5, 0.50), add(#0, -30)", exe_ans=971)
+        write_jsonl(path, [record])
+        (got,) = load_records(path).records
+        assert got.warnings == ()
+
+    def test_program_over_the_step_cap_rejected(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        record = minimal_record()
+        steps = ["subtract(100, 80)"] + [f"add(#{i}, 80)" for i in range(MAX_PROGRAM_STEPS)]
+        record["qa"] = dict(record["qa"], program=", ".join(steps))
+        write_jsonl(path, [record])
+        (reject,) = load_records(path).rejects
+        assert (reject.field_path, reject.reason) == (
+            "qa.program", f"a program may have at most {MAX_PROGRAM_STEPS} steps"
+        )
 
     def test_warning_order(self, tmp_path):
         path = tmp_path / "records.jsonl"

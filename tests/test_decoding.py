@@ -14,6 +14,7 @@ from finprog.decoding import (
 from finprog.dsl import (
     DEFAULT_CONSTANTS,
     MATH_OPS,
+    MAX_PROGRAM_STEPS,
     TABLE_OPS,
     parse_program,
     render_program,
@@ -116,6 +117,14 @@ class TestMask:
     def test_table_op_argument_is_row_only(self, vocab):
         state = walk(["table-sum", "("], vocab)
         assert next_token_mask(state, vocab) == frozenset(("risk-free interest rate",))
+
+    def test_max_steps_is_bounded_by_the_step_cap(self, ctx):
+        vocab = build_vocabulary(ctx, max_steps=MAX_PROGRAM_STEPS)
+        state = replay(" , ".join(["add ( 5 , 100 )"] * MAX_PROGRAM_STEPS).split(), vocab)
+        assert next_token_mask(state, vocab) == frozenset()
+        assert len(parse_program(state.program_text)) == MAX_PROGRAM_STEPS
+        with pytest.raises(ValueError, match="exceeds MAX_PROGRAM_STEPS"):
+            build_vocabulary(ctx, max_steps=MAX_PROGRAM_STEPS + 1)
 
     def test_max_steps_forces_stop(self, ctx):
         vocab = build_vocabulary(ctx, max_steps=1)

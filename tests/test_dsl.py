@@ -1,3 +1,4 @@
+import time
 from decimal import Decimal
 from random import Random
 
@@ -9,6 +10,7 @@ from finprog.context import EvidenceContext, FinTable
 from finprog.dsl import (
     ALL_OPS,
     MAX_NUMBER_DIGITS,
+    MAX_PROGRAM_STEPS,
     TABLE_OPS,
     ArityError,
     Constant,
@@ -243,6 +245,28 @@ class TestWellFormedByConstruction:
         with pytest.raises(ForwardStepRef):
             parse_program("add(1, 2), add(#" + "9" * 5000 + ", 1)")
         assert parse_program("add(1, 2), add(#00, 1)").steps[1].args[0] == StepRef(0)
+
+    def test_step_cap(self):
+        def chain(n):
+            return ", ".join(["add(1, 2)"] + [f"add(#{i - 1}, {i})" for i in range(1, n)])
+
+        program = parse_program(chain(MAX_PROGRAM_STEPS))
+        assert len(program) == MAX_PROGRAM_STEPS
+        message = f"a program may have at most {MAX_PROGRAM_STEPS} steps"
+        with pytest.raises(ProgramError, match=message):
+            parse_program(chain(MAX_PROGRAM_STEPS + 1))
+        with pytest.raises(ProgramError, match=message):
+            Program(program.steps + program.steps[-1:])
+        # The text past the bound is not read: its syntax error goes unseen.
+        with pytest.raises(ProgramError, match=message):
+            parse_program(chain(MAX_PROGRAM_STEPS + 1) + ", ) frobnicate((")
+
+    def test_long_line_refused_without_reading_it(self):
+        text = ", ".join(["add(1, 2)"] + [f"add(#{i - 1}, {i})" for i in range(1, 200_000)])
+        start = time.perf_counter()
+        with pytest.raises(ProgramError):
+            parse_program(text)
+        assert time.perf_counter() - start < 0.1  # reading all 4 MB takes about 0.5 s
 
     def test_any_table_argument_but_a_row_name_is_refused(self):
         for arg in (_number(5), Constant("const_100")):

@@ -1,4 +1,6 @@
+import sys
 import time
+from contextlib import contextmanager
 from fractions import Fraction
 from random import Random
 
@@ -7,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finprog import equiv
-from finprog.dsl import ProgramError, parse_program, render_program
+from finprog.dsl import MAX_PROGRAM_STEPS, ProgramError, parse_program, render_program
 from finprog.equiv import (
     _P,
     _build,
@@ -289,27 +291,48 @@ def _deep_chain(steps: int, distributed: bool = False) -> str:
     return ", ".join(text)
 
 
+@contextmanager
+def _frames_left(count: int):
+    """Lower the recursion limit to ``count`` frames above the caller's depth."""
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + count)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(limit)
+
+
 class TestDeepPrograms:
-    """Forms are built and sampled without recursion, so depth is no longer
-    bounded by the interpreter's recursion limit."""
+    """Forms are built and sampled without recursion: a chain of
+    MAX_PROGRAM_STEPS steps is decided with fewer frames to spare than it has steps."""
+
+    FRAMES = 50
 
     def test_deep_chain_matches_itself_canonically(self):
-        chain = P(_deep_chain(2000))
-        report = compare_programs(chain, chain)
+        chain = P(_deep_chain(MAX_PROGRAM_STEPS))
+        assert len(chain.steps) > self.FRAMES
+        with _frames_left(self.FRAMES):
+            report = compare_programs(chain, chain)
         assert report.equivalent and report.reason == "canonical-match"
 
     def test_deep_chain_rewrite_decided_by_sampling(self):
-        chain = P(_deep_chain(2000))
-        rewrite = P(_deep_chain(2000, distributed=True))
-        assert len(rewrite.steps) == 2001
-        report = compare_programs(chain, rewrite, samples=8)
+        chain = P(_deep_chain(MAX_PROGRAM_STEPS - 1))
+        rewrite = P(_deep_chain(MAX_PROGRAM_STEPS - 1, distributed=True))
+        assert len(rewrite.steps) == MAX_PROGRAM_STEPS
+        with _frames_left(self.FRAMES):
+            report = compare_programs(chain, rewrite, samples=8)
+            left, right = pair_symbolize(chain, rewrite)
+            texts = to_expression(left), to_expression(right)
         assert report.equivalent and report.reason == "randomized-agreement"
-        left, right = pair_symbolize(chain, rewrite)
-        assert to_expression(left) != to_expression(right)
+        assert texts[0] != texts[1]
 
     def test_deep_chain_renders_without_recursion(self):
-        sp, _ = pair_symbolize(P(_deep_chain(2000)), P("add(1, 2)"))
-        text = to_expression(sp)
+        with _frames_left(self.FRAMES):
+            sp, _ = pair_symbolize(P(_deep_chain(MAX_PROGRAM_STEPS)), P("add(1, 2)"))
+            text = to_expression(sp)
         assert text.startswith("(* (+ 1*(* ") and text == oracle_canonical_key(sp)
 
 
@@ -344,6 +367,29 @@ class TestReusedSteps:
         elapsed = time.perf_counter() - start
         assert report.equivalent and report.reason == reason
         assert elapsed < 0.5, elapsed
+
+
+def _symbol_chain(steps: int, ops: tuple[str, ...], last: str | None = None) -> str:
+    """Step i applies ops[i % len(ops)] to the previous step and symbol s<i>; ``last`` replaces the final symbol."""
+    text = [f"{ops[0]}(s0, s1)"] + [f"{ops[i % len(ops)]}(#{i - 1}, s{i + 1})" for i in range(1, steps)]
+    if last is not None:
+        text[-1] = text[-1].rsplit(",", 1)[0] + f", {last})"
+    return ", ".join(text)
+
+
+class TestStepCap:
+    """At MAX_PROGRAM_STEPS a long sum and an alternating chain decide in milliseconds."""
+
+    @pytest.mark.parametrize("ops", [("add",), ("add", "multiply")])
+    def test_capped_chain_decides_fast(self, ops):
+        chain = P(_symbol_chain(MAX_PROGRAM_STEPS, ops))
+        changed = P(_symbol_chain(MAX_PROGRAM_STEPS, ops, last="other"))
+        for other, reason in ((chain, "canonical-match"), (changed, "counterexample")):
+            start = time.perf_counter()
+            report = compare_programs(chain, other)
+            elapsed = time.perf_counter() - start
+            assert report.reason == reason
+            assert elapsed < 0.5, elapsed
 
 
 class TestModularSampling:

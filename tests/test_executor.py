@@ -4,6 +4,8 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from finprog.context import EvidenceContext, FinTable
 from finprog.dsl import (
@@ -136,6 +138,16 @@ class TestGrounding:
         with pytest.raises(UngroundedNumber):
             execute(parse_program("add(123456, 1)"), table_ctx, strict_grounding=True)
 
+    def test_strict_mode_names_the_literal(self, table_ctx):
+        # 7 is in the table, -7 is not.
+        with pytest.raises(UngroundedNumber, match="^-7 does not appear in the evidence$"):
+            execute(parse_program("add(-7, 1)"), table_ctx, strict_grounding=True)
+
+    def test_strict_mode_accepts_other_spellings(self, table_ctx):
+        # "(2)" is -2, "4.2%" is 4.2 and "11.64" is 11.640.
+        program = parse_program("add(-2, 4.20), add(#0, 11.640)")
+        assert execute(program, table_ctx, strict_grounding=True) == Fraction(Decimal("13.84"))
+
     def test_strict_mode_accepts_grounded(self, table_ctx):
         assert execute(
             parse_program("add(11.64, 2006)"), table_ctx, strict_grounding=True
@@ -224,6 +236,31 @@ class TestPieces:
         assert render_value(Fraction(3, 4)) == "0.75"
         assert render_value(Fraction(100, 3)) == "100/3"
         assert render_value(Fraction(-1164)) == "-1164"
+
+    @pytest.mark.parametrize(
+        "program",
+        ["exp(15, 4000), divide(#0, 7)", "exp(15, 4000), divide(7, #0)", "exp(15, 4000), divide(#0, 7), subtract(0, #1)"],
+    )
+    def test_long_non_terminating_result_renders_exactly(self, program):
+        value = execute(parse_program(program))
+        numerator, denominator = render_value(value).split("/")
+        assert max(len(numerator), len(denominator)) > 4300  # past Python's int/str limit
+        assert (Decimal(numerator), Decimal(denominator)) == (value.numerator, value.denominator)
+
+    @given(st.integers(-(10**80), 10**80), st.integers(0, 60), st.integers(0, 60), st.sampled_from([1, 3, 7]))
+    def test_render_value_is_exact(self, numerator, twos, fives, other):
+        value = Fraction(numerator, 2**twos * 5**fives * other)
+        text = render_value(value)
+        terminates = other == 1 or value.denominator % other != 0
+        if terminates:
+            assert Fraction(Decimal(text)) == value and "/" not in text
+        else:
+            n, d = text.split("/")
+            assert Fraction(int(n), int(d)) == value
+
+    def test_long_terminating_value_keeps_every_digit(self):
+        assert render_value(Fraction(123456789012345678901234567890123, 1000)) == "123456789012345678901234567890.123"
+        assert render_value(Fraction(-(10**40) - 1)) == "-1" + "0" * 39 + "1"
 
 
 class TestProperties:

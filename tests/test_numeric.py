@@ -17,6 +17,7 @@ from finprog.numeric import (
     decimal_places,
     extract_numbers,
     format_decimal,
+    mantissa_set,
     parse_quantity,
     round_half_up,
     values_equal,
@@ -143,6 +144,9 @@ class TestQuantityScan:
             expected = {q.mantissa for t in texts for q in extract_numbers(t)}
             assert ctx.number_values == expected
             assert all(isinstance(v, Decimal) for v in ctx.number_values)
+            for value in [*expected, Decimal(rng.randint(-9999, 9999)).scaleb(-rng.randint(0, 3))]:
+                for spelling in (value, -value):
+                    assert ctx.mentions(spelling) == (spelling in expected)
 
     def test_number_tokens_in_first_appearance_order(self):
         table = FinTable.from_rows([["", "2019", "1.5"], ["row 4", "7", "9"]])
@@ -155,6 +159,55 @@ class TestQuantityScan:
         assert Decimal("1.50") in ctx.number_values
         assert 0 in ctx.number_values and Fraction(0) in ctx.number_values
         assert Fraction(-3, 2) not in ctx.number_values
+
+
+# Texts built from number pieces that differ from a literal's canonical
+# digits: leading dots and zeros, trailing zeros, thousands commas, signs,
+# parentheses, currency, percent and scale words.
+_mention_texts = st.lists(
+    st.sampled_from(
+        list("0123456789,.$()%-−") + [" ", "\t", "\u0663", "x", "thousand", "Million"]
+        + [".5", "0.5", "00.50", "1,000", "1000", "1,000.000", "(3)", "-0", "0.0", ".0", "$(1.2)", "12.5%"]
+    ),
+    max_size=24,
+).map("".join)
+
+_literals = st.one_of(
+    st.sampled_from(
+        [Decimal(x) for x in ("0", "-0", "0.0", "0.5", ".5", "-0.5", "0.50", "1000", "1E+3", "1000.00",
+                              "-1000", "3", "-3", "1.2", "-1.2", "12.5", "5", "50", "0.05", "100", "10")]
+    ),
+    st.builds(lambda n, e: Decimal(n).scaleb(e), st.integers(-(10**7), 10**7), st.integers(-6, 3)),
+)
+
+
+class TestMentions:
+    """``mentions`` answers exactly as membership in ``mantissa_set`` of the context's texts."""
+
+    @settings(max_examples=1000)
+    @given(st.lists(_mention_texts, max_size=4), st.lists(_mention_texts, min_size=2, max_size=2), _literals)
+    def test_mentions_is_membership(self, sentences, row, value):
+        ctx = EvidenceContext.build(sentences, FinTable.from_rows([["", "2019"], row]))
+        texts = [*sentences, "", "2019", *row]
+        assert ctx.mentions(value) == (value in mantissa_set(texts))
+
+    @given(st.lists(_mention_texts, min_size=1, max_size=4), st.data())
+    def test_every_number_is_mentioned_in_any_spelling(self, sentences, data):
+        ctx = EvidenceContext.build(sentences)
+        for value in mantissa_set(sentences):
+            trailing = data.draw(st.integers(0, 3))
+            for spelling in (value, -value, value + Decimal(0).scaleb(-trailing)):
+                assert ctx.mentions(spelling) == (spelling in ctx.number_values)
+
+    def test_spellings(self):
+        ctx = EvidenceContext.build(
+            ["sales were $1,000 million and (3.50)% lower", "rose .5 points", "a 0.0 change", "up 7%"]
+        )
+        for value in ("1000", "1E+3", "1000.0", "-3.5", "0.5", ".50", "0", "-0", "7"):
+            assert ctx.mentions(Decimal(value)), value
+        # "100" and "10" are digits of "1000", "3.5" of "(3.50)", "70" of nothing.
+        for value in ("100", "10", "3.5", "-0.5", "70", "-7", "5"):
+            assert not ctx.mentions(Decimal(value)), value
 
 
 _mantissas = st.decimals(
