@@ -57,12 +57,9 @@ from .dsl import (
 )
 from .equiv import (
     EquivalenceReport,
-    SymbolicProgram,
+    canonical_texts,
     compare_programs,
     equivalent,
-    pair_symbolize,
-    program_accuracy,
-    to_expression,
 )
 from .evaluate import (
     EvalReport,

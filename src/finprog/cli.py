@@ -17,7 +17,7 @@ from .context import EvidenceContext
 from .corpus import FileUnreadable, SchemaError, dataset_stats, linearize_table, load_predictions, load_records
 from .decoding import IllegalToken, build_vocabulary, next_token_mask, replay
 from .dsl import MAX_PROGRAM_STEPS, ProgramError, is_valid, parse_program, tokenize_program, validate
-from .equiv import compare_programs, pair_symbolize, to_expression
+from .equiv import DEFAULT_SAMPLE_POINTS, canonical_texts, compare_programs
 from .evaluate import UnknownRecordId, breakdown_report
 from .executor import ExecutionError, execute, render_value
 from .numeric import TolerancePolicy
@@ -78,7 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("program_a")
     p.add_argument("program_b")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=_at_least(int, 1), default=32, help=_SAMPLES_HELP)
+    p.add_argument("--samples", type=_at_least(int, 1), default=DEFAULT_SAMPLE_POINTS, help=_SAMPLES_HELP)
 
     p = sub.add_parser("eval", help="score predictions against a record file")
     p.add_argument("--records", required=True)
@@ -88,7 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-gold-rounding", action="store_true", help="disable the gold-precision rounding clause")
     p.add_argument("--percent-insensitive", action="store_true")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=_at_least(int, 1), default=32, help=_SAMPLES_HELP)
+    p.add_argument("--samples", type=_at_least(int, 1), default=DEFAULT_SAMPLE_POINTS, help=_SAMPLES_HELP)
     p.add_argument("--strict-grounding", action="store_true")
     add_output(p)
 
@@ -179,8 +179,8 @@ def _cmd_equiv(args) -> int:
     report = compare_programs(a, b, samples=args.samples, seed=args.seed)
     print("equivalent" if report.equivalent else "not equivalent")
     print(f"reason: {report.reason}")
-    for label, symbolic in zip("ab", pair_symbolize(a, b)):
-        print(f"canonical {label}: {to_expression(symbolic)}")
+    for label, text in zip("ab", canonical_texts(a, b)):
+        print(f"canonical {label}: {text}")
     return 0
 
 

@@ -1,11 +1,11 @@
 """Program accuracy: are two programs mathematically equivalent?
 
-Arguments are first replaced by symbols shared across the compared pair
-(equal numbers, constants of equal value, and identical names collapse to one
-symbol). Each step of both programs is then interned, once, into one table
-of normalized forms that the pair shares (hash-consing): sums and products
-are flattened and like parts collected, and a form is its operation over its
-parts' ids, so the programs match canonically when their final forms share an id.
+Each step of both programs is interned, once, into one table of normalized
+forms that the pair shares (hash-consing), its arguments read as symbols the
+pair also shares (equal numbers, constants of equal value, and identical
+names collapse to one symbol). Sums and products are flattened and like
+parts collected, and a form is its operation over its parts' ids, so the
+programs match canonically when their final forms share an id.
 
 Pairs whose ids differ get a randomized fallback, so identities that
 normalization does not rewrite (for example distributivity) are still
@@ -54,22 +54,8 @@ from .dsl import (
 
 DEFAULT_SAMPLE_POINTS = 32
 
-# A symbolized argument: ("sym", symbol_id) or ("step", earlier_step_index).
-SymbolicArg = tuple[str, int]
-
-
-@dataclass(frozen=True)
-class SymbolicStep:
-    op: str
-    args: tuple[SymbolicArg, ...]
-
-
-@dataclass(frozen=True)
-class SymbolicProgram:
-    """A program with arguments replaced by ids into a shared symbol table."""
-
-    steps: tuple[SymbolicStep, ...]
-    symbols: tuple[tuple, ...]
+# Longest canonical text ``canonical_texts`` writes out; a longer one is elided.
+MAX_CANONICAL_CHARS = 10_000
 
 
 def _symbol_key(arg) -> tuple:
@@ -83,28 +69,6 @@ def _symbol_key(arg) -> tuple:
     if isinstance(arg, Constant):
         return ("num", constant_value(arg.name))
     return ("name", normalize_row_name(arg.name))
-
-
-def _symbolic_steps(program: Program, table: dict) -> tuple[SymbolicStep, ...]:
-    steps = []
-    for step in program.steps:
-        args: list[SymbolicArg] = []
-        for arg in step.args:
-            if isinstance(arg, StepRef):
-                args.append(("step", arg.index))
-                continue
-            args.append(("sym", table.setdefault(_symbol_key(arg), len(table))))
-        steps.append(SymbolicStep(op=step.op, args=tuple(args)))
-    return tuple(steps)
-
-
-def pair_symbolize(p1: Program, p2: Program) -> tuple[SymbolicProgram, SymbolicProgram]:
-    """Symbolize two programs over one shared symbol table."""
-    table: dict = {}
-    steps1 = _symbolic_steps(p1, table)
-    steps2 = _symbolic_steps(p2, table)
-    symbols = tuple(table)  # in id order: ids are given in insertion order
-    return SymbolicProgram(steps1, symbols), SymbolicProgram(steps2, symbols)
 
 
 _CHAIN_STEPS = {"add": ("+", 1), "subtract": ("+", -1), "multiply": ("*", 1), "divide": ("*", -1)}
@@ -142,12 +106,22 @@ def _chain(op: str, terms, table: dict, nodes: list) -> int:
     return _intern((op, parts), table, nodes)
 
 
-def _build(sp: SymbolicProgram, table: dict, nodes: list) -> int:
-    """Intern each step's form, made once from the steps it references; returns the last one's id."""
+def _build(program: Program, symbols: dict, table: dict, nodes: list) -> int:
+    """Intern each step's form, made once from the steps it references; returns the last one's id.
+
+    A step reference is the earlier step's id. Any other argument is a leaf
+    over its symbol's id in ``symbols``, which maps each ``_symbol_key`` to
+    an id given in order of first use, so both programs of a pair share it.
+    """
     ids: list[int] = []
-    for step in sp.steps:
+    for step in program.steps:
         leaf = step.op if step.op in TABLE_OPS else "sym"
-        operands = [ids[value] if kind == "step" else _intern((leaf, value), table, nodes) for kind, value in step.args]
+        operands = [
+            ids[arg.index]
+            if isinstance(arg, StepRef)
+            else _intern((leaf, symbols.setdefault(_symbol_key(arg), len(symbols))), table, nodes)
+            for arg in step.args
+        ]
         if step.op in _CHAIN_STEPS:
             op, sign = _CHAIN_STEPS[step.op]
             ids.append(_chain(op, ((1, operands[0]), (sign, operands[1])), table, nodes))
@@ -159,35 +133,57 @@ def _build(sp: SymbolicProgram, table: dict, nodes: list) -> int:
     return ids[-1]
 
 
+def _intern_pair(p1: Program, p2: Program) -> tuple[dict, list, tuple[int, int]]:
+    """Both programs interned into one table over one symbol dict: the symbols, the forms and both roots."""
+    symbols: dict = {}
+    table: dict = {}
+    nodes: list = []
+    return symbols, nodes, (_build(p1, symbols, table, nodes), _build(p2, symbols, table, nodes))
+
+
 def _reachable(nodes: list, roots) -> list[int]:
     """The ids reachable from ``roots``, in increasing order, found in one pass from the top down."""
     marked = set(roots)
-    for form in range(max(roots), -1, -1):
+    for form in range(max(roots, default=-1), -1, -1):
         if form in marked and nodes[form][0] not in _LEAVES:
             marked.update([part for _, part in nodes[form][1]])
     return sorted(marked)
 
 
-def to_expression(sp: SymbolicProgram) -> str:
-    """The canonical text of the final step's form; equal texts mean equal forms.
+def canonical_texts(p1: Program, p2: Program) -> tuple[str, str]:
+    """The canonical text of each program's final form, over the pair's shared symbols.
 
-    Each form it reaches is rendered once, in id order, from its parts' text,
-    and chain parts are written in order of their text.
+    Equal texts that are not elided mean equal forms. Both programs are
+    interned into one table, and each form either reaches is rendered once,
+    in id order, from its parts' text; chain parts are written in order of
+    their text. A text longer than ``MAX_CANONICAL_CHARS`` is never built:
+    reused steps can make it exponentially long, so it reads ``(elided: N
+    characters)``, its length counted from its parts' lengths.
     """
-    nodes: list = []
-    root = _build(sp, {}, nodes)
+    _, nodes, roots = _intern_pair(p1, p2)
+    size: dict[int, int] = {}
     text: dict[int, str] = {}
-    for form in _reachable(nodes, (root,)):
+    for form in _reachable(nodes, roots):
         op, arg = nodes[form]
         if op in _LEAVES:
             text[form] = f"s{arg}" if op == "sym" else f"{op}[s{arg}]"
+            size[form] = len(text[form])
         elif op in ("+", "*"):
+            # "(+ " and ")", a space between terms, and "w*t" or "t^w" per term
+            size[form] = 4 + max(len(arg) - 1, 0) + sum([len(str(w)) + 1 + size[part] for w, part in arg])
+        else:
+            size[form] = 5 + size[arg[0][1]] + size[arg[1][1]]
+    kept = [root for root in roots if size[root] <= MAX_CANONICAL_CHARS]
+    for form in _reachable(nodes, kept):
+        op, arg = nodes[form]
+        if op in ("+", "*"):
             terms = sorted([(text[part], weight) for weight, part in arg])
             inner = " ".join([f"{w}*{t}" if op == "+" else f"{t}^{w}" for t, w in terms])
             text[form] = f"({op} {inner})"
-        else:
+        elif op not in _LEAVES:
             text[form] = f"({op} {text[arg[0][1]]} {text[arg[1][1]]})"
-    return text[root]
+    left, right = [text[root] if root in kept else f"(elided: {size[root]} characters)" for root in roots]
+    return left, right
 
 
 def _hashed_int(seed: int, parts: tuple) -> int:
@@ -416,16 +412,14 @@ def compare_programs(
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
-    s1, s2 = pair_symbolize(p1, p2)
-    table, nodes = {}, []
-    left, right = _build(s1, table, nodes), _build(s2, table, nodes)
+    symbols, nodes, (left, right) = _intern_pair(p1, p2)
     boolean = nodes[left][0] == ">"
     if boolean != (nodes[right][0] == ">"):
         return EquivalenceReport(False, "incomparable-types")
     if left == right:
         return EquivalenceReport(True, "canonical-match")
 
-    plan, roots = _plan(nodes, (left, right), s1.symbols)
+    plan, roots = _plan(nodes, (left, right), tuple(symbols))
     trials = samples * 20
     if boolean:
         reason = _sample(plan, roots, seed, samples, trials, None)
@@ -446,13 +440,3 @@ def equivalent(
 ) -> bool:
     return compare_programs(p1, p2, samples=samples, seed=seed).equivalent
 
-
-def program_accuracy(
-    pred: Optional[Program],
-    gold: Program,
-    *,
-    samples: int = DEFAULT_SAMPLE_POINTS,
-    seed: int = 0,
-) -> bool:
-    """False for a missing prediction, else the equivalence verdict."""
-    return pred is not None and equivalent(pred, gold, samples=samples, seed=seed)

@@ -16,7 +16,7 @@ from typing import Iterable, Optional
 
 from .corpus import EvidenceRecord, PredictionRecord, source_bucket, steps_bucket
 from .dsl import Constant, ProgramError, parse_program
-from .equiv import program_accuracy
+from .equiv import DEFAULT_SAMPLE_POINTS, equivalent
 from .executor import ExecutionError, execute, render_value
 from .numeric import DEFAULT_TOLERANCE, NotANumber, TolerancePolicy, parse_quantity, values_equal
 
@@ -80,7 +80,7 @@ def score_record(
     record: EvidenceRecord,
     policy: TolerancePolicy = DEFAULT_TOLERANCE,
     *,
-    samples: int = 32,
+    samples: int = DEFAULT_SAMPLE_POINTS,
     seed: int = 0,
     strict_grounding: bool = False,
 ) -> RecordVerdict:
@@ -92,7 +92,7 @@ def score_record(
     except ProgramError as exc:
         return RecordVerdict(record.id, False, False, f"parse-error: {exc}", None)
 
-    prog_correct = program_accuracy(program, record.gold_program, samples=samples, seed=seed)
+    prog_correct = equivalent(program, record.gold_program, samples=samples, seed=seed)
 
     try:
         value = execute(program, record.context(), strict_grounding=strict_grounding)
@@ -227,7 +227,7 @@ def breakdown_report(
     records: list[EvidenceRecord],
     policy: TolerancePolicy = DEFAULT_TOLERANCE,
     *,
-    samples: int = 32,
+    samples: int = DEFAULT_SAMPLE_POINTS,
     seed: int = 0,
     strict_grounding: bool = False,
 ) -> EvalReport:

@@ -7,8 +7,8 @@ oracle evaluates symbolic programs step by step without building, normalizing,
 or pruning expression trees, and the canonical-key oracle builds each step's
 normalized form as a string that embeds its parts' strings in full, with no
 intern table. Shared pieces are limited to definitional layers: quantity
-parsing, the symbol-identity rule, and the hashed sample-point convention for
-uninterpreted operations.
+parsing, the symbol-identity rule (``equiv._symbol_key``), and the hashed
+sample-point convention for uninterpreted operations.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from finprog.dsl import (
     parse_program,
     validate,
 )
-from finprog.equiv import _hashed_int, pair_symbolize
+from finprog.equiv import _hashed_int, _symbol_key
 from finprog.numeric import NotANumber, parse_quantity
 
 _WORDS = (
@@ -307,11 +307,29 @@ class _PointFailure(Exception):
     pass
 
 
+def oracle_symbolize(*programs: Program) -> tuple[list, ...]:
+    """Each program's steps as ``(op, args)`` over one shared symbol list, then that list.
+
+    An argument becomes ``("step", index)`` for a step reference, else
+    ``("sym", id)``: the id of its symbol key, given in order of first use
+    across all the programs. The last item lists the keys in id order.
+    """
+    ids: dict = {}
+
+    def symbolic(arg) -> tuple:
+        if isinstance(arg, StepRef):
+            return ("step", arg.index)
+        return ("sym", ids.setdefault(_symbol_key(arg), len(ids)))
+
+    steps = [[(step.op, tuple(map(symbolic, step.args))) for step in program.steps] for program in programs]
+    return (*steps, list(ids))
+
+
 def _run_symbolic(steps, symbols, values, seed: int, trial: int):
     env = []
-    for step in steps:
+    for op, args in steps:
         resolved = []
-        for kind, ref in step.args:
+        for kind, ref in args:
             if kind == "step":
                 value = env[ref]
                 if isinstance(value, bool):
@@ -319,23 +337,23 @@ def _run_symbolic(steps, symbols, values, seed: int, trial: int):
                 resolved.append(value)
             else:
                 resolved.append(values[ref])
-        if step.op in TABLE_OPS:
-            env.append(Fraction(_hashed_int(seed, (trial, "agg", step.op, symbols[step.args[0][1]]))))
+        if op in TABLE_OPS:
+            env.append(Fraction(_hashed_int(seed, (trial, "agg", op, symbols[args[0][1]]))))
             continue
         left, right = resolved
-        if step.op == "add":
+        if op == "add":
             env.append(left + right)
-        elif step.op == "subtract":
+        elif op == "subtract":
             env.append(left - right)
-        elif step.op == "multiply":
+        elif op == "multiply":
             env.append(left * right)
-        elif step.op == "divide":
+        elif op == "divide":
             if right == 0:
                 raise _PointFailure()
             env.append(left / right)
-        elif step.op == "exp":
+        elif op == "exp":
             env.append(Fraction(_hashed_int(seed, (trial, "pow", left, right))))
-        elif step.op == "greater":
+        elif op == "greater":
             env.append(left > right)
         else:
             raise _PointFailure()
@@ -349,17 +367,17 @@ def oracle_equivalent(p1: Program, p2: Program, samples: int = 32, seed: int = 0
     the implementation; evaluation itself runs the raw symbolic programs,
     including dead steps (their failures just discard the sample point).
     """
-    s1, s2 = pair_symbolize(p1, p2)
-    if (s1.steps[-1].op == "greater") != (s2.steps[-1].op == "greater"):
+    s1, s2, symbols = oracle_symbolize(p1, p2)
+    if (s1[-1][0] == "greater") != (s2[-1][0] == "greater"):
         return False
     agreed = 0
     for trial in range(samples * 20):
         if agreed >= samples:
             break
-        values = [Fraction(_hashed_int(seed, (trial, key))) for key in s1.symbols]
+        values = [Fraction(_hashed_int(seed, (trial, key))) for key in symbols]
         try:
-            left = _run_symbolic(s1.steps, s1.symbols, values, seed, trial)
-            right = _run_symbolic(s2.steps, s2.symbols, values, seed, trial)
+            left = _run_symbolic(s1, symbols, values, seed, trial)
+            right = _run_symbolic(s2, symbols, values, seed, trial)
         except _PointFailure:
             continue
         if left != right:
@@ -371,11 +389,11 @@ def oracle_equivalent(p1: Program, p2: Program, samples: int = 32, seed: int = 0
 def generically_evaluable(program: Program, probes: int = 3, seed: int = 987) -> bool:
     """True when every step evaluates at a few random points (no constant-zero
     denominators or boolean misuse anywhere, including dead steps)."""
-    sp, _ = pair_symbolize(program, program)
+    steps, symbols = oracle_symbolize(program)
     for trial in range(probes):
-        values = [Fraction(_hashed_int(seed, (trial, key))) for key in sp.symbols]
+        values = [Fraction(_hashed_int(seed, (trial, key))) for key in symbols]
         try:
-            _run_symbolic(sp.steps, sp.symbols, values, seed, trial)
+            _run_symbolic(steps, symbols, values, seed, trial)
         except _PointFailure:
             return False
     return True
@@ -482,8 +500,8 @@ def _oracle_chain(op: str, terms) -> tuple:
     return (f"({op} {inner_text})", op, parts)
 
 
-def oracle_canonical_key(sp) -> str:
-    """The canonical key of a symbolic program's final step, built from strings.
+def oracle_canonical_key(steps) -> str:
+    """The canonical key of the final step of ``oracle_symbolize`` steps, built from strings.
 
     Each step's form is a (key, op, parts) triple whose key embeds its
     parts' keys in full: ``s<id>`` for a symbol, ``<table-op>[s<id>]`` for an
@@ -492,17 +510,17 @@ def oracle_canonical_key(sp) -> str:
     Equal keys mean equal normalized forms.
     """
     forms: list[tuple] = []
-    for step in sp.steps:
-        if step.op in TABLE_OPS:
-            ((_, symbol),) = step.args
-            forms.append((f"{step.op}[s{symbol}]", step.op, ()))
+    for step_op, args in steps:
+        if step_op in TABLE_OPS:
+            ((_, symbol),) = args
+            forms.append((f"{step_op}[s{symbol}]", step_op, ()))
             continue
-        operands = [forms[value] if kind == "step" else (f"s{value}", "sym", ()) for kind, value in step.args]
-        if step.op in _ORACLE_CHAINS:
-            op, sign = _ORACLE_CHAINS[step.op]
+        operands = [forms[value] if kind == "step" else (f"s{value}", "sym", ()) for kind, value in args]
+        if step_op in _ORACLE_CHAINS:
+            op, sign = _ORACLE_CHAINS[step_op]
             forms.append(_oracle_chain(op, ((1, operands[0]), (sign, operands[1]))))
         else:
-            op = "^" if step.op == "exp" else ">"
+            op = "^" if step_op == "exp" else ">"
             key = f"({op} {operands[0][0]} {operands[1][0]})"
             forms.append((key, op, ((1, operands[0]), (1, operands[1]))))
     return forms[-1][0]

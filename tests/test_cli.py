@@ -1,6 +1,8 @@
 import json
 import pathlib
+import re
 import sys
+import time
 from decimal import Decimal
 
 import pytest
@@ -84,6 +86,21 @@ class TestEquivCommand:
     def test_exp_of_a_long_exact_value_decides(self, capsys):
         assert cli_dispatch(["equiv", *_exp_of_squarings("a", "b", "c", "d")]) == 0
         assert capsys.readouterr().out.splitlines()[:2] == ["equivalent", "reason: randomized-agreement"]
+
+    def test_capped_reused_step_chain_prints_an_elision(self, capsys):
+        # Each level reuses the step before it twice, so its text grows 4x per level.
+        steps = ["add(a, b)", "multiply(#0, e)"]
+        for k in range(1, MAX_PROGRAM_STEPS - 2, 3):
+            steps += [f"divide(#{k}, c)", f"divide(#{k}, d)", f"add(#{k + 1}, #{k + 2})"]
+        assert len(steps) == MAX_PROGRAM_STEPS
+        start = time.perf_counter()
+        code = cli_dispatch(["equiv", ", ".join(steps), "add(a, b)"])
+        elapsed = time.perf_counter() - start
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0 and elapsed < 1.0, elapsed
+        assert re.fullmatch(r"canonical a: \(elided: \d+ characters\)", lines[2]), lines[2]
+        assert int(lines[2].split()[3]) > 10**14
+        assert lines[3] == "canonical b: (+ 1*s0 1*s1)"
 
     @pytest.mark.parametrize("command", ["equiv", "eval"])
     def test_samples_below_one_is_usage_error(self, capsys, command, sample_path, gold_preds_path):

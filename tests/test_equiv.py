@@ -1,3 +1,4 @@
+import math
 import sys
 import time
 from contextlib import contextmanager
@@ -16,20 +17,21 @@ from finprog.equiv import (
     _chain,
     _evaluate,
     _hashed_int,
+    _intern_pair,
     _plan,
     _sample,
+    canonical_texts,
     compare_programs,
     equivalent,
-    pair_symbolize,
-    program_accuracy,
-    to_expression,
 )
+from finprog.evaluate import score_record
 
 from generators import (
     generically_evaluable,
     mutate_preserving,
     oracle_canonical_key,
     oracle_equivalent,
+    oracle_symbolize,
     random_program_pair,
     random_symbolic_program,
     reorder_independent_steps,
@@ -41,87 +43,84 @@ FLAGSHIP_A = "add(a_1, a_2), add(a_3, a_4), subtract(#0, #1)"
 FLAGSHIP_B = "add(a_4, a_3), add(a_1, a_2), subtract(#1, #0)"
 
 
-def _plan_of(sp):
-    """The sampling plan of one symbolic program's final step."""
+def _plan_of(program):
+    """The sampling plan of one program's final step, and its symbol keys in id order."""
+    symbols: dict = {}
     nodes: list = []
-    root = _build(sp, {}, nodes)
-    return _plan(nodes, (root,), sp.symbols)[0]
+    root = _build(program, symbols, {}, nodes)
+    return _plan(nodes, (root,), tuple(symbols))[0], tuple(symbols)
+
+
+def _text(program: str) -> str:
+    """The canonical text of one program, compared with itself."""
+    return canonical_texts(P(program), P(program))[0]
 
 
 class TestPairSymbolize:
+    """Both programs of a pair read their arguments as one shared set of symbols."""
+
     def test_flagship_pair_shares_symbols(self):
-        s1, s2 = pair_symbolize(P(FLAGSHIP_A), P(FLAGSHIP_B))
-        assert s1.symbols == s2.symbols
-        assert len(s1.symbols) == 4
+        assert canonical_texts(P(FLAGSHIP_A), P(FLAGSHIP_B)) == ("(+ 1*s0 1*s1 -1*s2 -1*s3)",) * 2
 
     def test_equal_literals_share_one_symbol(self):
-        s1, _ = pair_symbolize(P("divide(100, 100)"), P("divide(100, 100)"))
-        assert len(s1.symbols) == 1
+        assert _text("divide(100, 100)") == "(* )"
 
     def test_constant_equals_literal_of_same_value(self):
-        s1, _ = pair_symbolize(P("divide(5, const_5)"), P("divide(5, 5)"))
-        assert len(s1.symbols) == 1
+        assert canonical_texts(P("divide(5, const_5)"), P("divide(5, 5)")) == ("(* )", "(* )")
+        assert canonical_texts(P("add(const_5, 7)"), P("add(7, 5)")) == ("(+ 1*s0 1*s1)",) * 2
 
     def test_distinct_values_distinct_symbols(self):
-        s1, _ = pair_symbolize(P("divide(5, 7)"), P("divide(5, 7)"))
-        assert len(s1.symbols) == 2
+        assert _text("divide(5, 7)") == "(* s0^1 s1^-1)"
 
     def test_row_names_symbolize_by_normalized_name(self):
-        s1, _ = pair_symbolize(P("table-sum(Net Sales)"), P("table-sum(net sales)"))
-        assert len(s1.symbols) == 1
+        assert canonical_texts(P("table-sum(Net Sales)"), P("table-sum(net sales)")) == ("table-sum[s0]",) * 2
 
 
 class TestToExpression:
     def test_inline_sum(self):
-        sp, _ = pair_symbolize(P("add(a, b), subtract(#0, c)"), P("add(a, b)"))
-        assert to_expression(sp) == "(+ 1*s0 1*s1 -1*s2)"
+        assert canonical_texts(P("add(a, b), subtract(#0, c)"), P("add(a, b)")) == (
+            "(+ 1*s0 1*s1 -1*s2)",
+            "(+ 1*s0 1*s1)",
+        )
 
     def test_single_divide_is_signed_product(self):
-        sp, _ = pair_symbolize(P("divide(a, b)"), P("divide(a, b)"))
-        assert to_expression(sp) == "(* s0^1 s1^-1)"
+        assert _text("divide(a, b)") == "(* s0^1 s1^-1)"
 
     def test_dead_step_dropped(self):
-        sp, _ = pair_symbolize(P("add(a, b), add(c, d)"), P("add(a, b)"))
-        assert to_expression(sp) == "(+ 1*s2 1*s3)"
+        assert canonical_texts(P("add(a, b), add(c, d)"), P("add(a, b)")) == ("(+ 1*s2 1*s3)", "(+ 1*s0 1*s1)")
 
 
 class TestNormalize:
     def test_commutativity_same_canonical(self):
-        a = to_expression(pair_symbolize(P("add(a, b)"), P("add(a, b)"))[0])
-        b = to_expression(pair_symbolize(P("add(b, a)"), P("add(b, a)"))[0])
-        assert a == b
+        assert _text("add(a, b)") == _text("add(b, a)")
 
     def test_flagship_pair_identical_canonical(self):
-        s1, s2 = pair_symbolize(P(FLAGSHIP_A), P(FLAGSHIP_B))
-        assert to_expression(s1) == to_expression(s2)
+        left, right = canonical_texts(P(FLAGSHIP_A), P(FLAGSHIP_B))
+        assert left == right
         assert compare_programs(P(FLAGSHIP_A), P(FLAGSHIP_B)).reason == "canonical-match"
 
     def test_subtract_noncommutative(self):
-        s1, s2 = pair_symbolize(P("subtract(a, b)"), P("subtract(b, a)"))
-        assert to_expression(s1) != to_expression(s2)
+        left, right = canonical_texts(P("subtract(a, b)"), P("subtract(b, a)"))
+        assert left != right
         assert not equivalent(P("subtract(a, b)"), P("subtract(b, a)"))
 
     def test_like_terms_collect(self):
-        sp, _ = pair_symbolize(P("add(a, a)"), P("add(a, a)"))
-        assert to_expression(sp) == "(+ 2*s0)"
+        assert _text("add(a, a)") == "(+ 2*s0)"
 
     def test_cancellation_to_zero(self):
-        sp, _ = pair_symbolize(P("subtract(a, a)"), P("subtract(a, a)"))
-        assert to_expression(sp) == "(+ )"
+        assert _text("subtract(a, a)") == "(+ )"
 
     def test_ratio_of_self_is_one(self):
-        sp, _ = pair_symbolize(P("divide(a, a)"), P("divide(a, a)"))
-        assert to_expression(sp) == "(* )"
+        assert _text("divide(a, a)") == "(* )"
 
     def test_normalize_idempotent(self):
         rng = Random(83)
         chains = 0
         for _ in range(300):
             program = random_symbolic_program(rng)
-            sp, _ = pair_symbolize(program, program)
             table: dict = {}
             nodes: list = []
-            _build(sp, table, nodes)
+            _build(program, {}, table, nodes)
             size = len(nodes)
             for form, (op, parts) in enumerate(nodes[:size]):
                 if op in ("+", "*"):
@@ -150,19 +149,27 @@ class TestInternedForms:
     @given(st.randoms(use_true_random=False))
     def test_ids_and_text_match_string_keys(self, rng):
         a, b = _symbolic_pair(rng)
-        s1, s2 = pair_symbolize(a, b)
+        s1, s2, _ = oracle_symbolize(a, b)
         keys = oracle_canonical_key(s1), oracle_canonical_key(s2)
-        assert (to_expression(s1), to_expression(s2)) == keys
-        table: dict = {}
-        nodes: list = []
-        left, right = _build(s1, table, nodes), _build(s2, table, nodes)
+        assert canonical_texts(a, b) == keys
+        _, _, (left, right) = _intern_pair(a, b)
         assert (left == right) == (keys[0] == keys[1]), keys
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_text_ignores_the_other_program_and_tracks_canonical_match(self, rng):
+        a, b = random_program_pair(rng) if rng.random() < 0.5 else _symbolic_pair(rng)
+        texts = canonical_texts(a, b)
+        assert texts[0] == canonical_texts(a, a)[0]
+        report = compare_programs(a, b)
+        if report.reason != "incomparable-types":
+            assert (texts[0] == texts[1]) == (report.reason == "canonical-match"), texts
 
     def test_pairs_cover_matches_and_mismatches(self):
         rng = Random(109)
         matches = 0
         for _ in range(300):
-            s1, s2 = pair_symbolize(*_symbolic_pair(rng))
+            s1, s2, _ = oracle_symbolize(*_symbolic_pair(rng))
             matches += oracle_canonical_key(s1) == oracle_canonical_key(s2)
         assert 60 < matches < 240
 
@@ -324,16 +331,15 @@ class TestDeepPrograms:
         assert len(rewrite.steps) == MAX_PROGRAM_STEPS
         with _frames_left(self.FRAMES):
             report = compare_programs(chain, rewrite, samples=8)
-            left, right = pair_symbolize(chain, rewrite)
-            texts = to_expression(left), to_expression(right)
+            texts = canonical_texts(chain, rewrite)
         assert report.equivalent and report.reason == "randomized-agreement"
         assert texts[0] != texts[1]
 
     def test_deep_chain_renders_without_recursion(self):
         with _frames_left(self.FRAMES):
-            sp, _ = pair_symbolize(P(_deep_chain(MAX_PROGRAM_STEPS)), P("add(1, 2)"))
-            text = to_expression(sp)
-        assert text.startswith("(* (+ 1*(* ") and text == oracle_canonical_key(sp)
+            chain = P(_deep_chain(MAX_PROGRAM_STEPS))
+            text, _ = canonical_texts(chain, P("add(1, 2)"))
+        assert text.startswith("(* (+ 1*(* ") and text == oracle_canonical_key(oracle_symbolize(chain)[0])
 
 
 def _halving_chain(levels: int, distributed: bool) -> str:
@@ -369,6 +375,26 @@ class TestReusedSteps:
         assert elapsed < 0.5, elapsed
 
 
+class TestCanonicalTextElision:
+    """A canonical text past MAX_CANONICAL_CHARS is elided, and names its exact length."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.randoms(use_true_random=False), st.integers(0, 10))
+    def test_elision_counts_the_text_it_replaces(self, rng, levels):
+        a, b = _symbolic_pair(rng)
+        if rng.random() < 0.5:
+            a = P(_halving_chain(levels, rng.random() < 0.5))
+        assert all(len(text) <= equiv.MAX_CANONICAL_CHARS for text in canonical_texts(a, b))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(equiv, "MAX_CANONICAL_CHARS", math.inf)
+            full = canonical_texts(a, b)
+            # a text exactly at the bound is kept, one character past it is elided
+            for bound in (0, len(full[0]) - 1, len(full[0]), len(full[1])):
+                patch.setattr(equiv, "MAX_CANONICAL_CHARS", bound)
+                expected = tuple(t if len(t) <= bound else f"(elided: {len(t)} characters)" for t in full)
+                assert canonical_texts(a, b) == expected, bound
+
+
 def _symbol_chain(steps: int, ops: tuple[str, ...], last: str | None = None) -> str:
     """Step i applies ops[i % len(ops)] to the previous step and symbol s<i>; ``last`` replaces the final symbol."""
     text = [f"{ops[0]}(s0, s1)"] + [f"{ops[i % len(ops)]}(#{i - 1}, s{i + 1})" for i in range(1, steps)]
@@ -402,7 +428,7 @@ class TestModularSampling:
         left = P(", ".join(["add(x, x)", *doublings, "subtract(#60, x)", "add(#61, y)"]))
         right = P("add(x, y), subtract(#0, x)")
         report = compare_programs(left, right)
-        assert to_expression(pair_symbolize(left, right)[0]) == f"(+ {_P}*s0 1*s1)"
+        assert canonical_texts(left, right)[0] == f"(+ {_P}*s0 1*s1)"
         assert not report.equivalent and report.reason == "counterexample"
 
     def test_greater_needs_the_sign_of_a_factor(self):
@@ -430,10 +456,9 @@ class TestModularSampling:
 
     def test_leaf_residues_match_hashed_int(self):
         program = P("add(3.5, const_250), table-sum(Net Sales), add(#0, #1), add(#2, x)")
-        sp, _ = pair_symbolize(program, program)
-        plan = _plan_of(sp)
+        plan, symbols = _plan_of(program)
         leaves = [i for i, (op, _, _) in enumerate(plan) if op == "leaf"]
-        number, constant, row, name = sp.symbols
+        number, constant, row, name = symbols
         keys = [(number,), (constant,), ("agg", "table-sum", row), (name,)]
         assert {key[0] if key[0] == "agg" else key[0][0] for key in keys} == {"num", "name", "agg"}
         for seed in (0, 11, -3):
@@ -532,8 +557,7 @@ class TestBatchedSampling:
         assert [trial for _, batch in batches for trial in batch] == list(range(20 * samples))
 
     def test_exact_values_stay_in_lowest_terms(self):
-        sp, _ = pair_symbolize(P(_halving_chain(6, False)), P("add(a, b)"))
-        plan = _plan_of(sp)
+        plan, _ = _plan_of(P(_halving_chain(6, False)))
         nums, dens, live = _evaluate(plan, 0, range(3), None)
         assert live == [True] * 3
         for num, den in zip(nums, dens):
@@ -550,8 +574,7 @@ class TestBatchedSampling:
         assert time.perf_counter() - start < 2.0
 
     def test_pass_stops_once_every_trial_is_dead(self):
-        sp, _ = pair_symbolize(P("subtract(a, a), divide(b, #0), add(#1, c)"), P("add(a, b)"))
-        plan = _plan_of(sp)
+        plan, _ = _plan_of(P("subtract(a, a), divide(b, #0), add(#1, c)"))
         nums, dens, live = _evaluate(plan, 0, range(5), _P)
         assert live == [False] * 5
         assert len(nums) == len(dens) < len(plan)
@@ -559,8 +582,7 @@ class TestBatchedSampling:
     def test_divisors_are_evaluated_first(self):
         # the zero divisor is interned after the dividend's forms
         program = P("add(b, c), multiply(#0, d), subtract(a, a), divide(#1, #2)")
-        sp, _ = pair_symbolize(program, program)
-        nums, dens, live = _evaluate(_plan_of(sp), 0, range(5), _P)
+        nums, dens, live = _evaluate(_plan_of(program)[0], 0, range(5), _P)
         assert live == [False] * 5
         assert nums == dens == []  # the pass stopped at the zero divisor, before any other form
 
@@ -614,20 +636,24 @@ class TestBatchedSampling:
 
 
 class TestProgramAccuracy:
+    """A prediction counts for program accuracy when it is equivalent to the gold program."""
+
     def test_identical_programs(self):
-        assert program_accuracy(P("add(1, 2)"), P("add(1, 2)"))
+        assert equivalent(P("add(1, 2)"), P("add(1, 2)"))
 
     def test_commutative_swap_counts(self):
-        assert program_accuracy(P("add(1, 2)"), P("add(2, 1)"))
+        assert equivalent(P("add(1, 2)"), P("add(2, 1)"))
 
-    def test_missing_prediction(self):
-        assert not program_accuracy(None, P("add(1, 2)"))
+    def test_missing_prediction(self, sample_records):
+        verdict = score_record(None, sample_records[0])
+        assert not verdict.prog_correct and verdict.failure == "missing"
 
     def test_flagship_pair_as_prediction(self):
-        assert program_accuracy(P(FLAGSHIP_A), P(FLAGSHIP_B))
+        assert equivalent(P(FLAGSHIP_A), P(FLAGSHIP_B))
 
-    def test_invalid_prediction(self):
-        # A boolean fed into arithmetic does not parse, so it is scored as no prediction.
+    def test_invalid_prediction(self, sample_records):
+        # A boolean fed into arithmetic does not parse, so it is scored as a parse error.
         with pytest.raises(ProgramError, match="boolean result"):
             P("greater(a, b), add(#0, 1)")
-        assert not program_accuracy(None, P("add(a, 1)"))
+        verdict = score_record("greater(a, b), add(#0, 1)", sample_records[0])
+        assert not verdict.prog_correct and verdict.failure.startswith("parse-error")
