@@ -21,10 +21,13 @@ from .equiv import DEFAULT_SAMPLE_POINTS, canonical_texts, compare_programs
 from .evaluate import UnknownRecordId, breakdown_report
 from .executor import ExecutionError, execute, render_value
 from .numeric import TolerancePolicy
-from .retrieve import rank_records, recall_at_k
+from .retrieve import ranked_recall
 
 
-_SAMPLES_HELP = "random points at which the equivalence fallback must agree (at least 1)"
+_SAMPLES_HELP = (
+    "most random points the equivalence fallback takes (at least 1); it takes fewer "
+    "when the degree bound allows, and all of them for a pair ending in greater"
+)
 
 
 def _at_least(kind: type, low: int, high: float = math.inf):
@@ -113,10 +116,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class OutputUnwritable(Exception):
+    """The --out path cannot be written."""
+
+
 def _emit(text: str, out: Optional[str]) -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
+        try:
+            with open(out, "w", encoding="utf-8") as handle:
+                handle.write(text + "\n")
+        except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
+            raise OutputUnwritable(f"cannot write {out}: {exc}") from exc
     else:
         print(text)
 
@@ -179,6 +189,7 @@ def _cmd_equiv(args) -> int:
     report = compare_programs(a, b, samples=args.samples, seed=args.seed)
     print("equivalent" if report.equivalent else "not equivalent")
     print(f"reason: {report.reason}")
+    print(f"points: {report.points}")
     for label, text in zip("ab", canonical_texts(a, b)):
         print(f"canonical {label}: {text}")
     return 0
@@ -222,23 +233,21 @@ def _cmd_retrieve(args) -> int:
     if not loaded.records:
         print("no records loaded", file=sys.stderr)
         return 2
-    per_record, rankings = [], {}
-    for record, ranked in rank_records(loaded.records, args.k):
-        per_record.append((record.id, recall_at_k(ranked, record.gold_fact_ids, args.k)))
-        rankings[record.id] = [{"fact": fid, "score": score} for fid, score in ranked]
-    mean = sum(r for _, r in per_record) / len(per_record)
+    mean, per_record = ranked_recall(loaded.records, args.k)
     if args.format == "machine":
         payload = {
             "k": args.k,
             "recall_at_k": mean,
-            "per_record": [{"id": rid, "recall": r} for rid, r in per_record],
-            "rankings": rankings,
+            "per_record": [{"id": rid, "recall": r} for rid, r, _ in per_record],
+            "rankings": {
+                rid: [{"fact": fid, "score": score} for fid, score in ranked] for rid, _, ranked in per_record
+            },
         }
         _emit(json.dumps(payload, indent=2), args.out)
     else:
         lines = [f"recall@{args.k}  {100 * mean:.2f}%  over {len(per_record)} records"]
-        for rid, recall in per_record:
-            top = ", ".join(entry["fact"] for entry in rankings[rid])
+        for rid, recall, ranked in per_record:
+            top = ", ".join(fid for fid, _ in ranked)
             lines.append(f"  {rid}: recall {100 * recall:.2f}%  top: {top}")
         _emit("\n".join(lines), args.out)
     return 1 if loaded.rejects else 0
@@ -310,7 +319,7 @@ def cli_dispatch(argv: list[str]) -> int:
         return int(exc.code or 0)
     try:
         return _HANDLERS[args.command](args)
-    except (FileUnreadable, SchemaError, UnknownRecordId) as exc:
+    except (FileUnreadable, OutputUnwritable, SchemaError, UnknownRecordId) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

@@ -347,7 +347,7 @@ def _read(path) -> str:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: undecodable bytes, or a NUL in the path
         raise FileUnreadable(f"cannot read {path}: {exc}") from exc
 
 

@@ -11,15 +11,42 @@ Pairs whose ids differ get a randomized fallback, so identities that
 normalization does not rewrite (for example distributivity) are still
 recognized. The table's forms reachable from both sides are evaluated once,
 children first, at independent random integer points, modulo the prime
-p = 2**61 - 1 with plain integers. Both sides are rational functions of the
-symbols, and over Z_p a point can only wrongly say "agree", never "differ":
-by the Schwartz-Zippel / DeMillo-Lipton lemma a point agrees by chance with
-probability at most deg/p. A program can also build a coefficient that is a
-multiple of p, or an exponent that is a multiple of p - 1, which Z_p cannot
-tell from 0. So before the fallback reports agreement it confirms it at one
-point in exact rational arithmetic. Pairs whose final step is ``greater``
-are sampled in exact rational arithmetic throughout: a sign test needs the
-order that Z_p lacks.
+p = 2**61 - 1 with plain integers. A pair with a reachable divisor that is
+the zero form (the empty sum, as ``subtract(x, x)`` interns) has no point
+at which both sides are defined, so it is degenerate without sampling.
+
+Both sides are rational functions of the symbols, and over Z_p a point can
+only wrongly say "agree", never "differ". By the Schwartz-Zippel /
+DeMillo-Lipton lemma a point agrees by chance with probability at most
+D * mu, where D bounds the degree of the difference's numerator and mu the
+chance that a sample value takes any one residue. A sample value is a hash
+spread evenly over the 2**63 integers from -2**62 to 2**62 - 1, with 0
+moved to 1, reduced mod p. At most 6 of those integers share a residue, so
+mu = 6 / 2**63, under 1.5 / p.
+
+Each planned form gets a (numerator, denominator) degree bound: a leaf is
+(1, 0), a sum cross-multiplies, and a product scales by the absolute weight
+and swaps the pair on a negative one. An uninterpreted ``^`` is a fresh
+leaf, unless the operands of two of them agree by accident. For ``^`` forms
+i and j that has probability at most mu * (s_i + s_j), s the larger of a
+form's two operand degrees (numerator plus denominator); A sums this over
+all pairs. A trial is dead when a divisor's numerator vanishes, with
+probability at most mu * (Q + A), Q the sum of those numerators' degrees.
+Treating the hash as a random function, a wrong pair then agrees at each
+live point with probability at most
+
+    bound = mu * (D + A) / (1 - mu * (Q + A)).
+
+The fallback takes the fewest points k with bound**k below 2**-64
+(``TARGET_ERROR_BITS``), and at most ``samples``. When the bound says
+nothing (it reaches 1, as when D nears p) it takes ``samples`` points.
+
+A program can also build a coefficient that is a multiple of p, or an
+exponent that is a multiple of p - 1, which Z_p cannot tell from 0. So
+before the fallback reports agreement it confirms it at one point in exact
+rational arithmetic. Pairs whose final step is ``greater`` are sampled in
+exact rational arithmetic at all ``samples`` points: a sign test needs the
+order that Z_p lacks, and agrees by chance about half the time.
 
 One evaluator serves residues and exact integers alike, keeping each value
 as a numerator and a denominator. It walks the subforms once per batch of
@@ -53,6 +80,10 @@ from .dsl import (
 )
 
 DEFAULT_SAMPLE_POINTS = 32
+
+# A wrong pair agrees over Z_p at every point the fallback takes with
+# probability below 2**-TARGET_ERROR_BITS, unless ``samples`` caps the points.
+TARGET_ERROR_BITS = 64
 
 # Longest canonical text ``canonical_texts`` writes out; a longer one is elided.
 MAX_CANONICAL_CHARS = 10_000
@@ -224,6 +255,55 @@ def _plan(nodes: list, roots: tuple[int, ...], symbols: tuple) -> tuple[list, li
     return plan, [position[root] for root in roots]
 
 
+def _degrees(plan: list) -> list[tuple[int, int]]:
+    """A bound on the (numerator, denominator) degree of each planned value, as ``_evaluate`` builds it.
+
+    A leaf is (1, 0). A sum cross-multiplies, a product scales each part's
+    pair by its weight's absolute value and swaps it on a negative weight.
+    ``"^"`` is a fresh leaf, and ``">"`` only ever a root, sampled exactly.
+    """
+    degrees: list[tuple[int, int]] = []
+    for op, arg, _ in plan:
+        n, d = 1, 0
+        if op == "+":
+            n, d = degrees[arg[0][1]] if arg else (0, 0)
+            for _, i in arg[1:]:
+                m, e = degrees[i]
+                n, d = max(n + e, m + d), d + e
+        elif op == "*":
+            n = d = 0
+            for weight, i in arg:
+                m, e = degrees[i]
+                if weight < 0:
+                    m, e, weight = e, m, -weight
+                n, d = n + weight * m, d + weight * e
+        degrees.append((n, d))
+    return degrees
+
+
+def _points_needed(plan: list, roots: list[int], cap: int) -> int:
+    """The fewest Z_p points, at most ``cap``, at which a wrong pair agrees with probability below the target.
+
+    Each point's bound is the module's ``mu * (D + A) / (1 - mu * (Q + A))``,
+    mu = 6 / 2**63, and the target 2**-TARGET_ERROR_BITS. A bound of 1 or
+    more says nothing, and ``cap`` points are taken.
+    """
+    degrees = _degrees(plan)
+    (left_num, left_den), (right_num, right_den) = [degrees[root] for root in roots]
+    dead = sum([degrees[i][0] for i, (_, _, divisor) in enumerate(plan) if divisor])  # Q
+    # A: for each "^", its larger operand degree, counted once per other "^"
+    powers = [max([sum(degrees[i]) for _, i in arg]) for op, arg, _ in plan if op == "^"]
+    accidents = (len(powers) - 1) * sum(powers)
+    agree = 6 * (max(left_num + right_den, right_num + left_den) + accidents)
+    live = 2**63 - 6 * (dead + accidents)
+    if not agree:
+        return 1  # the numerator is a constant: nonzero mod p, it never vanishes
+    if agree >= live:
+        return cap
+    bits = math.log2(live) - math.log2(agree)
+    return min(cap, math.floor(TARGET_ERROR_BITS / bits) + 1)
+
+
 _P = 2**61 - 1  # a Mersenne prime: residues fit in a machine word
 
 
@@ -350,8 +430,10 @@ def _evaluate(plan: list, seed: int, batch: range, modulus: Optional[int]) -> tu
     return nums, dens, live
 
 
-def _sample(plan: list, roots: list[int], seed: int, points: int, trials: int, modulus: Optional[int]) -> str:
-    """The reason decided by the first ``points`` live trials of ``range(trials)``.
+def _sample(
+    plan: list, roots: list[int], seed: int, points: int, trials: int, modulus: Optional[int]
+) -> tuple[str, int]:
+    """The reason decided by the first ``points`` live trials of ``range(trials)``, and how many it compared.
 
     Trial 0 is evaluated alone, so a counterexample usually stays a one-point
     decision. Over Z_p each later batch holds one trial per point still to
@@ -359,7 +441,8 @@ def _sample(plan: list, roots: list[int], seed: int, points: int, trials: int, m
     Results are read in trial order: dead trials are skipped, the first
     disagreement is a counterexample, and after ``trials`` trials without
     ``points`` agreeing ones the comparison is degenerate. Two values agree
-    when ``nL * dR == nR * dL``, modulo ``modulus`` if given.
+    when ``nL * dR == nR * dL``, modulo ``modulus`` if given. The count is
+    of live trials, the disagreeing one included.
     """
     left, right = roots
     agreed, start, size = 0, 0, 1
@@ -373,22 +456,31 @@ def _sample(plan: list, roots: list[int], seed: int, points: int, trials: int, m
             right_den = dens[right][t] if dens[right] else 1
             difference = nums[left][t] * right_den - nums[right][t] * left_den
             if (difference % modulus if modulus else difference) != 0:
-                return "counterexample"
+                return "counterexample", agreed + 1
             agreed += 1
-        # Over Z_p a wrong pair agrees by chance with probability at most
-        # deg/p, so once trial 0 agrees the rest are taken in one batch. An
-        # exact sign test (greater) agrees by chance about half the time, so
-        # its batches double instead: the trials evaluated past the first
+        # Over Z_p a wrong pair rarely agrees by chance (the module's bound),
+        # so once trial 0 agrees the rest are taken in one batch. An exact
+        # sign test (greater) agrees by chance about half the time, so its
+        # batches double instead: the trials evaluated past the first
         # disagreement never outnumber those before it.
         start = batch.stop
         size = points - agreed if modulus else min(2 * size, points - agreed)
-    return "randomized-agreement" if agreed >= points else "degenerate"
+    return ("randomized-agreement" if agreed >= points else "degenerate"), agreed
 
 
 @dataclass(frozen=True)
 class EquivalenceReport:
+    """The decision, its reason, and how many sample points it compared.
+
+    ``points`` counts the live points read over Z_p, or in exact arithmetic
+    for a pair ending in ``greater``, the disagreeing one included; the exact
+    confirmation of an agreement re-reads the first of them. It is 0 when
+    the forms alone decided.
+    """
+
     equivalent: bool
     reason: str
+    points: int
 
 
 def compare_programs(
@@ -404,31 +496,36 @@ def compare_programs(
     incomparable-types (one program ends in a boolean, the other a number),
     degenerate (no evaluable sample points exist outside the canonical match).
 
-    Pairs whose forms differ are compared at ``samples`` evaluable random
-    points, drawn from at most ``20 * samples`` trials; ``samples`` below 1
-    raises ValueError, since no point would then be checked. Points are
-    evaluated over Z_p and an agreement is confirmed at one exact point;
-    pairs ending in ``greater`` are evaluated exactly at every point.
+    A pair whose forms differ is degenerate at once when a divisor it
+    reaches is the zero form. Otherwise it is compared at random points,
+    drawn from at most ``20 * samples`` trials; ``samples`` below 1 raises
+    ValueError, since no point would then be checked. Points are evaluated
+    over Z_p, as many as bring the module's per-point bound below 2**-64
+    (``TARGET_ERROR_BITS``) but at most ``samples``, and an agreement is
+    confirmed at one exact point. Pairs ending in ``greater`` are evaluated
+    exactly at ``samples`` points.
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     symbols, nodes, (left, right) = _intern_pair(p1, p2)
     boolean = nodes[left][0] == ">"
     if boolean != (nodes[right][0] == ">"):
-        return EquivalenceReport(False, "incomparable-types")
+        return EquivalenceReport(False, "incomparable-types", 0)
     if left == right:
-        return EquivalenceReport(True, "canonical-match")
+        return EquivalenceReport(True, "canonical-match", 0)
 
     plan, roots = _plan(nodes, (left, right), tuple(symbols))
+    if ("+", (), True) in plan:  # a divisor that is the empty sum kills every trial
+        return EquivalenceReport(False, "degenerate", 0)
     trials = samples * 20
     if boolean:
-        reason = _sample(plan, roots, seed, samples, trials, None)
+        reason, points = _sample(plan, roots, seed, samples, trials, None)
     else:
-        reason = _sample(plan, roots, seed, samples, trials, _P)
+        reason, points = _sample(plan, roots, seed, _points_needed(plan, roots, samples), trials, _P)
         if reason == "randomized-agreement":
             # Z_p errs only towards agreement: confirm it at one exact point.
-            reason = _sample(plan, roots, seed, 1, trials, None)
-    return EquivalenceReport(reason == "randomized-agreement", reason)
+            reason, _ = _sample(plan, roots, seed, 1, trials, None)
+    return EquivalenceReport(reason == "randomized-agreement", reason, points)
 
 
 def equivalent(

@@ -10,7 +10,7 @@ for error analysis.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from decimal import Decimal
 from typing import Iterable, Optional
 
@@ -60,7 +60,13 @@ class RecordVerdict:
     predicted_value: Optional[str]
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {
+            "id": self.id,
+            "exe_correct": self.exe_correct,
+            "prog_correct": self.prog_correct,
+            "failure": self.failure,
+            "predicted_value": self.predicted_value,
+        }
 
 
 def _predictions_by_id(
@@ -144,7 +150,11 @@ class BucketScore:
     program_accuracy: float
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {
+            "count": self.count,
+            "execution_accuracy": self.execution_accuracy,
+            "program_accuracy": self.program_accuracy,
+        }
 
 
 @dataclass(frozen=True)

@@ -143,16 +143,24 @@ def rank_records(
         yield record, rank(record.question, index, k)
 
 
-def corpus_recall(records: Iterable[EvidenceRecord], k: int) -> tuple[float, list[tuple[str, float]]]:
-    """Mean per-record recall@k, with the per-record values."""
+def ranked_recall(
+    records: Iterable[EvidenceRecord], k: int
+) -> tuple[float, list[tuple[str, float, RankedFacts]]]:
+    """Mean per-record recall@k, with each record's id, recall and top-k facts."""
     per_record = [
-        (record.id, recall_at_k(ranked, record.gold_fact_ids, k))
+        (record.id, recall_at_k(ranked, record.gold_fact_ids, k), ranked)
         for record, ranked in rank_records(records, k)
     ]
     if not per_record:
         raise EmptyCorpus("no records to evaluate")
-    mean = sum(r for _, r in per_record) / len(per_record)
+    mean = sum(r for _, r, _ in per_record) / len(per_record)
     return mean, per_record
+
+
+def corpus_recall(records: Iterable[EvidenceRecord], k: int) -> tuple[float, list[tuple[str, float]]]:
+    """Mean per-record recall@k, with the per-record values."""
+    mean, per_record = ranked_recall(records, k)
+    return mean, [(record_id, recall) for record_id, recall, _ in per_record]
 
 
 @dataclass(frozen=True)

@@ -527,6 +527,95 @@ def oracle_canonical_key(steps) -> str:
 
 
 # ---------------------------------------------------------------------------
+# degrees along a random line (oracle for the degree bounds of equiv)
+
+
+def _poly_trim(p: list) -> list:
+    """A polynomial as its coefficients from the constant up, without zero leading terms."""
+    while p and p[-1] == 0:
+        p = p[:-1]
+    return p
+
+
+def _poly_add(p: list, q: list) -> list:
+    if len(p) < len(q):
+        p, q = q, p
+    return _poly_trim([x + (q[i] if i < len(q) else 0) for i, x in enumerate(p)])
+
+
+def _poly_mul(p: list, q: list) -> list:
+    if not p or not q:
+        return []
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            out[i + j] += x * y
+    return out
+
+
+def _poly_divmod(p: list, q: list) -> tuple[list, list]:
+    quotient = [Fraction(0)] * max(len(p) - len(q) + 1, 0)
+    rest = list(p)
+    while len(rest) >= len(q):
+        shift, factor = len(rest) - len(q), rest[-1] / q[-1]
+        quotient[shift] = factor
+        for j, y in enumerate(q):
+            rest[shift + j] -= factor * y
+        rest = _poly_trim(rest)
+    return quotient, rest
+
+
+def _lowest_terms(num: list, den: list) -> tuple[list, list]:
+    """num/den with their greatest common divisor (Euclid's algorithm) divided out, den monic."""
+    p, q = den, num
+    while q:
+        p, q = q, _poly_divmod(p, q)[1]
+    num, den = _poly_divmod(num, p)[0], _poly_divmod(den, p)[0]
+    return [x / den[-1] for x in num], [x / den[-1] for x in den]
+
+
+def oracle_line_degrees(program: Program, seed: int = 0) -> list:
+    """Each step's true (numerator, denominator) degree along a random line, or None.
+
+    Every symbol, table aggregation and ``exp`` moves along its own random
+    line a + b*t (an ``exp`` keyed by its operand values, which it is a
+    function of). Each step is evaluated exactly, as a rational function of
+    t in lowest terms, so its degrees are those of the program's rational
+    function in lowest terms, restricted to the line; a random line keeps
+    them, and never raises them. The zero polynomial has degree -1. None
+    marks a ``greater`` step, and a step that divides by zero or uses one.
+    """
+    rng = Random(seed)
+    steps, _ = oracle_symbolize(program)
+    lines: dict = {}
+
+    def line(key) -> tuple[list, list]:
+        if key not in lines:
+            lines[key] = ([Fraction(rng.randint(-99, 99)), Fraction(rng.choice((-1, 1)) * rng.randint(1, 99))], [1])
+        return lines[key]
+
+    values: list = []
+    for op, args in steps:
+        operands = [values[ref] if kind == "step" else line(("sym", ref)) for kind, ref in args]
+        if op in TABLE_OPS:
+            values.append(line(("agg", op, args[0][1])))
+        elif op == "greater" or any(value is None for value in operands):
+            values.append(None)
+        elif op == "exp":
+            values.append(line(("pow", repr(operands))))
+        else:
+            (n1, d1), (n2, d2) = operands
+            if op in ("add", "subtract"):
+                right = _poly_mul([Fraction(1 if op == "add" else -1)], _poly_mul(n2, d1))
+                values.append(_lowest_terms(_poly_add(_poly_mul(n1, d2), right), _poly_mul(d1, d2)))
+            elif op == "multiply":
+                values.append(_lowest_terms(_poly_mul(n1, n2), _poly_mul(d1, d2)))
+            else:
+                values.append(_lowest_terms(_poly_mul(n1, d2), _poly_mul(d1, n2)) if n2 else None)
+    return [None if value is None else (len(value[0]) - 1, len(value[1]) - 1) for value in values]
+
+
+# ---------------------------------------------------------------------------
 # mask-guided walks and the brute-force mask oracle
 
 

@@ -1,4 +1,7 @@
+import contextlib
+import io
 import json
+import os
 import pathlib
 import re
 import sys
@@ -6,9 +9,13 @@ import time
 from decimal import Decimal
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from finprog.cli import cli_dispatch
+from finprog.corpus import candidate_facts, load_records
 from finprog.dsl import MAX_PROGRAM_STEPS, render_program
+from finprog.retrieve import build_index, rank
 
 
 @pytest.fixture()
@@ -20,6 +27,10 @@ def gold_preds_path(tmp_path, sample_records):
                 json.dumps({"id": record.id, "program": render_program(record.gold_program)}) + "\n"
             )
     return path
+
+
+FACTORED = "add(a, b), multiply(#0, c)"
+DISTRIBUTED = "multiply(a, c), multiply(b, c), add(#0, #1)"
 
 
 def _exp_of_squarings(a, b, c, d):
@@ -42,6 +53,7 @@ class TestEquivCommand:
         assert capsys.readouterr().out.splitlines() == [
             "equivalent",
             "reason: canonical-match",
+            "points: 0",
             "canonical a: (+ 1*s0 1*s1)",
             "canonical b: (+ 1*s0 1*s1)",
         ]
@@ -83,6 +95,25 @@ class TestEquivCommand:
         assert captured.out == ""
         assert captured.err == f"invalid program: a program may have at most {MAX_PROGRAM_STEPS} steps\n"
 
+    @pytest.mark.parametrize(
+        "left, right, samples, lines",
+        [
+            # the degree bound asks for 2 of the points --samples allows
+            (FACTORED, DISTRIBUTED, "32", ["equivalent", "reason: randomized-agreement", "points: 2"]),
+            (FACTORED, DISTRIBUTED, "1", ["equivalent", "reason: randomized-agreement", "points: 1"]),
+            ("add(a, b)", "add(a, c)", "32", ["not equivalent", "reason: counterexample", "points: 1"]),
+            # a pair ending in greater takes every point --samples allows
+            (f"{FACTORED}, greater(#1, d)", f"{DISTRIBUTED}, greater(#2, d)", "5",
+             ["equivalent", "reason: randomized-agreement", "points: 5"]),
+            # a zero-form divisor decides without sampling
+            ("subtract(a, a), divide(b, #0)", "subtract(a, a), divide(c, #0)", "32",
+             ["not equivalent", "reason: degenerate", "points: 0"]),
+        ],
+    )
+    def test_prints_the_points_compared(self, capsys, left, right, samples, lines):
+        assert cli_dispatch(["equiv", left, right, "--samples", samples]) == 0
+        assert capsys.readouterr().out.splitlines()[:3] == lines
+
     def test_exp_of_a_long_exact_value_decides(self, capsys):
         assert cli_dispatch(["equiv", *_exp_of_squarings("a", "b", "c", "d")]) == 0
         assert capsys.readouterr().out.splitlines()[:2] == ["equivalent", "reason: randomized-agreement"]
@@ -98,9 +129,9 @@ class TestEquivCommand:
         elapsed = time.perf_counter() - start
         lines = capsys.readouterr().out.splitlines()
         assert code == 0 and elapsed < 1.0, elapsed
-        assert re.fullmatch(r"canonical a: \(elided: \d+ characters\)", lines[2]), lines[2]
-        assert int(lines[2].split()[3]) > 10**14
-        assert lines[3] == "canonical b: (+ 1*s0 1*s1)"
+        assert re.fullmatch(r"canonical a: \(elided: \d+ characters\)", lines[3]), lines[3]
+        assert int(lines[3].split()[3]) > 10**14
+        assert lines[4] == "canonical b: (+ 1*s0 1*s1)"
 
     @pytest.mark.parametrize("command", ["equiv", "eval"])
     def test_samples_below_one_is_usage_error(self, capsys, command, sample_path, gold_preds_path):
@@ -418,6 +449,15 @@ class TestHostileFiles:
         assert cli_dispatch(["stats", "--records", str(path)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {path} is not valid JSON: ")
 
+    @pytest.mark.parametrize("out", ["nul\x00byte", "."], ids=["nul", "directory"])
+    def test_unwritable_out_is_input_error(self, capsys, sample_path, out):
+        assert cli_dispatch(["stats", "--records", str(sample_path), "--out", out]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+
+    def test_nul_in_records_path_is_input_error(self, capsys):
+        assert cli_dispatch(["stats", "--records", "nul\x00byte"]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot read nul\x00byte: ")
+
     def test_reject_ids_count_physical_lines(self, capsys, tmp_path, sample_path, gold_preds_path):
         records = tmp_path / "records.jsonl"
         records.write_text("\n\n{bad\n" + sample_path.read_text(encoding="utf-8"))
@@ -558,6 +598,19 @@ class TestRetrieveCommand:
         assert len(built) == 3
 
 
+    def test_each_record_lists_its_own_facts(self, capsys, tmp_path, sample_path):
+        # Two records share an id; each table line shows the record's own ranking.
+        first = json.loads(sample_path.read_text(encoding="utf-8").splitlines()[0])
+        twin = dict(first, qa=dict(first["qa"], question="what was operating income?"))
+        records = tmp_path / "twins.jsonl"
+        records.write_text(json.dumps(first) + "\n" + json.dumps(twin) + "\n", encoding="utf-8")
+        assert cli_dispatch(["retrieve", "--records", str(records)]) == 0
+        tops = [line.split("top: ")[1] for line in capsys.readouterr().out.splitlines()[1:]]
+        loaded = load_records(records).records
+        expected = [", ".join(f for f, _ in rank(r.question, build_index(candidate_facts(r)), 3)) for r in loaded]
+        assert tops == expected and tops[0] != tops[1]
+
+
 class TestLinearizeCommand:
     def test_single_record(self, capsys, sample_path):
         code = cli_dispatch(
@@ -604,3 +657,95 @@ class TestMaskCommand:
         captured = capsys.readouterr()
         assert "argument --max-steps: must be at least 1" in captured.err
         assert captured.out == ""
+
+
+_PROGRAMS = (
+    "add(1, 2)", "add(a, b), multiply(#0, c)", "multiply(a, c), multiply(b, c), add(#0, #1)",
+    "table-sum(net sales)", "greater(a, b)", "divide(1, 0)", "subtract(a, a), divide(b, #0)",
+    "exp(15, 4000), divide(#0, 7)", "add(", "",
+)
+# Each command's positional arguments and options, and each option's values:
+# a pool, where a name in capitals stands for one of the fuzz files.
+_ARGS = {
+    "validate": (1, ("--records", "--id", "--symbolic")),
+    "exec": (1, ("--records", "--id", "--strict-grounding")),
+    "equiv": (2, ("--seed", "--samples")),
+    "eval": (0, ("--records", "--preds", "--abs-tol", "--rel-tol", "--no-gold-rounding", "--percent-insensitive",
+                 "--seed", "--samples", "--strict-grounding", "--out", "--format")),
+    "retrieve": (0, ("--records", "--k", "--out", "--format")),
+    "stats": (0, ("--records", "--out", "--format")),
+    "linearize": (0, ("--records", "--id", "--out")),
+    "mask": (0, ("--prefix", "--records", "--id", "--max-steps")),
+}
+_NUMBERS = ("1", "2", "3", "5", "0", "-1", "129", "nan", "1e-3", "x")
+_POOLS = {
+    "--records": ("RECORDS", "RECORDS", "PREDS", "NOT_UTF8", "DIRECTORY", "MISSING", "nul\x00byte"),
+    "--preds": ("PREDS", "PREDS", "RECORDS", "NOT_UTF8", "DIRECTORY", "MISSING", "nul\x00byte"),
+    "--out": ("OUT", "OUT", "NO_DIR", "DIRECTORY", "nul\x00byte"),
+    "--id": ("alpha/2019/page_12.pdf-0", "bravo/2017/page_45.pdf-0", "zz"),
+    "--format": ("table", "machine", "json"),
+    "--prefix": ("add (", "table-sum (", ") (", "add ( 1 , 2 )", ""),
+    "--k": _NUMBERS, "--samples": _NUMBERS, "--seed": _NUMBERS, "--max-steps": _NUMBERS,
+    "--abs-tol": _NUMBERS, "--rel-tol": _NUMBERS,
+}
+
+
+@st.composite
+def _argv(draw, files: dict):
+    command = draw(st.sampled_from(tuple(_ARGS)))
+    positional, options = _ARGS[command]
+    groups = [[draw(st.sampled_from(_PROGRAMS) | st.text(max_size=12))] for _ in range(positional)]
+    for option in options:
+        if draw(st.integers(0, 7)) >= (1 if option in ("--records", "--preds") else 4):
+            groups.append([option])
+            if option in _POOLS:
+                pool = st.sampled_from(_POOLS[option]).map(lambda value: files.get(value, value))
+                groups[-1].append(draw(st.one_of(pool, pool, pool, st.text(max_size=8))))
+    if not draw(st.integers(0, 4)):  # now and then a token out of place: a flag, a stray value or noise
+        groups.append([draw(st.sampled_from(("-h", "--k", "--bogus")) | st.text(max_size=8))])
+    return [command, *[token for group in draw(st.permutations(groups)) for token in group]]
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory, sample_path):
+    """Small record and prediction files, and paths that cannot be read or written, by pool name."""
+    root = tmp_path_factory.mktemp("fuzz")
+    records = root / "records.jsonl"
+    lines = sample_path.read_text(encoding="utf-8").splitlines()[:3]
+    records.write_text("\n".join([*lines, "{not json"]) + "\n", encoding="utf-8")
+    preds = root / "preds.jsonl"
+    rows = [json.loads(line) for line in lines]
+    preds.write_text(
+        "".join(json.dumps({"id": r["id"], "program": r["qa"]["program"]}) + "\n" for r in rows[:2])
+        + json.dumps({"id": rows[2]["id"], "program": "add("}) + "\n",
+        encoding="utf-8",
+    )
+    not_utf8 = root / "not_utf8.jsonl"
+    not_utf8.write_bytes(b"\xff\n")
+    paths = {
+        "RECORDS": records, "PREDS": preds, "NOT_UTF8": not_utf8, "DIRECTORY": root,
+        "MISSING": root / "missing.jsonl", "NO_DIR": root / "no_dir" / "out.txt", "OUT": root / "out.txt",
+    }
+    return root, {name: str(path) for name, path in paths.items()}
+
+
+class TestArgvFuzz:
+    """Any argv over small files ends in the error taxonomy: exit 0, 1 or 2, never a traceback."""
+
+    @settings(
+        derandomize=True, max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(data=st.data())
+    def test_arbitrary_argv_exits_in_the_taxonomy(self, fuzz_files, data):
+        root, paths = fuzz_files
+        argv = data.draw(_argv(paths), label="argv")
+        out, err = io.StringIO(), io.StringIO()
+        cwd = os.getcwd()
+        os.chdir(root)  # a relative --out lands here
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli_dispatch(argv)
+        finally:
+            os.chdir(cwd)
+        assert code in (0, 1, 2), (argv, code)
+        assert "Traceback" not in err.getvalue() + out.getvalue(), argv

@@ -6,19 +6,22 @@ from fractions import Fraction
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from finprog import equiv
-from finprog.dsl import MAX_PROGRAM_STEPS, ProgramError, parse_program, render_program
+from finprog.dsl import MAX_PROGRAM_STEPS, Program, ProgramError, parse_program, render_program
 from finprog.equiv import (
+    DEFAULT_SAMPLE_POINTS,
     _P,
     _build,
     _chain,
+    _degrees,
     _evaluate,
     _hashed_int,
     _intern_pair,
     _plan,
+    _points_needed,
     _sample,
     canonical_texts,
     compare_programs,
@@ -31,6 +34,7 @@ from generators import (
     mutate_preserving,
     oracle_canonical_key,
     oracle_equivalent,
+    oracle_line_degrees,
     oracle_symbolize,
     random_program_pair,
     random_symbolic_program,
@@ -523,6 +527,7 @@ class TestBatchedSampling:
             report = compare_programs(P(left), P(right), samples=samples)
             assert report.reason == reason, samples
             assert report.equivalent == (reason == "randomized-agreement")
+            assert report.points <= samples
 
     @staticmethod
     def _spy(monkeypatch):
@@ -538,23 +543,51 @@ class TestBatchedSampling:
 
     @pytest.mark.parametrize("samples", [1, 2, 5])
     def test_agreement_evaluates_exactly_the_needed_trials(self, monkeypatch, samples):
+        # The degree bound asks for 2 points over Z_p, at most ``samples``.
         batches = self._spy(monkeypatch)
         report = compare_programs(
             P("add(a, b), multiply(#0, c)"), P("multiply(a, c), multiply(b, c), add(#0, #1)"), samples=samples
         )
-        assert report.reason == "randomized-agreement"
-        modular = [range(0, 1)] + ([range(1, samples)] if samples > 1 else [])
+        assert report.reason == "randomized-agreement" and report.points == min(samples, 2)
+        modular = [range(0, 1)] + ([range(1, 2)] if samples > 1 else [])
         assert batches == [(_P, batch) for batch in modular] + [(None, range(0, 1))]
 
     @pytest.mark.parametrize("samples", [1, 2])
     def test_degenerate_batches_cover_every_trial_once(self, monkeypatch, samples):
+        # The divisor is zero as a rational function, not as a form.
         batches = self._spy(monkeypatch)
-        report = compare_programs(
-            P("subtract(a, a), divide(b, #0)"), P("subtract(a, a), divide(c, #0)"), samples=samples
-        )
-        assert report.reason == "degenerate"
-        assert [len(batch) for _, batch in batches[:2]] == [1, samples]
+        zero = "add(a, b), multiply(#0, c), multiply(a, c), multiply(b, c), add(#2, #3), subtract(#1, #4)"
+        report = compare_programs(P(f"{zero}, divide(d, #5)"), P(f"{zero}, divide(e, #5)"), samples=samples)
+        assert report.reason == "degenerate" and report.points == 0
+        assert [len(batch) for _, batch in batches[:2]] == [1, min(samples, 2)]
         assert [trial for _, batch in batches for trial in batch] == list(range(20 * samples))
+
+    @pytest.mark.parametrize(
+        "left, right",
+        [
+            ("subtract(a, a), divide(b, #0)", "subtract(a, a), divide(c, #0)"),
+            ("subtract(a, a), divide(b, #0), greater(#1, c)", "subtract(a, a), divide(d, #0), greater(#1, c)"),
+            # only one side divides by the zero form
+            ("add(b, c), subtract(a, a), divide(#0, #1), multiply(#2, d)", "add(b, c)"),
+        ],
+    )
+    def test_zero_form_divisor_evaluates_nothing(self, monkeypatch, left, right):
+        batches = self._spy(monkeypatch)
+        for samples in (1, 2, 32):
+            report = compare_programs(P(left), P(right), samples=samples)
+            assert (report.equivalent, report.reason, report.points) == (False, "degenerate", 0)
+        assert batches == []
+
+    @pytest.mark.parametrize(
+        "left, right, reason",
+        [
+            ("subtract(a, a), divide(b, #0)", "subtract(a, a), divide(b, #0)", "canonical-match"),
+            ("subtract(a, a), divide(b, #0)", "subtract(c, c), divide(b, #0)", "canonical-match"),
+            ("subtract(a, a), divide(b, #0), greater(#1, c)", "subtract(a, a), divide(d, #0)", "incomparable-types"),
+        ],
+    )
+    def test_zero_form_divisor_comes_after_type_and_canonical_decisions(self, left, right, reason):
+        assert compare_programs(P(left), P(right)).reason == reason
 
     def test_exact_values_stay_in_lowest_terms(self):
         plan, _ = _plan_of(P(_halving_chain(6, False)))
@@ -606,9 +639,9 @@ class TestBatchedSampling:
                 if agreed >= points:
                     break
                 if outcome == "differ":
-                    return "counterexample", trial
+                    return "counterexample", trial, agreed + 1
                 agreed += outcome == "agree"
-            return "randomized-agreement" if agreed >= points else "degenerate", None
+            return "randomized-agreement" if agreed >= points else "degenerate", None, agreed
 
         rng = Random(3)
         for _ in range(500):
@@ -623,8 +656,8 @@ class TestBatchedSampling:
                 return [[1] * len(batch), right], [None, None], live
 
             monkeypatch.setattr(equiv, "_evaluate", fake)
-            reason, differing = sequential(outcomes, points)
-            assert _sample([], [0, 1], 0, points, len(outcomes), modulus) == reason
+            reason, differing, compared = sequential(outcomes, points)
+            assert _sample([], [0, 1], 0, points, len(outcomes), modulus) == (reason, compared)
             assert evaluated == list(range(len(evaluated)))
             # no trial past the sequential rule's last agreeing one is evaluated
             agreeing = [t for t, outcome in enumerate(outcomes) if outcome == "agree"]
@@ -633,6 +666,99 @@ class TestBatchedSampling:
             if modulus is None and differing is not None:
                 # doubling batches evaluate no more trials past it than before it
                 assert len(evaluated) <= 2 * differing + 1
+
+
+def _squared(name: str, times: int) -> list[str]:
+    """Steps whose last is ``name`` squared ``times`` more times after ``multiply(name, name)``."""
+    return [f"multiply({name}, {name})"] + [f"multiply(#{k}, #{k})" for k in range(times)]
+
+
+@st.composite
+def _arithmetic_programs(draw):
+    """Programs that often combine earlier steps, so quotients meet in sums, products and exps."""
+    steps: list[str] = []
+    for index in range(draw(st.integers(1, 8))):
+        op = draw(st.sampled_from(("add", "subtract", "multiply", "divide", "divide", "exp", "table-sum")))
+        if op == "table-sum":
+            steps.append(f"table-sum({draw(st.sampled_from('xy'))})")
+            continue
+        refs = [f"#{i}" for i in range(index)]
+        symbols = st.sampled_from(("a", "b", "c", "d", "2"))
+        operands = st.sampled_from(refs) | symbols if refs else symbols
+        second = draw(st.sampled_from(("2", "-1", "a")) if op == "exp" else operands)
+        steps.append(f"{op}({draw(operands)}, {second})")
+    return P(", ".join(steps))
+
+
+def _needed(left: str, right: str, cap: int = DEFAULT_SAMPLE_POINTS) -> int:
+    symbols, nodes, roots = _intern_pair(P(left), P(right))
+    plan, positions = _plan(nodes, roots, tuple(symbols))
+    return _points_needed(plan, positions, cap)
+
+
+class TestDegreeBound:
+    """Each planned value's degree bound, and the points over Z_p it asks for."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(_arithmetic_programs(), st.integers(0, 2**32 - 1))
+    @example(P("divide(a, b), divide(c, d), add(#0, #1)"), 0)  # a sum of quotients
+    @example(P("divide(a, b), multiply(#0, #0), divide(c, #1), subtract(#2, d)"), 0)  # weights and swaps
+    @example(P("add(a, b), divide(c, #0), exp(#1, 2), add(#2, #1), divide(#3, #2)"), 0)
+    def test_bound_is_never_below_the_true_degree(self, program, seed):
+        for index, true in enumerate(oracle_line_degrees(program, seed)):
+            if true is None:
+                continue  # a greater step, or a step no point evaluates
+            prefix = Program(steps=program.steps[: index + 1])
+            symbols: dict = {}
+            nodes: list = []
+            root = _build(prefix, symbols, {}, nodes)
+            plan, (position, _) = _plan(nodes, (root, root), tuple(symbols))
+            bound = _degrees(plan)[position]
+            assert bound[0] >= true[0] and bound[1] >= true[1], (render_program(prefix), bound, true)
+
+    def test_bound_of_each_operation(self):
+        program = "add(a, b), divide(#0, c), subtract(#1, d), multiply(#2, #2), divide(e, #3), exp(#4, e)"
+        plan, _ = _plan_of(P(program))
+        degrees = _degrees(plan)
+        assert [degrees[i] for i in range(len(plan)) if plan[i][0] != "leaf"] == [
+            (1, 0),  # a + b
+            (1, 1),  # (a + b) / c
+            (2, 1),  # (a + b) / c - d, the divisor, with weight -2
+            (3, 4),  # e over its square
+            (1, 0),  # exp: a fresh leaf
+        ]
+
+    @pytest.mark.parametrize(
+        "squarings, cap, points",
+        [
+            (0, 32, 2),  # degree 2: one point would leave about 2**-59
+            (30, 32, 3),  # degree 2**31
+            (40, 32, 4),  # degree 2**41
+            (58, 100, 46),  # degree 2**59: each point gives under 1.5 bits
+            (58, 32, 32),  # ... and samples caps the points
+            (61, 32, 32),  # degree 2**62: the bound says nothing
+            (0, 1, 1),
+        ],
+    )
+    def test_points_follow_the_degree(self, squarings, cap, points):
+        left = ", ".join(_squared("x", squarings))
+        assert _needed(left, "add(x, y)", cap) == points
+
+    def test_divisors_and_exp_accidents_count(self):
+        # Under exp, a divisor of degree 2**62 leaves the bound saying nothing.
+        big = _squared("x", 61)
+        assert _needed(", ".join([*big, "add(#61, y)", "divide(y, #62)", "exp(#63, 2)"]), "add(y, z)") == 32
+        assert _needed("add(x, y), divide(y, #0), exp(#1, 2)", "add(y, z)") == 2
+        # A trial dies where the divisor's numerator vanishes, whatever its weight.
+        assert _needed(", ".join([*big, "divide(y, #61)", "exp(#62, 2)"]), "add(y, z)") == 2
+        # Two exps whose operands agree by accident with a chance near 1 leave it saying nothing too.
+        two = [*big, "exp(#61, 2)", "exp(#61, 3)", "add(#62, #63)"]
+        assert _needed(", ".join(two), "add(y, z)") == 32
+        assert _needed("exp(x, 2), exp(x, 3), add(#0, #1)", "add(y, z)") == 2
+
+    def test_constant_difference_takes_one_point(self):
+        # Both sides are constant forms: 1 and 0 differ wherever they are defined.
+        assert _needed("divide(a, a)", "subtract(a, a)") == 1
 
 
 class TestProgramAccuracy:

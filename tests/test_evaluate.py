@@ -1,3 +1,5 @@
+import dataclasses
+import json
 from decimal import Decimal
 from random import Random
 
@@ -182,6 +184,17 @@ class TestBreakdown:
         preds = [PredictionRecord(id=r.id, program_text=None) for r in sample_records]
         report = breakdown_report(preds, sample_records)
         assert report.failure_counts == {"missing": len(sample_records)}
+
+    def test_to_dict_keeps_the_field_order_of_the_dataclass(self, sample_records):
+        preds = gold_predictions(sample_records)[:-3] + [
+            PredictionRecord(id=sample_records[-3].id, program_text=None),
+            PredictionRecord(id=sample_records[-2].id, program_text="][ junk"),
+            PredictionRecord(id=sample_records[-1].id, program_text="add(1, 2)"),
+        ]
+        report = breakdown_report(preds, sample_records)
+        buckets = [*report.by_source.values(), *report.by_steps.values(), *report.by_constants.values()]
+        for item in [*report.verdicts, *buckets]:
+            assert json.dumps(item.to_dict()) == json.dumps(dataclasses.asdict(item))
 
     def test_report_formats(self, sample_records):
         report = breakdown_report(gold_predictions(sample_records), sample_records)
