@@ -120,15 +120,22 @@ class OutputUnwritable(Exception):
     """The --out path cannot be written."""
 
 
-def _emit(text: str, out: Optional[str]) -> None:
+def _emit(text: str, out: Optional[str] = None) -> None:
+    """Write ``text`` and a newline to the file ``out``, or to stdout.
+
+    A character the encoding cannot hold, such as a lone surrogate that a
+    JSON string may carry, is written backslash-escaped (``\\ud800``); any
+    other text is written unchanged.
+    """
     if out:
         try:
-            with open(out, "w", encoding="utf-8") as handle:
+            with open(out, "w", encoding="utf-8", errors="backslashreplace") as handle:
                 handle.write(text + "\n")
         except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
             raise OutputUnwritable(f"cannot write {out}: {exc}") from exc
     else:
-        print(text)
+        encoding = getattr(sys.stdout, "encoding", None) or "utf-8"
+        print(text.encode(encoding, "backslashreplace").decode(encoding))
 
 
 def _load_context(args) -> EvidenceContext:
@@ -294,7 +301,7 @@ def _cmd_mask(args) -> int:
     if state.is_complete:
         print("(may stop here)")
     for token in allowed:
-        print(token)
+        _emit(token)
     return 0
 
 

@@ -384,6 +384,9 @@ def load_records(path) -> LoadResult:
     ``EvidenceContext.mentions``, which reads only the texts that can hold
     it; the page's whole number set is never built. Every record still gets
     its own parse, checks, warnings and gold ids.
+
+    Ids are unique among loaded records: a record whose id a loaded record
+    already has is rejected at ``id``, and the first keeps it.
     """
     text = _read(path)
     first = _NON_BLANK_RE.search(text)
@@ -420,10 +423,14 @@ def load_records(path) -> LoadResult:
 
     records: list[EvidenceRecord] = []
     rejects: list[RejectedRecord] = []
+    loaded_ids: set[str] = set()
     for ordinal, raw in items:
         built = _build_record(raw, ordinal, page_of)
+        if isinstance(built, EvidenceRecord) and built.id in loaded_ids:
+            built = RejectedRecord(id=built.id, field_path="id", reason="duplicate of an earlier record's id")
         if isinstance(built, EvidenceRecord):
             records.append(built)
+            loaded_ids.add(built.id)
         else:
             rejects.append(built)
     return LoadResult(records=records, rejects=invalid_json + rejects)

@@ -10,19 +10,21 @@ programs match canonically when their final forms share an id.
 Pairs whose ids differ get a randomized fallback, so identities that
 normalization does not rewrite (for example distributivity) are still
 recognized. The table's forms reachable from both sides are evaluated once,
-children first, at independent random integer points, modulo the prime
-p = 2**61 - 1 with plain integers. A pair with a reachable divisor that is
-the zero form (the empty sum, as ``subtract(x, x)`` interns) has no point
-at which both sides are defined, so it is degenerate without sampling.
+children first, at independent random integer points, modulo M = p * q with
+plain integers: p = 2**61 - 1, and q a 62-bit prime that the seed picks
+(``_second_prime``). A pair with a reachable divisor that is the zero form
+(the empty sum, as ``subtract(x, x)`` interns) has no point at which both
+sides are defined, so it is degenerate without sampling.
 
-Both sides are rational functions of the symbols, and over Z_p a point can
-only wrongly say "agree", never "differ". By the Schwartz-Zippel /
-DeMillo-Lipton lemma a point agrees by chance with probability at most
-D * mu, where D bounds the degree of the difference's numerator and mu the
-chance that a sample value takes any one residue. A sample value is a hash
-spread evenly over the 2**63 integers from -2**62 to 2**62 - 1, with 0
-moved to 1, reduced mod p. At most 6 of those integers share a residue, so
-mu = 6 / 2**63, under 1.5 / p.
+Both sides are rational functions of the symbols, and modulo M a point can
+only wrongly say "agree", never "differ". Agreement mod M implies agreement
+mod p, and by the Schwartz-Zippel / DeMillo-Lipton lemma a point agrees mod
+p by chance with probability at most D * mu, where D bounds the degree of
+the difference's numerator and mu the chance that a sample value takes any
+one residue. A sample value is a hash spread evenly over the 2**63 integers
+from -2**62 to 2**62 - 1, with 0 moved to 1, reduced mod M. At most 6 of
+those integers share a residue mod p, so mu = 6 / 2**63, under 1.5 / p; at
+most 5 share one mod q > 2**61, so nu = 5 / 2**63.
 
 Each planned form gets a (numerator, denominator) degree bound: a leaf is
 (1, 0), a sum cross-multiplies, and a product scales by the absolute weight
@@ -30,30 +32,35 @@ and swaps the pair on a negative one. An uninterpreted ``^`` is a fresh
 leaf, unless the operands of two of them agree by accident. For ``^`` forms
 i and j that has probability at most mu * (s_i + s_j), s the larger of a
 form's two operand degrees (numerator plus denominator); A sums this over
-all pairs. A trial is dead when a divisor's numerator vanishes, with
-probability at most mu * (Q + A), Q the sum of those numerators' degrees.
-Treating the hash as a random function, a wrong pair then agrees at each
-live point with probability at most
+all pairs. A trial is dead when a divisor's numerator vanishes mod p or mod
+q, with probability at most (mu + nu) * (Q + A), Q the sum of those
+numerators' degrees; a live trial keeps every denominator, and so every
+``^`` operand, invertible mod M. Treating the hash as a random function, a
+wrong pair then agrees at each live point with probability at most
 
-    bound = mu * (D + A) / (1 - mu * (Q + A)).
+    bound = mu * (D + A) / (1 - (mu + nu) * (Q + A)).
 
 The fallback takes the fewest points k with bound**k below 2**-64
 (``TARGET_ERROR_BITS``), and at most ``samples``. When the bound says
 nothing (it reaches 1, as when D nears p) it takes ``samples`` points.
 
-A program can also build a coefficient that is a multiple of p, or an
-exponent that is a multiple of p - 1, which Z_p cannot tell from 0. So
-before the fallback reports agreement it confirms it at one point in exact
-rational arithmetic. Pairs whose final step is ``greater`` are sampled in
-exact rational arithmetic at all ``samples`` points: a sign test needs the
-order that Z_p lacks, and agrees by chance about half the time.
+The bound also says nothing about a difference that vanishes mod p as a
+function: a program can build a coefficient that is a multiple of p, or an
+exponent that is a multiple of p - 1. Such a pair agrees mod M only where
+its difference also vanishes mod q, which the same bound with nu for mu
+limits, unless the difference vanishes mod q as a function too (a
+coefficient that is a multiple of p * q, say). Nothing bounds that case:
+q depends only on the seed, so a pair built for a known seed's q can agree
+at every point. Pairs whose final step is ``greater`` are sampled in exact
+rational arithmetic at all ``samples`` points: a sign test needs the order
+that Z_M lacks, and agrees by chance about half the time.
 
 One evaluator serves residues and exact integers alike, keeping each value
 as a numerator and a denominator. It walks the subforms once per batch of
-points, holding one list of values per subform. The first point is
-evaluated alone, so a counterexample usually costs one point, and all the
-remaining points in one batched pass; points lost to a zero divisor are
-replaced in further passes.
+points, holding one list of values per subform. Over M the first batch
+holds every point the bound asks for, so an agreement usually costs one
+pass; in exact arithmetic the first point is evaluated alone and batches
+double. Points lost to a zero divisor are replaced in further passes.
 
 Exponentiation is treated as an uninterpreted operation on its operand values:
 ``exp`` chains are compared by where their bases and exponents agree, not by
@@ -62,11 +69,11 @@ power-law rewriting, which is unsound over the reals.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import struct
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .context import normalize_row_name
@@ -81,8 +88,9 @@ from .dsl import (
 
 DEFAULT_SAMPLE_POINTS = 32
 
-# A wrong pair agrees over Z_p at every point the fallback takes with
-# probability below 2**-TARGET_ERROR_BITS, unless ``samples`` caps the points.
+# A wrong pair agrees modulo p * q at every point the fallback takes with
+# probability below 2**-TARGET_ERROR_BITS, unless ``samples`` caps the points
+# or the module's bound says nothing.
 TARGET_ERROR_BITS = 64
 
 # Longest canonical text ``canonical_texts`` writes out; a longer one is elided.
@@ -92,13 +100,14 @@ MAX_CANONICAL_CHARS = 10_000
 def _symbol_key(arg) -> tuple:
     """The identity under which arguments share a symbol.
 
-    Numbers by exact value; constants by their value, so const_5 and the
-    literal 5 coincide; names by their normalized text.
+    Numbers by their exact value's (numerator, denominator) in lowest
+    terms; constants by their value's, so const_5 and the literal 5
+    coincide; names by their normalized text.
     """
     if isinstance(arg, NumberLiteral):
-        return ("num", Fraction(arg.value))
+        return ("num", arg.value.as_integer_ratio())
     if isinstance(arg, Constant):
-        return ("num", constant_value(arg.name))
+        return ("num", constant_value(arg.name).as_integer_ratio())
     return ("name", normalize_row_name(arg.name))
 
 
@@ -282,11 +291,11 @@ def _degrees(plan: list) -> list[tuple[int, int]]:
 
 
 def _points_needed(plan: list, roots: list[int], cap: int) -> int:
-    """The fewest Z_p points, at most ``cap``, at which a wrong pair agrees with probability below the target.
+    """The fewest points, at most ``cap``, at which a wrong pair agrees with probability below the target.
 
-    Each point's bound is the module's ``mu * (D + A) / (1 - mu * (Q + A))``,
-    mu = 6 / 2**63, and the target 2**-TARGET_ERROR_BITS. A bound of 1 or
-    more says nothing, and ``cap`` points are taken.
+    Each point's bound is the module's ``mu * (D + A) / (1 - (mu + nu) * (Q + A))``,
+    mu = 6 / 2**63 and nu = 5 / 2**63, and the target 2**-TARGET_ERROR_BITS.
+    A bound of 1 or more says nothing, and ``cap`` points are taken.
     """
     degrees = _degrees(plan)
     (left_num, left_den), (right_num, right_den) = [degrees[root] for root in roots]
@@ -295,16 +304,55 @@ def _points_needed(plan: list, roots: list[int], cap: int) -> int:
     powers = [max([sum(degrees[i]) for _, i in arg]) for op, arg, _ in plan if op == "^"]
     accidents = (len(powers) - 1) * sum(powers)
     agree = 6 * (max(left_num + right_den, right_num + left_den) + accidents)
-    live = 2**63 - 6 * (dead + accidents)
+    live = 2**63 - (6 + 5) * (dead + accidents)  # a divisor vanishes mod p or mod q
     if not agree:
-        return 1  # the numerator is a constant: nonzero mod p, it never vanishes
+        return 1  # the difference is a constant: one point shows whether it vanishes mod M
     if agree >= live:
         return cap
     bits = math.log2(live) - math.log2(agree)
     return min(cap, math.floor(TARGET_ERROR_BITS / bits) + 1)
 
 
-_P = 2**61 - 1  # a Mersenne prime: residues fit in a machine word
+_P = 2**61 - 1  # a Mersenne prime; the modulus is _P * _second_prime(seed)
+
+# Miller-Rabin with these bases decides every n below 2**64 exactly
+# (Jaeschke, Math. Comp. 1993).
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(n: int) -> bool:
+    """Whether ``n``, below 2**64, is prime: deterministic Miller-Rabin."""
+    if n < 2:
+        return False
+    for small in _WITNESSES:
+        if n % small == 0:
+            return n == small
+    odd, twos = n - 1, 0
+    while odd % 2 == 0:
+        odd, twos = odd // 2, twos + 1
+    for witness in _WITNESSES:
+        x = pow(witness, odd, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(twos - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+@functools.lru_cache(maxsize=64)
+def _second_prime(seed: int) -> int:
+    """The seed's 62-bit prime q: the first prime from a hash of the seed in [2**61, 2**61 + 2**60).
+
+    Searched once per seed, when a comparison first needs it; q > 2**61 > p.
+    """
+    candidate = (2**61 + _hashed_int(seed, ("second prime",)) % 2**60) | 1
+    while not _is_prime(candidate):
+        candidate += 2
+    return candidate
 
 
 def _times(xs: list[int], ys: list[int], modulus: Optional[int]) -> list[int]:
@@ -330,8 +378,9 @@ def _evaluate(plan: list, seed: int, batch: range, modulus: Optional[int]) -> tu
     as the sign of ``(a*d - c*b)*b*d`` for ``a/b > c/d``.
 
     Returns the numerators, denominators and the live flag of each trial. A
-    trial dies when a divisor's numerator is 0. Once every trial is dead the
-    pass stops, and the value lists stop short.
+    trial dies when a divisor's numerator is 0, or over a modulus, not
+    invertible: it shares a factor with ``modulus``. Once every trial is dead
+    the pass stops, and the value lists stop short.
     """
     start = hashlib.blake2b(f"({seed!r}, (".encode(), digest_size=8)
     heads = []
@@ -422,7 +471,10 @@ def _evaluate(plan: list, seed: int, batch: range, modulus: Optional[int]) -> tu
             num = [a // g for a, g in zip(num, common)]
             den = [b // g for b, g in zip(den, common)]
         if divisor:
-            live = [alive and x != 0 for alive, x in zip(live, num)]
+            if modulus:
+                live = [alive and math.gcd(x, modulus) == 1 for alive, x in zip(live, num)]
+            else:
+                live = [alive and x != 0 for alive, x in zip(live, num)]
             if not any(live):
                 return nums, dens, live
         nums.append(num)
@@ -435,9 +487,9 @@ def _sample(
 ) -> tuple[str, int]:
     """The reason decided by the first ``points`` live trials of ``range(trials)``, and how many it compared.
 
-    Trial 0 is evaluated alone, so a counterexample usually stays a one-point
-    decision. Over Z_p each later batch holds one trial per point still to
-    agree; in exact arithmetic batches double, up to that number.
+    Over a modulus each batch holds one trial per point still to agree, so
+    an agreement with no dead trial is one pass. In exact arithmetic trial 0
+    is evaluated alone and batches double, up to that number.
     Results are read in trial order: dead trials are skipped, the first
     disagreement is a counterexample, and after ``trials`` trials without
     ``points`` agreeing ones the comparison is degenerate. Two values agree
@@ -445,7 +497,7 @@ def _sample(
     of live trials, the disagreeing one included.
     """
     left, right = roots
-    agreed, start, size = 0, 0, 1
+    agreed, start, size = 0, 0, points if modulus else 1
     while agreed < points and start < trials:
         batch = range(start, min(start + size, trials))
         nums, dens, live = _evaluate(plan, seed, batch, modulus)
@@ -458,8 +510,8 @@ def _sample(
             if (difference % modulus if modulus else difference) != 0:
                 return "counterexample", agreed + 1
             agreed += 1
-        # Over Z_p a wrong pair rarely agrees by chance (the module's bound),
-        # so once trial 0 agrees the rest are taken in one batch. An exact
+        # Over a modulus a wrong pair rarely agrees by chance (the module's
+        # bound), so every point still needed is taken in one batch. An exact
         # sign test (greater) agrees by chance about half the time, so its
         # batches double instead: the trials evaluated past the first
         # disagreement never outnumber those before it.
@@ -472,10 +524,9 @@ def _sample(
 class EquivalenceReport:
     """The decision, its reason, and how many sample points it compared.
 
-    ``points`` counts the live points read over Z_p, or in exact arithmetic
-    for a pair ending in ``greater``, the disagreeing one included; the exact
-    confirmation of an agreement re-reads the first of them. It is 0 when
-    the forms alone decided.
+    ``points`` counts the live points read modulo p * q, or in exact
+    arithmetic for a pair ending in ``greater``, the disagreeing one
+    included. It is 0 when the forms alone decided.
     """
 
     equivalent: bool
@@ -500,10 +551,10 @@ def compare_programs(
     reaches is the zero form. Otherwise it is compared at random points,
     drawn from at most ``20 * samples`` trials; ``samples`` below 1 raises
     ValueError, since no point would then be checked. Points are evaluated
-    over Z_p, as many as bring the module's per-point bound below 2**-64
-    (``TARGET_ERROR_BITS``) but at most ``samples``, and an agreement is
-    confirmed at one exact point. Pairs ending in ``greater`` are evaluated
-    exactly at ``samples`` points.
+    modulo p * q, q the seed's second prime, as many as bring the module's
+    per-point bound below 2**-64 (``TARGET_ERROR_BITS``) but at most
+    ``samples``; no pair that ends in a number is evaluated exactly. Pairs
+    ending in ``greater`` are evaluated exactly at ``samples`` points.
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
@@ -521,10 +572,9 @@ def compare_programs(
     if boolean:
         reason, points = _sample(plan, roots, seed, samples, trials, None)
     else:
-        reason, points = _sample(plan, roots, seed, _points_needed(plan, roots, samples), trials, _P)
-        if reason == "randomized-agreement":
-            # Z_p errs only towards agreement: confirm it at one exact point.
-            reason, _ = _sample(plan, roots, seed, 1, trials, None)
+        # q catches a difference that vanishes mod p, which p alone would call agreement.
+        modulus = _P * _second_prime(seed)
+        reason, points = _sample(plan, roots, seed, _points_needed(plan, roots, samples), trials, modulus)
     return EquivalenceReport(reason == "randomized-agreement", reason, points)
 
 

@@ -4,6 +4,7 @@ import json
 import os
 import pathlib
 import re
+import subprocess
 import sys
 import time
 from decimal import Decimal
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import finprog
 from finprog.cli import cli_dispatch
 from finprog.corpus import candidate_facts, load_records
 from finprog.dsl import MAX_PROGRAM_STEPS, render_program
@@ -458,6 +460,30 @@ class TestHostileFiles:
         assert cli_dispatch(["stats", "--records", "nul\x00byte"]) == 2
         assert capsys.readouterr().err.startswith("error: cannot read nul\x00byte: ")
 
+    def test_lone_surrogate_is_written_escaped(self, tmp_path, sample_path):
+        # JSON strings may hold lone surrogates, which UTF-8 cannot encode. A
+        # real process's stdout shows what the fuzz test's StringIO hides.
+        lines = sample_path.read_text(encoding="utf-8").splitlines()
+        first, second = json.loads(lines[0]), json.loads(lines[2])
+        first["id"], second["id"] = "\ud800x", "caf\u00e9"
+        second["table"].append(["\udfff row"] + ["1"] * (len(second["table"][0]) - 1))
+        records, out = tmp_path / "records.jsonl", tmp_path / "out.txt"
+        records.write_text(json.dumps(first) + "\n" + json.dumps(second) + "\n", encoding="ascii")
+        src = pathlib.Path(finprog.__file__).parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONIOENCODING": "utf-8"}
+
+        def run(*argv: str) -> bytes:
+            done = subprocess.run([sys.executable, "-m", "finprog.cli", *argv], capture_output=True, env=env)
+            assert done.returncode == 0 and b"Traceback" not in done.stderr, done.stderr
+            return done.stdout
+
+        table = run("retrieve", "--records", str(records))
+        assert b"\n  \\ud800x: recall " in table and "\n  caf\u00e9: recall ".encode() in table
+        run("retrieve", "--records", str(records), "--out", str(out))
+        assert out.read_bytes() == table
+        mask = run("mask", "--records", str(records), "--id", "caf\u00e9", "--prefix", "table-sum (")
+        assert b"\n\\udfff row\n" in mask
+
     def test_reject_ids_count_physical_lines(self, capsys, tmp_path, sample_path, gold_preds_path):
         records = tmp_path / "records.jsonl"
         records.write_text("\n\n{bad\n" + sample_path.read_text(encoding="utf-8"))
@@ -598,10 +624,20 @@ class TestRetrieveCommand:
         assert len(built) == 3
 
 
+    def test_duplicate_id_is_a_reject(self, capsys, tmp_path, sample_path):
+        lines = sample_path.read_text(encoding="utf-8").splitlines()
+        again = json.loads(lines[0])
+        again["qa"]["question"] = "what was the total of the operating income?"
+        path = tmp_path / "records.jsonl"
+        path.write_text("\n".join([lines[0], json.dumps(again)]) + "\n", encoding="utf-8")
+        assert cli_dispatch(["retrieve", "--records", str(path), "--format", "machine"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert [entry["id"] for entry in payload["per_record"]] == list(payload["rankings"]) == [again["id"]]
+
     def test_each_record_lists_its_own_facts(self, capsys, tmp_path, sample_path):
-        # Two records share an id; each table line shows the record's own ranking.
+        # Two records share a page; each table line shows the record's own ranking.
         first = json.loads(sample_path.read_text(encoding="utf-8").splitlines()[0])
-        twin = dict(first, qa=dict(first["qa"], question="what was operating income?"))
+        twin = dict(first, id="alpha/2019/page_12.pdf-9", qa=dict(first["qa"], question="what was operating income?"))
         records = tmp_path / "twins.jsonl"
         records.write_text(json.dumps(first) + "\n" + json.dumps(twin) + "\n", encoding="utf-8")
         assert cli_dispatch(["retrieve", "--records", str(records)]) == 0

@@ -408,6 +408,34 @@ class TestLoadRecords:
         assert not loaded.rejects
         assert [r.id for r in loaded.records] == ["co/2019/page_1.pdf-0", "record-2"]
 
+    def test_duplicate_id_rejected_and_first_kept(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        qa = minimal_record()["qa"]
+        later = dict(qa, question="what were net sales in 2019?")
+        write_jsonl(
+            path,
+            [
+                minimal_record(id="b", qa=5),  # rejected, so a later "b" still loads
+                minimal_record(),
+                minimal_record(qa=later),
+                minimal_record(id="record-5"),
+                minimal_record(id=""),  # line 5: record-5
+                minimal_record(id="b", qa=later),
+            ],
+        )
+        loaded = load_records(path)
+        assert [(r.id, r.question) for r in loaded.records] == [
+            ("co/2019/page_1.pdf-0", qa["question"]),
+            ("record-5", qa["question"]),
+            ("b", later["question"]),
+        ]
+        duplicate = "duplicate of an earlier record's id"
+        assert [(r.id, r.field_path, r.reason) for r in loaded.rejects] == [
+            ("b", "qa", "must be an object"),
+            ("co/2019/page_1.pdf-0", "id", duplicate),
+            ("record-5", "id", duplicate),
+        ]
+
     @pytest.mark.parametrize("content", [None, 5, ["None"], {"a": 1}])
     def test_non_string_legacy_content_rejected(self, tmp_path, content):
         path = tmp_path / "records.jsonl"
@@ -772,6 +800,7 @@ class TestLoaderFuzz:
         for reject in loaded.rejects:
             assert isinstance(reject.id, str) and reject.id
             assert reject.field_path in _FIELD_PATHS
+        assert len({record.id for record in loaded.records}) == len(loaded.records)
         for record in loaded.records:
             assert score_record(render_program(record.gold_program), record).id == record.id
 

@@ -1,4 +1,7 @@
 import math
+import os
+import pathlib
+import subprocess
 import sys
 import time
 from contextlib import contextmanager
@@ -20,9 +23,11 @@ from finprog.equiv import (
     _evaluate,
     _hashed_int,
     _intern_pair,
+    _is_prime,
     _plan,
     _points_needed,
     _sample,
+    _second_prime,
     canonical_texts,
     compare_programs,
     equivalent,
@@ -423,17 +428,54 @@ class TestStepCap:
 
 
 class TestModularSampling:
-    """The fallback samples over Z_p, p = 2**61 - 1, and confirms agreement exactly."""
+    """The fallback samples modulo p * q, p = 2**61 - 1 and q a prime the seed picks."""
 
-    def test_multiple_of_p_is_a_counterexample(self):
+    @pytest.mark.parametrize("seed", [0, 1, 7, 11, -3])
+    def test_multiple_of_p_is_a_counterexample(self, seed):
         # add(x, x) doubled 60 more times is 2**61 * x, and
         # (2**61 - 1) * x + y == y over Z_p, but not over the rationals.
         doublings = [f"add(#{k}, #{k})" for k in range(60)]
         left = P(", ".join(["add(x, x)", *doublings, "subtract(#60, x)", "add(#61, y)"]))
         right = P("add(x, y), subtract(#0, x)")
-        report = compare_programs(left, right)
+        report = compare_programs(left, right, seed=seed)
         assert canonical_texts(left, right)[0] == f"(+ {_P}*s0 1*s1)"
         assert not report.equivalent and report.reason == "counterexample"
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_exponent_multiple_of_p_minus_one_is_a_counterexample(self, seed):
+        # x**(2**61 - 2) * y == y at every point of Z_p where x is not 0.
+        power = ", ".join(_squared("x", 60))
+        left = P(f"{power}, divide(#60, x), divide(#61, x), multiply(#62, y)")
+        report = compare_programs(left, P("add(y, z), subtract(#0, z)"), seed=seed)
+        assert canonical_texts(left, left)[0] == f"(* s0^{_P - 1} s1^1)"
+        assert not report.equivalent and report.reason == "counterexample"
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, -3, 10**30])
+    def test_second_prime_is_a_62_bit_prime_fixed_by_the_seed(self, seed):
+        q = _second_prime(seed)
+        assert q.bit_length() == 62 and q != _P
+        # Fermat's little theorem, an independent check of _is_prime's verdict
+        assert all(pow(base, q - 1, q) == 1 for base in (2, 3, 5, 7, 1234567891011))
+        _second_prime.cache_clear()
+        assert _second_prime(seed) == q
+
+    def test_is_prime_matches_a_sieve_and_known_values(self):
+        limit = 20_000
+        sieve = [False, False] + [True] * (limit - 2)
+        for n in range(2, math.isqrt(limit) + 1):
+            if sieve[n]:
+                sieve[n * n :: n] = [False] * len(sieve[n * n :: n])
+        assert [n for n in range(limit) if _is_prime(n)] == [n for n in range(limit) if sieve[n]]
+        assert _is_prime(_P) and _is_prime(2**62 - 57) and _is_prime(2**64 - 59)
+        # strong pseudoprimes to every prime base up to 23, and to bases 2, 3, 5 and 7
+        assert not _is_prime(3825123056546413051) and not _is_prime(3215031751)
+        assert not _is_prime(_P * (2**31 - 1))
+
+    def test_no_prime_search_at_import(self):
+        code = "import finprog, finprog.equiv as e; print(e._second_prime.cache_info().currsize)"
+        env = {**os.environ, "PYTHONPATH": str(pathlib.Path(equiv.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+        assert done.stdout.strip() == "0"
 
     def test_greater_needs_the_sign_of_a_factor(self):
         report = compare_programs(
@@ -543,14 +585,28 @@ class TestBatchedSampling:
 
     @pytest.mark.parametrize("samples", [1, 2, 5])
     def test_agreement_evaluates_exactly_the_needed_trials(self, monkeypatch, samples):
-        # The degree bound asks for 2 points over Z_p, at most ``samples``.
+        # The degree bound asks for 2 points, at most ``samples``: one pass
+        # modulo p * q, and none in exact arithmetic.
         batches = self._spy(monkeypatch)
         report = compare_programs(
             P("add(a, b), multiply(#0, c)"), P("multiply(a, c), multiply(b, c), add(#0, #1)"), samples=samples
         )
         assert report.reason == "randomized-agreement" and report.points == min(samples, 2)
-        modular = [range(0, 1)] + ([range(1, 2)] if samples > 1 else [])
-        assert batches == [(_P, batch) for batch in modular] + [(None, range(0, 1))]
+        assert batches == [(_P * _second_prime(0), range(0, min(samples, 2)))]
+
+    @pytest.mark.parametrize("squarings, points", [(14, 2), (17, 2), (20, 2), (40, 4)])
+    def test_squared_distributive_pair_decides_in_one_modular_pass(self, monkeypatch, squarings, points):
+        # Each squaring doubles the exact values' size; residues keep theirs.
+        batches = self._spy(monkeypatch)
+        left = ["add(b, c)", "multiply(a, #0)"] + [f"multiply(#{k}, #{k})" for k in range(1, squarings + 1)]
+        right = ["multiply(a, b)", "multiply(a, c)", "add(#0, #1)"]
+        right += [f"multiply(#{k}, #{k})" for k in range(2, squarings + 2)]
+        start = time.perf_counter()
+        report = compare_programs(P(", ".join(left)), P(", ".join(right)))
+        elapsed = time.perf_counter() - start
+        assert (report.equivalent, report.reason, report.points) == (True, "randomized-agreement", points)
+        assert batches == [(_P * _second_prime(0), range(points))]
+        assert elapsed < 0.1, elapsed
 
     @pytest.mark.parametrize("samples", [1, 2])
     def test_degenerate_batches_cover_every_trial_once(self, monkeypatch, samples):
@@ -559,7 +615,7 @@ class TestBatchedSampling:
         zero = "add(a, b), multiply(#0, c), multiply(a, c), multiply(b, c), add(#2, #3), subtract(#1, #4)"
         report = compare_programs(P(f"{zero}, divide(d, #5)"), P(f"{zero}, divide(e, #5)"), samples=samples)
         assert report.reason == "degenerate" and report.points == 0
-        assert [len(batch) for _, batch in batches[:2]] == [1, min(samples, 2)]
+        assert {(modulus, len(batch)) for modulus, batch in batches} == {(_P * _second_prime(0), min(samples, 2))}
         assert [trial for _, batch in batches for trial in batch] == list(range(20 * samples))
 
     @pytest.mark.parametrize(
@@ -611,6 +667,17 @@ class TestBatchedSampling:
         nums, dens, live = _evaluate(plan, 0, range(5), _P)
         assert live == [False] * 5
         assert len(nums) == len(dens) < len(plan)
+
+    def test_trial_dies_where_a_divisor_is_not_invertible(self):
+        # Modulo p * 3 a third of the sample values of b share the factor 3,
+        # so exp's operand a / b would have no inverse there.
+        plan, symbols = _plan_of(P("divide(a, b), exp(#0, c)"))
+        modulus, trials = _P * 3, range(30)
+        b = symbols[1]
+        assert b == ("name", "b")
+        _, _, live = _evaluate(plan, 0, trials, modulus)
+        expected = [math.gcd(_hashed_int(0, (trial, b)), modulus) == 1 for trial in trials]
+        assert live == expected and 0 < expected.count(False) < len(trials)
 
     def test_divisors_are_evaluated_first(self):
         # the zero divisor is interned after the dividend's forms
