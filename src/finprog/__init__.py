@@ -66,9 +66,7 @@ from .evaluate import (
     RecordVerdict,
     UnknownRecordId,
     breakdown_report,
-    execution_accuracy,
     parse_answer,
-    program_accuracy_corpus,
     score_record,
 )
 from .executor import (

@@ -275,13 +275,9 @@ def _cmd_stats(args) -> int:
 
 def _cmd_linearize(args) -> int:
     loaded = load_records(args.records)
-    lines = []
-    for record in loaded.records:
-        if args.id and record.id != args.id:
-            continue
-        for sentence in linearize_table(record.table):
-            lines.append(sentence)
-    if args.id and not lines:
+    chosen = [r for r in loaded.records if not args.id or r.id == args.id]
+    lines = [sentence for record in chosen for sentence in linearize_table(record.table)]
+    if args.id and not chosen:
         print(f"no record with id {args.id!r}", file=sys.stderr)
         return 2
     _emit("\n".join(lines), args.out)

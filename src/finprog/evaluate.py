@@ -124,25 +124,6 @@ def score_record(
     return RecordVerdict(record.id, exe_correct, prog_correct, failure, render_value(value))
 
 
-def execution_accuracy(
-    preds: Iterable[PredictionRecord],
-    records: list[EvidenceRecord],
-    policy: TolerancePolicy = DEFAULT_TOLERANCE,
-    **kwargs,
-) -> float:
-    report = breakdown_report(preds, records, policy, **kwargs)
-    return report.execution_accuracy
-
-
-def program_accuracy_corpus(
-    preds: Iterable[PredictionRecord],
-    records: list[EvidenceRecord],
-    **kwargs,
-) -> float:
-    report = breakdown_report(preds, records, **kwargs)
-    return report.program_accuracy
-
-
 @dataclass(frozen=True)
 class BucketScore:
     count: int

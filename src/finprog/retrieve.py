@@ -55,11 +55,11 @@ class TfIdfIndex:
 def _unit_vector(counts: dict[str, int], idf: dict) -> dict[str, float]:
     """Counts weighted by idf and scaled to unit L2 norm; empty counts stay empty.
 
-    The norm is the ``sum`` of the squared weights in first-token order; that
-    order and ``sum`` fix the last bit of every weight and score.
+    ``fsum`` rounds the exact sum of the squared weights once, so every
+    weight's bits are the same on any Python and in any token order.
     """
     weights = [c * idf[t] for t, c in counts.items()]
-    norm = math.sqrt(sum([w * w for w in weights]))
+    norm = math.sqrt(math.fsum([w * w for w in weights]))
     if norm == 0.0:
         return {}
     return {t: w / norm for t, w in zip(counts, weights)}
@@ -97,17 +97,12 @@ def _top(question: str, index: TfIdfIndex, k: int) -> list[tuple[int, float]]:
         if term in idf:
             counts[term] = counts.get(term, 0) + 1
     query = list(_unit_vector(counts, idf).items())
-    # A term the fact lacks would add w * 0.0, which leaves a sum unchanged,
-    # so it is skipped. The products are still added by sum(): from Python
-    # 3.12 it compensates rounding, and a running += could differ from it.
-    start = 0.0 if query else 0
-    scores = []
-    for vector in index.vectors:
-        products = []
-        for term, weight in query:
-            if term in vector:
-                products.append(weight * vector[term])
-        scores.append(sum(products, start))
+    # A term the fact lacks would add w * 0.0, so it is skipped; fsum rounds
+    # the exact sum of the shared-term products once, whatever their order.
+    scores = [
+        math.fsum([weight * vector[term] for term, weight in query if term in vector]) if query else 0
+        for vector in index.vectors
+    ]
     # A stable sort keeps equal scores in position order, also in reverse.
     order = sorted(range(len(scores)), key=scores.__getitem__, reverse=True)
     return [(p, scores[p]) for p in order[: max(k, 0)]]

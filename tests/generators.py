@@ -667,8 +667,9 @@ def naive_tfidf_rank(contents: list[str], question: str, k: int) -> list[tuple[i
 
     Written from the formulas alone: float term counts, document frequency
     over each fact's ``set`` of tokens, idf = ln((1+N)/(1+df)) + 1, vectors
-    L2-normalized with genexpr ``sum``s, and the query scored against every
-    fact term by term, a missing term adding ``w * 0.0``.
+    L2-normalized with ``math.fsum``, and the query scored against every
+    fact term by term with ``math.fsum``, a missing term adding ``w * 0.0``.
+    A question with no indexed term scores every fact ``0`` (an int).
     """
 
     def tokens(text: str) -> list[str]:
@@ -681,7 +682,7 @@ def naive_tfidf_rank(contents: list[str], question: str, k: int) -> list[tuple[i
         return out
 
     def normalized(vector: dict[str, float]) -> dict[str, float]:
-        norm = math.sqrt(sum(w * w for w in vector.values()))
+        norm = math.sqrt(math.fsum(w * w for w in vector.values()))
         return dict(vector) if norm == 0.0 else {t: w / norm for t, w in vector.items()}
 
     tokenized = [tokens(c) for c in contents]
@@ -694,7 +695,7 @@ def naive_tfidf_rank(contents: list[str], question: str, k: int) -> list[tuple[i
     vectors = [normalized({t: c * idf[t] for t, c in counts(terms).items()}) for terms in tokenized]
     query = normalized({t: c * idf[t] for t, c in counts(tokens(question)).items() if t in idf})
     scored = [
-        (-sum(w * vector.get(t, 0.0) for t, w in query.items()), position)
+        (-math.fsum(w * vector.get(t, 0.0) for t, w in query.items()) if query else 0, position)
         for position, vector in enumerate(vectors)
     ]
     scored.sort()

@@ -581,10 +581,8 @@ class TestRetrieveCommand:
         assert all(len(entry["fact"]) > 0 for r in payload["rankings"].values() for entry in r)
 
     def test_machine_output_matches_golden_file(self, capsys, sample_path):
-        # From Python 3.12 sum() compensates rounding, which moves the last
-        # digit of some scores, so each side of that change has its own file.
-        name = "retrieve_sample_k5.json" if sys.version_info < (3, 12) else "retrieve_sample_k5_py312.json"
-        golden = pathlib.Path(__file__).parent / "data" / name
+        # Scores are correctly rounded sums, so one file holds on every Python.
+        golden = pathlib.Path(__file__).parent / "data" / "retrieve_sample_k5.json"
         code = cli_dispatch(
             ["retrieve", "--records", str(sample_path), "--k", "5", "--format", "machine"]
         )
@@ -658,6 +656,16 @@ class TestLinearizeCommand:
 
     def test_unknown_id(self, capsys, sample_path):
         assert cli_dispatch(["linearize", "--records", str(sample_path), "--id", "zz"]) == 2
+
+    def test_found_record_without_rows(self, capsys, sample_path, tmp_path):
+        first = json.loads(sample_path.read_text(encoding="utf-8").splitlines()[0])
+        first["table"] = first["table"][:1]
+        records = tmp_path / "header_only.jsonl"
+        records.write_text(json.dumps(first) + "\n", encoding="utf-8")
+        code = cli_dispatch(["linearize", "--records", str(records), "--id", first["id"]])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.out == "\n" and captured.err == ""
 
 
 class TestMaskCommand:

@@ -10,9 +10,7 @@ from finprog.dsl import render_program
 from finprog.evaluate import (
     UnknownRecordId,
     breakdown_report,
-    execution_accuracy,
     parse_answer,
-    program_accuracy_corpus,
     score_record,
 )
 from finprog.numeric import TolerancePolicy
@@ -36,32 +34,32 @@ class TestParseAnswer:
 
 class TestExecutionAccuracy:
     def test_gold_as_predictions_is_perfect(self, sample_records):
-        assert execution_accuracy(gold_predictions(sample_records), sample_records) == 1.0
+        assert breakdown_report(gold_predictions(sample_records), sample_records).execution_accuracy == 1.0
 
     def test_all_unparseable_is_zero(self, sample_records):
         preds = [PredictionRecord(id=r.id, program_text="][ junk") for r in sample_records]
-        assert execution_accuracy(preds, sample_records) == 0.0
+        assert breakdown_report(preds, sample_records).execution_accuracy == 0.0
 
     def test_partial_credit_fraction(self, sample_records):
         records = sample_records[:4]
         preds = gold_predictions(records[:1]) + [
             PredictionRecord(id=r.id, program_text="add(1, 1)") for r in records[1:]
         ]
-        assert execution_accuracy(preds, records) == 0.25
+        assert breakdown_report(preds, records).execution_accuracy == 0.25
 
     def test_missing_predictions_count_incorrect(self, sample_records):
         records = sample_records[:4]
-        assert execution_accuracy(gold_predictions(records[:2]), records) == 0.5
+        assert breakdown_report(gold_predictions(records[:2]), records).execution_accuracy == 0.5
 
     def test_unknown_prediction_id(self, sample_records):
         preds = [PredictionRecord(id="nope-0", program_text="add(1, 2)")]
         with pytest.raises(UnknownRecordId):
-            execution_accuracy(preds, sample_records)
+            breakdown_report(preds, sample_records)
 
 
 class TestProgramAccuracy:
     def test_gold_as_predictions_is_perfect(self, sample_records):
-        assert program_accuracy_corpus(gold_predictions(sample_records), sample_records) == 1.0
+        assert breakdown_report(gold_predictions(sample_records), sample_records).program_accuracy == 1.0
 
     def test_commutative_swap_still_perfect(self, sample_records):
         preds = []
@@ -79,7 +77,7 @@ class TestProgramAccuracy:
                     program_text=render_program(type(program)(steps=tuple(steps))),
                 )
             )
-        assert program_accuracy_corpus(preds, sample_records) == 1.0
+        assert breakdown_report(preds, sample_records).program_accuracy == 1.0
 
     def test_subtract_swap_strictly_below_one(self, sample_records):
         preds = []
@@ -97,7 +95,7 @@ class TestProgramAccuracy:
                     program_text=render_program(type(program)(steps=tuple(steps))),
                 )
             )
-        assert program_accuracy_corpus(preds, sample_records) < 1.0
+        assert breakdown_report(preds, sample_records).program_accuracy < 1.0
 
 
 class TestScoreRecord:

@@ -166,6 +166,30 @@ class TestRankMatchesNaiveFormulas:
         assert json.dumps(ranked[1:]) == '[["text:1", 0.0], ["text:2", 0.0]]'
 
 
+class TestRankIsOrderInvariant:
+    """A score depends on the bag of words: fsum rounds each exact sum once."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(
+        st.lists(st.lists(st.sampled_from(_WORDS), max_size=12), min_size=1, max_size=8),
+        st.lists(st.sampled_from(_WORDS + ["unseen"]), max_size=10),
+        st.randoms(use_true_random=False),
+    )
+    def test_reordered_words_keep_every_score_bit(self, fact_words, question_words, rng):
+        def shuffled(words):
+            words = list(words)
+            rng.shuffle(words)
+            return " ".join(words)
+
+        contents = [" ".join(words) for words in fact_words]
+        question = " ".join(question_words)
+        k = len(contents)
+        base = _exact(rank(question, build_index(facts(*contents)), k))
+        assert _exact(rank(shuffled(question_words), build_index(facts(*contents)), k)) == base
+        reordered = build_index(facts(*map(shuffled, fact_words)))
+        assert _exact(rank(question, reordered, k)) == base
+
+
 class TestRecall:
     def test_all_gold_in_top_k(self):
         ranked = [("text:0", 1.0), ("text:1", 0.9)]
