@@ -20,7 +20,7 @@ from .numeric import (
     format_decimal,
     mantissa_set,
     mantissas,
-    parse_quantity,
+    parse_mantissa,
 )
 
 _NORMALIZE_RE = re.compile(r"[^0-9a-z]+")
@@ -95,7 +95,7 @@ class FinTable:
         values = []
         for cell in self.rows[index][1]:
             try:
-                values.append(Fraction(parse_quantity(cell).mantissa))
+                values.append(Fraction(parse_mantissa(cell)))
             except NotANumber:
                 continue
         return values

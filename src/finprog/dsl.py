@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Iterator, Mapping, Optional, Union
 
 from .context import EvidenceContext
-from .numeric import NotANumber, format_decimal, parse_quantity
+from .numeric import NotANumber, format_decimal, parse_mantissa
 
 MATH_OPS = ("add", "subtract", "multiply", "divide", "exp", "greater")
 TABLE_OPS = ("table-sum", "table-average", "table-max", "table-min")
@@ -241,37 +241,71 @@ class Program:
 
 _PUNCT = frozenset("(),")
 
+# An atom as the token reader reads it: everything between two punctuation
+# marks, less surrounding whitespace. re's \s is exactly str.isspace.
+_ATOM = r"[^(),\s](?:[^(),]*[^(),\s])?"
+_TOKEN_RE = re.compile(rf"[(),]|{_ATOM}")
 
-def tokenize_program(text: str) -> Iterator[tuple[str, int]]:
-    """Split program text into (token, offset) pairs, left to right, as they are read.
+
+def _padded(name: str) -> str:
+    # Python's lookahead never backtracks, so a line that does not match is
+    # refused in linear time, not after trying every shorter atom or space run.
+    return rf"(?=(?P<_{name}>\s*(?P<{name}>{_ATOM})\s*))(?P=_{name})"
+
+
+# One step with one or two arguments, and the whitespace around it.
+_STEP_RE = re.compile(rf"{_padded('op')}\({_padded('first')}(?:,{_padded('second')})?\)\s*")
+
+
+def tokenize_program(text: str, start: int = 0) -> Iterator[tuple[str, int]]:
+    """Split program text from ``start`` into (token, offset) pairs, left to right, as they are read.
 
     Punctuation tokens are "(", ")" and ","; everything between them becomes
     a single trimmed atom, so row names may contain spaces. Atoms therefore
     cannot contain commas; program numbers are written without thousands
     separators.
     """
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in _PUNCT:
-            yield c, i
-            i += 1
-            continue
-        j = i
-        while j < n and text[j] not in _PUNCT:
-            j += 1
-        yield text[i:j].strip(), i
-        i = j
+    return ((m.group(), m.start()) for m in _TOKEN_RE.finditer(text, start))
+
+
+def _argument(op: str, step_index: int, atom: str) -> Argument:
+    m = _STEP_REF_RE.fullmatch(atom)
+    if m is not None:
+        digits = m.group(1).lstrip("0") or "0"
+        # Lengths first: int() refuses a string of more than 4,300 digits.
+        if len(digits) > len(str(step_index)) or int(digits) >= step_index:
+            raise ForwardStepRef(
+                f"step {step_index} references #{digits}, which is not an earlier step"
+            )
+        return StepRef(int(digits))
+    if op in TABLE_OPS:
+        return RowName(atom)
+    if atom.startswith("const_"):
+        return Constant(atom)
+    try:
+        return NumberLiteral(parse_mantissa(atom))
+    except NotANumber:
+        return RowName(atom)
+
+
+def _matched_step(m: re.Match, step_index: int) -> OperationStep | None:
+    """The step of a ``_STEP_RE`` match, or None when the token reader must read it for its error."""
+    op, first, second = m.group("op", "first", "second")
+    if op not in ALL_OPS or (second is None) != (op in TABLE_OPS):  # the arity rule
+        return None
+    arg = _argument(op, step_index, first)
+    if second is not None:
+        return OperationStep(op=op, args=(arg, _argument(op, step_index, second)))
+    return None if isinstance(arg, StepRef) else OperationStep(op=op, args=(arg,))
 
 
 class _Parser:
-    def __init__(self, text: str):
+    """The token reader: reads the grammar one token at a time and names the first token that breaks it."""
+
+    def __init__(self, text: str, start: int = 0):
         self.text = text
         # Read lazily, so that a refused program's remaining text is never split.
-        self.tokens = tokenize_program(text)
+        self.tokens = tokenize_program(text, start)
         self.ahead = next(self.tokens, None)
 
     def _next(self, expected: tuple[str, ...]) -> tuple[str, int]:
@@ -286,30 +320,9 @@ class _Parser:
         if tok != punct:
             raise ProgramSyntaxError(f"unexpected token {tok!r}", off, (f"'{punct}'",))
 
-    def _argument(self, op: str, step_index: int, off: int, atom: str) -> Argument:
-        if not atom:
-            raise ProgramSyntaxError("missing argument", off, ("argument",))
-        m = _STEP_REF_RE.fullmatch(atom)
-        if m is not None:
-            digits = m.group(1).lstrip("0") or "0"
-            # Lengths first: int() refuses a string of more than 4,300 digits.
-            if len(digits) > len(str(step_index)) or int(digits) >= step_index:
-                raise ForwardStepRef(
-                    f"step {step_index} references #{digits}, which is not an earlier step"
-                )
-            return StepRef(int(digits))
-        if op in TABLE_OPS:
-            return RowName(atom)
-        if atom.startswith("const_"):
-            return Constant(atom)
-        try:
-            return NumberLiteral(parse_quantity(atom).mantissa)
-        except NotANumber:
-            return RowName(atom)
-
     def _step(self, step_index: int) -> OperationStep:
         name, off = self._next(("operation name",))
-        if name in _PUNCT or not name:
+        if name in _PUNCT:
             raise ProgramSyntaxError(f"unexpected token {name!r}", off, ("operation name",))
         if name not in ALL_OPS:
             raise UnknownOperation(f"unknown operation {name!r} at position {off}")
@@ -319,7 +332,7 @@ class _Parser:
             atom, aoff = self._next(("argument",))
             if atom in _PUNCT:
                 raise ProgramSyntaxError(f"unexpected token {atom!r}", aoff, ("argument",))
-            args.append(self._argument(name, step_index, aoff, atom))
+            args.append(_argument(name, step_index, atom))
             sep, soff = self._next(("','", "')'"))
             if sep == ")":
                 break
@@ -334,8 +347,10 @@ class _Parser:
             raise ProgramSyntaxError(f"{name} takes a table row name, not a step reference", aoff)
         return OperationStep(op=name, args=tuple(args))
 
-    def parse(self) -> Program:
-        steps = [self._step(0)]
+    def parse(self, steps: list[OperationStep]) -> Program:
+        """Read the rest of the program after ``steps``: from its start, or from the ',' after the last of them."""
+        if not steps:
+            steps.append(self._step(0))
         # Reading stops one step past the bound, where Program refuses the steps.
         while self.ahead is not None and len(steps) <= MAX_PROGRAM_STEPS:
             text, off = self._next(("','", "end of program"))
@@ -354,8 +369,26 @@ def parse_program(text: str) -> Program:
     ForwardStepRef, or the constructors' ProgramError for an unknown constant,
     a number past MAX_NUMBER_DIGITS, a ``greater`` result used as an operand,
     or more than MAX_PROGRAM_STEPS steps (the text past the bound is not read).
+
+    Each well-formed step is read with one ``_STEP_RE`` match. From the first
+    step that the match does not read, or whose arity or row-name rule it
+    breaks, the token reader reads on, keeping the steps already read; so
+    every error keeps the class, message and position the token reader gives.
     """
-    return _Parser(text).parse()
+    steps: list[OperationStep] = []
+    resume = start = 0
+    while True:
+        m = _STEP_RE.match(text, start)
+        step = None if m is None else _matched_step(m, len(steps))
+        if step is None:
+            return _Parser(text, resume).parse(steps)
+        steps.append(step)
+        resume = m.end()
+        if resume == len(text) or len(steps) > MAX_PROGRAM_STEPS:
+            return Program(steps=tuple(steps))
+        if text[resume] != ",":
+            return _Parser(text, resume).parse(steps)
+        start = resume + 1
 
 
 def render_program(program: Program) -> str:

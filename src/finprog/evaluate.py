@@ -18,7 +18,7 @@ from .corpus import EvidenceRecord, PredictionRecord, source_bucket, steps_bucke
 from .dsl import Constant, ProgramError, parse_program
 from .equiv import DEFAULT_SAMPLE_POINTS, equivalent
 from .executor import ExecutionError, execute, render_value
-from .numeric import DEFAULT_TOLERANCE, NotANumber, TolerancePolicy, parse_quantity, values_equal
+from .numeric import DEFAULT_TOLERANCE, NotANumber, TolerancePolicy, parse_mantissa, values_equal
 
 
 class UnknownRecordId(KeyError):
@@ -45,7 +45,7 @@ def parse_answer(raw) -> bool | Decimal | None:
         if lowered in ("no", "false"):
             return False
         try:
-            return parse_quantity(raw).mantissa
+            return parse_mantissa(raw)
         except NotANumber:
             return None
     return None

@@ -92,7 +92,8 @@ def _mantissa(pnum: str | None, sign: str | None, num: str | None) -> Decimal:
     return -mantissa if pnum or sign else mantissa
 
 
-def _quantity_from_match(m: re.Match, source: str) -> Quantity:
+def _quantity_from_match(m: re.Match, source: str, offset: int = 0) -> Quantity:
+    """The quantity of a match in ``source``; its span is shifted by ``offset``."""
     cur_a, cur_b, pnum, sign, cur_c, num, pct, scale = m.groups()
     start, end = m.span()
     return Quantity(
@@ -101,8 +102,19 @@ def _quantity_from_match(m: re.Match, source: str) -> Quantity:
         scale_word=scale.lower() if scale else None,
         is_percent=bool(pct),
         is_currency=bool(cur_a or cur_b or cur_c),
-        span=(start, end),
+        span=(start + offset, end + offset),
     )
+
+
+def _full_match(text: str) -> tuple[str, re.Match]:
+    """``text`` without surrounding whitespace, and its match as one quantity token."""
+    stripped = text.strip()
+    if not stripped:
+        raise NotANumber("empty token")
+    m = _QUANTITY_RE.fullmatch(stripped)
+    if m is None:
+        raise NotANumber(f"not a quantity token: {text!r}")
+    return stripped, m
 
 
 def parse_quantity(text: str) -> Quantity:
@@ -112,22 +124,15 @@ def parse_quantity(text: str) -> Quantity:
     and one trailing scale word. Raises NotANumber when no digit is present or
     the token has leftover characters.
     """
-    stripped = text.strip()
-    if not stripped:
-        raise NotANumber("empty token")
-    m = _QUANTITY_RE.fullmatch(stripped)
-    if m is None:
-        raise NotANumber(f"not a quantity token: {text!r}")
-    offset = len(text) - len(text.lstrip())
-    q = _quantity_from_match(m, stripped)
-    return Quantity(
-        surface_text=stripped,
-        mantissa=q.mantissa,
-        scale_word=q.scale_word,
-        is_percent=q.is_percent,
-        is_currency=q.is_currency,
-        span=(offset, offset + len(stripped)),
-    )
+    stripped, m = _full_match(text)
+    return _quantity_from_match(m, stripped, len(text) - len(text.lstrip()))
+
+
+def parse_mantissa(text: str) -> Decimal:
+    """``parse_quantity(text).mantissa``, without building the Quantity; raises NotANumber alike."""
+    _, m = _full_match(text)
+    _, _, pnum, sign, _, num, _, _ = m.groups()
+    return _mantissa(pnum, sign, num)
 
 
 def extract_numbers(sentence: str) -> list[Quantity]:

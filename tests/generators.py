@@ -616,6 +616,36 @@ def oracle_line_degrees(program: Program, seed: int = 0) -> list:
 
 
 # ---------------------------------------------------------------------------
+# the character-loop tokenizer
+
+
+def char_loop_tokens(text: str) -> list[tuple[str, int]]:
+    """(token, offset) pairs of program text, read one character at a time.
+
+    Punctuation ``( ) ,`` is one token each; a run of other characters up to
+    the next punctuation mark is one atom, less surrounding whitespace
+    (``str.isspace``); whitespace between tokens is skipped.
+    """
+    tokens = []
+    i, n = 0, len(text)
+    while i < n:
+        c = text[i]
+        if c.isspace():
+            i += 1
+            continue
+        if c in "(),":
+            tokens.append((c, i))
+            i += 1
+            continue
+        j = i
+        while j < n and text[j] not in "(),":
+            j += 1
+        tokens.append((text[i:j].strip(), i))
+        i = j
+    return tokens
+
+
+# ---------------------------------------------------------------------------
 # mask-guided walks and the brute-force mask oracle
 
 

@@ -1,3 +1,5 @@
+import re
+import sys
 import time
 from decimal import Decimal
 from random import Random
@@ -23,15 +25,17 @@ from finprog.dsl import (
     RowName,
     StepRef,
     UnknownOperation,
+    _Parser,
     is_valid,
     parse_program,
     render_program,
+    tokenize_program,
     validate,
 )
 from finprog.equiv import compare_programs
 from finprog.executor import ExecutionError, execute
 
-from generators import random_context, random_program, random_symbolic_program
+from generators import char_loop_tokens, random_context, random_program, random_symbolic_program
 
 
 class TestParse:
@@ -93,6 +97,9 @@ class TestParse:
     def test_row_names_keep_spaces_and_hyphens(self):
         p = parse_program("table-average(risk-free interest rate)")
         assert p.steps[0].args == (RowName("risk-free interest rate"),)
+        # Whitespace around a name is any that str.isspace knows, and is dropped.
+        p = parse_program("table-sum( net sales\u00a0 ), add(#0 , 1\t)")
+        assert p.steps[0].args == (RowName("net sales"),)
 
     def test_constants(self):
         p = parse_program("multiply(5, const_1000)")
@@ -268,10 +275,118 @@ class TestWellFormedByConstruction:
             parse_program(text)
         assert time.perf_counter() - start < 0.1  # reading all 4 MB takes about 0.5 s
 
+    # Lines on which a backtracking step pattern would try every shorter atom
+    # or space run before giving up.
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "a " * 500_000,
+            "add(" + " " * 10**6 + "1",
+            "table-sum(" + "net sales " * 100_000,
+        ],
+        ids=["words-without-punctuation", "spaces-before-an-argument", "unclosed-row-name"],
+    )
+    def test_long_line_without_a_step_refused_quickly(self, text):
+        start = time.perf_counter()
+        with pytest.raises(ProgramError):
+            parse_program(text)
+        assert time.perf_counter() - start < 0.1
+
     def test_any_table_argument_but_a_row_name_is_refused(self):
         for arg in (_number(5), Constant("const_100")):
             with pytest.raises(ProgramError, match="table-min takes a table row name"):
                 OperationStep("table-min", (arg,))
+
+
+# Program text: operations, arguments, punctuation, and whitespace that
+# str.isspace knows, ASCII or not.
+_WHITESPACE = [" ", "  ", "\t", "\n", "\u00a0", "\u2003", "\x1c", "\u3000"]
+_PIECES = [*"(),#", *_WHITESPACE, *"0129.$%-_abxz", "add", "divide", "table-sum", "const_100", "#0", "#1", "net sales"]
+_PAD = st.sampled_from(["", "", "", *_WHITESPACE])
+
+
+def _token_reader(text):
+    return _Parser(text).parse([])
+
+
+def _outcome(read, text):
+    """The Program ``read`` gives, or its error's class, message and position."""
+    try:
+        return "program", repr(read(text))
+    except ProgramError as e:
+        return type(e).__name__, str(e), getattr(e, "position", None)
+
+
+@st.composite
+def _program_texts(draw):
+    """A random program's canonical text, with whitespace drawn around every token."""
+    rng = Random(draw(st.integers(0, 2**32)))
+    if draw(st.booleans()):
+        program = random_symbolic_program(rng, max_steps=6)
+    else:
+        program = random_program(rng, random_context(rng), max_steps=6)
+    return "".join(draw(_PAD) + piece + draw(_PAD) for piece in re.split(r"([(),])", render_program(program)))
+
+
+@st.composite
+def _mutated(draw, texts):
+    """A text with one piece inserted, deleted or replaced."""
+    text = draw(texts)
+    i = draw(st.integers(0, len(text)))
+    piece = draw(st.sampled_from(_PIECES))
+    return draw(st.sampled_from([text[:i] + piece + text[i:], text[:i] + text[i + 1:], text[:i] + piece + text[i + 1:]]))
+
+
+@st.composite
+def _capped_lines(draw):
+    """Chains about MAX_PROGRAM_STEPS long, ending well or not."""
+    n = draw(st.integers(MAX_PROGRAM_STEPS - 2, MAX_PROGRAM_STEPS + 3))
+    steps = ["add(1, 2)"] + [f"add(#{i}, {i})" for i in range(n - 1)]
+    return ", ".join(steps) + draw(st.sampled_from(["", ",", " x", ", add(", ", ) frobnicate((", ", table-sum(#0)"]))
+
+
+_TEXTS = st.one_of(
+    _program_texts(),
+    _mutated(_program_texts()),
+    st.lists(st.sampled_from(_PIECES), max_size=30).map("".join),
+    _capped_lines(),
+)
+
+
+class TestTokenReader:
+    def test_re_whitespace_is_str_isspace(self):
+        every = "".join(map(chr, range(sys.maxunicode + 1)))
+        assert re.findall(r"\s", every) == [c for c in every if c.isspace()]
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(_TEXTS)
+    def test_tokens_match_the_character_loop(self, text):
+        tokens = list(tokenize_program(text))
+        assert tokens == char_loop_tokens(text)
+        for token, _ in tokens:
+            assert token and token == token.strip()
+
+    @settings(derandomize=True, max_examples=600, deadline=None)
+    @given(_TEXTS)
+    def test_step_pattern_reads_as_the_token_reader(self, text):
+        assert _outcome(parse_program, text) == _outcome(_token_reader, text)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("add(1, 2),", "unexpected end of program at position 10 (expected operation name)"),
+            ("add(1, 2) x", "unexpected token 'x' at position 10 (expected ',' or end of program)"),
+            ("add(1, 2), ad(#0, 3)", "unknown operation 'ad' at position 11"),
+            ("add(1, 2), table-sum(#0)", "table-sum takes a table row name, not a step reference at position 21"),
+            ("add(1, 2), table-sum(a, b)", "table-sum takes 1 argument(s), got 2 (step 1)"),
+            ("add(1, 2), add(3), frobnicate(", "add takes 2 argument(s), got 1 (step 1)"),
+        ],
+    )
+    def test_error_after_read_steps_is_the_token_readers(self, text, message):
+        with pytest.raises(ProgramError) as caught:
+            parse_program(text)
+        assert message in str(caught.value)
+        assert _outcome(parse_program, text) == _outcome(_token_reader, text)
 
 
 _REASONS = {"canonical-match", "randomized-agreement", "counterexample", "incomparable-types", "degenerate"}

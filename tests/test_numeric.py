@@ -18,6 +18,7 @@ from finprog.numeric import (
     extract_numbers,
     format_decimal,
     mantissa_set,
+    parse_mantissa,
     parse_quantity,
     round_half_up,
     values_equal,
@@ -68,6 +69,28 @@ class TestParseQuantity:
     def test_span_covers_token(self):
         q = parse_quantity("  5% ")
         assert q.span == (2, 4)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32), st.sampled_from(["", " ", "\t ", "\u00a0"]), st.sampled_from(["", " ", "\n"]))
+    def test_padded_token_reads_as_in_a_sentence(self, seed, left, right):
+        text = left + random_number_text(Random(seed)) + right
+        assert parse_quantity(text) == extract_numbers(text)[0]
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(
+        st.one_of(
+            st.integers(0, 2**32).map(lambda seed: random_number_text(Random(seed))),
+            st.text(alphabet=" \t\u00a0$()%,.-−0159abilmnot"),
+        )
+    )
+    def test_mantissa_is_the_quantitys(self, text):
+        try:
+            expected = parse_quantity(text).mantissa
+        except NotANumber as e:
+            with pytest.raises(NotANumber, match=re.escape(str(e))):
+                parse_mantissa(text)
+        else:
+            assert repr(parse_mantissa(text)) == repr(expected)
 
 
 class TestExtractNumbers:
