@@ -59,7 +59,6 @@ from .equiv import (
     EquivalenceReport,
     canonical_texts,
     compare_programs,
-    equivalent,
 )
 from .evaluate import (
     EvalReport,

@@ -20,7 +20,7 @@ from .dsl import MAX_PROGRAM_STEPS, ProgramError, is_valid, parse_program, token
 from .equiv import DEFAULT_SAMPLE_POINTS, canonical_texts, compare_programs
 from .evaluate import UnknownRecordId, breakdown_report
 from .executor import ExecutionError, execute, render_value
-from .numeric import TolerancePolicy
+from .numeric import TolerancePolicy, to_fraction
 from .retrieve import ranked_recall
 
 
@@ -141,7 +141,7 @@ def _emit(text: str, out: Optional[str] = None) -> None:
 def _load_context(args) -> EvidenceContext:
     """The evidence context selected by --records/--id, or an empty one."""
     if not args.records:
-        return EvidenceContext.empty()
+        return EvidenceContext.build(())
     loaded = load_records(args.records)
     if args.id is None:
         if len(loaded.records) == 1:
@@ -202,14 +202,20 @@ def _cmd_equiv(args) -> int:
     return 0
 
 
+def _report(args, loaded, machine, table) -> int:
+    """Emit ``machine()`` as JSON or ``table()`` as text, as --format asks; 1 when ``loaded`` has rejects."""
+    _emit(json.dumps(machine(), indent=2) if args.format == "machine" else table(), args.out)
+    return 1 if loaded.rejects else 0
+
+
 def _cmd_eval(args) -> int:
     loaded = load_records(args.records)
     # a prediction for a rejected record is not scored; the reject is reported
     rejected = {r.id for r in loaded.rejects} - {r.id for r in loaded.records}
     preds = [p for p in load_predictions(args.preds) if p.id not in rejected]
-    policy = TolerancePolicy.from_floats(
-        abs_tol=args.abs_tol,
-        rel_tol=args.rel_tol,
+    policy = TolerancePolicy(
+        abs_tol=to_fraction(args.abs_tol),
+        rel_tol=to_fraction(args.rel_tol),
         round_to_reference=not args.no_gold_rounding,
         percent_insensitive=args.percent_insensitive,
     )
@@ -221,18 +227,14 @@ def _cmd_eval(args) -> int:
         seed=args.seed,
         strict_grounding=args.strict_grounding,
     )
-    if args.format == "machine":
-        payload = report.to_dict()
-        payload["rejects"] = [
-            {"id": r.id, "field": r.field_path, "reason": r.reason} for r in loaded.rejects
-        ]
-        _emit(json.dumps(payload, indent=2), args.out)
-    else:
-        text = report.format_table()
-        if loaded.rejects:
-            text += f"\nrejected records        {len(loaded.rejects)}"
-        _emit(text, args.out)
-    return 1 if loaded.rejects else 0
+    rejects = [{"id": r.id, "field": r.field_path, "reason": r.reason} for r in loaded.rejects]
+    rejected_line = f"\nrejected records        {len(loaded.rejects)}" if loaded.rejects else ""
+    return _report(
+        args,
+        loaded,
+        lambda: {**report.to_dict(), "rejects": rejects},
+        lambda: report.format_table() + rejected_line,
+    )
 
 
 def _cmd_retrieve(args) -> int:
@@ -241,8 +243,9 @@ def _cmd_retrieve(args) -> int:
         print("no records loaded", file=sys.stderr)
         return 2
     mean, per_record = ranked_recall(loaded.records, args.k)
-    if args.format == "machine":
-        payload = {
+
+    def machine() -> dict:
+        return {
             "k": args.k,
             "recall_at_k": mean,
             "per_record": [{"id": rid, "recall": r} for rid, r, _ in per_record],
@@ -250,14 +253,15 @@ def _cmd_retrieve(args) -> int:
                 rid: [{"fact": fid, "score": score} for fid, score in ranked] for rid, _, ranked in per_record
             },
         }
-        _emit(json.dumps(payload, indent=2), args.out)
-    else:
+
+    def table() -> str:
         lines = [f"recall@{args.k}  {100 * mean:.2f}%  over {len(per_record)} records"]
         for rid, recall, ranked in per_record:
             top = ", ".join(fid for fid, _ in ranked)
             lines.append(f"  {rid}: recall {100 * recall:.2f}%  top: {top}")
-        _emit("\n".join(lines), args.out)
-    return 1 if loaded.rejects else 0
+        return "\n".join(lines)
+
+    return _report(args, loaded, machine, table)
 
 
 def _cmd_stats(args) -> int:
@@ -266,11 +270,7 @@ def _cmd_stats(args) -> int:
         print("no records loaded", file=sys.stderr)
         return 2
     report = dataset_stats(loaded.records)
-    if args.format == "machine":
-        _emit(json.dumps(report.to_dict(), indent=2), args.out)
-    else:
-        _emit(report.format_table(), args.out)
-    return 1 if loaded.rejects else 0
+    return _report(args, loaded, report.to_dict, report.format_table)
 
 
 def _cmd_linearize(args) -> int:

@@ -119,10 +119,6 @@ class EvidenceContext:
             table = FinTable(header=("",), rows=())
         return cls(text_sentences=tuple(sentences), table=table)
 
-    @classmethod
-    def empty(cls) -> "EvidenceContext":
-        return cls.build(())
-
     @cached_property
     def sentence_quantities(self) -> tuple[tuple[Quantity, ...], ...]:
         return tuple(tuple(extract_numbers(s)) for s in self.text_sentences)

@@ -18,6 +18,7 @@ from .dsl import (
     DEFAULT_CONSTANTS,
     MATH_OPS,
     MAX_PROGRAM_STEPS,
+    PUNCTUATION,
     TABLE_OPS,
     NumberLiteral,
     ProgramError,
@@ -25,9 +26,6 @@ from .dsl import (
     arity,
     result_kind,
 )
-
-PUNCTUATION = ("(", ")", ",")
-
 
 class IllegalToken(ValueError):
     """A token outside the current mask was fed to the decoder."""
@@ -110,10 +108,6 @@ class DecodeState:
     arg_index: int = 0
     step_kinds: tuple[str, ...] = ()
     tokens: tuple[str, ...] = ()
-
-    @classmethod
-    def start(cls) -> "DecodeState":
-        return cls()
 
     @property
     def completed_steps(self) -> int:
@@ -203,7 +197,7 @@ def advance(state: DecodeState, token: str, vocab: TokenVocabulary) -> DecodeSta
 
 def replay(tokens: Iterable[str], vocab: TokenVocabulary) -> DecodeState:
     """Advance through a full token sequence, enforcing the mask at each step."""
-    state = DecodeState.start()
+    state = DecodeState()
     for token in tokens:
         state = advance(state, token, vocab)
     return state

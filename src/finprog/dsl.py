@@ -239,7 +239,9 @@ class Program:
         return len(self.steps)
 
 
-_PUNCT = frozenset("(),")
+#: The punctuation tokens; every other token is an atom.
+PUNCTUATION = ("(", ")", ",")
+_PUNCT = frozenset(PUNCTUATION)
 
 # An atom as the token reader reads it: everything between two punctuation
 # marks, less surrounding whitespace. re's \s is exactly str.isspace.
@@ -291,12 +293,12 @@ def _argument(op: str, step_index: int, atom: str) -> Argument:
 def _matched_step(m: re.Match, step_index: int) -> OperationStep | None:
     """The step of a ``_STEP_RE`` match, or None when the token reader must read it for its error."""
     op, first, second = m.group("op", "first", "second")
-    if op not in ALL_OPS or (second is None) != (op in TABLE_OPS):  # the arity rule
+    try:
+        if second is None:
+            return OperationStep(op, (_argument(op, step_index, first),))
+        return OperationStep(op, (_argument(op, step_index, first), _argument(op, step_index, second)))
+    except ProgramError:
         return None
-    arg = _argument(op, step_index, first)
-    if second is not None:
-        return OperationStep(op=op, args=(arg, _argument(op, step_index, second)))
-    return None if isinstance(arg, StepRef) else OperationStep(op=op, args=(arg,))
 
 
 class _Parser:
@@ -327,6 +329,7 @@ class _Parser:
         if name not in ALL_OPS:
             raise UnknownOperation(f"unknown operation {name!r} at position {off}")
         self._expect_punct("(")
+        count = arity(name)
         args: list[Argument] = []
         while True:
             atom, aoff = self._next(("argument",))
@@ -338,10 +341,12 @@ class _Parser:
                 break
             if sep != ",":
                 raise ProgramSyntaxError(f"unexpected token {sep!r}", soff, ("','", "')'"))
-        if len(args) != arity(name):
-            raise ArityError(
-                f"{name} takes {arity(name)} argument(s), got {len(args)} (step {step_index})"
-            )
+            if len(args) == count:  # refused here, so no argument past the arity is read
+                raise ArityError(
+                    f"{name} takes {count} argument(s), got more than {count} (step {step_index})"
+                )
+        if len(args) != count:
+            raise ArityError(f"{name} takes {count} argument(s), got {len(args)} (step {step_index})")
         if name in TABLE_OPS and isinstance(args[0], StepRef):
             # Checked after the step's other rules, so each keeps its message.
             raise ProgramSyntaxError(f"{name} takes a table row name, not a step reference", aoff)
@@ -371,9 +376,10 @@ def parse_program(text: str) -> Program:
     or more than MAX_PROGRAM_STEPS steps (the text past the bound is not read).
 
     Each well-formed step is read with one ``_STEP_RE`` match. From the first
-    step that the match does not read, or whose arity or row-name rule it
-    breaks, the token reader reads on, keeping the steps already read; so
-    every error keeps the class, message and position the token reader gives.
+    step that the match does not read, or that breaks a rule of the
+    constructors, the token reader reads on, keeping the steps already read;
+    so every error keeps the class, message and position the token reader
+    gives.
     """
     steps: list[OperationStep] = []
     resume = start = 0

@@ -577,13 +577,3 @@ def compare_programs(
         reason, points = _sample(plan, roots, seed, _points_needed(plan, roots, samples), trials, modulus)
     return EquivalenceReport(reason == "randomized-agreement", reason, points)
 
-
-def equivalent(
-    p1: Program,
-    p2: Program,
-    *,
-    samples: int = DEFAULT_SAMPLE_POINTS,
-    seed: int = 0,
-) -> bool:
-    return compare_programs(p1, p2, samples=samples, seed=seed).equivalent
-

@@ -16,7 +16,7 @@ from typing import Iterable, Optional
 
 from .corpus import EvidenceRecord, PredictionRecord, source_bucket, steps_bucket
 from .dsl import Constant, ProgramError, parse_program
-from .equiv import DEFAULT_SAMPLE_POINTS, equivalent
+from .equiv import DEFAULT_SAMPLE_POINTS, compare_programs
 from .executor import ExecutionError, execute, render_value
 from .numeric import DEFAULT_TOLERANCE, NotANumber, TolerancePolicy, parse_mantissa, values_equal
 
@@ -98,7 +98,7 @@ def score_record(
     except ProgramError as exc:
         return RecordVerdict(record.id, False, False, f"parse-error: {exc}", None)
 
-    prog_correct = equivalent(program, record.gold_program, samples=samples, seed=seed)
+    prog_correct = compare_programs(program, record.gold_program, samples=samples, seed=seed).equivalent
 
     try:
         value = execute(program, record.context(), strict_grounding=strict_grounding)

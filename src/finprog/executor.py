@@ -205,7 +205,7 @@ def execute(
     annotation validator's behavior.
     """
     if ctx is None:
-        ctx = EvidenceContext.empty()
+        ctx = EvidenceContext.build(())
     env: list[Value] = []
     for step in program.steps:
         resolved = [

@@ -238,21 +238,6 @@ class TolerancePolicy:
     round_to_reference: bool = True
     percent_insensitive: bool = False
 
-    @classmethod
-    def from_floats(
-        cls,
-        abs_tol: float = 1e-5,
-        rel_tol: float = 1e-4,
-        round_to_reference: bool = True,
-        percent_insensitive: bool = False,
-    ) -> "TolerancePolicy":
-        return cls(
-            abs_tol=to_fraction(abs_tol),
-            rel_tol=to_fraction(rel_tol),
-            round_to_reference=round_to_reference,
-            percent_insensitive=percent_insensitive,
-        )
-
 
 DEFAULT_TOLERANCE = TolerancePolicy()
 

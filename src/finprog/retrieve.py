@@ -47,10 +47,6 @@ class TfIdfIndex:
     idf: dict
     vectors: tuple[dict, ...]
 
-    @property
-    def fact_ids(self) -> tuple[str, ...]:
-        return tuple(f.id for f in self.facts)
-
 
 def _unit_vector(counts: dict[str, int], idf: dict) -> dict[str, float]:
     """Counts weighted by idf and scaled to unit L2 norm; empty counts stay empty.

@@ -651,7 +651,7 @@ def char_loop_tokens(text: str) -> list[tuple[str, int]]:
 
 def random_walk(rng: Random, vocab: TokenVocabulary) -> str:
     """Follow masks to a complete program; returns its text."""
-    state = DecodeState.start()
+    state = DecodeState()
     while True:
         mask = next_token_mask(state, vocab)
         if state.is_complete and (not mask or rng.random() < 0.45):

@@ -15,7 +15,7 @@ import pytest
 from finprog.corpus import candidate_facts, dataset_stats, load_records
 from finprog.decoding import build_vocabulary
 from finprog.dsl import parse_program, render_program, validate
-from finprog.equiv import equivalent
+from finprog.equiv import compare_programs
 from finprog.corpus import PredictionRecord
 from finprog.evaluate import breakdown_report, score_record
 from finprog.executor import ExecutionError, execute
@@ -43,14 +43,14 @@ def test_criterion_1_equivalence_fidelity():
     """The flagship reordered pair is equivalent, the swapped variant is not,
     and one decision takes under a millisecond."""
     a, b, swapped = map(parse_program, (FLAGSHIP_A, FLAGSHIP_B, FLAGSHIP_SWAPPED))
-    assert equivalent(a, b)
-    assert not equivalent(a, swapped)
-    assert not equivalent(b, swapped)
+    assert compare_programs(a, b).equivalent
+    assert not compare_programs(a, swapped).equivalent
+    assert not compare_programs(b, swapped).equivalent
 
     timings = []
     for _ in range(7):
         start = time.perf_counter()
-        assert equivalent(a, b)
+        assert compare_programs(a, b).equivalent
         timings.append(time.perf_counter() - start)
     best = min(timings)
     assert best < 0.001, f"equivalence decision took {best * 1000:.3f} ms"
@@ -92,7 +92,7 @@ def test_criterion_3_equivalence_matches_randomized_oracle():
         oracle = oracle_equivalent(a, b, samples=32, seed=13)
         if oracle is None:
             continue
-        if equivalent(a, b, samples=32, seed=13) != oracle:
+        if compare_programs(a, b, samples=32, seed=13).equivalent != oracle:
             disagreements += 1
             print("disagreement:", render_program(a), "||", render_program(b))
         compared += 1

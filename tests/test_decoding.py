@@ -39,7 +39,7 @@ def vocab(ctx):
 
 
 def walk(tokens, vocab):
-    state = DecodeState.start()
+    state = DecodeState()
     for token in tokens:
         state = advance(state, token, vocab)
     return state
@@ -55,7 +55,7 @@ class TestBuildVocabulary:
         assert set(vocab.input_tokens) == {"5", "100", "risk-free interest rate"}
 
     def test_empty_context(self):
-        vocab = build_vocabulary(EvidenceContext.empty(), max_steps=3)
+        vocab = build_vocabulary(EvidenceContext.build(()), max_steps=3)
         assert vocab.input_tokens == ()
         assert "add" in vocab.special_tokens and "(" in vocab.special_tokens
 
@@ -86,12 +86,12 @@ class TestBuildVocabulary:
 
 class TestMask:
     def test_start_state_offers_operation_names_only(self, vocab):
-        assert next_token_mask(DecodeState.start(), vocab) == frozenset(MATH_OPS + TABLE_OPS)
+        assert next_token_mask(DecodeState(), vocab) == frozenset(MATH_OPS + TABLE_OPS)
 
     def test_table_ops_hidden_without_rows(self):
         ctx = EvidenceContext.build(["total was 7"], None)
         vocab = build_vocabulary(ctx, max_steps=3)
-        assert next_token_mask(DecodeState.start(), vocab) == frozenset(MATH_OPS)
+        assert next_token_mask(DecodeState(), vocab) == frozenset(MATH_OPS)
 
     def test_after_op_only_open_paren(self, vocab):
         state = walk(["add"], vocab)
@@ -145,7 +145,7 @@ class TestAdvance:
         with pytest.raises(IllegalToken):
             advance(state, ")", vocab)
         with pytest.raises(IllegalToken):
-            advance(DecodeState.start(), "(", vocab)
+            advance(DecodeState(), "(", vocab)
         with pytest.raises(IllegalToken):
             advance(state, "7777", vocab)  # number outside the context
 

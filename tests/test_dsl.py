@@ -63,13 +63,22 @@ class TestParse:
         with pytest.raises(UnknownOperation):
             parse_program("frobnicate(1, 2)")
 
-    def test_arity_errors(self):
-        with pytest.raises(ArityError):
-            parse_program("add(1, 2, 3)")
-        with pytest.raises(ArityError):
-            parse_program("table-sum(a, b)")
-        with pytest.raises(ArityError):
-            parse_program("add(1)")
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("add(1, 2, 3)", "add takes 2 argument(s), got more than 2 (step 0)"),
+            # What follows the extra ',' is never read: not a syntax error, not a forward reference.
+            ("add(1, 2, ", "add takes 2 argument(s), got more than 2 (step 0)"),
+            ("add(1, 2, ))", "add takes 2 argument(s), got more than 2 (step 0)"),
+            ("add(1, 2, #5)", "add takes 2 argument(s), got more than 2 (step 0)"),
+            ("table-sum(a, b)", "table-sum takes 1 argument(s), got more than 1 (step 0)"),
+            ("add(1)", "add takes 2 argument(s), got 1 (step 0)"),
+        ],
+    )
+    def test_arity_errors(self, text, message):
+        with pytest.raises(ArityError) as caught:
+            parse_program(text)
+        assert str(caught.value) == message
 
     def test_syntax_error_carries_position(self):
         with pytest.raises(ProgramSyntaxError) as excinfo:
@@ -144,7 +153,7 @@ class TestWellFormedByConstruction:
                 lambda: OperationStep("table-sum", (RowName("a"), RowName("b"))),
                 ArityError,
                 "table-sum(a, b)",
-                "table-sum takes 1 argument(s), got 2 (step 0)",
+                "table-sum takes 1 argument(s), got more than 1 (step 0)",
             ),
             (
                 lambda: OperationStep("table-sum", (StepRef(0),)),
@@ -275,6 +284,23 @@ class TestWellFormedByConstruction:
             parse_program(text)
         assert time.perf_counter() - start < 0.1  # reading all 4 MB takes about 0.5 s
 
+    # A step is refused at the first ',' past its arity, so no argument
+    # after it is read; building all 333,334 of them took over 2 s.
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("add(" + "1, " * 333_333 + "1)", "add takes 2 argument(s), got more than 2 (step 0)"),
+            ("table-sum(a" + ", b" * 333_333 + ")", "table-sum takes 1 argument(s), got more than 1 (step 0)"),
+        ],
+        ids=["add", "table-sum"],
+    )
+    def test_step_with_a_million_characters_of_arguments_refused_at_its_arity(self, text, message):
+        start = time.perf_counter()
+        with pytest.raises(ArityError) as caught:
+            parse_program(text)
+        assert time.perf_counter() - start < 0.05
+        assert str(caught.value) == message
+
     # Lines on which a backtracking step pattern would try every shorter atom
     # or space run before giving up.
     @pytest.mark.parametrize(
@@ -371,6 +397,45 @@ class TestTokenReader:
     def test_step_pattern_reads_as_the_token_reader(self, text):
         assert _outcome(parse_program, text) == _outcome(_token_reader, text)
 
+    # Steps that the step pattern reads but that break one rule of the
+    # constructors: the token reader must name each, as it would alone.
+    @pytest.mark.parametrize(
+        "step, error",
+        [
+            ("frobnicate(1, 2)", UnknownOperation),
+            ("frobnicate(a)", UnknownOperation),
+            ("add(1)", ArityError),
+            ("table-sum(a, b)", ArityError),
+            ("add(1, 2, 3)", ArityError),
+            ("table-sum(#0)", None),  # a forward reference at step 0, a syntax error later
+            ("add(#7, 1)", ForwardStepRef),
+            ("subtract(1, #00009)", ForwardStepRef),
+            ("add(const_foo, 1)", ProgramError),
+            ("divide(2, 1" + "0" * MAX_NUMBER_DIGITS + ")", ProgramError),
+        ],
+        ids=[
+            "unknown-operation",
+            "unknown-table-like-operation",
+            "one-argument",
+            "two-table-arguments",
+            "three-arguments",
+            "step-reference-in-table",
+            "forward-reference",
+            "padded-forward-reference",
+            "unknown-constant",
+            "long-literal",
+        ],
+    )
+    @pytest.mark.parametrize("before", ["", "add(1, 2), subtract(#0, 3), "], ids=["step-0", "step-2"])
+    @pytest.mark.parametrize("after", ["", ", add(1, 2)"], ids=["last", "not-last"])
+    def test_step_breaking_one_rule_is_named_by_the_token_reader(self, step, error, before, after):
+        text = before + step + after
+        outcome = _outcome(parse_program, text)
+        assert outcome == _outcome(_token_reader, text)
+        if error is None:
+            error = ProgramSyntaxError if before else ForwardStepRef
+        assert outcome[0] == error.__name__
+
     @pytest.mark.parametrize(
         "text, message",
         [
@@ -378,7 +443,7 @@ class TestTokenReader:
             ("add(1, 2) x", "unexpected token 'x' at position 10 (expected ',' or end of program)"),
             ("add(1, 2), ad(#0, 3)", "unknown operation 'ad' at position 11"),
             ("add(1, 2), table-sum(#0)", "table-sum takes a table row name, not a step reference at position 21"),
-            ("add(1, 2), table-sum(a, b)", "table-sum takes 1 argument(s), got 2 (step 1)"),
+            ("add(1, 2), table-sum(a, b)", "table-sum takes 1 argument(s), got more than 1 (step 1)"),
             ("add(1, 2), add(3), frobnicate(", "add takes 2 argument(s), got 1 (step 1)"),
         ],
     )

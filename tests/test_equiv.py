@@ -30,7 +30,6 @@ from finprog.equiv import (
     _second_prime,
     canonical_texts,
     compare_programs,
-    equivalent,
 )
 from finprog.evaluate import score_record
 
@@ -111,7 +110,7 @@ class TestNormalize:
     def test_subtract_noncommutative(self):
         left, right = canonical_texts(P("subtract(a, b)"), P("subtract(b, a)"))
         assert left != right
-        assert not equivalent(P("subtract(a, b)"), P("subtract(b, a)"))
+        assert not compare_programs(P("subtract(a, b)"), P("subtract(b, a)")).equivalent
 
     def test_like_terms_collect(self):
         assert _text("add(a, a)") == "(+ 2*s0)"
@@ -185,19 +184,19 @@ class TestInternedForms:
 
 class TestEquivalent:
     def test_flagship_pair(self):
-        assert equivalent(P(FLAGSHIP_A), P(FLAGSHIP_B))
+        assert compare_programs(P(FLAGSHIP_A), P(FLAGSHIP_B)).equivalent
 
     def test_subtract_swap_not_equivalent(self):
         swapped = "add(a_1, a_2), add(a_3, a_4), subtract(#1, #0)"
-        assert not equivalent(P(FLAGSHIP_A), P(swapped))
+        assert not compare_programs(P(FLAGSHIP_A), P(swapped)).equivalent
 
     def test_different_ops_not_equivalent(self):
-        assert not equivalent(P("add(a, b)"), P("multiply(a, b)"))
+        assert not compare_programs(P("add(a, b)"), P("multiply(a, b)")).equivalent
 
     def test_mirrored_divides(self):
         a = P("divide(a, b), divide(c, d), subtract(#0, #1)")
         b = P("divide(c, d), divide(a, b), subtract(#1, #0)")
-        assert equivalent(a, b)
+        assert compare_programs(a, b).equivalent
         assert oracle_equivalent(a, b) is True
 
     def test_distributivity_found_by_sampling(self):
@@ -216,29 +215,29 @@ class TestEquivalent:
         assert not report.equivalent and report.reason == "degenerate"
 
     def test_greater_operand_order_matters(self):
-        assert not equivalent(P("greater(a, b)"), P("greater(b, a)"))
-        assert equivalent(P("add(a, b), greater(#0, c)"), P("add(b, a), greater(#0, c)"))
+        assert not compare_programs(P("greater(a, b)"), P("greater(b, a)")).equivalent
+        assert compare_programs(P("add(a, b), greater(#0, c)"), P("add(b, a), greater(#0, c)")).equivalent
 
     def test_table_aggregations_are_opaque(self):
-        assert equivalent(P("table-sum(x)"), P("table-sum(X)"))
-        assert not equivalent(P("table-sum(x)"), P("table-average(x)"))
-        assert not equivalent(P("table-sum(x)"), P("table-sum(y)"))
+        assert compare_programs(P("table-sum(x)"), P("table-sum(X)")).equivalent
+        assert not compare_programs(P("table-sum(x)"), P("table-average(x)")).equivalent
+        assert not compare_programs(P("table-sum(x)"), P("table-sum(y)")).equivalent
 
     def test_exp_is_syntactic(self):
-        assert equivalent(P("exp(a, b)"), P("exp(a, b)"))
-        assert not equivalent(P("exp(a, b)"), P("exp(b, a)"))
+        assert compare_programs(P("exp(a, b)"), P("exp(a, b)")).equivalent
+        assert not compare_programs(P("exp(a, b)"), P("exp(b, a)")).equivalent
         # a^b * a^b == a^(2b) is true mathematically but out of scope
-        assert not equivalent(
+        assert not compare_programs(
             P("exp(a, b), multiply(#0, #0)"), P("add(b, b), exp(a, #0)")
-        )
+        ).equivalent
 
     def test_seeded_and_symmetric(self):
         rng = Random(89)
         for _ in range(200):
             a, b = random_program_pair(rng)
-            forward = equivalent(a, b, seed=11)
-            assert forward == equivalent(b, a, seed=11)
-            assert equivalent(a, a, seed=11)
+            forward = compare_programs(a, b, seed=11).equivalent
+            assert forward == compare_programs(b, a, seed=11).equivalent
+            assert compare_programs(a, a, seed=11).equivalent
 
     def test_transitivity_spot_check(self):
         rng = Random(97)
@@ -248,8 +247,8 @@ class TestEquivalent:
                 continue
             second = mutate_preserving(rng, base)
             third = reorder_independent_steps(second) or second
-            if equivalent(base, second) and equivalent(second, third):
-                assert equivalent(base, third)
+            if compare_programs(base, second).equivalent and compare_programs(second, third).equivalent:
+                assert compare_programs(base, third).equivalent
 
     def test_step_reorder_with_renumbering_preserved(self):
         rng = Random(101)
@@ -259,7 +258,7 @@ class TestEquivalent:
             reordered = reorder_independent_steps(program)
             if reordered is None or not generically_evaluable(program):
                 continue
-            assert equivalent(program, reordered), render_program(program)
+            assert compare_programs(program, reordered).equivalent, render_program(program)
             checked += 1
         assert checked > 80
 
@@ -284,7 +283,7 @@ class TestEquivalent:
             oracle = oracle_equivalent(a, b, seed=7)
             if oracle is None:
                 continue
-            assert equivalent(a, b, seed=7) == oracle, (
+            assert compare_programs(a, b, seed=7).equivalent == oracle, (
                 render_program(a),
                 render_program(b),
             )
@@ -832,17 +831,17 @@ class TestProgramAccuracy:
     """A prediction counts for program accuracy when it is equivalent to the gold program."""
 
     def test_identical_programs(self):
-        assert equivalent(P("add(1, 2)"), P("add(1, 2)"))
+        assert compare_programs(P("add(1, 2)"), P("add(1, 2)")).equivalent
 
     def test_commutative_swap_counts(self):
-        assert equivalent(P("add(1, 2)"), P("add(2, 1)"))
+        assert compare_programs(P("add(1, 2)"), P("add(2, 1)")).equivalent
 
     def test_missing_prediction(self, sample_records):
         verdict = score_record(None, sample_records[0])
         assert not verdict.prog_correct and verdict.failure == "missing"
 
     def test_flagship_pair_as_prediction(self):
-        assert equivalent(P(FLAGSHIP_A), P(FLAGSHIP_B))
+        assert compare_programs(P(FLAGSHIP_A), P(FLAGSHIP_B)).equivalent
 
     def test_invalid_prediction(self, sample_records):
         # A boolean fed into arithmetic does not parse, so it is scored as a parse error.

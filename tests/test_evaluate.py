@@ -1,6 +1,7 @@
 import dataclasses
 import json
 from decimal import Decimal
+from fractions import Fraction
 from random import Random
 
 import pytest
@@ -134,8 +135,8 @@ class TestScoreRecord:
 
     def test_tolerance_policy_flows_through(self, sample_records):
         record = sample_records[0]  # gold 1164
-        tight = TolerancePolicy.from_floats(abs_tol=1e-9, rel_tol=1e-9, round_to_reference=False)
-        loose = TolerancePolicy.from_floats(abs_tol=1.0, rel_tol=1e-9, round_to_reference=False)
+        tight = TolerancePolicy(abs_tol=Fraction(1, 10**9), rel_tol=Fraction(1, 10**9), round_to_reference=False)
+        loose = TolerancePolicy(abs_tol=Fraction(1), rel_tol=Fraction(1, 10**9), round_to_reference=False)
         assert not score_record("add(1164.5, 0)", record, tight).exe_correct
         assert score_record("add(1164.5, 0)", record, loose).exe_correct
 

@@ -21,6 +21,7 @@ from finprog.numeric import (
     parse_mantissa,
     parse_quantity,
     round_half_up,
+    to_fraction,
     values_equal,
 )
 
@@ -302,6 +303,11 @@ class TestValuesEqual:
         assert round_half_up(Fraction(5, 1000), 2) == Fraction(1, 100)
         assert round_half_up(Fraction(-5, 1000), 2) == Fraction(-1, 100)
         assert round_half_up(Fraction(33333333, 10000000), 2) == Fraction(333, 100)
+
+    def test_float_tolerance_is_its_shortest_decimal(self):
+        # eval's --abs-tol and --rel-tol are floats; the policy holds their exact decimal value.
+        assert to_fraction(1e-5) == Fraction(1, 100_000)
+        assert to_fraction(0.1) == Fraction(1, 10)
 
     def test_decimal_places(self):
         assert decimal_places(Decimal("3.33")) == 2

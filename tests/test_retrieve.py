@@ -210,10 +210,10 @@ class TestRecall:
     def test_monotone_in_k(self, sample_records):
         for record in sample_records:
             index = build_index(candidate_facts(record))
-            ranked = rank(record.question, index, len(index.fact_ids))
+            ranked = rank(record.question, index, len(index.facts))
             values = [
                 recall_at_k(ranked, record.gold_fact_ids, k)
-                for k in range(1, len(index.fact_ids) + 1)
+                for k in range(1, len(index.facts) + 1)
             ]
             assert values == sorted(values)
 
