@@ -25,8 +25,7 @@ from .retrieve import ranked_recall
 
 
 _SAMPLES_HELP = (
-    "most random points the equivalence fallback takes (at least 1); it takes fewer "
-    "when the degree bound allows, and all of them for a pair ending in greater"
+    "most random points the equivalence fallback takes (at least 1); it takes fewer when the degree bound allows"
 )
 
 

@@ -16,6 +16,13 @@ plain integers: p = 2**61 - 1, and q a 62-bit prime that the seed picks
 (the empty sum, as ``subtract(x, x)`` interns) has no point at which both
 sides are defined, so it is degenerate without sampling.
 
+A comparison ``greater(L, R)`` is interned as a ``">"`` form over the
+difference L - R, so two comparisons are equivalent exactly when their
+differences are the same rational function: equal difference forms are a
+canonical match, and otherwise the two differences are sampled as a pair
+that ends in a number is. No sign is ever computed, so comparisons whose
+signs agree on some region but whose differences differ are not equivalent.
+
 Both sides are rational functions of the symbols, and modulo M a point can
 only wrongly say "agree", never "differ". Agreement mod M implies agreement
 mod p, and by the Schwartz-Zippel / DeMillo-Lipton lemma a point agrees mod
@@ -51,16 +58,13 @@ its difference also vanishes mod q, which the same bound with nu for mu
 limits, unless the difference vanishes mod q as a function too (a
 coefficient that is a multiple of p * q, say). Nothing bounds that case:
 q depends only on the seed, so a pair built for a known seed's q can agree
-at every point. Pairs whose final step is ``greater`` are sampled in exact
-rational arithmetic at all ``samples`` points: a sign test needs the order
-that Z_M lacks, and agrees by chance about half the time.
+at every point.
 
-One evaluator serves residues and exact integers alike, keeping each value
-as a numerator and a denominator. It walks the subforms once per batch of
-points, holding one list of values per subform. Over M the first batch
-holds every point the bound asks for, so an agreement usually costs one
-pass; in exact arithmetic the first point is evaluated alone and batches
-double. Points lost to a zero divisor are replaced in further passes.
+The evaluator keeps each value as a numerator and a denominator residue.
+It walks the subforms once per batch of points, holding one list of
+values per subform. The first batch holds every point the bound asks for,
+so an agreement usually costs one pass. Points lost to a zero divisor are
+replaced in further passes.
 
 Exponentiation is treated as an uninterpreted operation on its operand values:
 ``exp`` chains are compared by where their bases and exponents agree, not by
@@ -74,7 +78,6 @@ import hashlib
 import math
 import struct
 from dataclasses import dataclass
-from typing import Optional
 
 from .context import normalize_row_name
 from .dsl import (
@@ -120,7 +123,8 @@ def _intern(node: tuple, table: dict, nodes: list) -> int:
 
     A leaf (a symbol or a row's table aggregation) is ``(op, symbol_id)``; any
     other node is ``(op, parts)`` of ``(weight, id)`` parts interned before it:
-    a sum's coefficients or a product's exponents by id, or the operands of ``"^"`` or ``">"``.
+    a sum's coefficients or a product's exponents by id, the operands of
+    ``"^"``, or the one difference of ``">"``.
     """
     form = table.setdefault(node, len(nodes))
     if form == len(nodes):
@@ -167,9 +171,11 @@ def _build(program: Program, symbols: dict, table: dict, nodes: list) -> int:
             ids.append(_chain(op, ((1, operands[0]), (sign, operands[1])), table, nodes))
         elif step.op in TABLE_OPS:
             ids.append(operands[0])  # the aggregation leaf of its row name
-        else:
-            op = "^" if step.op == "exp" else ">"
-            ids.append(_intern((op, ((1, operands[0]), (1, operands[1]))), table, nodes))
+        elif step.op == "exp":
+            ids.append(_intern(("^", ((1, operands[0]), (1, operands[1]))), table, nodes))
+        else:  # greater: the sign of its operands' difference
+            difference = _chain("+", ((1, operands[0]), (-1, operands[1])), table, nodes)
+            ids.append(_intern((">", ((1, difference),)), table, nodes))
     return ids[-1]
 
 
@@ -212,7 +218,8 @@ def canonical_texts(p1: Program, p2: Program) -> tuple[str, str]:
             # "(+ " and ")", a space between terms, and "w*t" or "t^w" per term
             size[form] = 4 + max(len(arg) - 1, 0) + sum([len(str(w)) + 1 + size[part] for w, part in arg])
         else:
-            size[form] = 5 + size[arg[0][1]] + size[arg[1][1]]
+            # "(", the op, a space before each part, and ")"
+            size[form] = 3 + len(arg) + sum([size[part] for _, part in arg])
     kept = [root for root in roots if size[root] <= MAX_CANONICAL_CHARS]
     for form in _reachable(nodes, kept):
         op, arg = nodes[form]
@@ -221,7 +228,7 @@ def canonical_texts(p1: Program, p2: Program) -> tuple[str, str]:
             inner = " ".join([f"{w}*{t}" if op == "+" else f"{t}^{w}" for t, w in terms])
             text[form] = f"({op} {inner})"
         elif op not in _LEAVES:
-            text[form] = f"({op} {text[arg[0][1]]} {text[arg[1][1]]})"
+            text[form] = f"({op} {' '.join([text[part] for _, part in arg])})"
     left, right = [text[root] if root in kept else f"(elided: {size[root]} characters)" for root in roots]
     return left, right
 
@@ -269,7 +276,7 @@ def _degrees(plan: list) -> list[tuple[int, int]]:
 
     A leaf is (1, 0). A sum cross-multiplies, a product scales each part's
     pair by its weight's absolute value and swaps it on a negative weight.
-    ``"^"`` is a fresh leaf, and ``">"`` only ever a root, sampled exactly.
+    ``"^"`` is a fresh leaf.
     """
     degrees: list[tuple[int, int]] = []
     for op, arg, _ in plan:
@@ -355,32 +362,26 @@ def _second_prime(seed: int) -> int:
     return candidate
 
 
-def _times(xs: list[int], ys: list[int], modulus: Optional[int]) -> list[int]:
-    """Entrywise products of two value lists, reduced mod ``modulus`` if given."""
-    if modulus:
-        return [x * y % modulus for x, y in zip(xs, ys)]
-    return [x * y for x, y in zip(xs, ys)]
+def _times(xs: list[int], ys: list[int], modulus: int) -> list[int]:
+    """Entrywise products of two value lists, reduced mod ``modulus``."""
+    return [x * y % modulus for x, y in zip(xs, ys)]
 
 
-def _evaluate(plan: list, seed: int, batch: range, modulus: Optional[int]) -> tuple[list, list, list[bool]]:
-    """Every planned value at every trial of ``batch``, in one pass over ``plan``.
+def _evaluate(plan: list, seed: int, batch: range, modulus: int) -> tuple[list, list, list[bool]]:
+    """Every planned value at every trial of ``batch``, in one pass over ``plan``, as residues mod ``modulus``.
 
     Each node keeps one list of numerators and one of denominators, an entry
-    per trial; a denominator list of None means all ones. With ``modulus``
-    the entries are residues, else exact integers in lowest terms. No inverse
-    is taken: sums cross-multiply, and a product raises each part to its
+    per trial; a denominator list of None means all ones. No inverse is
+    taken: sums cross-multiply, and a product raises each part to its
     weight with ``pow``, the pair swapped for a negative weight. Leaves take
-    their exact sample values (``_hashed_int``), so a residue is the image of
-    the exact value at the same point, except under ``exp``. ``exp`` stays
-    uninterpreted, hashed on its operands' values: their residues (the only
-    inverse, taken for live trials alone), or in exact arithmetic the hex of
-    their lowest terms. ``">"`` is only ever a root, and only sampled exactly,
-    as the sign of ``(a*d - c*b)*b*d`` for ``a/b > c/d``.
+    their sample values (``_hashed_int``) reduced mod ``modulus``. ``exp``
+    stays uninterpreted, hashed on its operands' residues (the only inverse,
+    taken for live trials alone).
 
     Returns the numerators, denominators and the live flag of each trial. A
-    trial dies when a divisor's numerator is 0, or over a modulus, not
-    invertible: it shares a factor with ``modulus``. Once every trial is dead
-    the pass stops, and the value lists stop short.
+    trial dies when a divisor's numerator is not invertible: it shares a
+    factor with ``modulus``. Once every trial is dead the pass stops, and
+    the value lists stop short.
     """
     start = hashlib.blake2b(f"({seed!r}, (".encode(), digest_size=8)
     heads = []
@@ -389,22 +390,14 @@ def _evaluate(plan: list, seed: int, batch: range, modulus: Optional[int]) -> tu
         heads[-1].update(b"%d" % trial)
     count = len(heads)
     digest_ints = f">{count}Q"
-    ones = [1] * count
     live = [True] * count
     nums: list[list[int]] = []
-    dens: list[Optional[list[int]]] = []
+    dens: list[list[int] | None] = []
 
-    def reduce(values: list[int]) -> list[int]:
-        return [value % modulus for value in values] if modulus else values
-
-    def operand(i: int, t: int):
-        """Node ``i``'s value at trial ``t``: one residue, or the hex of its lowest terms."""
+    def operand(i: int, t: int) -> int:
+        """Node ``i``'s residue at trial ``t``."""
         num, den = nums[i][t], dens[i][t] if dens[i] else 1
-        if modulus:
-            return num if den == 1 else num * pow(den, -1, modulus) % modulus
-        if den < 0:
-            num, den = -num, -den
-        return f"{num:x}/{den:x}"  # no decimal repr, which refuses over 4,300 digits
+        return num if den == 1 else num * pow(den, -1, modulus) % modulus
 
     for op, arg, divisor in plan:
         den = None
@@ -416,10 +409,7 @@ def _evaluate(plan: list, seed: int, batch: range, modulus: Optional[int]) -> tu
                 digests.append(digest.digest())
             # As in _hashed_int, each 8-byte digest is a big-endian integer.
             values = struct.unpack(digest_ints, b"".join(digests))
-            if modulus:
-                num = [(value % 2**63 - 2**62 or 1) % modulus for value in values]
-            else:
-                num = [value % 2**63 - 2**62 or 1 for value in values]
+            num = [(value % 2**63 - 2**62 or 1) % modulus for value in values]
         elif op == "+":
             num = None
             for weight, i in arg:
@@ -436,7 +426,7 @@ def _evaluate(plan: list, seed: int, batch: range, modulus: Optional[int]) -> tu
                 num = [a + x for a, x in zip(num, n)]
                 if d:
                     den = d if den is None else _times(den, d, modulus)
-            num = [0] * count if num is None else reduce(num)
+            num = [0] * count if num is None else [value % modulus for value in num]
         elif op == "*":
             num = None
             for weight, i in arg:
@@ -451,30 +441,15 @@ def _evaluate(plan: list, seed: int, batch: range, modulus: Optional[int]) -> tu
                 if d:
                     den = d if den is None else _times(den, d, modulus)
             if num is None:
-                num = ones
-        elif op == "^":
-            # Uninterpreted: keyed by operand values, shared across the pair.
+                num = [1] * count
+        else:  # "^", uninterpreted: keyed by operand values, shared across the pair
             (_, base), (_, exponent) = arg
             num = [
-                _hashed_int(seed, (trial, "pow", operand(base, t), operand(exponent, t))) if alive else 0
+                _hashed_int(seed, (trial, "pow", operand(base, t), operand(exponent, t))) % modulus if alive else 0
                 for t, (trial, alive) in enumerate(zip(batch, live))
             ]
-            num = reduce(num)
-        else:  # ">"
-            (_, left), (_, right) = arg
-            pairs = zip(nums[left], dens[left] or ones, nums[right], dens[right] or ones)
-            num = [int((a * d - c * b) * b * d > 0) for a, b, c, d in pairs]
-        if den is not None and not modulus:
-            # Lowest terms, as Fraction keeps them: a subform used twice
-            # would otherwise square the denominator it brings.
-            common = [math.gcd(a, b) or 1 for a, b in zip(num, den)]
-            num = [a // g for a, g in zip(num, common)]
-            den = [b // g for b, g in zip(den, common)]
         if divisor:
-            if modulus:
-                live = [alive and math.gcd(x, modulus) == 1 for alive, x in zip(live, num)]
-            else:
-                live = [alive and x != 0 for alive, x in zip(live, num)]
+            live = [alive and math.gcd(x, modulus) == 1 for alive, x in zip(live, num)]
             if not any(live):
                 return nums, dens, live
         nums.append(num)
@@ -482,41 +457,30 @@ def _evaluate(plan: list, seed: int, batch: range, modulus: Optional[int]) -> tu
     return nums, dens, live
 
 
-def _sample(
-    plan: list, roots: list[int], seed: int, points: int, trials: int, modulus: Optional[int]
-) -> tuple[str, int]:
+def _sample(plan: list, roots: list[int], seed: int, points: int, trials: int, modulus: int) -> tuple[str, int]:
     """The reason decided by the first ``points`` live trials of ``range(trials)``, and how many it compared.
 
-    Over a modulus each batch holds one trial per point still to agree, so
-    an agreement with no dead trial is one pass. In exact arithmetic trial 0
-    is evaluated alone and batches double, up to that number.
-    Results are read in trial order: dead trials are skipped, the first
-    disagreement is a counterexample, and after ``trials`` trials without
-    ``points`` agreeing ones the comparison is degenerate. Two values agree
-    when ``nL * dR == nR * dL``, modulo ``modulus`` if given. The count is
-    of live trials, the disagreeing one included.
+    Each batch holds one trial per point still to agree, so an agreement
+    with no dead trial is one pass. Results are read in trial order: dead
+    trials are skipped, the first disagreement is a counterexample, and
+    after ``trials`` trials without ``points`` agreeing ones the comparison
+    is degenerate. Two values agree when ``nL * dR == nR * dL`` modulo
+    ``modulus``. The count is of live trials, the disagreeing one included.
     """
     left, right = roots
-    agreed, start, size = 0, 0, points if modulus else 1
+    agreed, start = 0, 0
     while agreed < points and start < trials:
-        batch = range(start, min(start + size, trials))
+        batch = range(start, min(start + points - agreed, trials))
         nums, dens, live = _evaluate(plan, seed, batch, modulus)
         for t, alive in enumerate(live):
             if not alive:
                 continue
             left_den = dens[left][t] if dens[left] else 1
             right_den = dens[right][t] if dens[right] else 1
-            difference = nums[left][t] * right_den - nums[right][t] * left_den
-            if (difference % modulus if modulus else difference) != 0:
+            if (nums[left][t] * right_den - nums[right][t] * left_den) % modulus:
                 return "counterexample", agreed + 1
             agreed += 1
-        # Over a modulus a wrong pair rarely agrees by chance (the module's
-        # bound), so every point still needed is taken in one batch. An exact
-        # sign test (greater) agrees by chance about half the time, so its
-        # batches double instead: the trials evaluated past the first
-        # disagreement never outnumber those before it.
         start = batch.stop
-        size = points - agreed if modulus else min(2 * size, points - agreed)
     return ("randomized-agreement" if agreed >= points else "degenerate"), agreed
 
 
@@ -524,9 +488,8 @@ def _sample(
 class EquivalenceReport:
     """The decision, its reason, and how many sample points it compared.
 
-    ``points`` counts the live points read modulo p * q, or in exact
-    arithmetic for a pair ending in ``greater``, the disagreeing one
-    included. It is 0 when the forms alone decided.
+    ``points`` counts the live points read modulo p * q, the disagreeing
+    one included. It is 0 when the forms alone decided.
     """
 
     equivalent: bool
@@ -553,27 +516,24 @@ def compare_programs(
     ValueError, since no point would then be checked. Points are evaluated
     modulo p * q, q the seed's second prime, as many as bring the module's
     per-point bound below 2**-64 (``TARGET_ERROR_BITS``) but at most
-    ``samples``; no pair that ends in a number is evaluated exactly. Pairs
-    ending in ``greater`` are evaluated exactly at ``samples`` points.
+    ``samples``. Two comparisons are compared by their operands'
+    differences, at the same points and with the same bound.
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     symbols, nodes, (left, right) = _intern_pair(p1, p2)
-    boolean = nodes[left][0] == ">"
-    if boolean != (nodes[right][0] == ">"):
+    if (nodes[left][0] == ">") != (nodes[right][0] == ">"):
         return EquivalenceReport(False, "incomparable-types", 0)
     if left == right:
         return EquivalenceReport(True, "canonical-match", 0)
+    if nodes[left][0] == ">":
+        (_, left), (_, right) = nodes[left][1][0], nodes[right][1][0]
 
     plan, roots = _plan(nodes, (left, right), tuple(symbols))
     if ("+", (), True) in plan:  # a divisor that is the empty sum kills every trial
         return EquivalenceReport(False, "degenerate", 0)
-    trials = samples * 20
-    if boolean:
-        reason, points = _sample(plan, roots, seed, samples, trials, None)
-    else:
-        # q catches a difference that vanishes mod p, which p alone would call agreement.
-        modulus = _P * _second_prime(seed)
-        reason, points = _sample(plan, roots, seed, _points_needed(plan, roots, samples), trials, modulus)
+    # q catches a difference that vanishes mod p, which p alone would call agreement.
+    modulus = _P * _second_prime(seed)
+    reason, points = _sample(plan, roots, seed, _points_needed(plan, roots, samples), samples * 20, modulus)
     return EquivalenceReport(reason == "randomized-agreement", reason, points)
 

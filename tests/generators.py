@@ -354,7 +354,7 @@ def _run_symbolic(steps, symbols, values, seed: int, trial: int):
         elif op == "exp":
             env.append(Fraction(_hashed_int(seed, (trial, "pow", left, right))))
         elif op == "greater":
-            env.append(left > right)
+            env.append(left - right)  # a comparison is equivalent by its operands' difference
         else:
             raise _PointFailure()
     return env[-1]
@@ -366,6 +366,8 @@ def oracle_equivalent(p1: Program, p2: Program, samples: int = 32, seed: int = 0
     Shares only the symbol-identity rule and the hashed point convention with
     the implementation; evaluation itself runs the raw symbolic programs,
     including dead steps (their failures just discard the sample point).
+    Two programs ending in ``greater`` are compared by the exact difference
+    of their final operands.
     """
     s1, s2, symbols = oracle_symbolize(p1, p2)
     if (s1[-1][0] == "greater") != (s2[-1][0] == "greater"):
@@ -505,9 +507,9 @@ def oracle_canonical_key(steps) -> str:
 
     Each step's form is a (key, op, parts) triple whose key embeds its
     parts' keys in full: ``s<id>`` for a symbol, ``<table-op>[s<id>]`` for an
-    aggregation, ``(+ w*key ...)`` and ``(* key^w ...)`` for chains, and
-    ``(^ base exponent)`` and ``(> left right)`` with operands in order.
-    Equal keys mean equal normalized forms.
+    aggregation, ``(+ w*key ...)`` and ``(* key^w ...)`` for chains,
+    ``(^ base exponent)`` with operands in order, and ``(> difference)``
+    over the chain left - right. Equal keys mean equal normalized forms.
     """
     forms: list[tuple] = []
     for step_op, args in steps:
@@ -519,10 +521,12 @@ def oracle_canonical_key(steps) -> str:
         if step_op in _ORACLE_CHAINS:
             op, sign = _ORACLE_CHAINS[step_op]
             forms.append(_oracle_chain(op, ((1, operands[0]), (sign, operands[1]))))
+        elif step_op == "exp":
+            key = f"(^ {operands[0][0]} {operands[1][0]})"
+            forms.append((key, "^", ((1, operands[0]), (1, operands[1]))))
         else:
-            op = "^" if step_op == "exp" else ">"
-            key = f"({op} {operands[0][0]} {operands[1][0]})"
-            forms.append((key, op, ((1, operands[0]), (1, operands[1]))))
+            difference = _oracle_chain("+", ((1, operands[0]), (-1, operands[1])))
+            forms.append((f"(> {difference[0]})", ">", ((1, difference),)))
     return forms[-1][0]
 
 

@@ -104,9 +104,9 @@ class TestEquivCommand:
             (FACTORED, DISTRIBUTED, "32", ["equivalent", "reason: randomized-agreement", "points: 2"]),
             (FACTORED, DISTRIBUTED, "1", ["equivalent", "reason: randomized-agreement", "points: 1"]),
             ("add(a, b)", "add(a, c)", "32", ["not equivalent", "reason: counterexample", "points: 1"]),
-            # a pair ending in greater takes every point --samples allows
+            # a pair ending in greater compares its operands' differences, as a number pair does
             (f"{FACTORED}, greater(#1, d)", f"{DISTRIBUTED}, greater(#2, d)", "5",
-             ["equivalent", "reason: randomized-agreement", "points: 5"]),
+             ["equivalent", "reason: randomized-agreement", "points: 2"]),
             # a zero-form divisor decides without sampling
             ("subtract(a, a), divide(b, #0)", "subtract(a, a), divide(c, #0)", "32",
              ["not equivalent", "reason: degenerate", "points: 0"]),

@@ -5,7 +5,6 @@ import subprocess
 import sys
 import time
 from contextlib import contextmanager
-from fractions import Fraction
 from random import Random
 
 import pytest
@@ -489,12 +488,44 @@ class TestModularSampling:
         )
         assert report.equivalent and report.reason == "randomized-agreement"
 
+    @pytest.mark.parametrize(
+        "left, right",
+        [
+            # #0 is a product of two 62-bit sample values, which outweighs a lone
+            # one, so both signs are the opposite of #0's at every sample point
+            ("multiply(const_1, const_10), greater(299, #0)", "multiply(const_1, const_10), greater(748.06, #0)"),
+            # g against 0 and against 1, as forms: only g = 1 tells their signs apart
+            (
+                "subtract(g, h), subtract(#0, #0), greater(g, #1)",
+                "subtract(g, h), divide(#0, #0), greater(g, #1)",
+            ),
+        ],
+    )
+    def test_comparisons_whose_signs_agree_are_decided_by_their_differences(self, left, right):
+        report = compare_programs(P(left), P(right))
+        assert not report.equivalent and report.reason == "counterexample"
+
+    def test_difference_in_a_tiny_region_is_not_agreement(self):
+        # a + c / (d * e * f * g) and a differ in sign from b only where b - a
+        # lies between 0 and the quotient, which no 62-bit sample point reaches.
+        tiny = "multiply(d, e), multiply(#0, f), multiply(#1, g), divide(c, #2), add(a, #3), greater(#4, b)"
+        for seed in range(5):
+            report = compare_programs(P("greater(a, b)"), P(tiny), seed=seed)
+            assert (report.equivalent, report.reason) == (False, "counterexample"), seed
+
+    def test_equal_differences_match_canonically(self):
+        report = compare_programs(P("add(a, c), add(b, c), greater(#0, #1)"), P("greater(a, b)"))
+        assert (report.equivalent, report.reason, report.points) == (True, "canonical-match", 0)
+
+    @pytest.mark.parametrize("root", ["", ", greater(#{}, d)"])
     @pytest.mark.parametrize("steps", [16, 40])
-    def test_squaring_chain_counterexample_is_fast(self, steps):
+    def test_squaring_chain_counterexample_is_fast(self, steps, root):
         # Squaring multiply(3, 5) steps - 1 times collects an exponent of 2**(steps - 1).
         chain = ", ".join(["multiply(3, 5)"] + [f"multiply(#{k}, #{k})" for k in range(steps - 1)])
+        left = chain + root.format(steps - 1)
+        right = f"{chain}, add(#{steps - 1}, 0)" + root.format(steps)
         start = time.perf_counter()
-        report = compare_programs(P(chain), P(f"{chain}, add(#{steps - 1}, 0)"))
+        report = compare_programs(P(left), P(right))
         elapsed = time.perf_counter() - start
         assert not report.equivalent and report.reason == "counterexample"
         assert elapsed < 0.1, elapsed
@@ -507,19 +538,17 @@ class TestModularSampling:
         keys = [(number,), (constant,), ("agg", "table-sum", row), (name,)]
         assert {key[0] if key[0] == "agg" else key[0][0] for key in keys} == {"num", "name", "agg"}
         for seed in (0, 11, -3):
-            for modulus in (_P, None):
-                nums, dens, live = _evaluate(plan, seed, range(2, 6), modulus)
-                assert live == [True] * 4
-                for t, trial in enumerate(range(2, 6)):
-                    exact = [_hashed_int(seed, (trial, *key)) for key in keys]
-                    expected = [value % modulus for value in exact] if modulus else exact
-                    assert sorted(nums[i][t] for i in leaves) == sorted(expected)
-                    assert all(dens[i] is None for i in leaves)
+            nums, dens, live = _evaluate(plan, seed, range(2, 6), _P)
+            assert live == [True] * 4
+            for t, trial in enumerate(range(2, 6)):
+                expected = [_hashed_int(seed, (trial, *key)) % _P for key in keys]
+                assert sorted(nums[i][t] for i in leaves) == sorted(expected)
+                assert all(dens[i] is None for i in leaves)
 
     @pytest.mark.parametrize("root", ["", ", greater(#{}, e)"])
-    def test_exact_exp_operands_are_hashed_without_decimal_text(self, root):
-        # Seven squarings make the exact base of exp about 16,000 bits long,
-        # past the 4,300 digits a decimal repr allows.
+    def test_exp_of_a_long_base_is_hashed_from_residues(self, root):
+        # Seven squarings would make the exact base of exp about 16,000 bits
+        # long; its residue keeps its size.
         left = ["add(a, b)", "multiply(#0, c)"] + [f"multiply(#{k}, #{k})" for k in range(1, 8)]
         right = ["multiply(a, c)", "multiply(b, c)", "add(#0, #1)"] + [f"multiply(#{k}, #{k})" for k in range(2, 9)]
         left = ", ".join(left) + ", exp(#8, d)" + root.format(9)
@@ -585,7 +614,7 @@ class TestBatchedSampling:
     @pytest.mark.parametrize("samples", [1, 2, 5])
     def test_agreement_evaluates_exactly_the_needed_trials(self, monkeypatch, samples):
         # The degree bound asks for 2 points, at most ``samples``: one pass
-        # modulo p * q, and none in exact arithmetic.
+        # modulo p * q.
         batches = self._spy(monkeypatch)
         report = compare_programs(
             P("add(a, b), multiply(#0, c)"), P("multiply(a, c), multiply(b, c), add(#0, #1)"), samples=samples
@@ -644,17 +673,9 @@ class TestBatchedSampling:
     def test_zero_form_divisor_comes_after_type_and_canonical_decisions(self, left, right, reason):
         assert compare_programs(P(left), P(right)).reason == reason
 
-    def test_exact_values_stay_in_lowest_terms(self):
-        plan, _ = _plan_of(P(_halving_chain(6, False)))
-        nums, dens, live = _evaluate(plan, 0, range(3), None)
-        assert live == [True] * 3
-        for num, den in zip(nums, dens):
-            for t in range(3):
-                d = den[t] if den else 1
-                assert abs(d) == Fraction(num[t], d).denominator
-
     def test_shared_subforms_confirm_fast(self):
-        # Without lowest terms each level would square the denominator.
+        # Each level uses its input twice, so exact denominators would grow
+        # with every level; residues do not.
         left, right = P(_halving_chain(16, False)), P(_halving_chain(16, True))
         start = time.perf_counter()
         report = compare_programs(left, right)
@@ -685,29 +706,16 @@ class TestBatchedSampling:
         assert live == [False] * 5
         assert nums == dens == []  # the pass stopped at the zero divisor, before any other form
 
-    @pytest.mark.parametrize("samples, sizes", [(1, [1]), (2, [1, 1]), (5, [1, 2, 2]), (8, [1, 2, 4, 1])])
-    def test_exact_batches_double(self, monkeypatch, samples, sizes):
-        batches = self._spy(monkeypatch)
-        report = compare_programs(
-            P("add(a, b), multiply(#0, c), greater(#1, d)"),
-            P("multiply(a, c), multiply(b, c), add(#0, #1), greater(#2, d)"),
-            samples=samples,
-        )
-        assert report.reason == "randomized-agreement"
-        assert [modulus for modulus, _ in batches] == [None] * len(sizes)
-        assert [len(batch) for _, batch in batches] == sizes
-
-    @pytest.mark.parametrize("modulus", [_P, None])
-    def test_sampler_follows_the_sequential_rule(self, monkeypatch, modulus):
+    def test_sampler_follows_the_sequential_rule(self, monkeypatch):
         def sequential(outcomes, points):
             agreed = 0
-            for trial, outcome in enumerate(outcomes):
+            for outcome in outcomes:
                 if agreed >= points:
                     break
                 if outcome == "differ":
-                    return "counterexample", trial, agreed + 1
+                    return "counterexample", agreed + 1
                 agreed += outcome == "agree"
-            return "randomized-agreement" if agreed >= points else "degenerate", None, agreed
+            return "randomized-agreement" if agreed >= points else "degenerate", agreed
 
         rng = Random(3)
         for _ in range(500):
@@ -722,16 +730,12 @@ class TestBatchedSampling:
                 return [[1] * len(batch), right], [None, None], live
 
             monkeypatch.setattr(equiv, "_evaluate", fake)
-            reason, differing, compared = sequential(outcomes, points)
-            assert _sample([], [0, 1], 0, points, len(outcomes), modulus) == (reason, compared)
+            assert _sample([], [0, 1], 0, points, len(outcomes), _P) == sequential(outcomes, points)
             assert evaluated == list(range(len(evaluated)))
             # no trial past the sequential rule's last agreeing one is evaluated
             agreeing = [t for t, outcome in enumerate(outcomes) if outcome == "agree"]
             if len(agreeing) >= points and "differ" not in outcomes[: agreeing[points - 1]]:
                 assert evaluated[-1] == agreeing[points - 1]
-            if modulus is None and differing is not None:
-                # doubling batches evaluate no more trials past it than before it
-                assert len(evaluated) <= 2 * differing + 1
 
 
 def _squared(name: str, times: int) -> list[str]:
