@@ -34,8 +34,7 @@ class SchemaError(Exception):
         super().__init__(message)
 
 
-@dataclass(frozen=True)
-class Fact:
+class Fact(NamedTuple):
     """One candidate supporting fact: a text sentence or a linearized row."""
 
     id: str
@@ -108,19 +107,10 @@ def candidate_facts(record: EvidenceRecord) -> list[Fact]:
 
 
 def _facts(pre_text: tuple[str, ...], table: FinTable, post_text: tuple[str, ...]) -> list[Fact]:
-    facts = [
-        Fact(id=f"text:{i}", content=s, source="text")
-        for i, s in enumerate(pre_text)
-    ]
-    facts += [
-        Fact(id=f"row:{i}", content=s, source="table")
-        for i, s in enumerate(linearize_table(table))
-    ]
+    facts = [Fact(f"text:{i}", s, "text") for i, s in enumerate(pre_text)]
+    facts += [Fact(f"row:{i}", s, "table") for i, s in enumerate(linearize_table(table))]
     offset = len(pre_text)
-    facts += [
-        Fact(id=f"text:{offset + i}", content=s, source="text")
-        for i, s in enumerate(post_text)
-    ]
+    facts += [Fact(f"text:{offset + i}", s, "text") for i, s in enumerate(post_text)]
     return facts
 
 

@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, Optional
 from .corpus import EvidenceRecord, Fact, candidate_facts
 from .dsl import ProgramError, parse_program
 from .executor import ExecutionError, Value, execute
-from .numeric import extract_numbers, format_decimal
+from .numeric import format_decimal, mantissas
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
@@ -40,25 +40,25 @@ class TfIdfIndex:
     """Immutable index over one fact collection; safe for concurrent queries.
 
     ``facts`` keeps the insertion order, which is the tie-break order for
-    equal scores; build from facts in document order.
+    equal scores; build from facts in document order. ``counts`` holds each
+    fact's raw term counts and ``norms`` its L2 norm under idf weighting; a
+    fact's unit weight for a term, ``count * idf / norm``, is computed at
+    query time, and only for the terms the query holds.
     """
 
     facts: tuple[Fact, ...]
     idf: dict
-    vectors: tuple[dict, ...]
+    counts: tuple[dict, ...]
+    norms: tuple[float, ...]
 
 
-def _unit_vector(counts: dict[str, int], idf: dict) -> dict[str, float]:
-    """Counts weighted by idf and scaled to unit L2 norm; empty counts stay empty.
+def _norm(counts: dict[str, int], idf: dict) -> float:
+    """L2 norm of the counts weighted by idf; ``0.0`` for empty counts.
 
-    ``fsum`` rounds the exact sum of the squared weights once, so every
-    weight's bits are the same on any Python and in any token order.
+    ``fsum`` rounds the exact sum of the squared weights once, so the norm's
+    bits are the same on any Python and in any token order.
     """
-    weights = [c * idf[t] for t, c in counts.items()]
-    norm = math.sqrt(math.fsum([w * w for w in weights]))
-    if norm == 0.0:
-        return {}
-    return {t: w / norm for t, w in zip(counts, weights)}
+    return math.sqrt(math.fsum([(w := c * idf[t]) * w for t, c in counts.items()]))
 
 
 def build_index(facts: Iterable[Fact]) -> TfIdfIndex:
@@ -71,14 +71,17 @@ def build_index(facts: Iterable[Fact]) -> TfIdfIndex:
     for fact in fact_list:
         counts: dict[str, int] = {}
         for token in tokenize(fact.content):
-            counts[token] = counts.get(token, 0) + 1
-        for term in counts:
-            df[term] = df.get(term, 0) + 1
+            if token in counts:
+                counts[token] += 1
+            else:
+                counts[token] = 1
+                df[token] = df.get(token, 0) + 1
         all_counts.append(counts)
     n = len(fact_list)
-    idf = {term: math.log((1 + n) / (1 + count)) + 1.0 for term, count in df.items()}
-    vectors = tuple([_unit_vector(counts, idf) for counts in all_counts])
-    return TfIdfIndex(facts=tuple(fact_list), idf=idf, vectors=vectors)
+    by_df = [math.log((1 + n) / (1 + d)) + 1.0 for d in range(n + 1)]
+    idf = {term: by_df[d] for term, d in df.items()}
+    norms = tuple([_norm(counts, idf) for counts in all_counts])
+    return TfIdfIndex(facts=tuple(fact_list), idf=idf, counts=tuple(all_counts), norms=norms)
 
 
 def _top(question: str, index: TfIdfIndex, k: int) -> list[tuple[int, float]]:
@@ -92,13 +95,17 @@ def _top(question: str, index: TfIdfIndex, k: int) -> list[tuple[int, float]]:
     for term in tokenize(question):
         if term in idf:
             counts[term] = counts.get(term, 0) + 1
-    query = list(_unit_vector(counts, idf).items())
-    # A term the fact lacks would add w * 0.0, so it is skipped; fsum rounds
-    # the exact sum of the shared-term products once, whatever their order.
-    scores = [
-        math.fsum([weight * vector[term] for term, weight in query if term in vector]) if query else 0
-        for vector in index.vectors
-    ]
+    if counts:
+        norm = _norm(counts, idf)
+        query = [(term, c * idf[term] / norm, idf[term]) for term, c in counts.items()]
+        # A term the fact lacks would add w * 0.0, so it is skipped; fsum rounds
+        # the exact sum of the shared-term products once, whatever their order.
+        scores = [
+            math.fsum([w * (c * t_idf / f_norm) for t, w, t_idf in query if (c := f_counts.get(t))])
+            for f_counts, f_norm in zip(index.counts, index.norms)
+        ]
+    else:
+        scores = [0] * len(index.facts)
     # A stable sort keeps equal scores in position order, also in reverse.
     order = sorted(range(len(scores)), key=scores.__getitem__, reverse=True)
     return [(p, scores[p]) for p in order[: max(k, 0)]]
@@ -114,7 +121,7 @@ def recall_at_k(ranked: RankedFacts, gold_ids: frozenset, k: int) -> float:
     """|gold among the top k| / |gold|. Raises NoGoldFacts on empty gold."""
     if not gold_ids:
         raise NoGoldFacts("the record has no gold facts")
-    top = {fact_id for fact_id, _ in ranked[:k]}
+    top = {fact_id for fact_id, _ in ranked[: max(k, 0)]}
     return len(top & set(gold_ids)) / len(gold_ids)
 
 
@@ -177,9 +184,9 @@ def single_op_answer(
         index = build_index(candidate_facts(record))
     operands = []
     for position, _ in _top(record.question, index, 2):
-        quantities = extract_numbers(index.facts[position].content)
-        if quantities:
-            operands.append(format_decimal(quantities[0].mantissa))
+        first = next(mantissas([index.facts[position].content]), None)
+        if first is not None:
+            operands.append(format_decimal(first))
     program_text = f"divide({', '.join(operands)})"
     try:
         program = parse_program(program_text)

@@ -589,6 +589,16 @@ class TestRetrieveCommand:
         assert code == 0
         assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
 
+    def test_every_score_matches_golden_file(self, capsys, sample_path, sample_records):
+        # k = 50 exceeds every sample record's candidate count: all scores are pinned.
+        assert max(len(candidate_facts(r)) for r in sample_records) <= 50
+        golden = pathlib.Path(__file__).parent / "data" / "retrieve_sample_all.json"
+        code = cli_dispatch(
+            ["retrieve", "--records", str(sample_path), "--k", "50", "--format", "machine"]
+        )
+        assert code == 0
+        assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
     @pytest.mark.parametrize("k", ["0", "-1"])
     def test_k_below_one_is_usage_error(self, capsys, sample_path, k):
         assert cli_dispatch(["retrieve", "--records", str(sample_path), "--k", k]) == 2

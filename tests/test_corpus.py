@@ -84,6 +84,7 @@ class TestCandidateFacts:
         facts = candidate_facts(loaded.records[0])
         assert [f.id for f in facts] == ["text:0", "text:1", "text:2", "row:0", "text:3"]
         assert [f.source for f in facts] == ["text", "text", "text", "table", "text"]
+        assert facts[0] == ("text:0", "a 100 .", "text")
 
     def test_ids_stable_across_loads(self, tmp_path, sample_path):
         first = load_records(sample_path)

@@ -18,6 +18,7 @@ from finprog.numeric import (
     extract_numbers,
     format_decimal,
     mantissa_set,
+    mantissas,
     parse_mantissa,
     parse_quantity,
     round_half_up,
@@ -183,6 +184,29 @@ class TestQuantityScan:
         assert Decimal("1.50") in ctx.number_values
         assert 0 in ctx.number_values and Fraction(0) in ctx.number_values
         assert Fraction(-3, 2) not in ctx.number_values
+
+
+# Texts with parentheses, both minus signs, bare-dot decimals, comma groups,
+# percent and scale words, non-ASCII digits and words, or with no number.
+_first_number_texts = st.lists(
+    st.sampled_from(
+        list("0123456789,.$()%-−") + [" ", "\u0663", "\u0969", "x", "net", "Million", "billions"]
+        + ["$.5", "(12)", "(1,234.5)", "−3", "1,000,000", "12.5%", "4 thousand", "2006-2008"]
+    ),
+    max_size=16,
+).map("".join)
+
+
+class TestFirstMantissa:
+    @settings(max_examples=500)
+    @given(_first_number_texts)
+    def test_first_mantissa_is_the_first_extracted_quantitys(self, text):
+        quantities = extract_numbers(text)
+        first = next(mantissas([text]), None)
+        if quantities:
+            assert repr(first) == repr(quantities[0].mantissa)
+        else:
+            assert first is None
 
 
 # Texts built from number pieces that differ from a literal's canonical

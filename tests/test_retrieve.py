@@ -40,9 +40,10 @@ class TestBuildIndex:
         with pytest.raises(EmptyCorpus):
             build_index([])
 
-    def test_identical_facts_identical_vectors(self):
+    def test_identical_facts_identical_counts_and_norms(self):
         index = build_index(facts("net sales rose", "net sales rose"))
-        assert index.vectors[0] == index.vectors[1]
+        assert index.counts[0] == index.counts[1] == {"net": 1, "sales": 1, "rose": 1}
+        assert index.norms[0] == index.norms[1]
 
     def test_idf_monotonicity(self):
         index = build_index(facts("alpha beta", "alpha gamma", "alpha beta delta"))
@@ -54,18 +55,25 @@ class TestBuildIndex:
         idf_alpha = math.log(4 / 4) + 1
         idf_beta = math.log(4 / 3) + 1
         idf_gamma = math.log(4 / 2) + 1
+        assert index.counts == ({"alpha": 1, "beta": 1}, {"alpha": 1, "gamma": 1}, {"alpha": 1, "beta": 2})
         f1_norm = math.sqrt(idf_alpha**2 + idf_beta**2)
-        assert index.vectors[0]["alpha"] == pytest.approx(idf_alpha / f1_norm)
-        assert index.vectors[0]["beta"] == pytest.approx(idf_beta / f1_norm)
         f2_norm = math.sqrt(idf_alpha**2 + idf_gamma**2)
-        assert index.vectors[1]["gamma"] == pytest.approx(idf_gamma / f2_norm)
         f3_norm = math.sqrt(idf_alpha**2 + (2 * idf_beta) ** 2)
-        assert index.vectors[2]["beta"] == pytest.approx(2 * idf_beta / f3_norm)
+        assert index.norms == pytest.approx((f1_norm, f2_norm, f3_norm))
 
-    def test_vectors_are_unit_length(self):
+        def weight(position, term):
+            return index.counts[position][term] * index.idf[term] / index.norms[position]
+
+        assert weight(0, "alpha") == pytest.approx(idf_alpha / f1_norm)
+        assert weight(0, "beta") == pytest.approx(idf_beta / f1_norm)
+        assert weight(1, "gamma") == pytest.approx(idf_gamma / f2_norm)
+        assert weight(2, "beta") == pytest.approx(2 * idf_beta / f3_norm)
+
+    def test_unit_weights_have_unit_length(self):
         index = build_index(facts("alpha beta", "alpha gamma gamma", "delta"))
-        for vector in index.vectors:
-            assert math.sqrt(sum(w * w for w in vector.values())) == pytest.approx(1.0)
+        for counts, norm in zip(index.counts, index.norms):
+            weights = [c * index.idf[t] / norm for t, c in counts.items()]
+            assert math.sqrt(sum(w * w for w in weights)) == pytest.approx(1.0)
 
 
 class TestRank:
@@ -151,6 +159,20 @@ class TestRankMatchesNaiveFormulas:
             naive = [(f"text:{p}", score) for p, score in naive_tfidf_rank(contents, question, k)]
             assert _exact(rank(question, index, k)) == _exact(naive)
 
+    def test_same_ids_and_score_bits_on_sample_records(self, sample_records):
+        repeated = 0
+        for record in sample_records:
+            candidates = candidate_facts(record)
+            contents = [fact.content for fact in candidates]
+            index = build_index(candidates)
+            repeated += sum(c > 1 for counts in index.counts for c in counts.values())
+            for k in range(len(contents) + 2):
+                naive = naive_tfidf_rank(contents, record.question, k)
+                expected = [(candidates[p].id, score) for p, score in naive]
+                assert _exact(rank(record.question, index, k)) == _exact(expected)
+        # Linearized rows repeat "the", "of" and "is", so counts reach above 1.
+        assert repeated > 0
+
     def test_question_with_no_indexed_term_scores_int_zero(self):
         index = build_index(facts("net sales", ""))
         for question in ("", "unseen words"):
@@ -202,6 +224,11 @@ class TestRecall:
     def test_half(self):
         ranked = [("text:0", 1.0), ("text:1", 0.9), ("text:2", 0.8)]
         assert recall_at_k(ranked, frozenset({"text:0", "text:9"}), 3) == 0.5
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_retrieves_nothing(self, k):
+        ranked = [("text:0", 1.0), ("text:1", 0.9)]
+        assert recall_at_k(ranked, frozenset({"text:0"}), k) == 0.0
 
     def test_no_gold_facts(self):
         with pytest.raises(NoGoldFacts):
