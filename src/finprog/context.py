@@ -82,9 +82,12 @@ class FinTable:
         return [i for i, (row_name, _) in enumerate(self.rows) if normalize_row_name(row_name) == key]
 
     def find_row(self, name: str) -> int | None:
-        """First row matching the name, or None. Ties resolve to the first."""
-        matches = self.matching_rows(name)
-        return matches[0] if matches else None
+        """First row matching the name, or None. Ties resolve to the first; later rows are not read."""
+        key = normalize_row_name(name)
+        for i, (row_name, _) in enumerate(self.rows):
+            if normalize_row_name(row_name) == key:
+                return i
+        return None
 
     def numeric_cells(self, index: int) -> list[Fraction]:
         """Numeric cell values of one row, in column order.

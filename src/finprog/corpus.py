@@ -18,7 +18,8 @@ from dataclasses import asdict, dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .context import EvidenceContext, FinTable
-from .dsl import GROUNDING_CODES, Program, ProgramError, parse_program, validate
+from .dsl import GROUNDING_CODES, MAX_NUMBER_DIGITS, Program, ProgramError, _fits, parse_program, validate
+from .numeric import NotANumber, parse_mantissa
 
 
 class FileUnreadable(Exception):
@@ -260,6 +261,17 @@ def _build_record(
         # json reads NaN, Infinity and 1e400 as floats that no answer can equal.
         if isinstance(qa["exe_ans"], float) and not math.isfinite(qa["exe_ans"]):
             raise _BuildError("qa.exe_ans", "must be a finite number")
+        # A numeric string must fit a literal's bound, so that no answer stalls the scorer.
+        # One of at most MAX_NUMBER_DIGITS characters always fits: only longer ones are read.
+        if isinstance(qa["exe_ans"], str) and len(qa["exe_ans"]) > MAX_NUMBER_DIGITS:
+            try:
+                answer = parse_mantissa(qa["exe_ans"])
+            except NotANumber:
+                pass
+            else:
+                if not _fits(answer):
+                    reason = f"a number must have terms of at most {MAX_NUMBER_DIGITS} digits"
+                    raise _BuildError("qa.exe_ans", reason)
         gold_ids = _gold_ids(qa.get("gold_inds"), page.pre_text, page.table, page.post_text, warnings)
     except _BuildError as exc:
         return RejectedRecord(id=record_id, field_path=exc.field_path, reason=exc.reason)

@@ -234,5 +234,5 @@ def render_value(value: Value) -> str:
     places = decimal_places(value)
     if places is None:
         return f"{Decimal(value.numerator)}/{Decimal(value.denominator)}"
-    scaled = value * Fraction(10) ** places
-    return format_decimal(Decimal(scaled.numerator).scaleb(-places, _EXACT))
+    digits = value.numerator * 10**places // value.denominator  # exact: the denominator divides 10**places
+    return format_decimal(Decimal(digits).scaleb(-places, _EXACT))

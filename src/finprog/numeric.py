@@ -4,6 +4,13 @@ Quantities keep their written (surface) magnitude: "1.5 billion" has mantissa
 1.5 with the scale word recorded as metadata, because reasoning programs apply
 unit conversions explicitly through constants. Parenthesized numbers are
 negative, following accounting convention.
+
+Scoring compares values in integer arithmetic. ``values_equal`` widens each
+value to an integer pair (n, d) with d > 0, and each tolerance as
+``Fraction()`` widens it, then decides each clause as one inequality between
+integer products: the absolute and relative clauses by cross-multiplying
+the difference, the rounding clause by rounding n·10^P half up with one
+floor division, P being the reference's displayed decimal places.
 """
 
 from __future__ import annotations
@@ -186,6 +193,17 @@ def decimal_places(value) -> int | None:
     Decimals and floats carry their own precision; a Fraction exposes one only
     when its denominator divides a power of ten.
     """
+    if isinstance(value, Fraction):
+        den = value.denominator
+        twos = (den & -den).bit_length() - 1  # the position of the lowest set bit
+        den >>= twos
+        fives = 0
+        while den % 5 == 0:
+            den //= 5
+            fives += 1
+        if den != 1:
+            return None
+        return max(twos, fives)
     if isinstance(value, bool):
         return None
     if isinstance(value, int):
@@ -197,29 +215,17 @@ def decimal_places(value) -> int | None:
         if not isinstance(exponent, int):
             return None
         return max(0, -exponent)
-    if isinstance(value, Fraction):
-        den = value.denominator
-        twos = 0
-        while den % 2 == 0:
-            den //= 2
-            twos += 1
-        fives = 0
-        while den % 5 == 0:
-            den //= 5
-            fives += 1
-        if den != 1:
-            return None
-        return max(twos, fives)
     return None
 
 
-def round_half_up(value: Fraction, places: int) -> Fraction:
-    """Round an exact rational to a decimal place count, halves away from zero."""
-    scale = Fraction(10) ** places
-    scaled = value * scale
-    sign = -1 if scaled < 0 else 1
-    magnitude = (abs(scaled.numerator) * 2 + scaled.denominator) // (2 * scaled.denominator)
-    return Fraction(sign * magnitude, 1) / scale
+def _ratio(value) -> tuple[int, int]:
+    """``to_fraction(value)`` as (numerator, denominator); only a float or a str builds a Fraction."""
+    if isinstance(value, Decimal):
+        return value.as_integer_ratio()
+    if isinstance(value, (Fraction, int)) and not isinstance(value, bool):
+        return value.numerator, value.denominator
+    value = to_fraction(value)
+    return value.numerator, value.denominator
 
 
 @dataclass(frozen=True)
@@ -230,7 +236,9 @@ class TolerancePolicy:
     difference relative to max(1, |a|, |b|) is within ``rel_tol``, or the
     candidate rounded to the reference value's displayed decimal places equals
     the reference. ``percent_insensitive`` additionally tries the candidate
-    multiplied and divided by 100; it is off by default.
+    multiplied and divided by 100; it is off by default. A tolerance may be
+    an int, a float, a ``Decimal`` or a ``Fraction``, and is read at its
+    exact value, as ``Fraction()`` reads it.
     """
 
     abs_tol: Fraction = Fraction(1, 100_000)
@@ -242,28 +250,43 @@ class TolerancePolicy:
 DEFAULT_TOLERANCE = TolerancePolicy()
 
 
-def _clauses_match(a: Fraction, b: Fraction, ref_places: int | None, policy: TolerancePolicy) -> bool:
-    diff = abs(a - b)
-    if diff <= policy.abs_tol:
-        return True
-    if diff <= policy.rel_tol * max(Fraction(1), abs(a), abs(b)):
-        return True
-    if policy.round_to_reference and ref_places is not None:
-        if round_half_up(a, ref_places) == b:
-            return True
-    return False
-
-
 def values_equal(a, b, policy: TolerancePolicy = DEFAULT_TOLERANCE) -> bool:
     """Whether a computed value matches a reference value under the policy.
 
     ``b`` is the reference: the rounding clause rounds ``a`` to ``b``'s
     displayed precision. The absolute and relative clauses are symmetric.
+
+    Both values are widened as ``to_fraction`` widens them, to a = an/ad and
+    b = bn/bd with ad, bd > 0, and each tolerance as ``Fraction()`` widens it
+    (a float keeps its exact binary value), to Tn/Td and Rn/Rd. Each clause
+    is then one inequality between integers:
+
+    - absolute: |an·bd − bn·ad|·Td <= Tn·ad·bd;
+    - relative: |an·bd − bn·ad|·Rd <= Rn·max(ad·bd, |an|·bd, |bn|·ad);
+    - rounding, with P = ``decimal_places(b)`` and m = (2·|an|·10^P + ad) //
+      (2·ad), the magnitude of a·10^P rounded half up:
+      sign(an)·m·bd == bn·10^P.
+
+    The percent-insensitive candidates are (an·100, ad) and (an, ad·100).
     """
-    fa = to_fraction(a)
-    fb = to_fraction(b)
-    places = decimal_places(b)
-    candidates = [fa]
+    an, ad = _ratio(a)
+    bn, bd = _ratio(b)
+    tn, td = policy.abs_tol.as_integer_ratio()
+    rn, rd = policy.rel_tol.as_integer_ratio()
+    candidates = [(an, ad)]
     if policy.percent_insensitive:
-        candidates += [fa * 100, fa / 100]
-    return any(_clauses_match(c, fb, places, policy) for c in candidates)
+        candidates += [(an * 100, ad), (an, ad * 100)]
+    for n, d in candidates:
+        diff = abs(n * bd - bn * d)
+        if diff * td <= tn * d * bd or diff * rd <= rn * max(d * bd, abs(n) * bd, abs(bn) * d):
+            return True
+    # The clauses are pure, so the rounding one can come last, when b's places are needed.
+    places = decimal_places(b) if policy.round_to_reference else None
+    if places is None:
+        return False
+    scale = 10**places
+    for n, d in candidates:
+        m = (2 * abs(n) * scale + d) // (2 * d)
+        if (-m if n < 0 else m) * bd == bn * scale:
+            return True
+    return False

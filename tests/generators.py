@@ -6,16 +6,19 @@ substitution instead of a memoized environment, the randomized program
 oracle evaluates symbolic programs step by step without building, normalizing,
 or pruning expression trees, and the canonical-key oracle builds each step's
 normalized form as a string that embeds its parts' strings in full, with no
-intern table. Shared pieces are limited to definitional layers: quantity
-parsing, the symbol-identity rule (``equiv._symbol_key``), and the hashed
-sample-point convention for uninterpreted operations.
+intern table. The tolerance, decimal-places and rendering oracles work in
+``Fraction`` arithmetic where the package works in integers. Shared pieces
+are limited to definitional layers: quantity parsing, the widening rule
+(``numeric.to_fraction``), the displayed precision of a non-Fraction,
+decimal formatting, the symbol-identity rule (``equiv._symbol_key``), and the
+hashed sample-point convention for uninterpreted operations.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from decimal import Decimal
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal
 from fractions import Fraction
 from random import Random
 
@@ -36,7 +39,14 @@ from finprog.dsl import (
     validate,
 )
 from finprog.equiv import _hashed_int, _symbol_key
-from finprog.numeric import NotANumber, parse_quantity
+from finprog.numeric import (
+    NotANumber,
+    TolerancePolicy,
+    decimal_places,
+    format_decimal,
+    parse_quantity,
+    to_fraction,
+)
 
 _WORDS = (
     "revenue", "income", "assets", "liabilities", "equity", "expense",
@@ -734,3 +744,64 @@ def naive_tfidf_rank(contents: list[str], question: str, k: int) -> list[tuple[i
     ]
     scored.sort()
     return [(position, -neg) for neg, position in scored[: max(k, 0)]]
+
+
+def round_half_up(value: Fraction, places: int) -> Fraction:
+    """Round an exact rational to a decimal place count, halves away from zero."""
+    scale = Fraction(10) ** places
+    scaled = value * scale
+    sign = -1 if scaled < 0 else 1
+    magnitude = (abs(scaled.numerator) * 2 + scaled.denominator) // (2 * scaled.denominator)
+    return Fraction(sign * magnitude, 1) / scale
+
+
+def oracle_values_equal(a, b, policy: TolerancePolicy) -> bool:
+    """The tolerance clauses of README's "Execution accuracy", in Fraction arithmetic.
+
+    Each tolerance field is widened by ``Fraction()``, so a float keeps its
+    exact binary value.
+    """
+    fa, fb = to_fraction(a), to_fraction(b)
+    places = oracle_decimal_places(b) if isinstance(b, Fraction) else decimal_places(b)
+    abs_tol, rel_tol = Fraction(policy.abs_tol), Fraction(policy.rel_tol)
+
+    def clauses_match(c: Fraction) -> bool:
+        diff = abs(c - fb)
+        if diff <= abs_tol:
+            return True
+        if diff <= rel_tol * max(Fraction(1), abs(c), abs(fb)):
+            return True
+        return policy.round_to_reference and places is not None and round_half_up(c, places) == fb
+
+    candidates = [fa]
+    if policy.percent_insensitive:
+        candidates += [fa * 100, fa / 100]
+    return any(clauses_match(c) for c in candidates)
+
+
+def oracle_decimal_places(value: Fraction) -> int | None:
+    """The places of a Fraction's terminating decimal, by dividing out each 2 and 5; None if it repeats."""
+    den = value.denominator
+    twos = 0
+    while den % 2 == 0:
+        den //= 2
+        twos += 1
+    fives = 0
+    while den % 5 == 0:
+        den //= 5
+        fives += 1
+    return max(twos, fives) if den == 1 else None
+
+
+_ORACLE_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
+
+
+def oracle_render_value(value) -> str:
+    """An executor result as text: yes/no, the exact terminating decimal, or numerator/denominator."""
+    if isinstance(value, bool):
+        return "yes" if value else "no"
+    places = oracle_decimal_places(value)
+    if places is None:
+        return f"{Decimal(value.numerator)}/{Decimal(value.denominator)}"
+    scaled = value * Fraction(10) ** places
+    return format_decimal(Decimal(scaled.numerator).scaleb(-places, _ORACLE_EXACT))

@@ -381,6 +381,24 @@ class TestEvalCommand:
         argv = ["eval", "--records", str(sample_path), "--preds", str(gold_preds_path), flag, "0"]
         assert cli_dispatch(argv) == 0
 
+    @pytest.mark.parametrize(
+        "flags, golden",
+        [
+            ([], "eval_tolerance_default.json"),
+            (["--percent-insensitive"], "eval_tolerance_percent.json"),
+            (["--abs-tol", "0.5", "--rel-tol", "0", "--no-gold-rounding"], "eval_tolerance_abs.json"),
+        ],
+    )
+    def test_tolerance_edge_predictions_match_golden_file(self, capsys, sample_path, flags, golden):
+        # One prediction per sample record, on or beside a clause's boundary:
+        # abs_tol and rel_tol edges, half-up ties, 100x errors, repeating
+        # decimals and negatives. The golden files predate integer scoring.
+        data = pathlib.Path(__file__).parent / "data"
+        preds = data / "eval_tolerance_preds.jsonl"
+        argv = ["eval", "--records", str(sample_path), "--preds", str(preds), "--format", "machine", *flags]
+        assert cli_dispatch(argv) == 0
+        assert capsys.readouterr().out == (data / golden).read_text(encoding="utf-8")
+
     def test_non_finite_gold_answer_is_a_reject(self, capsys, tmp_path, sample_path):
         line = sample_path.read_text(encoding="utf-8").splitlines()[0]
         records = tmp_path / "records.jsonl"

@@ -1,8 +1,9 @@
 import dataclasses
 import json
+import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import SAMPLE_PATH
@@ -19,8 +20,9 @@ from finprog.corpus import (
     normalize_program_text,
     _fact_position,
 )
-from finprog.dsl import MAX_PROGRAM_STEPS, render_program
+from finprog.dsl import MAX_NUMBER_DIGITS, MAX_PROGRAM_STEPS, _fits, render_program
 from finprog.evaluate import score_record
+from finprog.numeric import NotANumber, parse_mantissa
 
 
 def write_jsonl(path, records):
@@ -492,6 +494,64 @@ class TestLoadRecords:
         assert [(r.id, r.field_path, r.reason) for r in loaded.rejects] == [
             ("co/2019/page_1.pdf-0", "qa.exe_ans", "must be a finite number")
         ]
+
+    @pytest.mark.parametrize(
+        "exe_ans",
+        [
+            "1" + "0" * MAX_NUMBER_DIGITS,
+            "-$" + "9" * (MAX_NUMBER_DIGITS + 1) + "%",
+            "0." + "0" * MAX_NUMBER_DIGITS + "1",
+            "0." + "0" * 4_000_000 + "1",
+            "1" * 4_000_000,
+        ],
+    )
+    def test_numeric_exe_ans_past_the_literal_bound_rejected(self, tmp_path, exe_ans):
+        path = tmp_path / "records.jsonl"
+        record = minimal_record()
+        record["qa"] = dict(record["qa"], exe_ans=exe_ans)
+        write_jsonl(path, [record])
+        started = time.perf_counter()
+        loaded = load_records(path)
+        assert time.perf_counter() - started < 2.0
+        assert not loaded.records
+        assert [(r.id, r.field_path, r.reason) for r in loaded.rejects] == [
+            ("co/2019/page_1.pdf-0", "qa.exe_ans", "a number must have terms of at most 100 digits")
+        ]
+
+    @pytest.mark.parametrize(
+        "exe_ans",
+        [
+            "9" * MAX_NUMBER_DIGITS,
+            "0." + "0" * (MAX_NUMBER_DIGITS - 3) + "1",
+            " " * MAX_NUMBER_DIGITS + "20",
+            "0" * 4_000_000 + "20",
+            "$" + "9" * MAX_NUMBER_DIGITS,
+            "20.000" + "0" * MAX_NUMBER_DIGITS,
+            "not a number " * 10,
+        ],
+    )
+    def test_exe_ans_within_the_literal_bound_or_not_numeric_loads(self, tmp_path, exe_ans):
+        path = tmp_path / "records.jsonl"
+        record = minimal_record()
+        record["qa"] = dict(record["qa"], exe_ans=exe_ans)
+        write_jsonl(path, [record])
+        (got,) = load_records(path).records
+        assert got.gold_answer == exe_ans
+
+    @given(st.text(alphabet="0123456789", min_size=1, max_size=MAX_NUMBER_DIGITS), st.integers(-1, MAX_NUMBER_DIGITS))
+    @example("9" * MAX_NUMBER_DIGITS, -1)
+    @example("9" * MAX_NUMBER_DIGITS, 1)
+    @example("9" * MAX_NUMBER_DIGITS, 0)
+    @example("0" * (MAX_NUMBER_DIGITS - 1) + "1", 1)
+    @settings(max_examples=300, deadline=None)
+    def test_every_short_numeric_surface_fits_the_literal_bound(self, digits, point):
+        # Why the loader parses only strings longer than MAX_NUMBER_DIGITS.
+        surface = (digits if point < 0 else digits[:point] + "." + digits[point:])[:MAX_NUMBER_DIGITS]
+        try:
+            value = parse_mantissa(surface)
+        except NotANumber:
+            return
+        assert _fits(value)
 
     def test_file_that_is_not_utf8_is_unreadable(self, tmp_path):
         path = tmp_path / "records.jsonl"

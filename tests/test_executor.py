@@ -4,7 +4,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from finprog.context import EvidenceContext, FinTable
@@ -34,7 +34,7 @@ from finprog.executor import (
     resolve_argument,
 )
 
-from generators import naive_execute, random_context, random_program
+from generators import naive_execute, oracle_render_value, random_context, random_program
 
 
 @pytest.fixture()
@@ -258,6 +258,23 @@ class TestPieces:
             n, d = text.split("/")
             assert Fraction(int(n), int(d)) == value
 
+    @given(
+        st.integers(-(10**80), 10**80),
+        st.integers(0, 300),
+        st.integers(0, 300),
+        st.sampled_from([1, 3, 7, 9, 11, 2**61 - 1]),
+    )
+    @example(0, 0, 0, 1)
+    @example(-1, 300, 0, 1)
+    @example(7, 0, 300, 1)
+    def test_render_value_matches_the_fraction_scaling_rule(self, numerator, twos, fives, other):
+        value = Fraction(numerator, 2**twos * 5**fives * other)
+        assert render_value(value) == oracle_render_value(value)
+
+    @pytest.mark.parametrize("value", [True, False, Fraction(15**4000, 2**9000), Fraction(-(3**9000), 5**7000)])
+    def test_render_value_matches_the_fraction_scaling_rule_at_the_extremes(self, value):
+        assert render_value(value) == oracle_render_value(value)
+
     def test_long_terminating_value_keeps_every_digit(self):
         assert render_value(Fraction(123456789012345678901234567890123, 1000)) == "123456789012345678901234567890.123"
         assert render_value(Fraction(-(10**40) - 1)) == "-1" + "0" * 39 + "1"
@@ -322,6 +339,14 @@ class TestProperties:
             assert total == average * count
             checked += 1
         assert checked > 150
+
+    @given(
+        st.lists(st.sampled_from(["Net Sales", "net-sales", " net sales ", "gross", "", "GROSS!", "x"]), max_size=8),
+        st.sampled_from(["net sales", "NET  SALES", "gross", "x", "absent", ""]),
+    )
+    def test_find_row_is_the_first_matching_row(self, names, query):
+        table = FinTable(header=("", "2019"), rows=tuple((name, ("1",)) for name in names))
+        assert table.find_row(query) == (table.matching_rows(query) or [None])[0]
 
     def test_matches_tree_walking_oracle(self):
         rng = Random(73)

@@ -4,7 +4,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from finprog.context import EvidenceContext, FinTable
@@ -21,12 +21,17 @@ from finprog.numeric import (
     mantissas,
     parse_mantissa,
     parse_quantity,
-    round_half_up,
     to_fraction,
     values_equal,
 )
 
-from generators import random_context, random_number_text
+from generators import (
+    oracle_decimal_places,
+    oracle_values_equal,
+    random_context,
+    random_number_text,
+    round_half_up,
+)
 
 
 class TestParseQuantity:
@@ -339,3 +344,129 @@ class TestValuesEqual:
         assert decimal_places(Fraction(3, 4)) == 2
         assert decimal_places(Fraction(1, 3)) is None
         assert decimal_places(0.25) == 2
+
+
+# Differential tests: ``values_equal`` and ``decimal_places`` work in integers;
+# the oracles in tests/generators.py are the Fraction formulation they replace.
+
+_TOLERANCES = st.one_of(
+    st.sampled_from([0, 1, Fraction(1, 100_000), Fraction(1, 10_000), 1e-5, 1e-4, 0.1, Decimal("0.0001"), Decimal("1E-5")]),
+    st.fractions(min_value=-1, max_value=1, max_denominator=10**7),
+    st.floats(min_value=-1, max_value=1, allow_nan=False),
+    st.decimals(min_value=0, max_value=1, allow_nan=False, allow_infinity=False),
+)
+
+_POLICIES = st.builds(
+    TolerancePolicy,
+    abs_tol=_TOLERANCES,
+    rel_tol=_TOLERANCES,
+    round_to_reference=st.booleans(),
+    percent_insensitive=st.booleans(),
+)
+
+#: Decimals written with any exponent: 1E+2, -0.50, 0E-7, 12.3450.
+_DECIMALS = st.one_of(
+    st.sampled_from([Decimal("1E+2"), Decimal("-0.50"), Decimal("0E-7"), Decimal("-0"), Decimal("1.50E-3")]),
+    st.builds(
+        lambda sign, digits, exponent: Decimal((sign, digits, exponent)),
+        st.integers(0, 1),
+        st.lists(st.integers(0, 9), min_size=1, max_size=20).map(tuple),
+        st.integers(-15, 6),
+    ),
+)
+
+_VALUES = st.one_of(
+    st.fractions(max_denominator=10**9).filter(lambda f: abs(f) < 10**15),
+    st.integers(-(10**15), 10**15),
+    st.floats(min_value=-1e15, max_value=1e15, allow_nan=False),
+    _DECIMALS,
+)
+
+
+@st.composite
+def _edge_pairs(draw):
+    """A reference, a policy, and a candidate on or just beside one of the policy's clause boundaries."""
+    b = draw(st.one_of(_DECIMALS, st.integers(-(10**6), 10**6), st.fractions(max_denominator=1000)))
+    policy = draw(_POLICIES)
+    fb = to_fraction(b)
+    tol = Fraction(policy.abs_tol)
+    rel = Fraction(policy.rel_tol)
+    places = decimal_places(b)
+    half = Fraction(1, 2 * 10**places) if places is not None else Fraction(1, 2)
+    edges = [tol, -tol, rel, -rel, fb * rel, -fb * rel, half, -half, Fraction(0)]
+    if rel != 1:
+        edges.append(fb * rel / (1 - rel))
+    a = fb + draw(st.sampled_from(edges))
+    nudge = draw(st.sampled_from([0, 1, -1]))
+    a += nudge * Fraction(1, 10 ** draw(st.integers(1, 30)))
+    a *= draw(st.sampled_from([1, 1, 100, Fraction(1, 100)]))
+    kind = draw(st.sampled_from(["fraction", "fraction", "int", "float", "decimal", "str"]))
+    places = oracle_decimal_places(a)
+    if kind == "int" and a.denominator == 1:
+        a = int(a)
+    elif kind == "float":
+        a = float(a)
+    elif kind in ("decimal", "str") and places is not None:
+        text = f"{a.numerator * 10**places // a.denominator}E-{places}"
+        a = Decimal(text) if kind == "decimal" else text
+    return a, b, policy
+
+
+class TestIntegerTolerance:
+    @given(_VALUES, _VALUES, _POLICIES)
+    @settings(max_examples=400, deadline=None)
+    def test_matches_the_fraction_formulation(self, a, b, policy):
+        assert values_equal(a, b, policy) == oracle_values_equal(a, b, policy)
+
+    @given(_edge_pairs())
+    @settings(max_examples=1500, deadline=None)
+    def test_matches_the_fraction_formulation_at_clause_boundaries(self, pair):
+        a, b, policy = pair
+        assert values_equal(a, b, policy) == oracle_values_equal(a, b, policy)
+
+    @pytest.mark.parametrize(
+        "a, b, expected",
+        [
+            (Fraction(5, 1000), Decimal("0.01"), True),  # half-up tie, away from zero
+            (Fraction(-5, 1000), Decimal("-0.01"), True),
+            (Fraction(4999, 1_000_000), Decimal("0.01"), False),
+            (Fraction(-15, 10), Decimal("-2"), True),
+            (Fraction(-25, 10), Decimal("-2"), False),
+            (Fraction(1163, 1) + Fraction(1, 2), Decimal("1164"), True),
+            (Fraction(1164, 1) + Fraction(1, 2), Decimal("1164"), False),
+            (Fraction(125), Decimal("1.25E+2"), True),
+            (Fraction(100), Decimal("1E+2"), True),
+            (Fraction(-1, 2), Decimal("-0.50"), True),
+        ],
+    )
+    def test_rounding_clause_ties(self, a, b, expected):
+        policy = TolerancePolicy(abs_tol=0, rel_tol=0)
+        assert values_equal(a, b, policy) is expected
+        assert oracle_values_equal(a, b, policy) is expected
+
+    def test_float_tolerance_is_its_exact_binary_value(self):
+        # 0.1 as a float is a little more than 1/10, so a difference of exactly 1/10 is within it.
+        policy = TolerancePolicy(abs_tol=0.1, rel_tol=0, round_to_reference=False)
+        assert values_equal(Fraction(11, 10), 1, policy)
+        policy = TolerancePolicy(abs_tol=0.3, rel_tol=0, round_to_reference=False)
+        assert not values_equal(Fraction(13, 10), 1, policy)  # the float 0.3 is below 3/10
+        assert values_equal(Fraction(13, 10), 1, TolerancePolicy(abs_tol=Fraction(3, 10), rel_tol=0))
+
+    def test_decimal_tolerances(self):
+        policy = TolerancePolicy(abs_tol=Decimal(0), rel_tol=Decimal("0.01"), round_to_reference=False)
+        assert values_equal(Fraction(101), 100, policy)
+        assert not values_equal(Fraction(10201, 100), 100, policy)
+
+    @pytest.mark.parametrize("a, b", [(True, 1), (1, False), (None, 1), (1, [1])])
+    def test_booleans_and_non_numbers_raise_type_error(self, a, b):
+        with pytest.raises(TypeError):
+            values_equal(a, b)
+        with pytest.raises(TypeError):
+            oracle_values_equal(a, b, TolerancePolicy())
+
+    @given(st.integers(-(10**40), 10**40), st.integers(0, 200), st.integers(0, 200), st.sampled_from([1, 3, 7, 9, 11]))
+    @example(1, 0, 0, 1)
+    @example(0, 0, 0, 1)
+    def test_decimal_places_matches_division_loops(self, numerator, twos, fives, other):
+        value = Fraction(numerator, 2**twos * 5**fives * other)
+        assert decimal_places(value) == oracle_decimal_places(value)
