@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
+from typing import Iterator
 
 from .numeric import (
     NotANumber,
@@ -76,18 +77,17 @@ class FinTable:
     def row_names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.rows)
 
-    def matching_rows(self, name: str) -> list[int]:
-        """Indexes of all rows whose normalized name equals the query's."""
+    def _matches(self, name: str) -> Iterator[int]:
+        """Indexes of the rows whose normalized name equals the query's, in order, read as asked for."""
         key = normalize_row_name(name)
-        return [i for i, (row_name, _) in enumerate(self.rows) if normalize_row_name(row_name) == key]
+        return (i for i, (row_name, _) in enumerate(self.rows) if normalize_row_name(row_name) == key)
+
+    def matching_rows(self, name: str) -> list[int]:
+        return list(self._matches(name))
 
     def find_row(self, name: str) -> int | None:
         """First row matching the name, or None. Ties resolve to the first; later rows are not read."""
-        key = normalize_row_name(name)
-        for i, (row_name, _) in enumerate(self.rows):
-            if normalize_row_name(row_name) == key:
-                return i
-        return None
+        return next(self._matches(name), None)
 
     def numeric_cells(self, index: int) -> list[Fraction]:
         """Numeric cell values of one row, in column order.

@@ -414,6 +414,27 @@ def is_valid(diagnostics: list[Diagnostic]) -> bool:
     return not any(d.severity == "error" for d in diagnostics)
 
 
+def argument_error(
+    op: str, arg: Argument, ctx: Optional[EvidenceContext], *, matched: bool
+) -> Optional[tuple[str, str]]:
+    """The code and message of the error rule that ``arg`` breaks as an argument of ``op``, or None.
+
+    ``validate`` and the executor both read the rules here. A row name in a
+    math operation is refused from the operation alone. A row name in a table
+    operation is refused when the caller, who reads the table, found that it
+    ``matched`` no row. A number literal is refused when ``ctx`` is given and
+    its evidence does not hold the literal.
+    """
+    if isinstance(arg, RowName):
+        if op in MATH_OPS:
+            return "bad-argument-kind", f"{op} takes numbers, constants, or step references, not {arg.name!r}"
+        if not matched:
+            return "unknown-row-name", f"no table row matches {arg.name!r}"
+    elif isinstance(arg, NumberLiteral) and ctx is not None and not ctx.mentions(arg.value):
+        return "ungrounded-number", f"{arg.render()} does not appear in the evidence"
+    return None
+
+
 def validate(
     program: Program,
     ctx: Optional[EvidenceContext] = None,
@@ -431,51 +452,15 @@ def validate(
     diags: list[Diagnostic] = []
     for i, step in enumerate(program.steps):
         for arg in step.args:
-            if isinstance(arg, RowName):
-                if step.op in MATH_OPS and not allow_symbols:
-                    diags.append(
-                        Diagnostic(
-                            "bad-argument-kind",
-                            f"{step.op} takes numbers, constants, or step references, not {arg.name!r}",
-                            i,
-                        )
-                    )
-                elif step.op in TABLE_OPS and ctx is not None:
-                    matches = ctx.table.matching_rows(arg.name)
-                    if not matches:
-                        diags.append(
-                            Diagnostic(
-                                "unknown-row-name",
-                                f"no table row matches {arg.name!r}",
-                                i,
-                            )
-                        )
-                    elif len(matches) > 1:
-                        diags.append(
-                            Diagnostic(
-                                "duplicate-row-name",
-                                f"{arg.name!r} matches rows {matches}; the first is used",
-                                i,
-                                severity="warning",
-                            )
-                        )
-            elif isinstance(arg, Constant):
-                if arg.name not in DEFAULT_CONSTANTS:
-                    diags.append(
-                        Diagnostic(
-                            "nonstandard-constant",
-                            f"constant {arg.name!r} is outside the configured vocabulary",
-                            i,
-                            severity="warning",
-                        )
-                    )
-            elif isinstance(arg, NumberLiteral):
-                if ctx is not None and not ctx.mentions(arg.value):
-                    diags.append(
-                        Diagnostic(
-                            "ungrounded-number",
-                            f"{arg.render()} does not appear in the evidence",
-                            i,
-                        )
-                    )
+            rows = ctx.table.matching_rows(arg.name) if ctx is not None and step.op in TABLE_OPS else None
+            error = argument_error(step.op, arg, ctx, matched=rows is None or bool(rows))
+            if error is not None:
+                if not (allow_symbols and error[0] == "bad-argument-kind"):
+                    diags.append(Diagnostic(*error, i))
+            elif rows is not None and len(rows) > 1:
+                message = f"{arg.name!r} matches rows {rows}; the first is used"
+                diags.append(Diagnostic("duplicate-row-name", message, i, severity="warning"))
+            elif isinstance(arg, Constant) and arg.name not in DEFAULT_CONSTANTS:
+                message = f"constant {arg.name!r} is outside the configured vocabulary"
+                diags.append(Diagnostic("nonstandard-constant", message, i, severity="warning"))
     return diags

@@ -21,6 +21,7 @@ from .dsl import (
     NumberLiteral,
     Program,
     StepRef,
+    argument_error,
     constant_value,
 )
 from .numeric import decimal_places, format_decimal
@@ -34,7 +35,7 @@ class ExecutionError(Exception):
 
 
 class InvalidProgram(ExecutionError):
-    """A row name where a number belongs (validate flags it)."""
+    """A row name where a number belongs (validate flags it as bad-argument-kind)."""
 
 
 class DivisionByZero(ExecutionError):
@@ -137,26 +138,30 @@ def aggregate_row(cells: list[Fraction], kind: str) -> Fraction:
     raise ValueError(f"unknown aggregation {kind!r}")
 
 
+#: The exception that the executor raises for each error code of ``argument_error``.
+ARGUMENT_ERRORS = {
+    "bad-argument-kind": InvalidProgram,
+    "unknown-row-name": RowNotFound,
+    "ungrounded-number": UngroundedNumber,
+}
+
+
 def resolve_argument(
-    arg: Argument,
-    ctx: EvidenceContext,
-    env: list[Value],
-    *,
-    strict_grounding: bool = False,
-) -> Union[Fraction, list[Fraction]]:
-    """A literal's value, a constant's value, a step lookup, or a row's cells."""
+    op: str, arg: Argument, ctx: EvidenceContext, env: list[Value]
+) -> Union[Fraction, list[Fraction], None]:
+    """A literal's value, a constant's value, a step lookup, or the cells of a table operation's row.
+
+    None for a row name that matches no table row, or that is a math
+    operation's argument: that one is refused without reading the table.
+    """
     if isinstance(arg, NumberLiteral):
-        if strict_grounding and not ctx.mentions(arg.value):
-            raise UngroundedNumber(f"{arg.render()} does not appear in the evidence")
         return Fraction(arg.value)
     if isinstance(arg, Constant):
         return constant_value(arg.name)
     if isinstance(arg, StepRef):
         return env[arg.index]  # a number: a Program refuses a reference to a greater step
-    index = ctx.table.find_row(arg.name)
-    if index is None:
-        raise RowNotFound(f"no table row matches {arg.name!r}")
-    return ctx.table.numeric_cells(index)
+    index = ctx.table.find_row(arg.name) if op in TABLE_OPS else None
+    return None if index is None else ctx.table.numeric_cells(index)
 
 
 def eval_step(op: str, resolved_args: list) -> Value:
@@ -170,8 +175,6 @@ def eval_step(op: str, resolved_args: list) -> Value:
         result = aggregate_row(resolved_args[0], op.removeprefix("table-"))
     else:
         a, b = resolved_args
-        if not isinstance(a, Fraction) or not isinstance(b, Fraction):
-            raise InvalidProgram(f"{op} takes numbers, got a table row or symbol")
         if op == "greater":
             return a > b
         if op == "add":
@@ -202,16 +205,24 @@ def execute(
 
     The default grounding mode is lenient (literals need not appear in the
     evidence), matching how predictions are scored; strict mode reproduces the
-    annotation validator's behavior.
+    annotation validator's behavior. A step's arguments are read in order;
+    one that does not resolve, and in strict mode each one, goes to
+    ``argument_error``, whose code picks the exception from ARGUMENT_ERRORS.
     """
     if ctx is None:
         ctx = EvidenceContext.build(())
+    grounding = ctx if strict_grounding else None
     env: list[Value] = []
     for step in program.steps:
-        resolved = [
-            resolve_argument(arg, ctx, env, strict_grounding=strict_grounding)
-            for arg in step.args
-        ]
+        resolved = []
+        for arg in step.args:
+            value = resolve_argument(step.op, arg, ctx, env)
+            if value is None or grounding is not None:
+                error = argument_error(step.op, arg, grounding, matched=value is not None)
+                if error is not None:
+                    code, message = error
+                    raise ARGUMENT_ERRORS[code](message)
+            resolved.append(value)
         env.append(eval_step(step.op, resolved))
     return env[-1]
 

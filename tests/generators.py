@@ -167,6 +167,60 @@ def random_program(rng: Random, ctx: EvidenceContext, max_steps: int = 5) -> Pro
     return Program(steps=tuple(steps))
 
 
+def random_evidence_program(rng: Random, ctx: EvidenceContext, max_steps: int = 4) -> Program:
+    """A program whose arguments read against ``ctx`` in every way the evidence rules tell apart.
+
+    Math positions take numbers the evidence holds, numbers it does not,
+    constants, step references, and row names; table positions take row
+    names. A row name matches a table row (in another spelling, sometimes)
+    or matches none. Unlike ``random_program``, the result may break any
+    rule of ``validate``. Exponents stay small integers, or row names, so
+    that ``naive_execute`` can follow.
+    """
+    evidence = _literal_pool(ctx)
+    rows = [name for name in ctx.table.row_names if name] or ["revenue"]
+
+    def row_name() -> RowName:
+        name = rng.choice(rows)
+        roll = rng.random()
+        if roll < 0.3:
+            return RowName(f"{name} {rng.choice(_WORDS)}")  # matches no row
+        if roll < 0.5:
+            return RowName(name.upper().replace(" ", "-"))
+        return RowName(name)
+
+    def number() -> NumberLiteral:
+        if rng.random() < 0.5:
+            return NumberLiteral(rng.choice(evidence))
+        return NumberLiteral(Decimal(rng.randint(100_001, 999_999)) / 10)  # one the evidence rarely holds
+
+    steps: list[OperationStep] = []
+    for index in range(rng.randint(1, max_steps)):
+        op = rng.choice(MATH_OPS + TABLE_OPS)
+        if op in TABLE_OPS:
+            steps.append(OperationStep(op, (row_name(),)))
+            continue
+        refs = [i for i in range(index) if steps[i].op != "greater"]
+
+        def math_arg():
+            roll = rng.random()
+            if roll < 0.25:
+                return row_name()
+            if refs and roll < 0.45:
+                return StepRef(rng.choice(refs))
+            if roll < 0.55:
+                return Constant(rng.choice(list(DEFAULT_CONSTANTS)))
+            return number()
+
+        first = math_arg()
+        if op == "exp":
+            second = row_name() if rng.random() < 0.3 else NumberLiteral(Decimal(rng.randint(0, 3)))
+        else:
+            second = math_arg()
+        steps.append(OperationStep(op, (first, second)))
+    return Program(steps=tuple(steps))
+
+
 _SYMBOLS = ("a", "b", "c", "d", "e", "f", "g", "h")
 
 

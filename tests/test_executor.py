@@ -1,4 +1,5 @@
 import time
+from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
 from random import Random
@@ -9,13 +10,16 @@ from hypothesis import strategies as st
 
 from finprog.context import EvidenceContext, FinTable
 from finprog.dsl import (
+    MATH_OPS,
     NumberLiteral,
     OperationStep,
     Program,
     ProgramError,
+    RowName,
     StepRef,
     parse_program,
     render_program,
+    validate,
 )
 from finprog.executor import (
     MAX_POWER_BITS,
@@ -34,7 +38,13 @@ from finprog.executor import (
     resolve_argument,
 )
 
-from generators import naive_execute, oracle_render_value, random_context, random_program
+from generators import (
+    naive_execute,
+    oracle_render_value,
+    random_context,
+    random_evidence_program,
+    random_program,
+)
 
 
 @pytest.fixture()
@@ -154,6 +164,81 @@ class TestGrounding:
         ) == Fraction(Decimal("2017.64"))
 
 
+#: The exception that each of validate's error codes stands for.
+_RULE_ERRORS = {
+    "bad-argument-kind": InvalidProgram,
+    "unknown-row-name": RowNotFound,
+    "ungrounded-number": UngroundedNumber,
+}
+
+
+def _first_errors(program, ctx, codes):
+    return [d for d in validate(program, ctx) if d.severity == "error" and d.code in codes]
+
+
+class TestEvidenceRules:
+    """The executor and validate read each argument by the same rule, with the same message."""
+
+    @pytest.mark.parametrize("text", ["add(1, steady)", "add(1, absent row)", "add(steady, 77777)"])
+    def test_row_name_in_math_operation_is_invalid_program(self, table_ctx, text):
+        # Refused from the operation alone: no row is read, found or not.
+        message = validate(parse_program(text), table_ctx)[0].message
+        assert message.startswith("add takes numbers, constants, or step references, not ")
+        for strict in (False, True):
+            with pytest.raises(InvalidProgram) as info:
+                execute(parse_program(text), table_ctx, strict_grounding=strict)
+            assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "text", ["add(operating incomes, 1)", "add(operating income, 1)", "add(operating income, 77777)"]
+    )
+    def test_sample_record_row_name_in_math_operation(self, sample_records, text):
+        # The class does not hang on what the table holds: the record's one
+        # row is "operating income", and 1 and 77777 are not in its evidence.
+        ctx = next(r for r in sample_records if r.id == "alpha/2019/page_12.pdf-0").context()
+        first = validate(parse_program(text), ctx)[0]
+        assert first.code == "bad-argument-kind"
+        for strict in (False, True):
+            with pytest.raises(InvalidProgram) as info:
+                execute(parse_program(text), ctx, strict_grounding=strict)
+            assert str(info.value) == first.message
+
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_execute_raises_validates_first_error(self, strict):
+        # Lenient mode grounds no literal, so there ungrounded-number is left out.
+        codes = [code for code in _RULE_ERRORS if strict or code != "ungrounded-number"]
+        classes = tuple(_RULE_ERRORS[code] for code in codes)
+        rng = Random(83)
+        raised = Counter()
+        for _ in range(2000):
+            ctx = random_context(rng)
+            program = random_evidence_program(rng, ctx)
+            errors = _first_errors(program, ctx, codes)
+            try:
+                execute(program, ctx, strict_grounding=strict)
+            except classes as exc:
+                # so a program that validate passes raises none of them
+                assert errors, render_program(program)
+                first = errors[0]
+                assert (_RULE_ERRORS[first.code], first.message) == (type(exc), str(exc)), render_program(program)
+                raised[type(exc)] += 1
+            except ExecutionError:
+                pass
+        assert min(raised[cls] for cls in classes) > 100, raised
+
+    def test_row_names_in_math_operations_match_tree_walking_oracle(self):
+        rng = Random(89)
+        checked = 0
+        for _ in range(1500):
+            ctx = random_context(rng)
+            program = random_evidence_program(rng, ctx)
+            assert _outcome(program, ctx) == naive_execute(program, ctx), render_program(program)
+            checked += any(
+                isinstance(arg, RowName) for step in program.steps if step.op in MATH_OPS for arg in step.args
+            )
+        assert checked > 500
+
+
 class TestPieces:
     def test_aggregate_row(self):
         cells = [Fraction(10), Fraction(20), Fraction(30), Fraction(40)]
@@ -167,14 +252,15 @@ class TestPieces:
     def test_eval_step(self):
         assert eval_step("exp", [Fraction(2), Fraction(3)]) == 8
         assert eval_step("table-average", [[Fraction(1), Fraction(2), Fraction(3)]]) == 2
-        with pytest.raises(InvalidProgram):
-            eval_step("add", [Fraction(1), [Fraction(2)]])
 
     def test_resolve_argument(self, table_ctx):
         env = [Fraction(Decimal("11.64"))]
-        assert resolve_argument(StepRef(0), table_ctx, env) == Fraction(Decimal("11.64"))
-        cells = resolve_argument(parse_program("table-sum(steady)").steps[0].args[0], table_ctx, [])
+        assert resolve_argument("add", StepRef(0), table_ctx, env) == Fraction(Decimal("11.64"))
+        cells = resolve_argument("table-sum", RowName("steady"), table_ctx, [])
         assert cells == [Fraction(1), Fraction(2), Fraction(3)]
+        # None for a row name that matches no row, or that a math operation takes
+        assert resolve_argument("table-sum", RowName("absent row"), table_ctx, []) is None
+        assert resolve_argument("add", RowName("steady"), table_ctx, []) is None
 
     def test_power_exact_and_widened(self):
         assert power(Fraction(2), Fraction(-2)) == Fraction(1, 4)
