@@ -68,14 +68,27 @@ def result_kind(op: str) -> str:
 
 
 def _fits(value: Decimal) -> bool:
-    """Whether ``value`` is finite and within MAX_NUMBER_DIGITS, decided exactly."""
+    """Whether ``value`` is finite and within MAX_NUMBER_DIGITS, decided exactly.
+
+    The digits are read from ``str(value)``, one character each, and only
+    when the magnitude alone does not refuse the value.
+    """
     if not value.is_finite():
         return False
-    _, digits, exponent = value.as_tuple()
-    if len(digits) + max(exponent, 0) <= MAX_NUMBER_DIGITS and -exponent < MAX_NUMBER_DIGITS:
-        return True  # the numerator is below 10**len(digits), the denominator at most 10**-exponent
-    kept = len(bytes(digits).rstrip(b"\0"))  # the digits without trailing zeros
-    exponent += len(digits) - kept
+    if not value:
+        return True  # 0/1, whatever the exponent
+    adjusted = value.adjusted()
+    if adjusted >= MAX_NUMBER_DIGITS:
+        return False  # |value| >= 10**adjusted, so its numerator is at least as large
+    text = str(value)
+    if len(text) <= MAX_NUMBER_DIGITS and "E" not in text:
+        return True  # at most MAX_NUMBER_DIGITS digits and fewer places: n and d are below 10**MAX_NUMBER_DIGITS
+    mantissa, _, exponent_text = text.partition("E")
+    if "." in mantissa:
+        mantissa = mantissa.rstrip("0")  # zeros past the point; the value is unchanged
+    shift = int(exponent_text or 0)
+    exponent = shift - len(mantissa.partition(".")[2])
+    kept = adjusted - exponent + 1  # the digits without trailing zeros, when exponent < 0
     # A value that fits is n/d with d = 2**x * 5**y < 10**MAX_NUMBER_DIGITS:
     # it is written with k = max(x, y) < 3.33 * MAX_NUMBER_DIGITS places and
     # fewer than k + MAX_NUMBER_DIGITS digits, so kept + |exponent| stays
@@ -83,8 +96,8 @@ def _fits(value: Decimal) -> bool:
     # Fraction is built, which takes time quadratic in its length.
     if kept + abs(exponent) > 8 * MAX_NUMBER_DIGITS:
         return False
-    exact = Fraction(Decimal((0, digits[:kept], exponent)))
-    return max(exact.numerator, exact.denominator) < 10**MAX_NUMBER_DIGITS
+    exact = Fraction(f"{mantissa}E{shift}")
+    return max(abs(exact.numerator), exact.denominator) < 10**MAX_NUMBER_DIGITS
 
 
 def constant_value(name: str) -> Fraction | None:

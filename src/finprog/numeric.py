@@ -161,6 +161,15 @@ def mantissas(texts: Iterable[str]) -> Iterator[Decimal]:
             yield _mantissa(pnum, sign, num)
 
 
+def first_mantissa(text: str) -> Decimal | None:
+    """The mantissa of the first quantity ``extract_numbers`` reads from ``text``; None when it reads none."""
+    m = _QUANTITY_RE.search(text)
+    if m is None:
+        return None
+    _, _, pnum, sign, _, num, _, _ = m.groups()
+    return _mantissa(pnum, sign, num)
+
+
 def mantissa_set(texts: Iterable[str]) -> frozenset[Decimal]:
     """The mantissas ``extract_numbers`` reads from the texts, as one set."""
     return frozenset(mantissas(texts))

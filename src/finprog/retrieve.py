@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, Optional
 from .corpus import EvidenceRecord, Fact, candidate_facts
 from .dsl import ProgramError, parse_program
 from .executor import ExecutionError, Value, execute
-from .numeric import format_decimal, mantissas
+from .numeric import first_mantissa, format_decimal
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
@@ -40,15 +40,17 @@ class TfIdfIndex:
     """Immutable index over one fact collection; safe for concurrent queries.
 
     ``facts`` keeps the insertion order, which is the tie-break order for
-    equal scores; build from facts in document order. ``counts`` holds each
-    fact's raw term counts and ``norms`` its L2 norm under idf weighting; a
+    equal scores; build from facts in document order. ``postings`` maps each
+    term to ``{fact position: raw count}`` for the facts that hold it, in
+    position order, so a term's document frequency is the size of its
+    postings. ``norms`` holds each fact's L2 norm under idf weighting. A
     fact's unit weight for a term, ``count * idf / norm``, is computed at
-    query time, and only for the terms the query holds.
+    query time, and only for the facts that the query's terms reach.
     """
 
     facts: tuple[Fact, ...]
-    idf: dict
-    counts: tuple[dict, ...]
+    idf: dict[str, float]
+    postings: dict[str, dict[int, int]]
     norms: tuple[float, ...]
 
 
@@ -66,29 +68,32 @@ def build_index(facts: Iterable[Fact]) -> TfIdfIndex:
     fact_list = list(facts)
     if not fact_list:
         raise EmptyCorpus("no facts to index")
-    all_counts = []
-    df: dict[str, int] = {}
-    for fact in fact_list:
-        counts: dict[str, int] = {}
+    postings: dict[str, dict[int, int]] = {}
+    for position, fact in enumerate(fact_list):
         for token in tokenize(fact.content):
-            if token in counts:
-                counts[token] += 1
+            if (posting := postings.get(token)) is None:
+                postings[token] = {position: 1}
             else:
-                counts[token] = 1
-                df[token] = df.get(token, 0) + 1
-        all_counts.append(counts)
+                posting[position] = posting.get(position, 0) + 1
     n = len(fact_list)
     by_df = [math.log((1 + n) / (1 + d)) + 1.0 for d in range(n + 1)]
-    idf = {term: by_df[d] for term, d in df.items()}
-    norms = tuple([_norm(counts, idf) for counts in all_counts])
-    return TfIdfIndex(facts=tuple(fact_list), idf=idf, counts=tuple(all_counts), norms=norms)
+    idf: dict[str, float] = {}
+    squares: list[list[float]] = [[] for _ in fact_list]
+    for term, posting in postings.items():
+        t_idf = idf[term] = by_df[len(posting)]
+        for position, c in posting.items():
+            squares[position].append((w := c * t_idf) * w)
+    # The squares of each fact's weights, as ``_norm`` forms them; fsum's one
+    # rounding makes the order in which they were gathered irrelevant.
+    norms = tuple([math.sqrt(math.fsum(fact_squares)) for fact_squares in squares])
+    return TfIdfIndex(facts=tuple(fact_list), idf=idf, postings=postings, norms=norms)
 
 
 def _top(question: str, index: TfIdfIndex, k: int) -> list[tuple[int, float]]:
     """(position, score) of the top-k facts by cosine; ties by position.
 
     A question with no indexed term scores every fact ``0`` (an int); a fact
-    that shares no term with a non-empty query scores ``0.0``.
+    that no query term reaches scores ``0.0``.
     """
     idf = index.idf
     counts: dict[str, int] = {}
@@ -97,13 +102,22 @@ def _top(question: str, index: TfIdfIndex, k: int) -> list[tuple[int, float]]:
             counts[term] = counts.get(term, 0) + 1
     if counts:
         norm = _norm(counts, idf)
-        query = [(term, c * idf[term] / norm, idf[term]) for term, c in counts.items()]
-        # A term the fact lacks would add w * 0.0, so it is skipped; fsum rounds
-        # the exact sum of the shared-term products once, whatever their order.
-        scores = [
-            math.fsum([w * (c * t_idf / f_norm) for t, w, t_idf in query if (c := f_counts.get(t))])
-            for f_counts, f_norm in zip(index.counts, index.norms)
-        ]
+        norms = index.norms
+        products: dict[int, list[float]] = {}
+        for term, q_count in counts.items():
+            t_idf = idf[term]
+            w = q_count * t_idf / norm
+            for position, c in index.postings[term].items():
+                product = w * (c * t_idf / norms[position])
+                if (fact_products := products.get(position)) is None:
+                    products[position] = [product]
+                else:
+                    fact_products.append(product)
+        scores = [0.0] * len(norms)
+        # fsum rounds the exact sum of a fact's shared-term products once,
+        # whatever their order.
+        for position, fact_products in products.items():
+            scores[position] = math.fsum(fact_products)
     else:
         scores = [0] * len(index.facts)
     # A stable sort keeps equal scores in position order, also in reverse.
@@ -184,7 +198,7 @@ def single_op_answer(
         index = build_index(candidate_facts(record))
     operands = []
     for position, _ in _top(record.question, index, 2):
-        first = next(mantissas([index.facts[position].content]), None)
+        first = first_mantissa(index.facts[position].content)
         if first is not None:
             operands.append(format_decimal(first))
     program_text = f"divide({', '.join(operands)})"

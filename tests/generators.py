@@ -6,8 +6,11 @@ substitution instead of a memoized environment, the randomized program
 oracle evaluates symbolic programs step by step without building, normalizing,
 or pruning expression trees, and the canonical-key oracle builds each step's
 normalized form as a string that embeds its parts' strings in full, with no
-intern table. The tolerance, decimal-places and rendering oracles work in
-``Fraction`` arithmetic where the package works in integers. Shared pieces
+intern table. The interpreter reads a constant's value from the grammar's
+spelling, not through ``dsl.constant_value``. The tolerance, decimal-places
+and rendering oracles work in ``Fraction`` arithmetic where the package
+works in integers, and the literal-bound oracle reads a value's digit tuple
+where the package reads its text. Shared pieces
 are limited to definitional layers: quantity parsing, the widening rule
 (``numeric.to_fraction``), the displayed precision of a non-Fraction,
 decimal formatting, the symbol-identity rule (``equiv._symbol_key``), and the
@@ -27,6 +30,7 @@ from finprog.decoding import DecodeState, TokenVocabulary, advance, next_token_m
 from finprog.dsl import (
     DEFAULT_CONSTANTS,
     MATH_OPS,
+    MAX_NUMBER_DIGITS,
     TABLE_OPS,
     Constant,
     NumberLiteral,
@@ -296,6 +300,21 @@ def _oracle_power(base: Fraction, exponent: Fraction) -> Fraction:
     return result if exponent >= 0 else Fraction(1) / result
 
 
+# docs/grammar.md: constant = "const_" , [ "m" ] , digit , { digit } , [ "." , digit , { digit } ]
+_ORACLE_CONSTANT_RE = re.compile(r"const_(m?)([0-9]+(?:\.[0-9]+)?)")
+
+
+def _oracle_constant(name: str) -> Fraction:
+    """A constant's value read from its spelling, within the literal digit bound."""
+    m = _ORACLE_CONSTANT_RE.fullmatch(name)
+    if m is None:
+        raise OracleFailure("InvalidProgram")
+    value = Fraction(m.group(2))
+    if max(value.numerator, value.denominator) >= 10**MAX_NUMBER_DIGITS:
+        raise OracleFailure("InvalidProgram")
+    return -value if m.group(1) else value
+
+
 def naive_execute(program: Program, ctx: EvidenceContext):
     """Evaluate each step as a recursively substituted tree, first error wins.
 
@@ -310,10 +329,7 @@ def naive_execute(program: Program, ctx: EvidenceContext):
             if isinstance(arg, NumberLiteral):
                 return Fraction(arg.value)
             if isinstance(arg, Constant):
-                value = DEFAULT_CONSTANTS.get(arg.name)
-                if value is None:
-                    raise OracleFailure("InvalidProgram")
-                return value
+                return _oracle_constant(arg.name)
             if isinstance(arg, StepRef):
                 inner = eval_step_tree(arg.index)
                 if isinstance(inner, bool):
@@ -361,6 +377,25 @@ def naive_execute(program: Program, ctx: EvidenceContext):
         return value, None
     except OracleFailure as exc:
         return None, exc.kind
+
+
+def oracle_fits(value: Decimal) -> bool:
+    """The literal bound decided from the value's digit tuple: the reference for ``dsl._fits``.
+
+    A nonzero value must agree with ``_fits``. A zero with more than about
+    800 places or zeros is refused here, though its exact value 0/1 fits.
+    """
+    if not value.is_finite():
+        return False
+    _, digits, exponent = value.as_tuple()
+    if len(digits) + max(exponent, 0) <= MAX_NUMBER_DIGITS and -exponent < MAX_NUMBER_DIGITS:
+        return True
+    kept = len(bytes(digits).rstrip(b"\0"))
+    exponent += len(digits) - kept
+    if kept + abs(exponent) > 8 * MAX_NUMBER_DIGITS:
+        return False
+    exact = Fraction(Decimal((0, digits[:kept], exponent)))
+    return max(exact.numerator, exact.denominator) < 10**MAX_NUMBER_DIGITS
 
 
 # ---------------------------------------------------------------------------

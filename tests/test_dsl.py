@@ -1,11 +1,12 @@
 import re
 import sys
 import time
+import tracemalloc
 from decimal import Decimal
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from finprog.context import EvidenceContext, FinTable
@@ -25,6 +26,7 @@ from finprog.dsl import (
     RowName,
     StepRef,
     UnknownOperation,
+    _fits,
     _Parser,
     is_valid,
     parse_program,
@@ -35,7 +37,7 @@ from finprog.dsl import (
 from finprog.equiv import compare_programs
 from finprog.executor import ExecutionError, execute
 
-from generators import char_loop_tokens, random_context, random_program, random_symbolic_program
+from generators import char_loop_tokens, oracle_fits, random_context, random_program, random_symbolic_program
 
 
 class TestParse:
@@ -486,6 +488,67 @@ def _drawn_program(draw):
         args = [draw(_ARGUMENTS[draw(st.sampled_from(kinds + ["other"]))]) for _ in range(count)]
         steps.append(OperationStep(op, tuple(args)))
     return Program(tuple(steps))
+
+
+# Coefficients with long zero runs (leading, inner and trailing) around the
+# digit bound, in exponent form with exponents up to a million either way.
+_COEFFICIENTS = st.lists(
+    st.sampled_from(["1", "5", "25", "3", "9" * MAX_NUMBER_DIGITS] + ["0" * n for n in (1, 99, 100, 101, 332, 333, 801)]),
+    min_size=1,
+    max_size=6,
+).map("".join)
+_EXPONENT_FORM = st.builds(
+    lambda sign, coefficient, exponent: Decimal(f"{sign}{coefficient}E{exponent}"),
+    st.sampled_from(["", "-"]),
+    _COEFFICIENTS,
+    st.integers(-1200, 1200) | st.integers(-(10**6), 10**6),
+)
+
+
+class TestNumberBound:
+    @settings(derandomize=True, max_examples=1000, deadline=None)
+    @given(_EXPONENT_FORM | _DECIMALS)
+    @example(Decimal("1E+5000"))
+    @example(Decimal("1E-999999"))
+    @example(Decimal("0.5" + "0" * 5000))
+    @example(Decimal(f"{5**332}E-332"))
+    @example(Decimal(f"{5**333}E-333"))
+    @example(Decimal("-1" + "0" * 100 + "E-1"))
+    # (10**100 - 1) / 2**332 fits, and is written with 333 digits and 332 places
+    @example(Decimal(f"{(10**100 - 1) * 5**332}E-332"))
+    def test_fits_agrees_with_the_digit_tuple_reading(self, value):
+        if value.is_zero():
+            assert _fits(value)  # 0/1 fits, where the tuple reading refuses more than 800 zeros
+        else:
+            assert _fits(value) == oracle_fits(value)
+
+    def test_zero_fits_whatever_its_exponent(self):
+        for text in ("0." + "0" * 5000, "-0E-999999", "0E+5000"):
+            assert _fits(Decimal(text))
+        assert not oracle_fits(Decimal("0." + "0" * 5000))
+        assert parse_program("add(0." + "0" * 5000 + ", 1)").steps[0].args[0].render() == "0"
+
+    def test_a_long_value_is_refused_by_its_magnitude_alone(self):
+        value = Decimal("1" * 400_000)
+        tracemalloc.start()
+        try:
+            assert not _fits(value)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4096
+
+    def test_long_digits_are_read_at_a_few_bytes_each(self):
+        for text in ("0." + "1" * 400_000, "0.5" + "0" * 400_000):
+            value = Decimal(text)
+            tracemalloc.start()
+            try:
+                fits = _fits(value)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert fits == oracle_fits(value)
+            assert peak < 3 * 400_000  # a digit tuple holds an 8-byte pointer per digit
 
 
 class TestConstructorsFuzz:

@@ -5,12 +5,13 @@ from fractions import Fraction
 from random import Random
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from finprog.context import EvidenceContext, FinTable
 from finprog.dsl import (
     MATH_OPS,
+    Constant,
     NumberLiteral,
     OperationStep,
     Program,
@@ -366,6 +367,34 @@ class TestPieces:
         assert render_value(Fraction(-(10**40) - 1)) == "-1" + "0" * 39 + "1"
 
 
+# Constant names by the grammar's spelling, mostly outside DEFAULT_CONSTANTS:
+# leading and trailing zeros, fractions, negatives, and values on both sides
+# of the digit bound (a name past it does not construct).
+_CONSTANT_NAMES = st.builds(
+    lambda minus, whole, fraction: f"const_{minus}{whole}{fraction}",
+    st.sampled_from(["", "m"]),
+    st.sampled_from(["0", "1", "7", "007", "1" + "0" * 99, "9" * 100]) | st.integers(0, 10**6).map(str),
+    st.sampled_from(["", ".0", ".5", ".125", ".000", "." + "0" * 98 + "1", "." + "0" * 99 + "1"]),
+)
+
+
+@st.composite
+def _constant_programs(draw):
+    """Two or three arithmetic steps over drawn constants; None when a name does not construct."""
+    try:
+        constants = [Constant(draw(_CONSTANT_NAMES)) for _ in range(3)]
+    except ProgramError:
+        return None
+    ops = st.sampled_from(["add", "subtract", "multiply", "divide"])
+    steps = [
+        OperationStep(draw(ops), (constants[0], draw(st.sampled_from([constants[1], NumberLiteral(Decimal(3))])))),
+        OperationStep(draw(ops), (StepRef(0), constants[2])),
+    ]
+    if draw(st.booleans()):
+        steps.append(OperationStep("greater", (StepRef(1), constants[0])))
+    return Program(tuple(steps))
+
+
 class TestProperties:
     def test_commutative_argument_swap(self):
         rng = Random(61)
@@ -442,6 +471,15 @@ class TestProperties:
             assert _outcome(program, ctx) == naive_execute(program, ctx), render_program(
                 program
             )
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(_constant_programs())
+    @example(parse_program("add(const_7, 1)"))
+    def test_nonstandard_constants_match_tree_walking_oracle(self, program):
+        if program is None:
+            return
+        ctx = EvidenceContext.build([])
+        assert _outcome(program, ctx) == naive_execute(program, ctx), render_program(program)
 
 
 def _outcome(program, ctx):

@@ -16,9 +16,9 @@ from finprog.numeric import (
     TolerancePolicy,
     decimal_places,
     extract_numbers,
+    first_mantissa,
     format_decimal,
     mantissa_set,
-    mantissas,
     parse_mantissa,
     parse_quantity,
     to_fraction,
@@ -207,7 +207,7 @@ class TestFirstMantissa:
     @given(_first_number_texts)
     def test_first_mantissa_is_the_first_extracted_quantitys(self, text):
         quantities = extract_numbers(text)
-        first = next(mantissas([text]), None)
+        first = first_mantissa(text)
         if quantities:
             assert repr(first) == repr(quantities[0].mantissa)
         else:

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+from collections import Counter
 from fractions import Fraction
 from random import Random
 
@@ -28,6 +29,15 @@ def facts(*contents):
     return [Fact(id=f"text:{i}", content=c, source="text") for i, c in enumerate(contents)]
 
 
+def fact_counts(index):
+    """Each fact's raw term counts, read back from the postings."""
+    counts = [{} for _ in index.facts]
+    for term, posting in index.postings.items():
+        for position, count in posting.items():
+            counts[position][term] = count
+    return counts
+
+
 class TestTokenize:
     def test_lowercase_alnum_runs(self):
         assert tokenize("Net Sales grew 5% to $1,500") == [
@@ -42,7 +52,8 @@ class TestBuildIndex:
 
     def test_identical_facts_identical_counts_and_norms(self):
         index = build_index(facts("net sales rose", "net sales rose"))
-        assert index.counts[0] == index.counts[1] == {"net": 1, "sales": 1, "rose": 1}
+        counts = fact_counts(index)
+        assert counts[0] == counts[1] == {"net": 1, "sales": 1, "rose": 1}
         assert index.norms[0] == index.norms[1]
 
     def test_idf_monotonicity(self):
@@ -55,14 +66,14 @@ class TestBuildIndex:
         idf_alpha = math.log(4 / 4) + 1
         idf_beta = math.log(4 / 3) + 1
         idf_gamma = math.log(4 / 2) + 1
-        assert index.counts == ({"alpha": 1, "beta": 1}, {"alpha": 1, "gamma": 1}, {"alpha": 1, "beta": 2})
+        assert fact_counts(index) == [{"alpha": 1, "beta": 1}, {"alpha": 1, "gamma": 1}, {"alpha": 1, "beta": 2}]
         f1_norm = math.sqrt(idf_alpha**2 + idf_beta**2)
         f2_norm = math.sqrt(idf_alpha**2 + idf_gamma**2)
         f3_norm = math.sqrt(idf_alpha**2 + (2 * idf_beta) ** 2)
         assert index.norms == pytest.approx((f1_norm, f2_norm, f3_norm))
 
         def weight(position, term):
-            return index.counts[position][term] * index.idf[term] / index.norms[position]
+            return index.postings[term][position] * index.idf[term] / index.norms[position]
 
         assert weight(0, "alpha") == pytest.approx(idf_alpha / f1_norm)
         assert weight(0, "beta") == pytest.approx(idf_beta / f1_norm)
@@ -71,7 +82,7 @@ class TestBuildIndex:
 
     def test_unit_weights_have_unit_length(self):
         index = build_index(facts("alpha beta", "alpha gamma gamma", "delta"))
-        for counts, norm in zip(index.counts, index.norms):
+        for counts, norm in zip(fact_counts(index), index.norms):
             weights = [c * index.idf[t] / norm for t, c in counts.items()]
             assert math.sqrt(sum(w * w for w in weights)) == pytest.approx(1.0)
 
@@ -150,6 +161,19 @@ def _exact(ranked):
     return [(i, type(s), s.hex() if isinstance(s, float) else s) for i, s in ranked]
 
 
+class TestPostings:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.lists(_contents, min_size=1, max_size=8))
+    def test_postings_hold_each_facts_counts_in_position_order(self, contents):
+        index = build_index(facts(*contents))
+        expected = [Counter(tokenize(content)) for content in contents]
+        assert fact_counts(index) == expected
+        for term, posting in index.postings.items():
+            assert list(posting) == sorted(posting)
+            assert len(posting) == sum(term in counts for counts in expected)
+        assert set(index.postings) == set(index.idf) == {t for counts in expected for t in counts}
+
+
 class TestRankMatchesNaiveFormulas:
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(st.lists(_contents, min_size=1, max_size=8), _questions)
@@ -165,7 +189,7 @@ class TestRankMatchesNaiveFormulas:
             candidates = candidate_facts(record)
             contents = [fact.content for fact in candidates]
             index = build_index(candidates)
-            repeated += sum(c > 1 for counts in index.counts for c in counts.values())
+            repeated += sum(c > 1 for posting in index.postings.values() for c in posting.values())
             for k in range(len(contents) + 2):
                 naive = naive_tfidf_rank(contents, record.question, k)
                 expected = [(candidates[p].id, score) for p, score in naive]
