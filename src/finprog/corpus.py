@@ -134,7 +134,7 @@ def normalize_program_text(text: str) -> tuple[str, list[str]]:
 
 # Exactly the ids _facts gives: no leading zeros, ASCII digits only.
 _CANONICAL_ID_RE = re.compile(r"(text|row):(0|[1-9][0-9]*)")
-_RELEASE_ID_RE = re.compile(r"(text|table)_(\d+)")
+_RELEASE_ID_RE = re.compile(r"(text|table)_([0-9]+)")
 
 
 def _normalize_content(text: str) -> str:
@@ -461,7 +461,7 @@ def _tokens(text: str) -> int:
     return len(text.split())
 
 
-_PAGE_SUFFIX_RE = re.compile(r"-\d+$")
+_PAGE_SUFFIX_RE = re.compile(r"-[0-9]+$")
 
 
 @dataclass(frozen=True)

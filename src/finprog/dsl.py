@@ -54,8 +54,8 @@ MAX_NUMBER_DIGITS = 100
 #: docs/grammar.md gives the measurements.
 MAX_PROGRAM_STEPS = 128
 
-_CONST_NAME_RE = re.compile(r"const_(m)?(\d+(?:\.\d+)?)")
-_STEP_REF_RE = re.compile(r"#(\d+)")
+_CONST_NAME_RE = re.compile(r"const_(m)?([0-9]+(?:\.[0-9]+)?)")
+_STEP_REF_RE = re.compile(r"#([0-9]+)")
 
 
 def arity(op: str) -> int:

@@ -27,7 +27,7 @@ class NotANumber(ValueError):
 
 
 # Digits with optional thousands-style comma groups and optional decimals.
-_NUM = r"(?:\d{1,3}(?:,\d{3})+|\d+)(?:\.\d+)?|\.\d+"
+_NUM = r"(?:[0-9]{1,3}(?:,[0-9]{3})+|[0-9]+)(?:\.[0-9]+)?|\.[0-9]+"
 
 # A minus sign counts only when it does not directly follow a word character,
 # so ranges like "2006-2008" read as two positive numbers.
@@ -49,7 +49,7 @@ _QUANTITY_BODY = rf"""
 # The lookahead admits only the characters a match can start with, so the
 # engine rejects every other position after one character test; the matches
 # are those of the body alone.
-_QUANTITY_RE = re.compile(r"(?=[$(\-−.\d])" + _QUANTITY_BODY, re.VERBOSE | re.IGNORECASE)
+_QUANTITY_RE = re.compile(r"(?=[$(\-−.0-9])" + _QUANTITY_BODY, re.VERBOSE | re.IGNORECASE)
 
 
 def format_decimal(value: Decimal) -> str:

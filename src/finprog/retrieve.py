@@ -1,14 +1,15 @@
 """TF-IDF fact retrieval, recall@k, and the retrieve-then-divide baseline.
 
 The weighting is the common smoothed variant: raw term counts scaled by
-idf = ln((1+N)/(1+df)) + 1, L2-normalized, cosine-scored. Tokenization is
-lowercase alphanumeric runs with numbers kept as tokens.
+idf = ln((1+N)/(1+df)) + 1, L2-normalized, cosine-scored. A token is a run
+of ASCII ``[a-z0-9]`` in ``str.lower()`` of the text; every other character,
+``é``, ``ß`` and other non-ASCII letters and digits included, ends a token.
+Numbers are kept as tokens.
 """
 
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
@@ -17,14 +18,22 @@ from .dsl import ProgramError, parse_program
 from .executor import ExecutionError, Value, execute
 from .numeric import first_mantissa, format_decimal
 
-_TOKEN_RE = re.compile(r"[a-z0-9]+")
+#: Keeps the bytes of ``[a-z0-9]`` and blanks every other byte.
+_BLANK_NON_TOKEN = bytes(
+    b if chr(b) in "abcdefghijklmnopqrstuvwxyz0123456789" else ord(" ") for b in range(256)
+)
 
 #: Ranked retrieval output: (fact id, score) with scores non-increasing.
 RankedFacts = list[tuple[str, float]]
 
 
 def tokenize(text: str) -> list[str]:
-    return _TOKEN_RE.findall(text.lower())
+    """The ``[a-z0-9]`` runs of the lowered text, by one byte-table pass.
+
+    Every UTF-8 byte of a non-ASCII character, a lone surrogate's included
+    (``surrogatepass``), is 0x80 or above, so the table blanks it.
+    """
+    return text.lower().encode("utf-8", "surrogatepass").translate(_BLANK_NON_TOKEN).decode().split()
 
 
 class EmptyCorpus(ValueError):
@@ -45,7 +54,9 @@ class TfIdfIndex:
     position order, so a term's document frequency is the size of its
     postings. ``norms`` holds each fact's L2 norm under idf weighting. A
     fact's unit weight for a term, ``count * idf / norm``, is computed at
-    query time, and only for the facts that the query's terms reach.
+    query time, and only for the facts that the query's terms reach. A query
+    gathers the products of its weights and a fact's in one list per fact
+    and scores the fact with ``fsum`` of that list.
     """
 
     facts: tuple[Fact, ...]
@@ -81,11 +92,13 @@ def build_index(facts: Iterable[Fact]) -> TfIdfIndex:
     squares: list[list[float]] = [[] for _ in fact_list]
     for term, posting in postings.items():
         t_idf = idf[term] = by_df[len(posting)]
+        t_square = t_idf * t_idf
         for position, c in posting.items():
-            squares[position].append((w := c * t_idf) * w)
-    # The squares of each fact's weights, as ``_norm`` forms them; fsum's one
-    # rounding makes the order in which they were gathered irrelevant.
-    norms = tuple([math.sqrt(math.fsum(fact_squares)) for fact_squares in squares])
+            squares[position].append(t_square if c == 1 else (w := c * t_idf) * w)
+    # The squares of each fact's weights, as ``_norm`` forms them (a count of
+    # 1 gives the same float); fsum's one rounding makes the order in which
+    # they were gathered irrelevant.
+    norms = tuple(map(math.sqrt, map(math.fsum, squares)))
     return TfIdfIndex(facts=tuple(fact_list), idf=idf, postings=postings, norms=norms)
 
 
@@ -103,21 +116,15 @@ def _top(question: str, index: TfIdfIndex, k: int) -> list[tuple[int, float]]:
     if counts:
         norm = _norm(counts, idf)
         norms = index.norms
-        products: dict[int, list[float]] = {}
+        products: list[list[float]] = [[] for _ in norms]
         for term, q_count in counts.items():
             t_idf = idf[term]
             w = q_count * t_idf / norm
             for position, c in index.postings[term].items():
-                product = w * (c * t_idf / norms[position])
-                if (fact_products := products.get(position)) is None:
-                    products[position] = [product]
-                else:
-                    fact_products.append(product)
-        scores = [0.0] * len(norms)
+                products[position].append(w * (c * t_idf / norms[position]))
         # fsum rounds the exact sum of a fact's shared-term products once,
-        # whatever their order.
-        for position, fact_products in products.items():
-            scores[position] = math.fsum(fact_products)
+        # whatever their order, and gives 0.0 for a fact no term reaches.
+        scores = list(map(math.fsum, products))
     else:
         scores = [0] * len(index.facts)
     # A stable sort keeps equal scores in position order, also in reverse.

@@ -282,6 +282,17 @@ class TestLoadRecords:
         loaded = load_records(path)
         assert loaded.records[0].gold_fact_ids == {"text:1"}
 
+    @pytest.mark.parametrize("key", ["text_\u0661", "table_\u0661"])
+    def test_legacy_index_of_non_ascii_digits_rejected(self, tmp_path, key):
+        # text:1 and row:1 exist, but a legacy index is written in "0" to "9".
+        path = tmp_path / "records.jsonl"
+        write_jsonl(path, [self._page_record(["text:0", key])])
+        loaded = load_records(path)
+        assert not loaded.records
+        assert [(r.field_path, r.reason) for r in loaded.rejects] == [
+            ("qa.gold_inds", f"{key!r} does not resolve to a candidate fact")
+        ]
+
     def test_long_legacy_index_in_a_list_rejected(self, tmp_path):
         path = tmp_path / "records.jsonl"
         key = "text_" + "1" * 5000
@@ -761,6 +772,14 @@ class TestDatasetStats:
         stats = dataset_stats(sample_records)
         # alpha page and charlie page each host two questions
         assert stats.examples == 20 and stats.report_pages == 18
+
+    def test_page_suffix_is_ascii_digits(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        ids = ["a.pdf-0", "a.pdf-1", "a.pdf-\u0662"]
+        write_jsonl(path, [minimal_record(id=i) for i in ids])
+        stats = dataset_stats(load_records(path).records)
+        # "-\u0662" is not a question suffix, so that id names a page of its own.
+        assert stats.examples == 3 and stats.report_pages == 2
 
     def test_fact_distance_buckets(self, sample_records):
         stats = dataset_stats(sample_records)

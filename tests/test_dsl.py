@@ -28,6 +28,7 @@ from finprog.dsl import (
     UnknownOperation,
     _fits,
     _Parser,
+    constant_value,
     is_valid,
     parse_program,
     render_program,
@@ -115,6 +116,28 @@ class TestParse:
     def test_constants(self):
         p = parse_program("multiply(5, const_1000)")
         assert p.steps[0].args[1] == Constant("const_1000")
+
+
+class TestAsciiDigits:
+    """docs/grammar.md's ``digit`` is "0" to "9": no other decimal digit is read as one."""
+
+    def test_literal(self):
+        program = parse_program("add(\u0663, 1)")
+        assert program.steps[0].args[0] == RowName("\u0663")
+        assert [d.code for d in validate(program)] == ["bad-argument-kind"]
+        with pytest.raises(ExecutionError):
+            execute(program)
+
+    def test_step_reference(self):
+        program = parse_program("add(1, 2), add(#\u0660, 1)")
+        assert program.steps[1].args[0] == RowName("#\u0660")
+        assert not is_valid(validate(program))
+
+    @pytest.mark.parametrize("name", ["const_\u0663", "const_m\u0663", "const_1.\u0665", "const_\uff17"])
+    def test_constant(self, name):
+        assert constant_value(name) is None
+        with pytest.raises(ProgramError, match="unknown constant"):
+            parse_program(f"add(1, {name})")
 
 
 class TestRender:

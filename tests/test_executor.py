@@ -40,6 +40,8 @@ from finprog.executor import (
 )
 
 from generators import (
+    OracleFailure,
+    _oracle_constant,
     naive_execute,
     oracle_render_value,
     random_context,
@@ -369,22 +371,34 @@ class TestPieces:
 
 # Constant names by the grammar's spelling, mostly outside DEFAULT_CONSTANTS:
 # leading and trailing zeros, fractions, negatives, and values on both sides
-# of the digit bound (a name past it does not construct).
+# of the digit bound (a name past it does not construct). Some are spelled
+# with decimal digits other than "0" to "9", which do not construct either.
 _CONSTANT_NAMES = st.builds(
     lambda minus, whole, fraction: f"const_{minus}{whole}{fraction}",
     st.sampled_from(["", "m"]),
-    st.sampled_from(["0", "1", "7", "007", "1" + "0" * 99, "9" * 100]) | st.integers(0, 10**6).map(str),
-    st.sampled_from(["", ".0", ".5", ".125", ".000", "." + "0" * 98 + "1", "." + "0" * 99 + "1"]),
+    st.sampled_from(["0", "1", "7", "007", "1" + "0" * 99, "9" * 100, "\u0663", "1\u0660", "\uff17"])
+    | st.integers(0, 10**6).map(str)
+    | st.text(st.characters(categories=["Nd"]), min_size=1, max_size=3),
+    st.sampled_from(["", ".0", ".5", ".125", ".000", "." + "0" * 98 + "1", "." + "0" * 99 + "1", ".\u0665"]),
 )
+
+
+def _oracle_refuses(name):
+    try:
+        _oracle_constant(name)
+    except OracleFailure:
+        return True
+    return False
 
 
 @st.composite
 def _constant_programs(draw):
-    """Two or three arithmetic steps over drawn constants; None when a name does not construct."""
+    """Drawn constant names, and two or three arithmetic steps over them (None when a name does not construct)."""
+    names = [draw(_CONSTANT_NAMES) for _ in range(3)]
     try:
-        constants = [Constant(draw(_CONSTANT_NAMES)) for _ in range(3)]
+        constants = [Constant(name) for name in names]
     except ProgramError:
-        return None
+        return names, None
     ops = st.sampled_from(["add", "subtract", "multiply", "divide"])
     steps = [
         OperationStep(draw(ops), (constants[0], draw(st.sampled_from([constants[1], NumberLiteral(Decimal(3))])))),
@@ -392,7 +406,7 @@ def _constant_programs(draw):
     ]
     if draw(st.booleans()):
         steps.append(OperationStep("greater", (StepRef(1), constants[0])))
-    return Program(tuple(steps))
+    return names, Program(tuple(steps))
 
 
 class TestProperties:
@@ -474,8 +488,12 @@ class TestProperties:
 
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(_constant_programs())
-    @example(parse_program("add(const_7, 1)"))
-    def test_nonstandard_constants_match_tree_walking_oracle(self, program):
+    @example((["const_7"], parse_program("add(const_7, 1)")))
+    def test_nonstandard_constants_match_tree_walking_oracle(self, drawn):
+        names, program = drawn
+        # A name is refused exactly where the grammar's spelling or the digit
+        # bound refuses it.
+        assert (program is None) == any(map(_oracle_refuses, names)), names
         if program is None:
             return
         ctx = EvidenceContext.build([])

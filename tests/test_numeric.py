@@ -134,7 +134,7 @@ class TestExtractNumbers:
 
 
 # Texts made of the characters a quantity is built from, plus a NUL, a
-# non-ASCII digit (Arabic-Indic three, which ``\d`` matches) and scale words.
+# non-ASCII digit (Arabic-Indic three, which no quantity reads) and scale words.
 _scan_texts = st.lists(
     st.sampled_from(
         list("0123456789,.$()%-−") + [" ", "\t", "\n", "\x00", "\u0663"]
@@ -212,6 +212,14 @@ class TestFirstMantissa:
             assert repr(first) == repr(quantities[0].mantissa)
         else:
             assert first is None
+
+    @pytest.mark.parametrize("text", ["sales \u0663\u0664 million", "\u0663", "$\u0663.\u0665", "(\u0663)", ".\u0665"])
+    def test_non_ascii_digits_are_not_read(self, text):
+        # docs/grammar.md's digit is "0" to "9"; Decimal would read these.
+        assert first_mantissa(text) is None
+        assert extract_numbers(text) == []
+        with pytest.raises(NotANumber):
+            parse_mantissa(text)
 
 
 # Texts built from number pieces that differ from a literal's canonical

@@ -1,12 +1,13 @@
 import dataclasses
 import json
 import math
+import re
 from collections import Counter
 from fractions import Fraction
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from finprog.corpus import Fact, candidate_facts, load_records
@@ -38,11 +39,31 @@ def fact_counts(index):
     return counts
 
 
+# Any text, with pieces that lowering or the byte table could get wrong: lone
+# surrogates, NUL and other control characters, the Kelvin sign (which lowers
+# to ASCII "k"), "İ" (which lowers to "i" and a combining dot), letters that
+# are alphanumeric but not ASCII, a non-ASCII digit, and ASCII punctuation.
+_token_texts = st.lists(
+    st.text(max_size=8)
+    | st.text(st.characters(max_codepoint=127), max_size=8)
+    | st.sampled_from(["\ud800", "\udfff", "\x00", "\x1f", "\x7f", "\x85", "\u212a", "\u0130", "é", "É", "ß", "\u0663"]),
+    max_size=12,
+).map("".join)
+
+
 class TestTokenize:
     def test_lowercase_alnum_runs(self):
         assert tokenize("Net Sales grew 5% to $1,500") == [
             "net", "sales", "grew", "5", "to", "1", "500",
         ]
+
+    @settings(max_examples=500)
+    @given(_token_texts)
+    @example("THE QUICK BROWN FOX JUMPS OVER THE LAZY DOG, 0123456789 {|}~`@[\\]^_/:;<=>?\x00\x7f")
+    @example("\u212a = 1.38e-23 J/\u212a")
+    @example("\u0130stanbul caf\u00e9 stra\u00dfe \ud800x\x00y")
+    def test_same_tokens_as_the_pattern_on_any_text(self, text):
+        assert tokenize(text) == re.findall(r"[a-z0-9]+", text.lower())
 
 
 class TestBuildIndex:
