@@ -166,8 +166,4 @@ class EvidenceContext:
 
     def number_tokens(self) -> list[str]:
         """Canonical number tokens in first-appearance order, deduplicated."""
-        return list(
-            dict.fromkeys(
-                format_decimal(q.mantissa) for text in self._texts() for q in extract_numbers(text)
-            )
-        )
+        return list(dict.fromkeys(map(format_decimal, mantissas(self._texts()))))

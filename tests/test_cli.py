@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import finprog
-from finprog.cli import cli_dispatch
+from finprog.cli import cli_dispatch, main
 from finprog.corpus import candidate_facts, load_records
 from finprog.dsl import MAX_PROGRAM_STEPS, render_program
 from finprog.retrieve import build_index, rank
@@ -113,8 +113,11 @@ class TestEquivCommand:
         ],
     )
     def test_prints_the_points_compared(self, capsys, left, right, samples, lines):
+        start = time.perf_counter()
         assert cli_dispatch(["equiv", left, right, "--samples", samples]) == 0
+        elapsed = time.perf_counter() - start
         assert capsys.readouterr().out.splitlines()[:3] == lines
+        assert elapsed < 1.0, elapsed
 
     def test_exp_of_a_long_exact_value_decides(self, capsys):
         assert cli_dispatch(["equiv", *_exp_of_squarings("a", "b", "c", "d")]) == 0
@@ -169,6 +172,27 @@ class TestUsage:
     def test_missing_records_file(self, capsys, tmp_path):
         code = cli_dispatch(["stats", "--records", str(tmp_path / "absent.jsonl")])
         assert code == 2
+
+    def test_console_script_names_main(self):
+        pyproject = pathlib.Path(__file__).parents[1] / "pyproject.toml"
+        scripts = pyproject.read_text(encoding="utf-8").split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+        assert 'finprog = "finprog.cli:main"' in scripts.splitlines()
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["exec", "add(1, 2)"], 0),
+            (["exec", "divide(1, 0)"], 1),
+            (["retrieve", "--records", str(pathlib.Path(__file__).parent / "data" / "sample_records.jsonl"),
+              "--k", "0"], 2),
+        ],
+    )
+    def test_main_exits_with_the_dispatch_code(self, capsys, monkeypatch, argv, code):
+        assert cli_dispatch(argv) == code
+        monkeypatch.setattr(sys, "argv", ["finprog", *argv])
+        with pytest.raises(SystemExit) as exited:
+            main()
+        assert exited.value.code == code
 
 
 class TestEmptyGoldRecords:
@@ -243,8 +267,8 @@ class TestEvalCommand:
         )
         out = capsys.readouterr().out
         assert code == 0
-        assert "execution accuracy  100.00%" in out
-        assert "program accuracy    100.00%" in out
+        assert "execution accuracy  100.00%" in out.splitlines()
+        assert "program accuracy    100.00%" in out.splitlines()
 
     def test_machine_format(self, capsys, sample_path, gold_preds_path):
         code = cli_dispatch(
@@ -348,6 +372,29 @@ class TestEvalCommand:
         assert cli_dispatch(argv) == 0
         (verdict,) = json.loads(capsys.readouterr().out)["verdicts"]
         assert verdict["failure"] == "value-mismatch"
+
+    @pytest.mark.parametrize(
+        "record_id, program, field, expected",
+        [
+            # 1 MB of arguments: the step is refused at the first ',' past its arity
+            ("bravo/2017/page_45.pdf-0", "add(" + "1, " * 333_333 + "1)", "failure",
+             "parse-error: add takes 2 argument(s), got more than 2 (step 0)"),
+            # greater is decided by its operands' difference modulo p * q, never in exact arithmetic
+            ("echo/2018/page_7.pdf-0",
+             ", ".join(["add(120, 100)", *(f"multiply(#{k}, #{k})" for k in range(18)), "greater(#18, 100)"]),
+             "prog_correct", False),
+        ],
+        ids=["1mb-add-step", "squared-greater"],
+    )
+    def test_long_prediction_line_scores_fast(self, capsys, tmp_path, sample_path, record_id, program, field, expected):
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text(json.dumps({"id": record_id, "program": program}) + "\n")
+        start = time.perf_counter()
+        code = cli_dispatch(["eval", "--records", str(sample_path), "--preds", str(preds), "--format", "machine"])
+        elapsed = time.perf_counter() - start
+        verdicts = {v["id"]: v for v in json.loads(capsys.readouterr().out)["verdicts"]}
+        assert code == 0 and elapsed < 1.0, elapsed
+        assert verdicts[record_id][field] == expected
 
     def test_deep_prediction_scored(self, capsys, tmp_path, sample_path):
         record = sample_path.read_text(encoding="utf-8").splitlines()[0]
@@ -456,6 +503,8 @@ class TestHostileFiles:
         captured = capsys.readouterr()
         assert "Traceback" not in captured.err
         assert [r["id"] for r in json.loads(captured.out)["rejects"]] == ["line-21"]
+        assert cli_dispatch(["stats", "--records", str(records)]) == 1
+        assert "Traceback" not in capsys.readouterr().err
 
         preds = tmp_path / "preds.jsonl"
         preds.write_text(line + "\n")
@@ -511,9 +560,12 @@ class TestHostileFiles:
 
 
 class TestExecCommand:
-    def test_pure_arithmetic(self, capsys):
-        assert cli_dispatch(["exec", "subtract(100, 25), divide(#0, 100)"]) == 0
-        assert capsys.readouterr().out.strip() == "0.75"
+    @pytest.mark.parametrize(
+        "program, result", [("subtract(100, 25), divide(#0, 100)", "0.75"), ("divide(9413, const_100)", "94.13")]
+    )
+    def test_pure_arithmetic(self, capsys, program, result):
+        assert cli_dispatch(["exec", program]) == 0
+        assert capsys.readouterr().out.strip() == result
 
     def test_with_record_context(self, capsys, sample_path):
         code = cli_dispatch(
@@ -529,6 +581,18 @@ class TestExecCommand:
 
     def test_execution_error_exit_one(self, capsys):
         assert cli_dispatch(["exec", "divide(1, 0)"]) == 1
+
+    @pytest.mark.parametrize(
+        "program, message",
+        [
+            ("add(1, 2),", "unexpected end of program at position 10 (expected operation name)"),
+            ("add(1, 2) x", "unexpected token 'x' at position 10 (expected ',' or end of program)"),
+            ("multiply(5, const_bogus)", "unknown constant 'const_bogus'"),
+        ],
+    )
+    def test_invalid_program_exit_one(self, capsys, program, message):
+        assert cli_dispatch(["exec", program]) == 1
+        assert capsys.readouterr().out == f"invalid: {message}\n"
 
     def test_result_past_the_int_str_limit_renders(self, capsys):
         assert cli_dispatch(["exec", "exp(15, 4000), divide(#0, 7)"]) == 0
@@ -546,9 +610,13 @@ class TestExecCommand:
 
 
 class TestValidateCommand:
-    def test_valid(self, capsys):
-        assert cli_dispatch(["validate", "greater(5, 3)"]) == 0
-        assert "valid" in capsys.readouterr().out
+    @pytest.mark.parametrize(
+        "program, record_id", [("greater(5, 3)", None), ("table-sum(net sales)", "bravo/2017/page_45.pdf-0")]
+    )
+    def test_valid(self, capsys, sample_path, program, record_id):
+        context = ["--records", str(sample_path), "--id", record_id] if record_id else []
+        assert cli_dispatch(["validate", program, *context]) == 0
+        assert capsys.readouterr().out == "valid\n"
 
     def test_diagnostics_exit_one(self, capsys):
         code = cli_dispatch(["validate", "add(a, b)"])
@@ -558,17 +626,31 @@ class TestValidateCommand:
     def test_symbolic_mode(self, capsys):
         assert cli_dispatch(["validate", "add(a, b)", "--symbolic"]) == 0
 
-    def test_grounding_against_record(self, capsys, sample_path):
-        code = cli_dispatch(
-            [
-                "validate",
-                "divide(123456, 2)",
-                "--records", str(sample_path),
-                "--id", "alpha/2019/page_12.pdf-0",
-            ]
-        )
+    @pytest.mark.parametrize(
+        "program, record_id",
+        [("divide(123456, 2)", "alpha/2019/page_12.pdf-0"), ("add(987654321, 1)", "bravo/2017/page_45.pdf-0")],
+    )
+    def test_grounding_against_record(self, capsys, sample_path, program, record_id):
+        code = cli_dispatch(["validate", program, "--records", str(sample_path), "--id", record_id])
         out = capsys.readouterr().out
         assert code == 1 and "ungrounded-number" in out
+
+    @pytest.mark.parametrize(
+        "program, flags, error, code",
+        [
+            ("add(operating incomes, 1)", [], "InvalidProgram", "bad-argument-kind"),
+            ("add(987654321, 1)", ["--strict-grounding"], "UngroundedNumber", "ungrounded-number"),
+        ],
+    )
+    def test_exec_and_validate_print_one_message(self, capsys, sample_path, program, flags, error, code):
+        # exec and validate read each argument by the same evidence rule.
+        context = ["--records", str(sample_path), "--id", "alpha/2019/page_12.pdf-0"]
+        assert cli_dispatch(["validate", program, *context]) == 1
+        first = capsys.readouterr().out.splitlines()[0]
+        prefix = f"error: {code} (step 0): "
+        assert first.startswith(prefix) and len(first) > len(prefix), first
+        assert cli_dispatch(["exec", program, *flags, *context]) == 1
+        assert capsys.readouterr().out == f"error: {error}: {first[len(prefix):]}\n"
 
 
 class TestStatsCommand:
@@ -749,7 +831,7 @@ _ARGS = {
     "linearize": (0, ("--records", "--id", "--out")),
     "mask": (0, ("--prefix", "--records", "--id", "--max-steps")),
 }
-_NUMBERS = ("1", "2", "3", "5", "0", "-1", "129", "nan", "1e-3", "x")
+_NUMBERS = ("1", "2", "3", "5", "0", "-1", "129", "4300", "1000000", "9" * 30, "nan", "1e-3", "x")
 _POOLS = {
     "--records": ("RECORDS", "RECORDS", "PREDS", "NOT_UTF8", "DIRECTORY", "MISSING", "nul\x00byte"),
     "--preds": ("PREDS", "PREDS", "RECORDS", "NOT_UTF8", "DIRECTORY", "MISSING", "nul\x00byte"),

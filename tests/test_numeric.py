@@ -163,6 +163,8 @@ class TestQuantityScan:
         ctx = EvidenceContext.build(sentences, table)
         texts = [*sentences, "", "2019", *row]
         assert ctx.number_values == {q.mantissa for t in texts for q in extract_numbers(t)}
+        tokens = [format_decimal(q.mantissa) for t in texts for q in extract_numbers(t)]
+        assert ctx.number_tokens() == list(dict.fromkeys(tokens))
 
     def test_number_values_on_generated_contexts(self):
         rng = Random(41)
@@ -173,6 +175,8 @@ class TestQuantityScan:
                 texts += [name, *cells]
             expected = {q.mantissa for t in texts for q in extract_numbers(t)}
             assert ctx.number_values == expected
+            tokens = [format_decimal(q.mantissa) for t in texts for q in extract_numbers(t)]
+            assert ctx.number_tokens() == list(dict.fromkeys(tokens))
             assert all(isinstance(v, Decimal) for v in ctx.number_values)
             for value in [*expected, Decimal(rng.randint(-9999, 9999)).scaleb(-rng.randint(0, 3))]:
                 for spelling in (value, -value):
