@@ -149,20 +149,18 @@ class EvidenceContext:
     def mentions(self, value: Decimal) -> bool:
         """Whether the finite ``value`` is in ``number_values``, without building that set.
 
-        An ASCII text can hold the value only if, with its thousands commas
-        removed, it contains the digits of ``format_decimal(abs(value))``,
-        less the leading ``0`` of a magnitude below 1 (the evidence may write
-        ``.5``). Only the texts that pass this test, and texts with other
-        characters (a number may be written in any script's digits), are
-        read, up to the first number equal to the value; so the answer is
-        exactly that of ``value in number_values``.
+        A number is read from ASCII digits and commas alone, so a text can
+        hold the value only if, with its thousands commas removed, it
+        contains the digits of ``format_decimal(abs(value))``, less the
+        leading ``0`` of a magnitude below 1 (the evidence may write ``.5``).
+        Only the texts that pass this test are read, up to the first number
+        equal to the value; so the answer is exactly that of ``value in
+        number_values``.
         """
         digits = format_decimal(abs(value))
         if digits.startswith("0."):
             digits = digits[1:]
-        return value in mantissas(
-            t for t in self._texts() if not t.isascii() or digits in t.replace(",", "")
-        )
+        return value in mantissas(t for t in self._texts() if digits in t.replace(",", ""))
 
     def number_tokens(self) -> list[str]:
         """Canonical number tokens in first-appearance order, deduplicated."""

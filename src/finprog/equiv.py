@@ -49,7 +49,10 @@ wrong pair then agrees at each live point with probability at most
 
 The fallback takes the fewest points k with bound**k below 2**-64
 (``TARGET_ERROR_BITS``), and at most ``samples``. When the bound says
-nothing (it reaches 1, as when D nears p) it takes ``samples`` points.
+nothing (it reaches 1, as when D nears p) it takes ``samples`` points. A
+pair whose first j trials all die, j the fewest with ((mu + nu) * (Q +
+A))**j below 2**-64, is degenerate; otherwise it has ``20 * samples``
+trials to find its points.
 
 The bound also says nothing about a difference that vanishes mod p as a
 function: a program can build a coefficient that is a multiple of p, or an
@@ -60,11 +63,10 @@ coefficient that is a multiple of p * q, say). Nothing bounds that case:
 q depends only on the seed, so a pair built for a known seed's q can agree
 at every point.
 
-The evaluator keeps each value as a numerator and a denominator residue.
-It walks the subforms once per batch of points, holding one list of
-values per subform. The first batch holds every point the bound asks for,
-so an agreement usually costs one pass. Points lost to a zero divisor are
-replaced in further passes.
+Each pair is planned in one pass over its reachable forms, which also
+bounds their degrees. The evaluator then takes one trial at a time, in
+order, and walks the plan once for it, keeping each value as a numerator
+and a denominator residue; a trial stops at its first dead divisor.
 
 Exponentiation is treated as an uninterpreted operation on its operand values:
 ``exp`` chains are compared by where their bases and exponents agree, not by
@@ -76,7 +78,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
-import struct
 from dataclasses import dataclass
 
 from .context import normalize_row_name
@@ -98,20 +99,6 @@ TARGET_ERROR_BITS = 64
 
 # Longest canonical text ``canonical_texts`` writes out; a longer one is elided.
 MAX_CANONICAL_CHARS = 10_000
-
-
-def _symbol_key(arg) -> tuple:
-    """The identity under which arguments share a symbol.
-
-    Numbers by their exact value's (numerator, denominator) in lowest
-    terms; constants by their value's, so const_5 and the literal 5
-    coincide; names by their normalized text.
-    """
-    if isinstance(arg, NumberLiteral):
-        return ("num", arg.value.as_integer_ratio())
-    if isinstance(arg, Constant):
-        return ("num", constant_value(arg.name).as_integer_ratio())
-    return ("name", normalize_row_name(arg.name))
 
 
 _CHAIN_STEPS = {"add": ("+", 1), "subtract": ("+", -1), "multiply": ("*", 1), "divide": ("*", -1)}
@@ -142,7 +129,10 @@ def _chain(op: str, terms, table: dict, nodes: list) -> int:
     collected: dict[int, int] = {}
     for weight, form in terms:
         kind, parts = nodes[form]
-        for inner, part in parts if kind == op else ((1, form),):
+        if kind != op:
+            collected[form] = collected.get(form, 0) + weight
+            continue
+        for inner, part in parts:
             collected[part] = collected.get(part, 0) + weight * inner
     parts = tuple([(weight, part) for part, weight in sorted(collected.items()) if weight])
     if len(parts) == 1 and parts[0][0] == 1:
@@ -154,18 +144,31 @@ def _build(program: Program, symbols: dict, table: dict, nodes: list) -> int:
     """Intern each step's form, made once from the steps it references; returns the last one's id.
 
     A step reference is the earlier step's id. Any other argument is a leaf
-    over its symbol's id in ``symbols``, which maps each ``_symbol_key`` to
-    an id given in order of first use, so both programs of a pair share it.
+    over its symbol's id in ``symbols``, which maps each symbol key to an id
+    given in order of first use, so both programs of a pair share it. A
+    number's key is its exact value's (numerator, denominator) in lowest
+    terms and a constant's is its value's, so const_5 and the literal 5
+    coincide; a name's is its normalized text.
     """
     ids: list[int] = []
     for step in program.steps:
         leaf = step.op if step.op in TABLE_OPS else "sym"
-        operands = [
-            ids[arg.index]
-            if isinstance(arg, StepRef)
-            else _intern((leaf, symbols.setdefault(_symbol_key(arg), len(symbols))), table, nodes)
-            for arg in step.args
-        ]
+        operands = []
+        for arg in step.args:
+            if isinstance(arg, StepRef):
+                operands.append(ids[arg.index])
+                continue
+            if isinstance(arg, NumberLiteral):
+                key = ("num", arg.value.as_integer_ratio())
+            elif isinstance(arg, Constant):
+                key = ("num", constant_value(arg.name).as_integer_ratio())
+            else:
+                key = ("name", normalize_row_name(arg.name))
+            node = (leaf, symbols.setdefault(key, len(symbols)))
+            form = table.setdefault(node, len(nodes))
+            if form == len(nodes):
+                nodes.append(node)
+            operands.append(form)
         if step.op in _CHAIN_STEPS:
             op, sign = _CHAIN_STEPS[step.op]
             ids.append(_chain(op, ((1, operands[0]), (sign, operands[1])), table, nodes))
@@ -240,84 +243,103 @@ def _hashed_int(seed: int, parts: tuple) -> int:
     return value if value != 0 else 1
 
 
-def _plan(nodes: list, roots: tuple[int, ...], symbols: tuple) -> tuple[list, list[int]]:
-    """Instructions for ``_evaluate`` of every form reachable from ``roots``, and the roots' positions.
+def _plan(nodes: list, roots: tuple[int, ...], symbols: tuple) -> tuple[list, list[int], list[tuple[int, int]]]:
+    """Instructions for ``_evaluate`` of every form reachable from ``roots``, the roots' positions, and degree bounds.
 
-    Divisors and what they need come first, so a pass stops at a divisor
-    that kills every trial before the rest is evaluated. Unreachable forms,
-    such as a divisor in a dead step, are left out and kill no trial.
+    One pass from the top root down marks the reachable forms, and as
+    divisors the parts a reachable product takes with a negative weight.
+    Unreachable forms, such as a divisor in a dead step, are left out and
+    kill no trial. One pass in id order, so parts come before what uses
+    them, then plans each marked form: its parts by position (the position
+    is the id when every form up to the top root is reachable), a leaf's
+    hash tail, its divisor flag, and a bound on the (numerator, denominator)
+    degree of its value as ``_evaluate`` builds it. A leaf is (1, 0). A sum
+    cross-multiplies, a product scales each part's pair by its weight's
+    absolute value and swaps it on a negative weight. ``"^"`` is a fresh leaf.
     """
-    order = _reachable(nodes, roots)
-    divisors = {part for form in order if nodes[form][0] == "*" for weight, part in nodes[form][1] if weight < 0}
-    if divisors:
-        first = _reachable(nodes, divisors)
-        order = first + sorted(set(order).difference(first))
-    position = {form: i for i, form in enumerate(order)}
-    plan = []
-    for form in order:
+    top = max(roots)
+    marks = [0] * (top + 1)  # 1 for a reachable form, 3 for a reachable divisor
+    for root in roots:
+        marks[root] = 1
+    for form in range(top, -1, -1):
+        if marks[form] and nodes[form][0] not in _LEAVES:
+            op, parts = nodes[form]
+            for weight, part in parts:
+                marks[part] |= 3 if weight < 0 and op == "*" else 1
+    position: dict[int, int] | None = None if all(marks) else {}
+    plan: list = []
+    degrees: list[tuple[int, int]] = []
+    for form, mark in enumerate(marks):
+        if not mark:
+            continue
+        if position is not None:
+            position[form] = len(plan)
         op, arg = nodes[form]
+        n, d = 1, 0
         if op in _LEAVES:
             # Symbol values are keyed by symbol identity rather than id, so
             # points do not depend on the order the pair was symbolized in.
             symbol = symbols[arg]
-            key = (symbol,) if op == "sym" else ("agg", op, symbol)
-            # The leaf's value at ``trial`` is ``_hashed_int(seed, (trial, *key))``,
-            # the hash of ``repr((seed, (trial, *key)))``. Only the head of that
-            # text depends on the point, so the tail is encoded here, once.
-            op, arg = "leaf", f", {', '.join(map(repr, key))}))".encode()
+            # The leaf's value at ``trial`` is ``_hashed_int(seed, (trial, symbol))``,
+            # or ``(trial, "agg", op, symbol)`` for an aggregation: the hash of
+            # ``repr((seed, (trial, ...)))``. Only the head of that text depends
+            # on the point, so the tail is encoded here, once.
+            tail = repr(symbol) if op == "sym" else f"'agg', {op!r}, {symbol!r}"
+            op, arg = "leaf", f", {tail}))".encode()
         else:
-            arg = tuple([(weight, position[part]) for weight, part in arg])
-        plan.append((op, arg, form in divisors))
-    return plan, [position[root] for root in roots]
-
-
-def _degrees(plan: list) -> list[tuple[int, int]]:
-    """A bound on the (numerator, denominator) degree of each planned value, as ``_evaluate`` builds it.
-
-    A leaf is (1, 0). A sum cross-multiplies, a product scales each part's
-    pair by its weight's absolute value and swaps it on a negative weight.
-    ``"^"`` is a fresh leaf.
-    """
-    degrees: list[tuple[int, int]] = []
-    for op, arg, _ in plan:
-        n, d = 1, 0
-        if op == "+":
-            n, d = degrees[arg[0][1]] if arg else (0, 0)
-            for _, i in arg[1:]:
-                m, e = degrees[i]
-                n, d = max(n + e, m + d), d + e
-        elif op == "*":
-            n = d = 0
-            for weight, i in arg:
-                m, e = degrees[i]
-                if weight < 0:
-                    m, e, weight = e, m, -weight
-                n, d = n + weight * m, d + weight * e
+            if position is not None:
+                arg = tuple([(weight, position[part]) for weight, part in arg])
+            if op == "+":
+                n, d = degrees[arg[0][1]] if arg else (0, 0)
+                for _, i in arg[1:]:
+                    m, e = degrees[i]
+                    n, d = max(n + e, m + d), d + e
+            elif op == "*":
+                n = d = 0
+                for weight, i in arg:
+                    m, e = degrees[i]
+                    if weight < 0:
+                        m, e, weight = e, m, -weight
+                    n, d = n + weight * m, d + weight * e
+        plan.append((op, arg, mark == 3))
         degrees.append((n, d))
-    return degrees
+    return plan, [root if position is None else position[root] for root in roots], degrees
 
 
-def _points_needed(plan: list, roots: list[int], cap: int) -> int:
-    """The fewest points, at most ``cap``, at which a wrong pair agrees with probability below the target.
+def _points_needed(plan: list, degrees: list, roots: list[int], cap: int) -> tuple[int, int | None]:
+    """The points to compare, and how many trials may all die before the pair is degenerate.
 
-    Each point's bound is the module's ``mu * (D + A) / (1 - (mu + nu) * (Q + A))``,
-    mu = 6 / 2**63 and nu = 5 / 2**63, and the target 2**-TARGET_ERROR_BITS.
-    A bound of 1 or more says nothing, and ``cap`` points are taken.
+    The points are the fewest, at most ``cap``, at which a wrong pair agrees
+    with probability below the target: each point's bound is the module's
+    ``mu * (D + A) / (1 - (mu + nu) * (Q + A))``, mu = 6 / 2**63 and
+    nu = 5 / 2**63, and the target 2**-TARGET_ERROR_BITS. A bound of 1 or
+    more says nothing, and ``cap`` points are taken. A divisor that is not
+    zero as a function kills a trial with probability at most
+    ``(mu + nu) * (Q + A)``, so the trials are the fewest that all die with
+    probability below the target, or None when that bound says nothing.
     """
-    degrees = _degrees(plan)
     (left_num, left_den), (right_num, right_den) = [degrees[root] for root in roots]
     dead = sum([degrees[i][0] for i, (_, _, divisor) in enumerate(plan) if divisor])  # Q
     # A: for each "^", its larger operand degree, counted once per other "^"
     powers = [max([sum(degrees[i]) for _, i in arg]) for op, arg, _ in plan if op == "^"]
     accidents = (len(powers) - 1) * sum(powers)
     agree = 6 * (max(left_num + right_den, right_num + left_den) + accidents)
-    live = 2**63 - (6 + 5) * (dead + accidents)  # a divisor vanishes mod p or mod q
+    doomed = (6 + 5) * (dead + accidents)  # a divisor vanishes mod p or mod q
+    live = 2**63 - doomed
+    deaths = _fewest(63 - math.log2(doomed)) if doomed else 1
     if not agree:
-        return 1  # the difference is a constant: one point shows whether it vanishes mod M
-    if agree >= live:
-        return cap
-    bits = math.log2(live) - math.log2(agree)
-    return min(cap, math.floor(TARGET_ERROR_BITS / bits) + 1)
+        return 1, deaths  # the difference is a constant: one point shows whether it vanishes mod M
+    points = _fewest(math.log2(live) - math.log2(agree)) if agree < live else None
+    return (cap if points is None else min(cap, points)), deaths
+
+
+def _fewest(bits: float) -> int | None:
+    """The fewest k with k * bits above ``TARGET_ERROR_BITS``, or None when ``bits`` is not positive.
+
+    So k events of chance 2**-bits each all happen with probability below
+    the target. A chance within float rounding of 1 has ``bits`` 0.
+    """
+    return math.floor(TARGET_ERROR_BITS / bits) + 1 if bits > 0 else None
 
 
 _P = 2**61 - 1  # a Mersenne prime; the modulus is _P * _second_prime(seed)
@@ -362,125 +384,88 @@ def _second_prime(seed: int) -> int:
     return candidate
 
 
-def _times(xs: list[int], ys: list[int], modulus: int) -> list[int]:
-    """Entrywise products of two value lists, reduced mod ``modulus``."""
-    return [x * y % modulus for x, y in zip(xs, ys)]
+def _evaluate(plan: list, head, modulus: int) -> tuple[list[int], list[int]] | None:
+    """Every planned value at one trial as numerator and denominator residues mod ``modulus``, or None.
 
+    ``head`` is the trial's hash state, the blake2b of ``(seed, (trial``,
+    which a leaf's tail completes to its ``_hashed_int`` text. No inverse is
+    taken for a value: sums cross-multiply, and a product raises each part
+    to its weight with ``pow``, the pair swapped for a negative weight.
+    ``exp`` stays uninterpreted, hashed as ``_hashed_int(seed, (trial,
+    "pow", base, exponent))`` on its operands' residues.
 
-def _evaluate(plan: list, seed: int, batch: range, modulus: int) -> tuple[list, list, list[bool]]:
-    """Every planned value at every trial of ``batch``, in one pass over ``plan``, as residues mod ``modulus``.
-
-    Each node keeps one list of numerators and one of denominators, an entry
-    per trial; a denominator list of None means all ones. No inverse is
-    taken: sums cross-multiply, and a product raises each part to its
-    weight with ``pow``, the pair swapped for a negative weight. Leaves take
-    their sample values (``_hashed_int``) reduced mod ``modulus``. ``exp``
-    stays uninterpreted, hashed on its operands' residues (the only inverse,
-    taken for live trials alone).
-
-    Returns the numerators, denominators and the live flag of each trial. A
-    trial dies when a divisor's numerator is not invertible: it shares a
-    factor with ``modulus``. Once every trial is dead the pass stops, and
-    the value lists stop short.
+    The trial is dead, and None is returned at once, at the first divisor
+    whose numerator is not invertible: it shares a factor with ``modulus``.
+    Every divisor a value depends on comes before it in the plan, so a value
+    reached in a live trial has an invertible denominator.
     """
-    start = hashlib.blake2b(f"({seed!r}, (".encode(), digest_size=8)
-    heads = []
-    for trial in batch:
-        heads.append(start.copy())
-        heads[-1].update(b"%d" % trial)
-    count = len(heads)
-    digest_ints = f">{count}Q"
-    live = [True] * count
-    nums: list[list[int]] = []
-    dens: list[list[int] | None] = []
-
-    def operand(i: int, t: int) -> int:
-        """Node ``i``'s residue at trial ``t``."""
-        num, den = nums[i][t], dens[i][t] if dens[i] else 1
-        return num if den == 1 else num * pow(den, -1, modulus) % modulus
-
+    nums: list[int] = []
+    dens: list[int] = []
     for op, arg, divisor in plan:
-        den = None
-        if op == "leaf":
-            digests = []
-            for head in heads:
-                digest = head.copy()  # the head is hashed once per batch
-                digest.update(arg)
-                digests.append(digest.digest())
-            # As in _hashed_int, each 8-byte digest is a big-endian integer.
-            values = struct.unpack(digest_ints, b"".join(digests))
-            num = [(value % 2**63 - 2**62 or 1) % modulus for value in values]
-        elif op == "+":
-            num = None
+        den = 1
+        if op == "+":
+            num = 0
             for weight, i in arg:
                 n, d = nums[i], dens[i]
-                if weight != 1:
-                    n = [weight * x for x in n]
-                if num is None:
-                    num, den = n, d
-                    continue
-                if d:
-                    num = _times(num, d, modulus)
-                if den:
-                    n = _times(n, den, modulus)
-                num = [a + x for a, x in zip(num, n)]
-                if d:
-                    den = d if den is None else _times(den, d, modulus)
-            num = [0] * count if num is None else [value % modulus for value in num]
+                if d == 1:
+                    num += weight * n * den
+                else:
+                    num, den = (num * d + weight * n * den) % modulus, den * d % modulus
+            num %= modulus
         elif op == "*":
-            num = None
+            num = 1
             for weight, i in arg:
                 n, d = nums[i], dens[i]
                 if weight < 0:
                     n, d, weight = d, n, -weight
                 if weight != 1:
-                    n = n and [pow(x, weight, modulus) for x in n]
-                    d = d and [pow(y, weight, modulus) for y in d]
-                if n:
-                    num = n if num is None else _times(num, n, modulus)
-                if d:
-                    den = d if den is None else _times(den, d, modulus)
-            if num is None:
-                num = [1] * count
-        else:  # "^", uninterpreted: keyed by operand values, shared across the pair
-            (_, base), (_, exponent) = arg
-            num = [
-                _hashed_int(seed, (trial, "pow", operand(base, t), operand(exponent, t))) % modulus if alive else 0
-                for t, (trial, alive) in enumerate(zip(batch, live))
-            ]
-        if divisor:
-            live = [alive and math.gcd(x, modulus) == 1 for alive, x in zip(live, num)]
-            if not any(live):
-                return nums, dens, live
+                    n, d = pow(n, weight, modulus), pow(d, weight, modulus)
+                num = num * n % modulus
+                if d != 1:
+                    den = den * d % modulus
+        else:  # a leaf, or "^": uninterpreted, keyed by operand values shared across the pair
+            if op == "^":
+                operands = [nums[i] * pow(dens[i], -1, modulus) % modulus for _, i in arg]
+                arg = b", 'pow', %d, %d))" % tuple(operands)
+            digest = head.copy()
+            digest.update(arg)
+            # As in _hashed_int, the 8-byte digest is a big-endian integer.
+            num = (int.from_bytes(digest.digest(), "big") % 2**63 - 2**62 or 1) % modulus
+        if divisor and math.gcd(num, modulus) != 1:
+            return None
         nums.append(num)
         dens.append(den)
-    return nums, dens, live
+    return nums, dens
 
 
-def _sample(plan: list, roots: list[int], seed: int, points: int, trials: int, modulus: int) -> tuple[str, int]:
-    """The reason decided by the first ``points`` live trials of ``range(trials)``, and how many it compared.
+def _sample(
+    plan: list, roots: list[int], seed: int, points: int, deaths: int | None, trials: int, modulus: int
+) -> tuple[str, int]:
+    """The reason decided by trials 0, 1, 2, ... of ``range(trials)``, and how many points it compared.
 
-    Each batch holds one trial per point still to agree, so an agreement
-    with no dead trial is one pass. Results are read in trial order: dead
-    trials are skipped, the first disagreement is a counterexample, and
-    after ``trials`` trials without ``points`` agreeing ones the comparison
-    is degenerate. Two values agree when ``nL * dR == nR * dL`` modulo
-    ``modulus``. The count is of live trials, the disagreeing one included.
+    Trials are evaluated one at a time, in order: a dead trial is skipped,
+    the first disagreement is a counterexample, and ``points`` agreements
+    are an agreement. The pair is degenerate when its first ``deaths``
+    trials all die (never when ``deaths`` is None), or when ``trials`` pass
+    without ``points`` agreements. Two values agree when ``nL * dR == nR *
+    dL`` modulo ``modulus``. The count is of live trials, the disagreeing
+    one included.
     """
     left, right = roots
-    agreed, start = 0, 0
-    while agreed < points and start < trials:
-        batch = range(start, min(start + points - agreed, trials))
-        nums, dens, live = _evaluate(plan, seed, batch, modulus)
-        for t, alive in enumerate(live):
-            if not alive:
-                continue
-            left_den = dens[left][t] if dens[left] else 1
-            right_den = dens[right][t] if dens[right] else 1
-            if (nums[left][t] * right_den - nums[right][t] * left_den) % modulus:
-                return "counterexample", agreed + 1
-            agreed += 1
-        start = batch.stop
+    start = hashlib.blake2b(f"({seed!r}, (".encode(), digest_size=8)
+    agreed = 0
+    for trial in range(trials):
+        if agreed >= points or (trial == deaths and not agreed):
+            break
+        head = start.copy()
+        head.update(b"%d" % trial)
+        values = _evaluate(plan, head, modulus)
+        if values is None:
+            continue
+        nums, dens = values
+        if (nums[left] * dens[right] - nums[right] * dens[left]) % modulus:
+            return "counterexample", agreed + 1
+        agreed += 1
     return ("randomized-agreement" if agreed >= points else "degenerate"), agreed
 
 
@@ -512,7 +497,9 @@ def compare_programs(
 
     A pair whose forms differ is degenerate at once when a divisor it
     reaches is the zero form. Otherwise it is compared at random points,
-    drawn from at most ``20 * samples`` trials; ``samples`` below 1 raises
+    drawn from at most ``20 * samples`` trials, and is degenerate when its
+    first trials all die, as many as make that chance for a divisor that is
+    not zero as a function below 2**-64; ``samples`` below 1 raises
     ValueError, since no point would then be checked. Points are evaluated
     modulo p * q, q the seed's second prime, as many as bring the module's
     per-point bound below 2**-64 (``TARGET_ERROR_BITS``) but at most
@@ -529,11 +516,12 @@ def compare_programs(
     if nodes[left][0] == ">":
         (_, left), (_, right) = nodes[left][1][0], nodes[right][1][0]
 
-    plan, roots = _plan(nodes, (left, right), tuple(symbols))
+    plan, roots, degrees = _plan(nodes, (left, right), tuple(symbols))
     if ("+", (), True) in plan:  # a divisor that is the empty sum kills every trial
         return EquivalenceReport(False, "degenerate", 0)
     # q catches a difference that vanishes mod p, which p alone would call agreement.
     modulus = _P * _second_prime(seed)
-    reason, points = _sample(plan, roots, seed, _points_needed(plan, roots, samples), samples * 20, modulus)
+    points, deaths = _points_needed(plan, degrees, roots, samples)
+    reason, points = _sample(plan, roots, seed, points, deaths, samples * 20, modulus)
     return EquivalenceReport(reason == "randomized-agreement", reason, points)
 

@@ -13,8 +13,9 @@ works in integers, and the literal-bound oracle reads a value's digit tuple
 where the package reads its text. Shared pieces
 are limited to definitional layers: quantity parsing, the widening rule
 (``numeric.to_fraction``), the displayed precision of a non-Fraction,
-decimal formatting, the symbol-identity rule (``equiv._symbol_key``), and the
-hashed sample-point convention for uninterpreted operations.
+decimal formatting, and the hashed sample-point convention; the symbol-identity
+rule (``_oracle_symbol_key``) is restated here from the constant and
+row-name oracles.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from finprog.dsl import (
     parse_program,
     validate,
 )
-from finprog.equiv import _hashed_int, _symbol_key
+from finprog.equiv import _hashed_int
 from finprog.numeric import (
     NotANumber,
     TolerancePolicy,
@@ -406,6 +407,20 @@ class _PointFailure(Exception):
     pass
 
 
+def _oracle_symbol_key(arg) -> tuple:
+    """The identity under which arguments share a symbol.
+
+    Numbers and constants by their exact value's (numerator, denominator)
+    in lowest terms, so const_5 and the literal 5 coincide; names by their
+    normalized text.
+    """
+    if isinstance(arg, NumberLiteral):
+        return ("num", Fraction(arg.value).as_integer_ratio())
+    if isinstance(arg, Constant):
+        return ("num", _oracle_constant(arg.name).as_integer_ratio())
+    return ("name", _oracle_norm(arg.name))
+
+
 def oracle_symbolize(*programs: Program) -> tuple[list, ...]:
     """Each program's steps as ``(op, args)`` over one shared symbol list, then that list.
 
@@ -418,7 +433,7 @@ def oracle_symbolize(*programs: Program) -> tuple[list, ...]:
     def symbolic(arg) -> tuple:
         if isinstance(arg, StepRef):
             return ("step", arg.index)
-        return ("sym", ids.setdefault(_symbol_key(arg), len(ids)))
+        return ("sym", ids.setdefault(_oracle_symbol_key(arg), len(ids)))
 
     steps = [[(step.op, tuple(map(symbolic, step.args))) for step in program.steps] for program in programs]
     return (*steps, list(ids))
@@ -485,6 +500,19 @@ def oracle_equivalent(p1: Program, p2: Program, samples: int = 32, seed: int = 0
             return False
         agreed += 1
     return True if agreed >= samples else None
+
+
+def oracle_exact_value(program: Program, seed: int, trial: int) -> Fraction | None:
+    """The program's exact value at the hashed point of ``trial``, or None where a step fails there.
+
+    A program ending in ``greater`` gives its operands' difference.
+    """
+    steps, symbols = oracle_symbolize(program)
+    values = [Fraction(_hashed_int(seed, (trial, key))) for key in symbols]
+    try:
+        return _run_symbolic(steps, symbols, values, seed, trial)
+    except _PointFailure:
+        return None
 
 
 def generically_evaluable(program: Program, probes: int = 3, seed: int = 987) -> bool:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import pathlib
@@ -18,7 +19,6 @@ from finprog.equiv import (
     _P,
     _build,
     _chain,
-    _degrees,
     _evaluate,
     _hashed_int,
     _intern_pair,
@@ -37,6 +37,7 @@ from generators import (
     mutate_preserving,
     oracle_canonical_key,
     oracle_equivalent,
+    oracle_exact_value,
     oracle_line_degrees,
     oracle_symbolize,
     random_program_pair,
@@ -56,6 +57,11 @@ def _plan_of(program):
     nodes: list = []
     root = _build(program, symbols, {}, nodes)
     return _plan(nodes, (root,), tuple(symbols))[0], tuple(symbols)
+
+
+def _head(seed: int, trial: int):
+    """The hash state ``_sample`` hands ``_evaluate`` at ``trial``: the blake2b of ``(seed, (trial``."""
+    return hashlib.blake2b(f"({seed!r}, ({trial}".encode(), digest_size=8)
 
 
 def _text(program: str) -> str:
@@ -538,12 +544,11 @@ class TestModularSampling:
         keys = [(number,), (constant,), ("agg", "table-sum", row), (name,)]
         assert {key[0] if key[0] == "agg" else key[0][0] for key in keys} == {"num", "name", "agg"}
         for seed in (0, 11, -3):
-            nums, dens, live = _evaluate(plan, seed, range(2, 6), _P)
-            assert live == [True] * 4
-            for t, trial in enumerate(range(2, 6)):
+            for trial in range(2, 6):
+                nums, dens = _evaluate(plan, _head(seed, trial), _P)
                 expected = [_hashed_int(seed, (trial, *key)) % _P for key in keys]
-                assert sorted(nums[i][t] for i in leaves) == sorted(expected)
-                assert all(dens[i] is None for i in leaves)
+                assert sorted(nums[i] for i in leaves) == sorted(expected)
+                assert all(dens[i] == 1 for i in leaves)
 
     @pytest.mark.parametrize("root", ["", ", greater(#{}, e)"])
     def test_exp_of_a_long_base_is_hashed_from_residues(self, root):
@@ -562,8 +567,8 @@ class TestModularSampling:
             compare_programs(P("add(1, 2)"), P("multiply(1, 3)"), samples=samples)
 
 
-class TestBatchedSampling:
-    """Every trial of a batch is evaluated in one pass over the plan."""
+class TestSequentialSampling:
+    """Trials are evaluated one at a time, in order, each in one pass over the plan."""
 
     @pytest.mark.parametrize(
         "left, right, reason",
@@ -592,7 +597,7 @@ class TestBatchedSampling:
             ),
         ],
     )
-    def test_batch_paths(self, left, right, reason):
+    def test_sampling_paths(self, left, right, reason):
         for samples in (1, 2, 32):
             report = compare_programs(P(left), P(right), samples=samples)
             assert report.reason == reason, samples
@@ -601,31 +606,33 @@ class TestBatchedSampling:
 
     @staticmethod
     def _spy(monkeypatch):
-        batches = []
+        """The (modulus, trial) of each ``_evaluate`` call, the trial read back from its hash head."""
+        calls = []
         evaluate = equiv._evaluate
+        trial_of = {_head(0, trial).digest(): trial for trial in range(20 * DEFAULT_SAMPLE_POINTS)}
 
-        def spy(plan, seed, batch, modulus):
-            batches.append((modulus, batch))
-            return evaluate(plan, seed, batch, modulus)
+        def spy(plan, head, modulus):
+            calls.append((modulus, trial_of[head.digest()]))
+            return evaluate(plan, head, modulus)
 
         monkeypatch.setattr(equiv, "_evaluate", spy)
-        return batches
+        return calls
 
     @pytest.mark.parametrize("samples", [1, 2, 5])
     def test_agreement_evaluates_exactly_the_needed_trials(self, monkeypatch, samples):
-        # The degree bound asks for 2 points, at most ``samples``: one pass
-        # modulo p * q.
-        batches = self._spy(monkeypatch)
+        # The degree bound asks for 2 points, at most ``samples``: trials 0
+        # and 1 modulo p * q.
+        calls = self._spy(monkeypatch)
         report = compare_programs(
             P("add(a, b), multiply(#0, c)"), P("multiply(a, c), multiply(b, c), add(#0, #1)"), samples=samples
         )
         assert report.reason == "randomized-agreement" and report.points == min(samples, 2)
-        assert batches == [(_P * _second_prime(0), range(0, min(samples, 2)))]
+        assert calls == [(_P * _second_prime(0), trial) for trial in range(min(samples, 2))]
 
     @pytest.mark.parametrize("squarings, points", [(14, 2), (17, 2), (20, 2), (40, 4)])
     def test_squared_distributive_pair_decides_in_one_modular_pass(self, monkeypatch, squarings, points):
         # Each squaring doubles the exact values' size; residues keep theirs.
-        batches = self._spy(monkeypatch)
+        calls = self._spy(monkeypatch)
         left = ["add(b, c)", "multiply(a, #0)"] + [f"multiply(#{k}, #{k})" for k in range(1, squarings + 1)]
         right = ["multiply(a, b)", "multiply(a, c)", "add(#0, #1)"]
         right += [f"multiply(#{k}, #{k})" for k in range(2, squarings + 2)]
@@ -633,18 +640,21 @@ class TestBatchedSampling:
         report = compare_programs(P(", ".join(left)), P(", ".join(right)))
         elapsed = time.perf_counter() - start
         assert (report.equivalent, report.reason, report.points) == (True, "randomized-agreement", points)
-        assert batches == [(_P * _second_prime(0), range(points))]
+        assert calls == [(_P * _second_prime(0), trial) for trial in range(points)]
         assert elapsed < 0.1, elapsed
 
-    @pytest.mark.parametrize("samples", [1, 2])
-    def test_degenerate_batches_cover_every_trial_once(self, monkeypatch, samples):
-        # The divisor is zero as a rational function, not as a form.
-        batches = self._spy(monkeypatch)
+    @pytest.mark.parametrize("samples", [1, 2, 32])
+    def test_degenerate_pair_evaluates_only_the_trials_that_decide_it(self, monkeypatch, samples):
+        # The divisor is zero as a rational function, not as a form. Its
+        # numerator has degree Q = 2, so two dead trials in a row happen by
+        # chance with probability (11 * 2 / 2**63)**2, below 2**-64.
+        calls = self._spy(monkeypatch)
         zero = "add(a, b), multiply(#0, c), multiply(a, c), multiply(b, c), add(#2, #3), subtract(#1, #4)"
-        report = compare_programs(P(f"{zero}, divide(d, #5)"), P(f"{zero}, divide(e, #5)"), samples=samples)
-        assert report.reason == "degenerate" and report.points == 0
-        assert {(modulus, len(batch)) for modulus, batch in batches} == {(_P * _second_prime(0), min(samples, 2))}
-        assert [trial for _, batch in batches for trial in batch] == list(range(20 * samples))
+        left, right = f"{zero}, divide(d, #5)", f"{zero}, divide(e, #5)"
+        assert _budget(left, right, samples) == (min(samples, 2), 2)
+        report = compare_programs(P(left), P(right), samples=samples)
+        assert (report.equivalent, report.reason, report.points) == (False, "degenerate", 0)
+        assert calls == [(_P * _second_prime(0), trial) for trial in range(2)]
 
     @pytest.mark.parametrize(
         "left, right",
@@ -656,11 +666,11 @@ class TestBatchedSampling:
         ],
     )
     def test_zero_form_divisor_evaluates_nothing(self, monkeypatch, left, right):
-        batches = self._spy(monkeypatch)
+        calls = self._spy(monkeypatch)
         for samples in (1, 2, 32):
             report = compare_programs(P(left), P(right), samples=samples)
             assert (report.equivalent, report.reason, report.points) == (False, "degenerate", 0)
-        assert batches == []
+        assert calls == []
 
     @pytest.mark.parametrize(
         "left, right, reason",
@@ -682,11 +692,24 @@ class TestBatchedSampling:
         assert report.reason == "randomized-agreement"
         assert time.perf_counter() - start < 2.0
 
-    def test_pass_stops_once_every_trial_is_dead(self):
-        plan, _ = _plan_of(P("subtract(a, a), divide(b, #0), add(#1, c)"))
-        nums, dens, live = _evaluate(plan, 0, range(5), _P)
-        assert live == [False] * 5
-        assert len(nums) == len(dens) < len(plan)
+    @pytest.mark.parametrize(
+        "program",
+        [
+            "subtract(a, a), divide(b, #0), add(#1, c)",
+            # the zero divisor is interned after the dividend's forms
+            "add(b, c), multiply(#0, d), subtract(a, a), divide(#1, #2)",
+            # exp of a quotient by zero would need an inverse that does not exist
+            "subtract(a, a), divide(b, #0), exp(#1, c)",
+        ],
+    )
+    def test_dead_trial_evaluates_nothing_after_its_first_dead_divisor(self, program):
+        plan, _ = _plan_of(P(program))
+        divisor = [i for i, (_, _, is_divisor) in enumerate(plan) if is_divisor]
+        assert len(divisor) == 1 and plan[divisor[0]][:2] == ("+", ())
+        # An entry after the divisor that raises if it is ever evaluated.
+        trap = [("+", ((1, len(plan) + 1),), False)]
+        for trial in range(5):
+            assert _evaluate(plan[: divisor[0] + 1] + trap + plan[divisor[0] + 1 :], _head(0, trial), _P) is None
 
     def test_trial_dies_where_a_divisor_is_not_invertible(self):
         # Modulo p * 3 a third of the sample values of b share the factor 3,
@@ -695,19 +718,17 @@ class TestBatchedSampling:
         modulus, trials = _P * 3, range(30)
         b = symbols[1]
         assert b == ("name", "b")
-        _, _, live = _evaluate(plan, 0, trials, modulus)
+        live = [_evaluate(plan, _head(0, trial), modulus) is not None for trial in trials]
         expected = [math.gcd(_hashed_int(0, (trial, b)), modulus) == 1 for trial in trials]
         assert live == expected and 0 < expected.count(False) < len(trials)
 
-    def test_divisors_are_evaluated_first(self):
-        # the zero divisor is interned after the dividend's forms
-        program = P("add(b, c), multiply(#0, d), subtract(a, a), divide(#1, #2)")
-        nums, dens, live = _evaluate(_plan_of(program)[0], 0, range(5), _P)
-        assert live == [False] * 5
-        assert nums == dens == []  # the pass stopped at the zero divisor, before any other form
-
     def test_sampler_follows_the_sequential_rule(self, monkeypatch):
-        def sequential(outcomes, points):
+        def doomed(outcomes, deaths):
+            return deaths is not None and outcomes[:deaths] == ["dead"] * deaths
+
+        def sequential(outcomes, points, deaths):
+            if doomed(outcomes, deaths):
+                return "degenerate", 0
             agreed = 0
             for outcome in outcomes:
                 if agreed >= points:
@@ -718,29 +739,76 @@ class TestBatchedSampling:
             return "randomized-agreement" if agreed >= points else "degenerate", agreed
 
         rng = Random(3)
+        trial_of = {_head(0, trial).digest(): trial for trial in range(80)}
         for _ in range(500):
-            points = rng.randint(1, 4)
-            outcomes = [rng.choice(("agree", "agree", "dead", "differ")) for _ in range(20 * points)]
+            points, deaths = rng.randint(1, 4), rng.choice((None, 1, 2, 3))
+            outcomes = [rng.choice(("agree", "agree", "dead", "dead", "differ")) for _ in range(20 * points)]
             evaluated = []
 
-            def fake(plan, seed, batch, modulus):
-                evaluated.extend(batch)
-                live = [outcomes[trial] != "dead" for trial in batch]
-                right = [2 if outcomes[trial] == "differ" else 1 for trial in batch]
-                return [[1] * len(batch), right], [None, None], live
+            def fake(plan, head, modulus):
+                trial = trial_of[head.digest()]
+                evaluated.append(trial)
+                if outcomes[trial] == "dead":
+                    return None
+                return [1, 2 if outcomes[trial] == "differ" else 1], [1, 1]
 
             monkeypatch.setattr(equiv, "_evaluate", fake)
-            assert _sample([], [0, 1], 0, points, len(outcomes), _P) == sequential(outcomes, points)
+            assert _sample([], [0, 1], 0, points, deaths, len(outcomes), _P) == sequential(outcomes, points, deaths)
             assert evaluated == list(range(len(evaluated)))
-            # no trial past the sequential rule's last agreeing one is evaluated
+            # no trial past the first ``deaths`` is evaluated when they all die,
+            # nor past the sequential rule's last agreeing one
             agreeing = [t for t, outcome in enumerate(outcomes) if outcome == "agree"]
-            if len(agreeing) >= points and "differ" not in outcomes[: agreeing[points - 1]]:
+            if doomed(outcomes, deaths):
+                assert evaluated == list(range(deaths))
+            elif len(agreeing) >= points and "differ" not in outcomes[: agreeing[points - 1]]:
                 assert evaluated[-1] == agreeing[points - 1]
+
+
+class TestEvaluatorMatchesExactArithmetic:
+    """At a live trial each root's residue is its exact value at the same hashed point, reduced mod M."""
+
+    @pytest.mark.parametrize("seed", [-3, 0, 7, 10**30])
+    def test_root_residues_match_exact_values(self, seed):
+        rng = Random(seed)
+        modulus = _P * _second_prime(seed)
+        compared = 0
+        for _ in range(80):
+            pair = random_program_pair(rng) if rng.random() < 0.6 else _symbolic_pair(rng)
+            for samples in range(1, 41):
+                assert isinstance(compare_programs(*pair, samples=samples, seed=seed), equiv.EquivalenceReport)
+            if any(step.op == "exp" for program in pair for step in program.steps):
+                continue  # the oracle hashes exp on exact operands, the evaluator on residues
+            symbols, nodes, roots = _intern_pair(*pair)
+            roots = [nodes[root][1][0][1] if nodes[root][0] == ">" else root for root in roots]
+            plan, positions, _ = _plan(nodes, tuple(roots), tuple(symbols))
+            for trial in range(6):
+                values = _evaluate(plan, _head(seed, trial), modulus)
+                exact = [oracle_exact_value(program, seed, trial) for program in pair]
+                if values is None or None in exact:
+                    continue
+                nums, dens = values
+                for position, value in zip(positions, exact):
+                    residue = nums[position] * pow(dens[position], -1, modulus) % modulus
+                    assert residue == value.numerator * pow(value.denominator, -1, modulus) % modulus
+                    compared += 1
+        assert compared >= 200
 
 
 def _squared(name: str, times: int) -> list[str]:
     """Steps whose last is ``name`` squared ``times`` more times after ``multiply(name, name)``."""
     return [f"multiply({name}, {name})"] + [f"multiply(#{k}, #{k})" for k in range(times)]
+
+
+def _x_to_the(exponent: int) -> list[str]:
+    """Steps whose last is x to the even ``exponent``: squarings of x * x, then their product at its bits."""
+    half = exponent // 2
+    steps = ["multiply(x, x)"] + [f"multiply(#{k}, #{k})" for k in range(half.bit_length() - 1)]
+    bits = [k for k in range(half.bit_length()) if half >> k & 1]
+    last = bits[0]
+    for bit in bits[1:]:
+        steps.append(f"multiply(#{last}, #{bit})")
+        last = len(steps) - 1
+    return steps
 
 
 @st.composite
@@ -760,10 +828,15 @@ def _arithmetic_programs(draw):
     return P(", ".join(steps))
 
 
-def _needed(left: str, right: str, cap: int = DEFAULT_SAMPLE_POINTS) -> int:
+def _budget(left: str, right: str, cap: int = DEFAULT_SAMPLE_POINTS) -> tuple[int, int | None]:
+    """``_points_needed`` of a pair: its points, and the trials that may all die before it is degenerate."""
     symbols, nodes, roots = _intern_pair(P(left), P(right))
-    plan, positions = _plan(nodes, roots, tuple(symbols))
-    return _points_needed(plan, positions, cap)
+    plan, positions, degrees = _plan(nodes, roots, tuple(symbols))
+    return _points_needed(plan, degrees, positions, cap)
+
+
+def _needed(left: str, right: str, cap: int = DEFAULT_SAMPLE_POINTS) -> int:
+    return _budget(left, right, cap)[0]
 
 
 class TestDegreeBound:
@@ -782,14 +855,16 @@ class TestDegreeBound:
             symbols: dict = {}
             nodes: list = []
             root = _build(prefix, symbols, {}, nodes)
-            plan, (position, _) = _plan(nodes, (root, root), tuple(symbols))
-            bound = _degrees(plan)[position]
+            _, (position, _), degrees = _plan(nodes, (root, root), tuple(symbols))
+            bound = degrees[position]
             assert bound[0] >= true[0] and bound[1] >= true[1], (render_program(prefix), bound, true)
 
     def test_bound_of_each_operation(self):
         program = "add(a, b), divide(#0, c), subtract(#1, d), multiply(#2, #2), divide(e, #3), exp(#4, e)"
-        plan, _ = _plan_of(P(program))
-        degrees = _degrees(plan)
+        symbols: dict = {}
+        nodes: list = []
+        root = _build(P(program), symbols, {}, nodes)
+        plan, _, degrees = _plan(nodes, (root,), tuple(symbols))
         assert [degrees[i] for i in range(len(plan)) if plan[i][0] != "leaf"] == [
             (1, 0),  # a + b
             (1, 1),  # (a + b) / c
@@ -825,6 +900,18 @@ class TestDegreeBound:
         two = [*big, "exp(#61, 2)", "exp(#61, 3)", "add(#62, #63)"]
         assert _needed(", ".join(two), "add(y, z)") == 32
         assert _needed("exp(x, 2), exp(x, 3), add(#0, #1)", "add(y, z)") == 2
+
+    @pytest.mark.parametrize("factor", [6, 11])
+    def test_bound_within_rounding_of_one_says_nothing(self, factor):
+        # factor * degree falls just short of 2**63: a point agrees (6 * D),
+        # or a trial dies (11 * Q), with a chance that log2 rounds to 1.
+        degree = (2**63 - 1) // factor // 2 * 2
+        steps = _x_to_the(degree)
+        if factor == 11:  # the divisor x**degree + z
+            steps += [f"add(#{len(steps) - 1}, z)", f"divide(y, #{len(steps)})"]
+        left = ", ".join(steps)
+        assert _budget(left, "add(y, z)") == (32, 1 if factor == 6 else None)
+        assert compare_programs(P(left), P("add(y, z)")).reason == "counterexample"
 
     def test_constant_difference_takes_one_point(self):
         # Both sides are constant forms: 1 and 0 differ wherever they are defined.

@@ -251,6 +251,7 @@ class TestMentions:
 
     @settings(max_examples=1000)
     @given(st.lists(_mention_texts, max_size=4), st.lists(_mention_texts, min_size=2, max_size=2), _literals)
+    @example(["\u22121,000 \u0663"], ["net sales", "1,000"], Decimal("-1000"))  # not ASCII, and holds the value
     def test_mentions_is_membership(self, sentences, row, value):
         ctx = EvidenceContext.build(sentences, FinTable.from_rows([["", "2019"], row]))
         texts = [*sentences, "", "2019", *row]
