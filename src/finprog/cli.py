@@ -20,7 +20,7 @@ from .dsl import MAX_PROGRAM_STEPS, ProgramError, is_valid, parse_program, token
 from .equiv import DEFAULT_SAMPLE_POINTS, canonical_texts, compare_programs
 from .evaluate import UnknownRecordId, breakdown_report
 from .executor import ExecutionError, execute, render_value
-from .numeric import TolerancePolicy, to_fraction
+from .numeric import DEFAULT_TOLERANCE, TolerancePolicy, to_fraction
 from .retrieve import ranked_recall
 
 
@@ -85,8 +85,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="score predictions against a record file")
     p.add_argument("--records", required=True)
     p.add_argument("--preds", required=True)
-    p.add_argument("--abs-tol", type=_at_least(float, 0), default=1e-5)
-    p.add_argument("--rel-tol", type=_at_least(float, 0), default=1e-4)
+    p.add_argument("--abs-tol", type=_at_least(float, 0), default=DEFAULT_TOLERANCE.abs_tol)
+    p.add_argument("--rel-tol", type=_at_least(float, 0), default=DEFAULT_TOLERANCE.rel_tol)
     p.add_argument("--no-gold-rounding", action="store_true", help="disable the gold-precision rounding clause")
     p.add_argument("--percent-insensitive", action="store_true")
     p.add_argument("--seed", type=int, default=0)

@@ -19,7 +19,6 @@ from .numeric import (
     Quantity,
     extract_numbers,
     format_decimal,
-    mantissa_set,
     mantissas,
     parse_mantissa,
 )
@@ -144,7 +143,7 @@ class EvidenceContext:
         Building it reads every text; to ground a single value, ``mentions``
         gives the same answer and reads only the texts that can hold it.
         """
-        return mantissa_set(self._texts())
+        return frozenset(mantissas(self._texts()))
 
     def mentions(self, value: Decimal) -> bool:
         """Whether the finite ``value`` is in ``number_values``, without building that set.

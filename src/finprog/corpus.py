@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .context import EvidenceContext, FinTable
@@ -485,7 +485,7 @@ class StatsReport:
     step_pct: dict
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))  # the fields, in their order; the inner dicts are the report's own
 
     def format_table(self) -> str:
         lines = [

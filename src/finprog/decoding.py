@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from decimal import Decimal
-from typing import Iterable
+from typing import ClassVar, Iterable
 
 from .context import EvidenceContext
 from .dsl import (
@@ -43,18 +43,20 @@ class TokenVocabulary:
     input_numbers: tuple[str, ...]
     input_rows: tuple[str, ...]
     max_steps: int
+    special_tokens: ClassVar[tuple[str, ...]] = MATH_OPS + TABLE_OPS + tuple(DEFAULT_CONSTANTS) + PUNCTUATION
 
     @property
     def input_tokens(self) -> tuple[str, ...]:
         return self.input_numbers + self.input_rows
 
     @property
-    def special_tokens(self) -> tuple[str, ...]:
-        return MATH_OPS + TABLE_OPS + tuple(DEFAULT_CONSTANTS) + PUNCTUATION
-
-    @property
     def step_memory_tokens(self) -> tuple[str, ...]:
-        return tuple(f"#{i}" for i in range(self.max_steps))
+        return _step_tokens(self.max_steps)
+
+
+def _step_tokens(count: int) -> tuple[str, ...]:
+    """The step memory tokens #0..#(count-1)."""
+    return tuple(f"#{i}" for i in range(count))
 
 
 def build_vocabulary(ctx: EvidenceContext, max_steps: int) -> TokenVocabulary:
@@ -68,8 +70,7 @@ def build_vocabulary(ctx: EvidenceContext, max_steps: int) -> TokenVocabulary:
     """
     if max_steps > MAX_PROGRAM_STEPS:
         raise ValueError(f"max_steps {max_steps} exceeds MAX_PROGRAM_STEPS ({MAX_PROGRAM_STEPS})")
-    reserved = set(MATH_OPS + TABLE_OPS + PUNCTUATION) | set(DEFAULT_CONSTANTS)
-    reserved.update(f"#{i}" for i in range(max_steps))
+    reserved = {*TokenVocabulary.special_tokens, *_step_tokens(max_steps)}
 
     def usable(tokens, argument) -> tuple[str, ...]:
         """Each token once that is not reserved and that ``argument`` builds."""
@@ -124,10 +125,8 @@ class DecodeState:
 
 
 def _numeric_step_refs(state: DecodeState, vocab: TokenVocabulary) -> frozenset[str]:
-    limit = min(state.completed_steps, vocab.max_steps)
-    return frozenset(
-        f"#{i}" for i in range(limit) if state.step_kinds[i] == "number"
-    )
+    steps = zip(vocab.step_memory_tokens, state.step_kinds)
+    return frozenset([token for token, kind in steps if kind == "number"])
 
 
 def _math_arg_mask(state: DecodeState, vocab: TokenVocabulary) -> frozenset[str]:

@@ -190,49 +190,39 @@ def _intern_pair(p1: Program, p2: Program) -> tuple[dict, list, tuple[int, int]]
     return symbols, nodes, (_build(p1, symbols, table, nodes), _build(p2, symbols, table, nodes))
 
 
-def _reachable(nodes: list, roots) -> list[int]:
-    """The ids reachable from ``roots``, in increasing order, found in one pass from the top down."""
-    marked = set(roots)
-    for form in range(max(roots, default=-1), -1, -1):
-        if form in marked and nodes[form][0] not in _LEAVES:
-            marked.update([part for _, part in nodes[form][1]])
-    return sorted(marked)
-
-
 def canonical_texts(p1: Program, p2: Program) -> tuple[str, str]:
     """The canonical text of each program's final form, over the pair's shared symbols.
 
     Equal texts that are not elided mean equal forms. Both programs are
-    interned into one table, and each form either reaches is rendered once,
-    in id order, from its parts' text; chain parts are written in order of
-    their text. A text longer than ``MAX_CANONICAL_CHARS`` is never built:
-    reused steps can make it exponentially long, so it reads ``(elided: N
-    characters)``, its length counted from its parts' lengths.
+    interned into one table, and its forms are sized in one pass in id
+    order; each form within ``MAX_CANONICAL_CHARS`` is rendered from its
+    parts' text, which a form is never shorter than. Chain parts are written
+    in order of their text. A longer text is never built: reused steps can
+    make it exponentially long, so it reads ``(elided: N characters)``, its
+    length counted from its parts' lengths.
     """
     _, nodes, roots = _intern_pair(p1, p2)
-    size: dict[int, int] = {}
-    text: dict[int, str] = {}
-    for form in _reachable(nodes, roots):
-        op, arg = nodes[form]
+    size: list[int] = []
+    text: list[str | None] = []
+    for op, arg in nodes[: max(roots) + 1]:
+        rendered = None
         if op in _LEAVES:
-            text[form] = f"s{arg}" if op == "sym" else f"{op}[s{arg}]"
-            size[form] = len(text[form])
+            rendered = f"s{arg}" if op == "sym" else f"{op}[s{arg}]"
+            size.append(len(rendered))
         elif op in ("+", "*"):
             # "(+ " and ")", a space between terms, and "w*t" or "t^w" per term
-            size[form] = 4 + max(len(arg) - 1, 0) + sum([len(str(w)) + 1 + size[part] for w, part in arg])
+            size.append(4 + max(len(arg) - 1, 0) + sum([len(str(w)) + 1 + size[part] for w, part in arg]))
+            if size[-1] <= MAX_CANONICAL_CHARS:
+                terms = sorted([(text[part], weight) for weight, part in arg])
+                inner = " ".join([f"{w}*{t}" if op == "+" else f"{t}^{w}" for t, w in terms])
+                rendered = f"({op} {inner})"
         else:
             # "(", the op, a space before each part, and ")"
-            size[form] = 3 + len(arg) + sum([size[part] for _, part in arg])
-    kept = [root for root in roots if size[root] <= MAX_CANONICAL_CHARS]
-    for form in _reachable(nodes, kept):
-        op, arg = nodes[form]
-        if op in ("+", "*"):
-            terms = sorted([(text[part], weight) for weight, part in arg])
-            inner = " ".join([f"{w}*{t}" if op == "+" else f"{t}^{w}" for t, w in terms])
-            text[form] = f"({op} {inner})"
-        elif op not in _LEAVES:
-            text[form] = f"({op} {' '.join([text[part] for _, part in arg])})"
-    left, right = [text[root] if root in kept else f"(elided: {size[root]} characters)" for root in roots]
+            size.append(3 + len(arg) + sum([size[part] for _, part in arg]))
+            if size[-1] <= MAX_CANONICAL_CHARS:
+                rendered = f"({op} {' '.join([text[part] for _, part in arg])})"
+        text.append(rendered if size[-1] <= MAX_CANONICAL_CHARS else None)
+    left, right = [text[root] or f"(elided: {size[root]} characters)" for root in roots]
     return left, right
 
 
@@ -316,7 +306,8 @@ def _points_needed(plan: list, degrees: list, roots: list[int], cap: int) -> tup
     more says nothing, and ``cap`` points are taken. A divisor that is not
     zero as a function kills a trial with probability at most
     ``(mu + nu) * (Q + A)``, so the trials are the fewest that all die with
-    probability below the target, or None when that bound says nothing.
+    probability below the target, or None when that bound says nothing or
+    the count passes the ``20 * cap`` trial budget.
     """
     (left_num, left_den), (right_num, right_den) = [degrees[root] for root in roots]
     dead = sum([degrees[i][0] for i, (_, _, divisor) in enumerate(plan) if divisor])  # Q
@@ -325,21 +316,29 @@ def _points_needed(plan: list, degrees: list, roots: list[int], cap: int) -> tup
     accidents = (len(powers) - 1) * sum(powers)
     agree = 6 * (max(left_num + right_den, right_num + left_den) + accidents)
     doomed = (6 + 5) * (dead + accidents)  # a divisor vanishes mod p or mod q
-    live = 2**63 - doomed
-    deaths = _fewest(63 - math.log2(doomed)) if doomed else 1
-    if not agree:
-        return 1, deaths  # the difference is a constant: one point shows whether it vanishes mod M
-    points = _fewest(math.log2(live) - math.log2(agree)) if agree < live else None
-    return (cap if points is None else min(cap, points)), deaths
+    points = _fewest(agree, 2**63 - doomed, cap)  # agree is 0 for a constant difference: one point decides
+    return (cap if points is None else points), _fewest(doomed, 2**63, 20 * cap)
 
 
-def _fewest(bits: float) -> int | None:
-    """The fewest k with k * bits above ``TARGET_ERROR_BITS``, or None when ``bits`` is not positive.
+def _fewest(chance: int, whole: int, limit: int) -> int | None:
+    """The fewest k, at most ``limit``, with (chance / whole)**k below 2**-TARGET_ERROR_BITS, or None.
 
-    So k events of chance 2**-bits each all happen with probability below
-    the target. A chance within float rounding of 1 has ``bits`` 0.
+    So k events of that chance each all happen with probability below the
+    target; a zero chance takes one. The float estimate of k is corrected by
+    exact comparisons of ``chance**k * 2**TARGET_ERROR_BITS`` with
+    ``whole**k``, and no power past ``limit`` is built.
     """
-    return math.floor(TARGET_ERROR_BITS / bits) + 1 if bits > 0 else None
+    if not chance:
+        return 1
+    if chance >= whole:
+        return None
+    bits = math.log2(whole) - math.log2(chance)
+    k = limit + 1 if bits * (limit + 1) <= TARGET_ERROR_BITS else math.floor(TARGET_ERROR_BITS / bits) + 1
+    while k > 1 and chance ** (k - 1) << TARGET_ERROR_BITS < whole ** (k - 1):
+        k -= 1
+    while k <= limit and chance**k << TARGET_ERROR_BITS >= whole**k:
+        k += 1
+    return k if k <= limit else None
 
 
 _P = 2**61 - 1  # a Mersenne prime; the modulus is _P * _second_prime(seed)

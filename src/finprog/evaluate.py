@@ -60,13 +60,7 @@ class RecordVerdict:
     predicted_value: Optional[str]
 
     def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "exe_correct": self.exe_correct,
-            "prog_correct": self.prog_correct,
-            "failure": self.failure,
-            "predicted_value": self.predicted_value,
-        }
+        return dict(vars(self))  # the fields, in their order
 
 
 def _predictions_by_id(
@@ -131,11 +125,7 @@ class BucketScore:
     program_accuracy: float
 
     def to_dict(self) -> dict:
-        return {
-            "count": self.count,
-            "execution_accuracy": self.execution_accuracy,
-            "program_accuracy": self.program_accuracy,
-        }
+        return dict(vars(self))  # the fields, in their order
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from decimal import Decimal, InvalidOperation
+from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable, Iterator
 
@@ -89,23 +89,20 @@ class Quantity:
         return text
 
 
-def _mantissa(pnum: str | None, sign: str | None, num: str | None) -> Decimal:
-    """The signed written magnitude of a match: parentheses or a minus negate."""
-    digits = pnum or num
-    try:
-        mantissa = Decimal(digits.replace(",", ""))
-    except InvalidOperation:  # pragma: no cover - regex precludes this
-        raise NotANumber(f"unreadable number: {digits!r}")
+def _mantissa(groups: tuple) -> Decimal:
+    """The signed written magnitude of a match's groups: parentheses or a minus negate."""
+    _, _, pnum, sign, _, num, _, _ = groups
+    mantissa = Decimal((pnum or num).replace(",", ""))
     return -mantissa if pnum or sign else mantissa
 
 
 def _quantity_from_match(m: re.Match, source: str, offset: int = 0) -> Quantity:
     """The quantity of a match in ``source``; its span is shifted by ``offset``."""
-    cur_a, cur_b, pnum, sign, cur_c, num, pct, scale = m.groups()
+    cur_a, cur_b, cur_c, pct, scale = m.group("cur_a", "cur_b", "cur_c", "pct", "scale")
     start, end = m.span()
     return Quantity(
         surface_text=source[start:end],
-        mantissa=_mantissa(pnum, sign, num),
+        mantissa=_mantissa(m.groups()),
         scale_word=scale.lower() if scale else None,
         is_percent=bool(pct),
         is_currency=bool(cur_a or cur_b or cur_c),
@@ -138,8 +135,7 @@ def parse_quantity(text: str) -> Quantity:
 def parse_mantissa(text: str) -> Decimal:
     """``parse_quantity(text).mantissa``, without building the Quantity; raises NotANumber alike."""
     _, m = _full_match(text)
-    _, _, pnum, sign, _, num, _, _ = m.groups()
-    return _mantissa(pnum, sign, num)
+    return _mantissa(m.groups())
 
 
 def extract_numbers(sentence: str) -> list[Quantity]:
@@ -157,8 +153,8 @@ def mantissas(texts: Iterable[str]) -> Iterator[Decimal]:
     Only the sign and digits of each match are read; no ``Quantity`` is built.
     """
     for text in texts:
-        for _, _, pnum, sign, _, num, _, _ in _QUANTITY_RE.findall(text):
-            yield _mantissa(pnum, sign, num)
+        for groups in _QUANTITY_RE.findall(text):
+            yield _mantissa(groups)
 
 
 def first_mantissa(text: str) -> Decimal | None:
@@ -166,13 +162,7 @@ def first_mantissa(text: str) -> Decimal | None:
     m = _QUANTITY_RE.search(text)
     if m is None:
         return None
-    _, _, pnum, sign, _, num, _, _ = m.groups()
-    return _mantissa(pnum, sign, num)
-
-
-def mantissa_set(texts: Iterable[str]) -> frozenset[Decimal]:
-    """The mantissas ``extract_numbers`` reads from the texts, as one set."""
-    return frozenset(mantissas(texts))
+    return _mantissa(m.groups())
 
 
 def to_fraction(value) -> Fraction:

@@ -2,6 +2,7 @@ import hashlib
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import time
@@ -388,15 +389,27 @@ class TestReusedSteps:
         assert elapsed < 0.5, elapsed
 
 
+@st.composite
+def _elision_pairs(draw):
+    """A random symbolic pair whose first program is often a halving chain of 0 to 10 levels."""
+    rng = draw(st.randoms(use_true_random=False))
+    levels = draw(st.integers(0, 10))
+    a, b = _symbolic_pair(rng)
+    if rng.random() < 0.5:
+        a = P(_halving_chain(levels, rng.random() < 0.5))
+    return a, b
+
+
 class TestCanonicalTextElision:
     """A canonical text past MAX_CANONICAL_CHARS is elided, and names its exact length."""
 
     @settings(derandomize=True, max_examples=200, deadline=None)
-    @given(st.randoms(use_true_random=False), st.integers(0, 10))
-    def test_elision_counts_the_text_it_replaces(self, rng, levels):
-        a, b = _symbolic_pair(rng)
-        if rng.random() < 0.5:
-            a = P(_halving_chain(levels, rng.random() < 0.5))
+    @given(_elision_pairs())
+    # a dead step far longer than the bound, under roots that fit it: the dead form is sized, never rendered
+    @example((P(_halving_chain(4, False) + ", add(x, y)"), P("add(y, x)")))
+    @example((P("table-sum(x)"), P("add(a, b)")))  # a leaf root, elided at bound 0
+    def test_elision_counts_the_text_it_replaces(self, pair):
+        a, b = pair
         assert all(len(text) <= equiv.MAX_CANONICAL_CHARS for text in canonical_texts(a, b))
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(equiv, "MAX_CANONICAL_CHARS", math.inf)
@@ -835,6 +848,31 @@ def _budget(left: str, right: str, cap: int = DEFAULT_SAMPLE_POINTS) -> tuple[in
     return _points_needed(plan, degrees, positions, cap)
 
 
+def _oracle_fewest(chance: int, whole: int, limit: int) -> int | None:
+    """The least k <= ``limit`` with chance**k * 2**64 < whole**k, counted up one k at a time; None past it.
+
+    A ``whole`` that is not positive (no trial can be live) says nothing.
+    """
+    if whole <= 0:
+        return None
+    power, top = chance, whole
+    for k in range(1, limit + 1):
+        if power * 2**64 < top:
+            return k
+        power, top = power * chance, top * whole
+    return None
+
+
+def _edge(whole: int, m: int, weight: int) -> int:
+    """The largest degree D with (weight * D)**m * 2**64 < whole**m: m events of chance weight * D / whole suffice."""
+    degree = int(whole * 2 ** (-64 / m) / weight)
+    while degree > 0 and (weight * degree) ** m * 2**64 >= whole**m:
+        degree -= 1
+    while (weight * (degree + 1)) ** m * 2**64 < whole**m:
+        degree += 1
+    return degree
+
+
 def _needed(left: str, right: str, cap: int = DEFAULT_SAMPLE_POINTS) -> int:
     return _budget(left, right, cap)[0]
 
@@ -911,6 +949,46 @@ class TestDegreeBound:
             steps += [f"add(#{len(steps) - 1}, z)", f"divide(y, #{len(steps)})"]
         left = ", ".join(steps)
         assert _budget(left, "add(y, z)") == (32, 1 if factor == 6 else None)
+        assert compare_programs(P(left), P("add(y, z)")).reason == "counterexample"
+
+    def test_counts_match_an_integer_oracle_near_the_rounding_edges(self):
+        # (D, Q) degree pairs, each a program's difference degree and dead-divisor degree. A point
+        # agrees with chance agree / live, agree = 6 * D and live = 2**63 - 11 * Q, so k points
+        # start to suffice where D crosses live * 2**(-64 / k) / 6; a trial dies with chance
+        # 11 * Q / 2**63, so j trials start to suffice where Q crosses 2**(63 - 64 / j) / 11.
+        # Also the cases of test_bound_within_rounding_of_one_says_nothing: x**d, and y / (x**e + z), against y + z.
+        d, e = (2**63 - 1) // 6 // 2 * 2, (2**63 - 1) // 11 // 2 * 2
+        cases = [(215_553_228_480_216, 91_670), (d, 0), (e + 1, e), (0, 0), (1, 2**63)]
+        for m in range(1, 50):
+            for dead in (0, 91_670, 2**40):
+                edge = _edge(2**63 - 11 * dead, m, 6)
+                cases += [(max(edge + delta, 0), dead) for delta in range(-3, 4)]
+            edge = _edge(2**63, m, 11)
+            cases += [(1, max(edge + delta, 0)) for delta in range(-3, 4)]
+        # A chance of exactly 2**-bits: 64 / bits points reach the target but do not go below it.
+        for bits in (1, 2, 4, 8, 16, 32):
+            dead = next(2 ** (bits + 1) * t for t in (1, 2) if 2 ** (bits + 1) * t % 3 == 1)
+            cases.append(((2**63 - 11 * dead) // (6 * 2**bits), dead))
+        wrong = []
+        for degree, dead in cases:
+            plan = [("leaf", b"", False), ("leaf", b"", False), ("leaf", b"", True)]
+            degrees = [(degree, 0), (0, 0), (dead, 0)]
+            for cap in (1, 32, 45):
+                points = _oracle_fewest(6 * degree, 2**63 - 11 * dead, cap)
+                expected = (cap if points is None else points, _oracle_fewest(11 * dead, 2**63, 20 * cap))
+                if _points_needed(plan, degrees, [0, 1], cap) != expected:
+                    wrong.append((degree, dead, cap, expected))
+        assert not wrong, wrong[:5]
+
+    def test_point_count_is_exact_where_the_float_falls_one_short(self):
+        # x**a / (x**b + z) against y + z: D = a and Q = b. The float estimate of the least k with
+        # (6a)**k * 2**64 < (2**63 - 11b)**k reads 5; the integer comparison reads 6.
+        first = _x_to_the(215_553_228_480_216)
+        second = [re.sub(r"#(\d+)", lambda m: f"#{int(m[1]) + len(first)}", step) for step in _x_to_the(91_670)]
+        top = len(first) + len(second)
+        left = ", ".join([*first, *second, f"add(#{top - 1}, z)", f"divide(#{len(first) - 1}, #{top})"])
+        assert len(P(left).steps) == 94
+        assert _budget(left, "add(y, z)") == (6, 2)
         assert compare_programs(P(left), P("add(y, z)")).reason == "counterexample"
 
     def test_constant_difference_takes_one_point(self):

@@ -18,7 +18,7 @@ from finprog.numeric import (
     extract_numbers,
     first_mantissa,
     format_decimal,
-    mantissa_set,
+    mantissas,
     parse_mantissa,
     parse_quantity,
     to_fraction,
@@ -247,7 +247,7 @@ _literals = st.one_of(
 
 
 class TestMentions:
-    """``mentions`` answers exactly as membership in ``mantissa_set`` of the context's texts."""
+    """``mentions`` answers exactly as membership in the set of ``mantissas`` of the context's texts."""
 
     @settings(max_examples=1000)
     @given(st.lists(_mention_texts, max_size=4), st.lists(_mention_texts, min_size=2, max_size=2), _literals)
@@ -255,12 +255,12 @@ class TestMentions:
     def test_mentions_is_membership(self, sentences, row, value):
         ctx = EvidenceContext.build(sentences, FinTable.from_rows([["", "2019"], row]))
         texts = [*sentences, "", "2019", *row]
-        assert ctx.mentions(value) == (value in mantissa_set(texts))
+        assert ctx.mentions(value) == (value in frozenset(mantissas(texts)))
 
     @given(st.lists(_mention_texts, min_size=1, max_size=4), st.data())
     def test_every_number_is_mentioned_in_any_spelling(self, sentences, data):
         ctx = EvidenceContext.build(sentences)
-        for value in mantissa_set(sentences):
+        for value in frozenset(mantissas(sentences)):
             trailing = data.draw(st.integers(0, 3))
             for spelling in (value, -value, value + Decimal(0).scaleb(-trailing)):
                 assert ctx.mentions(spelling) == (spelling in ctx.number_values)
