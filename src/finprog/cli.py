@@ -124,7 +124,8 @@ def _emit(text: str, out: Optional[str] = None) -> None:
 
     A character the encoding cannot hold, such as a lone surrogate that a
     JSON string may carry, is written backslash-escaped (``\\ud800``); any
-    other text is written unchanged.
+    other text is written unchanged. ``cli_dispatch`` sets stdout to escape
+    the same way.
     """
     if out:
         try:
@@ -133,13 +134,14 @@ def _emit(text: str, out: Optional[str] = None) -> None:
         except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
             raise OutputUnwritable(f"cannot write {out}: {exc}") from exc
     else:
-        encoding = getattr(sys.stdout, "encoding", None) or "utf-8"
-        print(text.encode(encoding, "backslashreplace").decode(encoding))
+        print(text)
 
 
 def _load_context(args) -> EvidenceContext:
     """The evidence context selected by --records/--id, or an empty one."""
     if not args.records:
+        if args.id is not None:
+            raise SchemaError("--id needs --records")
         return EvidenceContext.build(())
     loaded = load_records(args.records)
     if args.id is None:
@@ -158,7 +160,7 @@ def _cmd_validate(args) -> int:
     except ProgramError as exc:
         print(f"invalid: {exc}")
         return 1
-    ctx = _load_context(args) if args.records else None
+    ctx = _load_context(args) if args.records or args.id is not None else None
     diagnostics = validate(program, ctx, allow_symbols=args.symbolic)
     if not diagnostics:
         print("valid")
@@ -295,8 +297,8 @@ def _cmd_mask(args) -> int:
     allowed = sorted(next_token_mask(state, vocab))
     if state.is_complete:
         print("(may stop here)")
-    for token in allowed:
-        _emit(token)
+    if allowed:
+        print("\n".join(allowed))
     return 0
 
 
@@ -314,6 +316,8 @@ _HANDLERS = {
 
 def cli_dispatch(argv: list[str]) -> int:
     """Run one subcommand; returns the process exit code."""
+    if hasattr(sys.stdout, "reconfigure"):  # escape what the encoding cannot hold, as _emit's file does
+        sys.stdout.reconfigure(errors="backslashreplace")
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -92,21 +92,20 @@ def build_vocabulary(ctx: EvidenceContext, max_steps: int) -> TokenVocabulary:
     )
 
 
-# Decoder phases: the automaton position within `op ( arg {, arg} )` units.
-_EXPECT_OP = "op"
-_EXPECT_OPEN = "open"
-_EXPECT_ARG = "arg"
-_EXPECT_SEP = "sep"
-_STEP_END = "step-end"
+# The tokens after a step's operation name, by its arity; None marks an argument.
+_STEP_TEMPLATES = {1: ("(", None, ")"), 2: ("(", None, ",", None, ")")}
 
 
 @dataclass(frozen=True)
 class DecodeState:
-    """An immutable position in the program grammar automaton."""
+    """An immutable position in the program grammar automaton.
 
-    phase: str = _EXPECT_OP
+    ``op`` is the operation of the step being read, None between steps, and
+    ``slot`` indexes the next token in that step's template.
+    """
+
     op: str | None = None
-    arg_index: int = 0
+    slot: int = 0
     step_kinds: tuple[str, ...] = ()
     tokens: tuple[str, ...] = ()
 
@@ -117,7 +116,7 @@ class DecodeState:
     @property
     def is_complete(self) -> bool:
         """True when stopping here yields a parseable program."""
-        return self.phase == _STEP_END
+        return self.tokens[-1:] == (")",)
 
     @property
     def program_text(self) -> str:
@@ -144,54 +143,38 @@ def next_token_mask(state: DecodeState, vocab: TokenVocabulary) -> frozenset[str
     filled: table operations need at least one row name in the vocabulary.
     An empty mask at a complete state means the walk must stop.
     """
-    if state.phase == _EXPECT_OP:
-        ops = set()
-        if _math_arg_mask(state, vocab):
-            ops.update(MATH_OPS)
-        if vocab.input_rows:
-            ops.update(TABLE_OPS)
-        return frozenset(ops)
-    if state.phase == _EXPECT_OPEN:
-        return frozenset(("(",))
-    if state.phase == _EXPECT_ARG:
+    if state.op is not None:
+        expected = _STEP_TEMPLATES[arity(state.op)][state.slot]
+        if expected is not None:
+            return frozenset((expected,))
         if state.op in TABLE_OPS:
             return frozenset(vocab.input_rows)
         return _math_arg_mask(state, vocab)
-    if state.phase == _EXPECT_SEP:
-        if state.arg_index + 1 < arity(state.op):
-            return frozenset((",",))
-        return frozenset((")",))
-    if state.phase == _STEP_END:
+    if state.is_complete:
         if state.completed_steps < vocab.max_steps:
             return frozenset((",",))
         return frozenset()
-    raise AssertionError(f"unreachable phase {state.phase!r}")
+    ops = set()
+    if _math_arg_mask(state, vocab):
+        ops.update(MATH_OPS)
+    if vocab.input_rows:
+        ops.update(TABLE_OPS)
+    return frozenset(ops)
 
 
 def advance(state: DecodeState, token: str, vocab: TokenVocabulary) -> DecodeState:
     """Consume one token; raises IllegalToken when it is outside the mask."""
     if token not in next_token_mask(state, vocab):
-        raise IllegalToken(f"token {token!r} is not allowed in phase {state.phase!r}")
+        raise IllegalToken(f"token {token!r} at position {len(state.tokens)} is not allowed")
     tokens = state.tokens + (token,)
-    if state.phase == _EXPECT_OP:
-        return replace(state, phase=_EXPECT_OPEN, op=token, arg_index=0, tokens=tokens)
-    if state.phase == _EXPECT_OPEN:
-        return replace(state, phase=_EXPECT_ARG, tokens=tokens)
-    if state.phase == _EXPECT_ARG:
-        return replace(state, phase=_EXPECT_SEP, tokens=tokens)
-    if state.phase == _EXPECT_SEP:
-        if token == ",":
-            return replace(state, phase=_EXPECT_ARG, arg_index=state.arg_index + 1, tokens=tokens)
-        return replace(
-            state,
-            phase=_STEP_END,
-            op=None,
-            arg_index=0,
-            step_kinds=state.step_kinds + (result_kind(state.op),),
-            tokens=tokens,
-        )
-    # _STEP_END: the only legal token is "," starting a new step.
-    return replace(state, phase=_EXPECT_OP, tokens=tokens)
+    if state.op is not None:
+        if state.slot + 1 < len(_STEP_TEMPLATES[arity(state.op)]):
+            return replace(state, slot=state.slot + 1, tokens=tokens)
+        step_kinds = state.step_kinds + (result_kind(state.op),)
+        return replace(state, op=None, slot=0, step_kinds=step_kinds, tokens=tokens)
+    if state.is_complete:  # the "," that opens the next step
+        return replace(state, tokens=tokens)
+    return replace(state, op=token, tokens=tokens)
 
 
 def replay(tokens: Iterable[str], vocab: TokenVocabulary) -> DecodeState:

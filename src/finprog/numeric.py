@@ -57,8 +57,6 @@ def format_decimal(value: Decimal) -> str:
     text = format(value, "f")
     if "." in text:
         text = text.rstrip("0").rstrip(".")
-    if text in ("", "-"):
-        return "0"
     return text
 
 
@@ -171,19 +169,7 @@ def to_fraction(value) -> Fraction:
     Floats go through their shortest decimal representation, so 0.1 becomes
     1/10 rather than the binary float's exact expansion.
     """
-    if isinstance(value, bool):
-        raise TypeError("boolean is not a numeric value")
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, Decimal):
-        return Fraction(value)
-    if isinstance(value, float):
-        return Fraction(Decimal(repr(value)))
-    if isinstance(value, str):
-        return Fraction(Decimal(value))
-    raise TypeError(f"not a numeric value: {value!r}")
+    return Fraction(*_ratio(value))
 
 
 def decimal_places(value) -> int | None:
@@ -218,13 +204,18 @@ def decimal_places(value) -> int | None:
 
 
 def _ratio(value) -> tuple[int, int]:
-    """``to_fraction(value)`` as (numerator, denominator); only a float or a str builds a Fraction."""
+    """``to_fraction(value)`` as a reduced (numerator, denominator), testing Decimal (the reference type) first."""
     if isinstance(value, Decimal):
         return value.as_integer_ratio()
-    if isinstance(value, (Fraction, int)) and not isinstance(value, bool):
+    if isinstance(value, bool):
+        raise TypeError("boolean is not a numeric value")
+    if isinstance(value, (Fraction, int)):
         return value.numerator, value.denominator
-    value = to_fraction(value)
-    return value.numerator, value.denominator
+    if isinstance(value, float):
+        return Decimal(repr(value)).as_integer_ratio()
+    if isinstance(value, str):
+        return Decimal(value).as_integer_ratio()
+    raise TypeError(f"not a numeric value: {value!r}")
 
 
 @dataclass(frozen=True)

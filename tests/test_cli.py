@@ -173,6 +173,12 @@ class TestUsage:
         code = cli_dispatch(["stats", "--records", str(tmp_path / "absent.jsonl")])
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [["validate", "add(1, 2)"], ["exec", "add(1, 2)"], ["mask"]])
+    def test_id_without_records_is_usage_error(self, capsys, argv):
+        assert cli_dispatch([*argv, "--id", "nope"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: --id needs --records\n")
+
     def test_console_script_names_main(self):
         pyproject = pathlib.Path(__file__).parents[1] / "pyproject.toml"
         scripts = pyproject.read_text(encoding="utf-8").split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
@@ -269,6 +275,18 @@ class TestEvalCommand:
         assert code == 0
         assert "execution accuracy  100.00%" in out.splitlines()
         assert "program accuracy    100.00%" in out.splitlines()
+
+    def test_table_counts_failures_by_reason(self, capsys, tmp_path, sample_path, sample_records):
+        preds = tmp_path / "preds.jsonl"
+        wrong = [(sample_records[0].id, "add(1, 1)"), (sample_records[1].id, "divide(1, 0)")]
+        preds.write_text("".join(json.dumps({"id": rid, "program": program}) + "\n" for rid, program in wrong))
+        assert cli_dispatch(["eval", "--records", str(sample_path), "--preds", str(preds)]) == 0
+        assert capsys.readouterr().out.endswith(
+            "failures\n"
+            "  exec-error               1\n"
+            f"  missing                  {len(sample_records) - 2}\n"
+            "  value-mismatch           1\n"
+        )
 
     def test_machine_format(self, capsys, sample_path, gold_preds_path):
         code = cli_dispatch(
@@ -551,6 +569,20 @@ class TestHostileFiles:
         mask = run("mask", "--records", str(records), "--id", "caf\u00e9", "--prefix", "table-sum (")
         assert b"\n\\udfff row\n" in mask
 
+    @pytest.mark.parametrize(
+        "command, prefix",
+        [("validate", "error: bad-argument-kind (step 0): "), ("exec", "error: InvalidProgram: ")],
+        ids=["validate", "exec"],
+    )
+    def test_text_the_stdout_encoding_cannot_hold_is_written_escaped(self, command, prefix):
+        src = pathlib.Path(finprog.__file__).parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONIOENCODING": "ascii"}
+        argv = [sys.executable, "-m", "finprog.cli", command, "add(\u00e9, 1)"]
+        done = subprocess.run(argv, capture_output=True, env=env)
+        assert (done.returncode, done.stderr) == (1, b"")
+        message = "add takes numbers, constants, or step references, not '\\xe9'"
+        assert done.stdout == f"{prefix}{message}\n".encode("ascii")
+
     def test_reject_ids_count_physical_lines(self, capsys, tmp_path, sample_path, gold_preds_path):
         records = tmp_path / "records.jsonl"
         records.write_text("\n\n{bad\n" + sample_path.read_text(encoding="utf-8"))
@@ -578,6 +610,12 @@ class TestExecCommand:
         )
         assert code == 0
         assert capsys.readouterr().out.strip() == "3251"
+
+    def test_one_record_file_needs_no_id(self, capsys, tmp_path, sample_path):
+        records = tmp_path / "one.jsonl"
+        records.write_text(sample_path.read_text(encoding="utf-8").splitlines()[0] + "\n", encoding="utf-8")
+        assert cli_dispatch(["exec", "table-sum(operating income)", "--records", str(records)]) == 0
+        assert capsys.readouterr().out == "2100\n"
 
     def test_execution_error_exit_one(self, capsys):
         assert cli_dispatch(["exec", "divide(1, 0)"]) == 1
@@ -798,8 +836,19 @@ class TestMaskCommand:
         assert code == 0
         assert "net sales" in out and "gross profit" in out
 
-    def test_illegal_prefix(self, capsys):
-        assert cli_dispatch(["mask", "--prefix", ") ("]) == 1
+    @pytest.mark.parametrize(
+        "prefix, token, position", [(") (", ")", 0), ("add ( const_1 , const_2 ) (", "(", 6)]
+    )
+    def test_illegal_prefix(self, capsys, prefix, token, position):
+        assert cli_dispatch(["mask", "--prefix", prefix]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"prefix is not mask-legal: token {token!r} at position {position} is not allowed\n"
+
+    @pytest.mark.parametrize("max_steps, out", [("2", "(may stop here)\n,\n"), ("1", "(may stop here)\n")])
+    def test_complete_prefix_may_stop(self, capsys, max_steps, out):
+        assert cli_dispatch(["mask", "--prefix", "add ( const_1 , const_2 )", "--max-steps", max_steps]) == 0
+        assert capsys.readouterr().out == out
 
     def test_max_steps_past_the_step_cap_is_usage_error(self, capsys):
         assert cli_dispatch(["mask", "--max-steps", str(MAX_PROGRAM_STEPS + 1)]) == 2

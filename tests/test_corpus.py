@@ -122,6 +122,7 @@ class TestLoadRecords:
         [
             ("greater(5, 3), add(#0, 1)", "step 1 feeds the boolean result of step 0 into add"),
             ("multiply(5, const_bogus)", "unknown constant 'const_bogus'"),
+            ("add(operating income, 1)", "add takes numbers, constants, or step references, not 'operating income'"),
         ],
     )
     def test_argument_rule_rejected(self, tmp_path, program, reason):
@@ -463,6 +464,25 @@ class TestLoadRecords:
             ("qa.gold_inds", "content of 'text_7' is not a string")
         ]
 
+    @pytest.mark.parametrize(
+        "field, value, reason",
+        [
+            ("exe_ans", None, "missing"),
+            ("gold_inds", None, "missing"),
+            ("gold_inds", "text:0", "must be a list or an object"),
+        ],
+    )
+    def test_absent_or_malformed_qa_field_rejected(self, tmp_path, field, value, reason):
+        path = tmp_path / "records.jsonl"
+        record = minimal_record()
+        record["qa"] = {key: item for key, item in record["qa"].items() if key != field}
+        if value is not None:
+            record["qa"][field] = value
+        write_jsonl(path, [record])
+        loaded = load_records(path)
+        assert not loaded.records
+        assert [(r.field_path, r.reason) for r in loaded.rejects] == [(f"qa.{field}", reason)]
+
     @pytest.mark.parametrize("gold_inds", [[], {}])
     def test_empty_gold_inds_rejected(self, tmp_path, gold_inds):
         path = tmp_path / "records.jsonl"
@@ -655,6 +675,13 @@ class TestLoadPredictions:
         with pytest.raises(SchemaError, match=r":2 id must be a string$"):
             load_predictions(path)
 
+    @pytest.mark.parametrize("line", ['["a-0", "add(1, 2)"]', '{"program": "add(1, 2)"}'], ids=["array", "no-id"])
+    def test_line_that_is_not_an_object_with_an_id_is_schema_error(self, tmp_path, line):
+        path = tmp_path / "preds.jsonl"
+        path.write_text(line + "\n")
+        with pytest.raises(SchemaError, match=r":1 must be an object with an id$"):
+            load_predictions(path)
+
     def test_unicode_line_separator_inside_a_program(self, tmp_path):
         path = tmp_path / "preds.jsonl"
         path.write_text('{"id": "a-0", "program": "add(1,\u2028 2)"}\n', encoding="utf-8")
@@ -784,6 +811,15 @@ class TestDatasetStats:
     def test_fact_distance_buckets(self, sample_records):
         stats = dataset_stats(sample_records)
         assert stats.fact_distance_pct[">6"] > 0  # the nine-sentence record
+
+    def test_fact_distance_of_four_to_six(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        pre_text = ["net sales were 100 in 2019 and 80 in 2018 .", "b .", "c .", "d .", "e ."]
+        record = minimal_record(pre_text=pre_text)
+        record["qa"] = dict(record["qa"], gold_inds=["text:0", "text:4"])
+        write_jsonl(path, [record])
+        stats = dataset_stats(load_records(path).records)
+        assert stats.fact_distance_pct == {"<=3": 0.0, "4-6": 100.0, ">6": 0.0}
 
     def test_fact_positions_from_counts(self, sample_records):
         from random import Random

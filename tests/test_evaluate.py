@@ -9,6 +9,7 @@ import pytest
 from finprog.corpus import PredictionRecord
 from finprog.dsl import render_program
 from finprog.evaluate import (
+    RecordVerdict,
     UnknownRecordId,
     breakdown_report,
     parse_answer,
@@ -132,6 +133,16 @@ class TestScoreRecord:
         record = next(r for r in sample_records if r.gold_answer == "yes")
         verdict = score_record("add(1, 1)", record)
         assert not verdict.exe_correct
+
+    def test_text_answer_compares_as_text(self, sample_records):
+        record = dataclasses.replace(sample_records[0], gold_answer="1/3")
+        verdict = score_record("divide(1, 3)", record)
+        assert verdict == RecordVerdict(record.id, True, False, "not-equivalent", "1/3")
+
+    def test_boolean_value_never_matches_numeric_gold(self, sample_records):
+        record = dataclasses.replace(sample_records[0], gold_answer=5)
+        verdict = score_record("greater(2, 1)", record)
+        assert verdict == RecordVerdict(record.id, False, False, "value-mismatch", "yes")
 
     def test_tolerance_policy_flows_through(self, sample_records):
         record = sample_records[0]  # gold 1164
