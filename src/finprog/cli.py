@@ -276,9 +276,9 @@ def _cmd_stats(args) -> int:
 
 def _cmd_linearize(args) -> int:
     loaded = load_records(args.records)
-    chosen = [r for r in loaded.records if not args.id or r.id == args.id]
+    chosen = [r for r in loaded.records if args.id is None or r.id == args.id]
     lines = [sentence for record in chosen for sentence in linearize_table(record.table)]
-    if args.id and not chosen:
+    if args.id is not None and not chosen:
         print(f"no record with id {args.id!r}", file=sys.stderr)
         return 2
     _emit("\n".join(lines), args.out)

@@ -10,7 +10,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from decimal import Decimal
-from fractions import Fraction
 from functools import cached_property
 from typing import Iterator
 
@@ -88,8 +87,8 @@ class FinTable:
         """First row matching the name, or None. Ties resolve to the first; later rows are not read."""
         return next(self._matches(name), None)
 
-    def numeric_cells(self, index: int) -> list[Fraction]:
-        """Numeric cell values of one row, in column order.
+    def numeric_cells(self, index: int) -> list[tuple[int, int]]:
+        """Numeric cell values of one row, in column order, as reduced (numerator, denominator) pairs.
 
         Non-numeric cells (footnote marks, empty strings) are skipped. The
         row-name cell is never included.
@@ -97,7 +96,7 @@ class FinTable:
         values = []
         for cell in self.rows[index][1]:
             try:
-                values.append(Fraction(parse_mantissa(cell)))
+                values.append(parse_mantissa(cell).as_integer_ratio())
             except NotANumber:
                 continue
         return values

@@ -1,7 +1,9 @@
 """Program execution over evidence contexts, in exact rational arithmetic.
 
-Every step's result is an exact Fraction (or a bool, for the comparison
-operation), so repeated runs and independently written interpreters agree
+Inside ``execute`` every step's result is an exact rational kept as a
+reduced integer pair (numerator, denominator) with a positive denominator,
+or a bool for the comparison operation; only the value returned is built as
+a Fraction. So repeated runs and independently written interpreters agree
 bit for bit. Errors are raised, never coerced; an erroring prediction simply
 scores incorrect during evaluation.
 """
@@ -26,8 +28,12 @@ from .dsl import (
 )
 from .numeric import decimal_places, format_decimal
 
-#: A step result: exact number, or bool from `greater`.
+#: A result of ``execute``: exact number, or bool from `greater`.
 Value = Union[Fraction, bool]
+
+#: An exact number inside ``execute``: (numerator, denominator) in lowest
+#: terms, the denominator positive, as ``as_integer_ratio()`` gives it.
+Pair = tuple[int, int]
 
 
 class ExecutionError(Exception):
@@ -123,19 +129,30 @@ def power(base: Fraction, exponent: Fraction) -> Fraction:
     return base**n
 
 
-def aggregate_row(cells: list[Fraction], kind: str) -> Fraction:
-    """sum / average / max / min over one row's numeric cells."""
+def _reduced(numerator: int, denominator: int) -> Pair:
+    """numerator/denominator in lowest terms, for a positive denominator."""
+    g = math.gcd(numerator, denominator)
+    return numerator // g, denominator // g
+
+
+def _greater(a: Pair, b: Pair) -> bool:
+    return a[0] * b[1] > b[0] * a[1]
+
+
+def aggregate_row(cells: list[Pair], kind: str) -> Pair:
+    """sum / average / max / min (``kind``) over one row's numeric cells."""
     if not cells:
         raise EmptyNumericRow("the row has no numeric cells")
-    if kind == "sum":
-        return sum(cells, Fraction(0))
-    if kind == "average":
-        return sum(cells, Fraction(0)) / len(cells)
-    if kind == "max":
-        return max(cells)
-    if kind == "min":
-        return min(cells)
-    raise ValueError(f"unknown aggregation {kind!r}")
+    if kind in ("sum", "average"):
+        n, d = 0, 1
+        for cell_n, cell_d in cells:
+            n, d = _reduced(n * cell_d + cell_n * d, d * cell_d)
+        return (n, d) if kind == "sum" else _reduced(n, d * len(cells))
+    best = cells[0]
+    for cell in cells[1:]:
+        if _greater(cell, best) if kind == "max" else _greater(best, cell):
+            best = cell
+    return best
 
 
 #: The exception that the executor raises for each error code of ``argument_error``.
@@ -147,25 +164,25 @@ ARGUMENT_ERRORS = {
 
 
 def resolve_argument(
-    op: str, arg: Argument, ctx: EvidenceContext, env: list[Value]
-) -> Union[Fraction, list[Fraction], None]:
+    op: str, arg: Argument, ctx: EvidenceContext, env: list[Union[Pair, bool]]
+) -> Union[Pair, list[Pair], None]:
     """A literal's value, a constant's value, a step lookup, or the cells of a table operation's row.
 
     None for a row name that matches no table row, or that is a math
     operation's argument: that one is refused without reading the table.
     """
     if isinstance(arg, NumberLiteral):
-        return Fraction(arg.value)
+        return arg.value.as_integer_ratio()
     if isinstance(arg, Constant):
-        return constant_value(arg.name)
+        return constant_value(arg.name).as_integer_ratio()
     if isinstance(arg, StepRef):
         return env[arg.index]  # a number: a Program refuses a reference to a greater step
     index = ctx.table.find_row(arg.name) if op in TABLE_OPS else None
     return None if index is None else ctx.table.numeric_cells(index)
 
 
-def eval_step(op: str, resolved_args: list) -> Value:
-    """Apply one step's operation to its resolved arguments.
+def eval_step(op: str, resolved_args: list) -> Union[Pair, bool]:
+    """Apply one step's operation to its resolved arguments: pairs, or one row's list of pairs.
 
     A number whose larger term (numerator or denominator) has more than
     MAX_POWER_BITS bits raises DomainError, so no product or sum passes on a
@@ -176,20 +193,21 @@ def eval_step(op: str, resolved_args: list) -> Value:
     else:
         a, b = resolved_args
         if op == "greater":
-            return a > b
+            return _greater(a, b)
+        (an, ad), (bn, bd) = a, b
         if op == "add":
-            result = a + b
+            result = _reduced(an * bd + bn * ad, ad * bd)
         elif op == "subtract":
-            result = a - b
+            result = _reduced(an * bd - bn * ad, ad * bd)
         elif op == "multiply":
-            result = a * b
+            result = _reduced(an * bn, ad * bd)
         elif op == "divide":
-            if b == 0:
+            if bn == 0:
                 raise DivisionByZero("division by zero")
-            result = a / b
+            result = _reduced(an * bd, ad * bn) if bn > 0 else _reduced(-an * bd, -ad * bn)
         else:
-            result = power(a, b)
-    size = max(result.numerator.bit_length(), result.denominator.bit_length())
+            result = power(Fraction(an, ad), Fraction(bn, bd)).as_integer_ratio()
+    size = max(result[0].bit_length(), result[1].bit_length())
     if size > MAX_POWER_BITS:
         raise DomainError(f"result of {size} bits exceeds the {MAX_POWER_BITS}-bit bound")
     return result
@@ -203,16 +221,18 @@ def execute(
 ) -> Value:
     """Run every step in order and return the final step's value.
 
-    The default grounding mode is lenient (literals need not appear in the
-    evidence), matching how predictions are scored; strict mode reproduces the
-    annotation validator's behavior. A step's arguments are read in order;
-    one that does not resolve, and in strict mode each one, goes to
+    Steps compute on reduced integer pairs; the final value is returned as
+    a Fraction, or as the bool of a final ``greater``. The default grounding
+    mode is lenient (literals need not appear in the evidence), matching how
+    predictions are scored; strict mode reproduces the annotation
+    validator's behavior. A step's arguments are read in order; one that
+    does not resolve, and in strict mode each one, goes to
     ``argument_error``, whose code picks the exception from ARGUMENT_ERRORS.
     """
     if ctx is None:
         ctx = EvidenceContext.build(())
     grounding = ctx if strict_grounding else None
-    env: list[Value] = []
+    env: list[Union[Pair, bool]] = []
     for step in program.steps:
         resolved = []
         for arg in step.args:
@@ -224,7 +244,8 @@ def execute(
                     raise ARGUMENT_ERRORS[code](message)
             resolved.append(value)
         env.append(eval_step(step.op, resolved))
-    return env[-1]
+    result = env[-1]
+    return result if isinstance(result, bool) else Fraction(*result)
 
 
 #: Decimal arithmetic that never rounds, whatever the number of digits.

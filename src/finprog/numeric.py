@@ -51,6 +51,11 @@ _QUANTITY_BODY = rf"""
 # are those of the body alone.
 _QUANTITY_RE = re.compile(r"(?=[$(\-−.0-9])" + _QUANTITY_BODY, re.VERBOSE | re.IGNORECASE)
 
+# A plain number, an ASCII minus at most before it: most cells, literals and
+# answers. ``_QUANTITY_RE`` matches every such text with the same sign and
+# digits, so ``parse_mantissa`` reads it here first.
+_PLAIN_RE = re.compile(rf"(-?)({_NUM})")
+
 
 def format_decimal(value: Decimal) -> str:
     """Render a decimal in plain notation, without exponent or trailing zeros."""
@@ -87,11 +92,16 @@ class Quantity:
         return text
 
 
+def _signed(digits: str, negative: str | None) -> Decimal:
+    """The value of ``_NUM`` digits, negated when ``negative`` is a nonempty text; a negated zero reads as 0."""
+    mantissa = Decimal(digits.replace(",", ""))
+    return -mantissa if negative else mantissa
+
+
 def _mantissa(groups: tuple) -> Decimal:
     """The signed written magnitude of a match's groups: parentheses or a minus negate."""
     _, _, pnum, sign, _, num, _, _ = groups
-    mantissa = Decimal((pnum or num).replace(",", ""))
-    return -mantissa if pnum or sign else mantissa
+    return _signed(pnum or num, pnum or sign)
 
 
 def _quantity_from_match(m: re.Match, source: str, offset: int = 0) -> Quantity:
@@ -132,6 +142,10 @@ def parse_quantity(text: str) -> Quantity:
 
 def parse_mantissa(text: str) -> Decimal:
     """``parse_quantity(text).mantissa``, without building the Quantity; raises NotANumber alike."""
+    m = _PLAIN_RE.fullmatch(text)
+    if m is not None:
+        sign, digits = m.groups()
+        return _signed(digits, sign)
     _, m = _full_match(text)
     return _mantissa(m.groups())
 

@@ -179,6 +179,12 @@ class TestUsage:
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", "error: --id needs --records\n")
 
+    @pytest.mark.parametrize("argv", [["linearize"], ["validate", "add(1, 2)"], ["exec", "add(1, 2)"], ["mask"]])
+    def test_empty_id_selects_no_record(self, capsys, sample_path, argv):
+        assert cli_dispatch([*argv, "--records", str(sample_path), "--id", ""]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.endswith("no record with id ''\n")
+
     def test_console_script_names_main(self):
         pyproject = pathlib.Path(__file__).parents[1] / "pyproject.toml"
         scripts = pyproject.read_text(encoding="utf-8").split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]

@@ -31,6 +31,7 @@ from finprog.executor import (
     InvalidProgram,
     RowNotFound,
     UngroundedNumber,
+    _iroot,
     aggregate_row,
     eval_step,
     execute,
@@ -244,23 +245,40 @@ class TestEvidenceRules:
 
 class TestPieces:
     def test_aggregate_row(self):
-        cells = [Fraction(10), Fraction(20), Fraction(30), Fraction(40)]
-        assert aggregate_row(cells, "sum") == 100
-        assert aggregate_row(cells, "average") == 25
-        assert aggregate_row(cells, "max") == 40
-        assert aggregate_row(cells, "min") == 10
+        cells = [(10, 1), (20, 1), (30, 1), (40, 1)]
+        assert aggregate_row(cells, "sum") == (100, 1)
+        assert aggregate_row(cells, "average") == (25, 1)
+        assert aggregate_row(cells, "max") == (40, 1)
+        assert aggregate_row(cells, "min") == (10, 1)
+        # reduced: 1/2 + 3/2 is 2, and (1/6 + 1/3 + 1/2) / 3 is 1/3
+        assert aggregate_row([(1, 2), (3, 2)], "sum") == (2, 1)
+        assert aggregate_row([(1, 6), (1, 3), (1, 2)], "average") == (1, 3)
+        assert aggregate_row([(-3, 4), (-2, 3)], "max") == (-2, 3)
+        assert aggregate_row([(-3, 4), (-2, 3)], "min") == (-3, 4)
         with pytest.raises(EmptyNumericRow):
             aggregate_row([], "sum")
 
     def test_eval_step(self):
-        assert eval_step("exp", [Fraction(2), Fraction(3)]) == 8
-        assert eval_step("table-average", [[Fraction(1), Fraction(2), Fraction(3)]]) == 2
+        assert eval_step("exp", [(2, 1), (3, 1)]) == (8, 1)
+        assert eval_step("exp", [(9, 4), (1, 2)]) == (3, 2)
+        assert eval_step("table-average", [[(1, 1), (2, 1), (3, 1)]]) == (2, 1)
+        assert eval_step("add", [(1, 6), (1, 3)]) == (1, 2)
+        assert eval_step("subtract", [(1, 6), (2, 3)]) == (-1, 2)
+        assert eval_step("multiply", [(-4, 3), (3, 8)]) == (-1, 2)
+        # the sign moves to the numerator
+        assert eval_step("divide", [(3, 4), (-9, 2)]) == (-1, 6)
+        assert eval_step("divide", [(0, 1), (-9, 2)]) == (0, 1)
+        assert eval_step("greater", [(3, 2), (3, 2)]) is False
+        assert eval_step("greater", [(-1, 3), (-1, 2)]) is True
 
     def test_resolve_argument(self, table_ctx):
-        env = [Fraction(Decimal("11.64"))]
-        assert resolve_argument("add", StepRef(0), table_ctx, env) == Fraction(Decimal("11.64"))
+        env = [Decimal("11.64").as_integer_ratio()]
+        assert resolve_argument("add", StepRef(0), table_ctx, env) == (291, 25)
+        assert resolve_argument("add", NumberLiteral(Decimal("-1.50")), table_ctx, []) == (-3, 2)
+        assert resolve_argument("add", Constant("const_m1"), table_ctx, []) == (-1, 1)
         cells = resolve_argument("table-sum", RowName("steady"), table_ctx, [])
-        assert cells == [Fraction(1), Fraction(2), Fraction(3)]
+        assert cells == [(1, 1), (2, 1), (3, 1)]
+        assert resolve_argument("table-sum", RowName("risk-free interest rate"), table_ctx, []) == [(5, 1), (21, 5)]
         # None for a row name that matches no row, or that a math operation takes
         assert resolve_argument("table-sum", RowName("absent row"), table_ctx, []) is None
         assert resolve_argument("add", RowName("steady"), table_ctx, []) is None
@@ -274,6 +292,25 @@ class TestPieces:
         for root in (10**20 + 12345, 3**50 + 7, 2**600 + 1):
             assert power(Fraction(root**2), Fraction(1, 2)) == root
         assert power(Fraction((10**15 + 7) ** 3, 8), Fraction(2, 3)) == Fraction((10**15 + 7) ** 2, 4)
+
+    def test_power_root_past_float_precision_takes_a_newton_correction(self):
+        # from a float estimate good to about 50 bits, the first Newton step
+        # can land above a root of more than about 100 bits, and later steps
+        # come down to it: two of them for 3**150 - 2
+        for root in (3**150 - 2, 2**200 + 1):
+            assert _iroot(root**3, 3) == root
+            assert _iroot(root**3 - 1, 3) is None
+            assert power(Fraction(root**5, 32), Fraction(2, 5)) == Fraction(root**2, 4)
+
+    def test_power_past_float_range_without_an_exact_root_is_a_domain_error(self):
+        # 2·10**396 is no square, and the float fallback cannot hold it
+        with pytest.raises(DomainError, match="^exponentiation out of range: "):
+            power(Fraction(2 * 10**396), Fraction(1, 2))
+        big = "1" + "0" * 99
+        program = parse_program(f"multiply(2, {big}), multiply(#0, {big}), multiply(#1, {big}), "
+                                f"multiply(#2, {big}), exp(#3, 0.5)")
+        with pytest.raises(DomainError, match="^exponentiation out of range: "):
+            execute(program)
 
     def test_power_large_root_index_is_fast(self):
         # a root just above a power of two, with a five-digit root index:
@@ -303,6 +340,18 @@ class TestPieces:
         with pytest.raises(DomainError):
             render_value(execute(parse_program(program)))
         assert time.perf_counter() - started < 0.5
+
+    def test_each_step_result_is_reduced(self):
+        # Reduced, every divide brings back the start value. Unreduced, the
+        # numerator would gain the literal's 329 bits at each multiply and
+        # pass MAX_POWER_BITS within 50 rounds.
+        literal = "9" * 99
+        steps = [f"multiply(1.5, {literal})", f"divide(#0, {literal})"]
+        for index in range(1, 64):
+            steps += [f"multiply(#{2 * index - 1}, {literal})", f"divide(#{2 * index}, {literal})"]
+        program = parse_program(", ".join(steps))
+        assert len(program.steps) == 128
+        assert execute(program) == Fraction(3, 2)
 
     def test_products_past_the_size_bound_are_a_domain_error(self):
         started = time.perf_counter()
@@ -476,6 +525,39 @@ class TestProperties:
     def test_find_row_is_the_first_matching_row(self, names, query):
         table = FinTable(header=("", "2019"), rows=tuple((name, ("1",)) for name in names))
         assert table.find_row(query) == (table.matching_rows(query) or [None])[0]
+
+    @pytest.mark.parametrize(
+        "program",
+        [
+            "table-sum(decorated)", "table-average(decorated)", "table-max(decorated)", "table-min(decorated)",
+            "table-sum(negative)", "table-average(negative)", "table-max(negative)", "table-min(negative)",
+            "table-sum(zero)", "table-max(zero)", "table-min(zero), divide(1, #0)",
+            "table-average(thirds)", "table-average(shared factor)", "table-sum(shared factor)",
+            "divide(5, -2)", "divide(-5, -2.5)", "divide(0, -3)", "table-min(negative), divide(#0, -0.25)",
+            "divide(3, -0)", "divide(5, -2), greater(#0, 0)",
+            "subtract(1.50, 1.5)", "multiply(-0.5, -0.50)", "add(-1.25, 1.25)",
+            "greater(1.50, 1.5)", "greater(1.5, 1.50)", "greater(-1.50, -1.5)", "greater(1.500001, 1.5)",
+            "table-max(decorated), greater(#0, 1234.50)", "table-average(negative), greater(-0.25, #0)",
+        ],
+    )
+    def test_pair_arithmetic_matches_tree_walking_oracle(self, program):
+        # cells in every spelling the readers take, negatives and zeros; an
+        # average whose sum shares a factor with the count (4.5 / 3)
+        table = FinTable.from_rows(
+            [
+                ["", "2019", "2018", "2017", "note"],
+                ["decorated", "$1,234.5", "(12.50)", "4.5%", "$ 7 million"],
+                ["negative", "-3", "−1.25", "(0.5)", "n/a"],
+                ["zero", "0", "-0", "0.000", "(0)"],
+                ["thirds", "0.1", "0.2", "0.3", ""],
+                ["shared factor", "1.5", "1.50", "1.500", "*"],
+            ]
+        )
+        ctx = EvidenceContext.build([], table)
+        parsed = parse_program(program)
+        value, error = _outcome(parsed, ctx)
+        assert (value, error) == naive_execute(parsed, ctx)
+        assert error is not None or type(value) in (Fraction, bool)
 
     def test_matches_tree_walking_oracle(self):
         rng = Random(73)

@@ -88,8 +88,27 @@ class TestParseQuantity:
         st.one_of(
             st.integers(0, 2**32).map(lambda seed: random_number_text(Random(seed))),
             st.text(alphabet=" \t\u00a0$()%,.-−0159abilmnot"),
+            st.from_regex(r"-?[0-9,.]{1,40}", fullmatch=True),
+            st.text(),
         )
     )
+    # parse_mantissa reads a plain number, a minus at most before it, on its
+    # own path: a negated zero still reads as 0, a minus before more than 28
+    # digits rounds as _QUANTITY_RE's path does, and every other text falls
+    # through to the quantity pattern.
+    @example("-0")
+    @example("-.0")
+    @example("-0.000")
+    @example("1,234")
+    @example("-1,234,567.00")
+    @example("1,23")
+    @example(" 5")
+    @example("5\n")
+    @example("−5")
+    @example("\u0661")
+    @example("-")
+    @example("--5")
+    @example("-" + "9" * 40)
     def test_mantissa_is_the_quantitys(self, text):
         try:
             expected = parse_quantity(text).mantissa
@@ -97,7 +116,8 @@ class TestParseQuantity:
             with pytest.raises(NotANumber, match=re.escape(str(e))):
                 parse_mantissa(text)
         else:
-            assert repr(parse_mantissa(text)) == repr(expected)
+            got = parse_mantissa(text)
+            assert (repr(got), got.as_tuple()) == (repr(expected), expected.as_tuple())
 
 
 class TestExtractNumbers:
