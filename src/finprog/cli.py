@@ -3,25 +3,22 @@
 Subcommands: validate, exec, equiv, eval, retrieve, stats, linearize, mask.
 Exit codes: 0 success, 1 completed with findings (diagnostics, rejects, or an
 execution failure), 2 usage or input errors.
+
+Each subcommand's handler imports the modules it runs, so that a command
+loads only what it needs: ``exec`` and ``validate`` never import the
+equivalence checker, the scorer, the retriever or the decoder.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from typing import Optional
 
 from .context import EvidenceContext
-from .corpus import FileUnreadable, SchemaError, dataset_stats, linearize_table, load_predictions, load_records
-from .decoding import IllegalToken, build_vocabulary, next_token_mask, replay
-from .dsl import MAX_PROGRAM_STEPS, ProgramError, is_valid, parse_program, tokenize_program, validate
-from .equiv import DEFAULT_SAMPLE_POINTS, canonical_texts, compare_programs
-from .evaluate import UnknownRecordId, breakdown_report
-from .executor import ExecutionError, execute, render_value
-from .numeric import DEFAULT_TOLERANCE, TolerancePolicy, to_fraction
-from .retrieve import ranked_recall
+from .dsl import MAX_PROGRAM_STEPS, ProgramError, parse_program
+from .numeric import DEFAULT_TOLERANCE
 
 
 _SAMPLES_HELP = (
@@ -52,6 +49,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Parse, validate, execute, and compare financial reasoning programs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # --samples defaults to None, read as equiv.DEFAULT_SAMPLE_POINTS by the
+    # handlers, so that parsing the arguments imports no equivalence checker.
 
     def add_output(p):
         p.add_argument("--out", help="write the report to this path instead of stdout")
@@ -80,7 +79,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("program_a")
     p.add_argument("program_b")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=_at_least(int, 1), default=DEFAULT_SAMPLE_POINTS, help=_SAMPLES_HELP)
+    p.add_argument("--samples", type=_at_least(int, 1), help=_SAMPLES_HELP)
 
     p = sub.add_parser("eval", help="score predictions against a record file")
     p.add_argument("--records", required=True)
@@ -90,7 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-gold-rounding", action="store_true", help="disable the gold-precision rounding clause")
     p.add_argument("--percent-insensitive", action="store_true")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=_at_least(int, 1), default=DEFAULT_SAMPLE_POINTS, help=_SAMPLES_HELP)
+    p.add_argument("--samples", type=_at_least(int, 1), help=_SAMPLES_HELP)
     p.add_argument("--strict-grounding", action="store_true")
     add_output(p)
 
@@ -119,6 +118,17 @@ class OutputUnwritable(Exception):
     """The --out path cannot be written."""
 
 
+def _input_errors() -> tuple[type[Exception], ...]:
+    """The errors that a command reports as bad input, with exit status 2.
+
+    ``cli_dispatch`` calls it only when a command raises, so a command that
+    reads no record file never imports the corpus module.
+    """
+    from .corpus import FileUnreadable, SchemaError, UnknownRecordId
+
+    return FileUnreadable, OutputUnwritable, SchemaError, UnknownRecordId
+
+
 def _emit(text: str, out: Optional[str] = None) -> None:
     """Write ``text`` and a newline to the file ``out``, or to stdout.
 
@@ -139,10 +149,12 @@ def _emit(text: str, out: Optional[str] = None) -> None:
 
 def _load_context(args) -> EvidenceContext:
     """The evidence context selected by --records/--id, or an empty one."""
-    if not args.records:
-        if args.id is not None:
-            raise SchemaError("--id needs --records")
+    if not args.records and args.id is None:
         return EvidenceContext.build(())
+    from .corpus import SchemaError, load_records
+
+    if not args.records:
+        raise SchemaError("--id needs --records")
     loaded = load_records(args.records)
     if args.id is None:
         if len(loaded.records) == 1:
@@ -155,6 +167,8 @@ def _load_context(args) -> EvidenceContext:
 
 
 def _cmd_validate(args) -> int:
+    from .dsl import is_valid, validate
+
     try:
         program = parse_program(args.program)
     except ProgramError as exc:
@@ -172,6 +186,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_exec(args) -> int:
+    from .executor import ExecutionError, execute, render_value
+
     try:
         program = parse_program(args.program)
     except ProgramError as exc:
@@ -188,13 +204,15 @@ def _cmd_exec(args) -> int:
 
 
 def _cmd_equiv(args) -> int:
+    from .equiv import DEFAULT_SAMPLE_POINTS, canonical_texts, compare_programs
+
     try:
         a = parse_program(args.program_a)
         b = parse_program(args.program_b)
     except ProgramError as exc:
         print(f"invalid program: {exc}", file=sys.stderr)
         return 2
-    report = compare_programs(a, b, samples=args.samples, seed=args.seed)
+    report = compare_programs(a, b, samples=args.samples or DEFAULT_SAMPLE_POINTS, seed=args.seed)
     print("equivalent" if report.equivalent else "not equivalent")
     print(f"reason: {report.reason}")
     print(f"points: {report.points}")
@@ -205,11 +223,18 @@ def _cmd_equiv(args) -> int:
 
 def _report(args, loaded, machine, table) -> int:
     """Emit ``machine()`` as JSON or ``table()`` as text, as --format asks; 1 when ``loaded`` has rejects."""
+    import json
+
     _emit(json.dumps(machine(), indent=2) if args.format == "machine" else table(), args.out)
     return 1 if loaded.rejects else 0
 
 
 def _cmd_eval(args) -> int:
+    from .corpus import load_predictions, load_records
+    from .equiv import DEFAULT_SAMPLE_POINTS
+    from .evaluate import breakdown_report
+    from .numeric import TolerancePolicy, to_fraction
+
     loaded = load_records(args.records)
     # a prediction for a rejected record is not scored; the reject is reported
     rejected = {r.id for r in loaded.rejects} - {r.id for r in loaded.records}
@@ -224,7 +249,7 @@ def _cmd_eval(args) -> int:
         preds,
         loaded.records,
         policy,
-        samples=args.samples,
+        samples=args.samples or DEFAULT_SAMPLE_POINTS,
         seed=args.seed,
         strict_grounding=args.strict_grounding,
     )
@@ -239,6 +264,9 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_retrieve(args) -> int:
+    from .corpus import load_records
+    from .retrieve import ranked_recall
+
     loaded = load_records(args.records)
     if not loaded.records:
         print("no records loaded", file=sys.stderr)
@@ -266,6 +294,8 @@ def _cmd_retrieve(args) -> int:
 
 
 def _cmd_stats(args) -> int:
+    from .corpus import dataset_stats, load_records
+
     loaded = load_records(args.records)
     if not loaded.records:
         print("no records loaded", file=sys.stderr)
@@ -275,6 +305,8 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_linearize(args) -> int:
+    from .corpus import linearize_table, load_records
+
     loaded = load_records(args.records)
     chosen = [r for r in loaded.records if args.id is None or r.id == args.id]
     lines = [sentence for record in chosen for sentence in linearize_table(record.table)]
@@ -286,6 +318,9 @@ def _cmd_linearize(args) -> int:
 
 
 def _cmd_mask(args) -> int:
+    from .decoding import IllegalToken, build_vocabulary, next_token_mask, replay
+    from .dsl import tokenize_program
+
     ctx = _load_context(args)
     vocab = build_vocabulary(ctx, max_steps=args.max_steps)
     tokens = [t for t, _ in tokenize_program(args.prefix)] if args.prefix.strip() else []
@@ -325,11 +360,11 @@ def cli_dispatch(argv: list[str]) -> int:
         return int(exc.code or 0)
     try:
         return _HANDLERS[args.command](args)
-    except (FileUnreadable, OutputUnwritable, SchemaError, UnknownRecordId) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except BrokenPipeError:
         return 0
+    except _input_errors() as exc:  # the tuple is built only when the command raised
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def main() -> None:

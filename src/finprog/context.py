@@ -8,11 +8,11 @@ table writes "Risk-Free Interest Rate".
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from decimal import Decimal
 from functools import cached_property
 from typing import Iterator
 
+from .frozen import Frozen, set_field
 from .numeric import (
     NotANumber,
     Quantity,
@@ -29,24 +29,26 @@ def normalize_row_name(name: str) -> str:
     return _NORMALIZE_RE.sub(" ", name.lower()).strip()
 
 
-@dataclass(frozen=True)
-class FinTable:
+class FinTable(Frozen):
     """A single-header table: column labels plus (row name, cells) rows.
 
     ``header[0]`` labels the row-name column and is usually empty; the value
     columns are ``header[1:]``. Every row must have one cell per value column.
     """
 
+    __slots__ = __match_args__ = ("header", "rows")
     header: tuple[str, ...]
     rows: tuple[tuple[str, tuple[str, ...]], ...]
 
-    def __post_init__(self) -> None:
-        width = len(self.header) - 1
-        for name, cells in self.rows:
+    def __init__(self, header: tuple[str, ...], rows: tuple[tuple[str, tuple[str, ...]], ...]):
+        width = len(header) - 1
+        for name, cells in rows:
             if len(cells) != width:
                 raise ValueError(
                     f"row {name!r} has {len(cells)} cells for {width} value columns"
                 )
+        set_field(self, "header", header)
+        set_field(self, "rows", rows)
 
     @classmethod
     def from_rows(cls, raw: list[list[str]]) -> "FinTable":
@@ -102,17 +104,23 @@ class FinTable:
         return values
 
 
-@dataclass(frozen=True)
-class EvidenceContext:
+class EvidenceContext(Frozen):
     """Text sentences and one table.
 
     Numbers are read from the texts on demand: ``mentions`` grounds one
     value, reading only the texts that can hold it; ``number_values`` and
-    ``sentence_quantities`` extract every number once, when first asked.
+    ``sentence_quantities`` extract every number once, when first asked,
+    into the ``__dict__`` that ``cached_property`` writes.
     """
 
+    __match_args__ = ("text_sentences", "table")
+    __slots__ = (*__match_args__, "__dict__")
     text_sentences: tuple[str, ...]
     table: FinTable
+
+    def __init__(self, text_sentences: tuple[str, ...], table: FinTable):
+        set_field(self, "text_sentences", text_sentences)
+        set_field(self, "table", table)
 
     @classmethod
     def build(cls, sentences, table: FinTable | None = None) -> "EvidenceContext":
@@ -149,13 +157,13 @@ class EvidenceContext:
 
         A number is read from ASCII digits and commas alone, so a text can
         hold the value only if, with its thousands commas removed, it
-        contains the digits of ``format_decimal(abs(value))``, less the
+        contains the digits of ``format_decimal(value.copy_abs())``, less the
         leading ``0`` of a magnitude below 1 (the evidence may write ``.5``).
         Only the texts that pass this test are read, up to the first number
         equal to the value; so the answer is exactly that of ``value in
         number_values``.
         """
-        digits = format_decimal(abs(value))
+        digits = format_decimal(value.copy_abs())  # abs() would round past 28 digits
         if digits.startswith("0."):
             digits = digits[1:]
         return value in mantissas(t for t in self._texts() if digits in t.replace(",", ""))

@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .context import EvidenceContext, FinTable
@@ -35,6 +34,13 @@ class SchemaError(Exception):
         super().__init__(message)
 
 
+class UnknownRecordId(KeyError):
+    """A prediction id that matches no record."""
+
+    def __str__(self) -> str:
+        return str(self.args[0])  # KeyError's own str would quote the message
+
+
 class Fact(NamedTuple):
     """One candidate supporting fact: a text sentence or a linearized row."""
 
@@ -43,8 +49,9 @@ class Fact(NamedTuple):
     source: str  # "text" or "table"
 
 
-@dataclass(frozen=True)
-class EvidenceRecord:
+class EvidenceRecord(NamedTuple):
+    """One question on one report page, with its gold program, answer and supporting facts."""
+
     id: str
     pre_text: tuple[str, ...]
     post_text: tuple[str, ...]
@@ -59,21 +66,18 @@ class EvidenceRecord:
         return EvidenceContext.build(self.pre_text + self.post_text, self.table)
 
 
-@dataclass(frozen=True)
-class RejectedRecord:
+class RejectedRecord(NamedTuple):
     id: str
     field_path: str
     reason: str
 
 
-@dataclass
-class LoadResult:
+class LoadResult(NamedTuple):
     records: list[EvidenceRecord]
     rejects: list[RejectedRecord]
 
 
-@dataclass(frozen=True)
-class PredictionRecord:
+class PredictionRecord(NamedTuple):
     """One model output: a program text, or None when marked absent."""
 
     id: str
@@ -464,8 +468,7 @@ def _tokens(text: str) -> int:
 _PAGE_SUFFIX_RE = re.compile(r"-[0-9]+$")
 
 
-@dataclass(frozen=True)
-class StatsReport:
+class StatsReport(NamedTuple):
     """Corpus-level statistics in the shape of the dataset's summary table."""
 
     examples: int
@@ -485,7 +488,7 @@ class StatsReport:
     step_pct: dict
 
     def to_dict(self) -> dict:
-        return dict(vars(self))  # the fields, in their order; the inner dicts are the report's own
+        return self._asdict()  # the fields, in their order; the inner dicts are the report's own
 
     def format_table(self) -> str:
         lines = [

@@ -9,9 +9,8 @@ extensible to a valid program, so every completed walk parses and validates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from decimal import Decimal
-from typing import ClassVar, Iterable
+from typing import Iterable, NamedTuple
 
 from .context import EvidenceContext
 from .dsl import (
@@ -31,8 +30,7 @@ class IllegalToken(ValueError):
     """A token outside the current mask was fed to the decoder."""
 
 
-@dataclass(frozen=True)
-class TokenVocabulary:
+class TokenVocabulary(NamedTuple):
     """The candidate tokens for one evidence context.
 
     ``input_numbers`` and ``input_rows`` come from the evidence, the
@@ -43,7 +41,8 @@ class TokenVocabulary:
     input_numbers: tuple[str, ...]
     input_rows: tuple[str, ...]
     max_steps: int
-    special_tokens: ClassVar[tuple[str, ...]] = MATH_OPS + TABLE_OPS + tuple(DEFAULT_CONSTANTS) + PUNCTUATION
+    #: The language's own tokens: a class attribute, the same for every vocabulary.
+    special_tokens = MATH_OPS + TABLE_OPS + tuple(DEFAULT_CONSTANTS) + PUNCTUATION
 
     @property
     def input_tokens(self) -> tuple[str, ...]:
@@ -96,8 +95,7 @@ def build_vocabulary(ctx: EvidenceContext, max_steps: int) -> TokenVocabulary:
 _STEP_TEMPLATES = {1: ("(", None, ")"), 2: ("(", None, ",", None, ")")}
 
 
-@dataclass(frozen=True)
-class DecodeState:
+class DecodeState(NamedTuple):
     """An immutable position in the program grammar automaton.
 
     ``op`` is the operation of the step being read, None between steps, and
@@ -169,12 +167,12 @@ def advance(state: DecodeState, token: str, vocab: TokenVocabulary) -> DecodeSta
     tokens = state.tokens + (token,)
     if state.op is not None:
         if state.slot + 1 < len(_STEP_TEMPLATES[arity(state.op)]):
-            return replace(state, slot=state.slot + 1, tokens=tokens)
+            return state._replace(slot=state.slot + 1, tokens=tokens)
         step_kinds = state.step_kinds + (result_kind(state.op),)
-        return replace(state, op=None, slot=0, step_kinds=step_kinds, tokens=tokens)
+        return state._replace(op=None, slot=0, step_kinds=step_kinds, tokens=tokens)
     if state.is_complete:  # the "," that opens the next step
-        return replace(state, tokens=tokens)
-    return replace(state, op=token, tokens=tokens)
+        return state._replace(tokens=tokens)
+    return state._replace(op=token, tokens=tokens)
 
 
 def replay(tokens: Iterable[str], vocab: TokenVocabulary) -> DecodeState:

@@ -10,12 +10,12 @@ in docs/grammar.md.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from typing import Iterator, Mapping, Optional, Union
+from typing import Iterator, Mapping, NamedTuple, Optional, Union
 
 from .context import EvidenceContext
+from .frozen import Frozen, set_field
 from .numeric import NotANumber, format_decimal, parse_mantissa
 
 MATH_OPS = ("add", "subtract", "multiply", "divide", "exp", "greater")
@@ -141,59 +141,63 @@ class ForwardStepRef(ProgramError):
     pass
 
 
-@dataclass(frozen=True)
-class NumberLiteral:
+class NumberLiteral(Frozen):
     """A number written directly in the program, decoration stripped; finite, within MAX_NUMBER_DIGITS."""
 
+    __slots__ = __match_args__ = ("value",)
     value: Decimal
 
-    def __post_init__(self) -> None:
-        if not _fits(self.value):
+    def __init__(self, value: Decimal):
+        if not _fits(value):
             raise ProgramError(f"a number literal must be finite, with terms of at most {MAX_NUMBER_DIGITS} digits")
+        set_field(self, "value", value)
 
     def render(self) -> str:
         return format_decimal(self.value)
 
 
-@dataclass(frozen=True)
-class Constant:
+class Constant(Frozen):
     """A named constant that ``constant_value`` resolves."""
 
+    __slots__ = __match_args__ = ("name",)
     name: str
 
-    def __post_init__(self) -> None:
-        if constant_value(self.name) is None:
-            raise ProgramError(f"unknown constant {self.name!r}")
+    def __init__(self, name: str):
+        if constant_value(name) is None:
+            raise ProgramError(f"unknown constant {name!r}")
+        set_field(self, "name", name)
 
     def render(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
-class RowName:
+class RowName(Frozen):
     """A table row reference, or a free symbol in symbolic programs."""
 
+    __slots__ = __match_args__ = ("name",)
     name: str
 
-    def __post_init__(self) -> None:
-        if not self.name or any(c in self.name for c in "(),"):
-            raise ProgramError(f"row name cannot be rendered: {self.name!r}")
-        if _STEP_REF_RE.fullmatch(self.name):
-            raise ProgramError(f"row name would read as a step reference: {self.name!r}")
+    def __init__(self, name: str):
+        if not name or any(c in name for c in "(),"):
+            raise ProgramError(f"row name cannot be rendered: {name!r}")
+        if _STEP_REF_RE.fullmatch(name):
+            raise ProgramError(f"row name would read as a step reference: {name!r}")
+        set_field(self, "name", name)
 
     def render(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
-class StepRef:
+class StepRef(Frozen):
     """#n, the result of the n-th earlier step."""
 
+    __slots__ = __match_args__ = ("index",)
     index: int
 
-    def __post_init__(self) -> None:
-        if self.index < 0:
+    def __init__(self, index: int):
+        if index < 0:
             raise ProgramError("step index must be non-negative")
+        set_field(self, "index", index)
 
     def render(self) -> str:
         return f"#{self.index}"
@@ -202,40 +206,42 @@ class StepRef:
 Argument = Union[NumberLiteral, Constant, RowName, StepRef]
 
 
-@dataclass(frozen=True)
-class OperationStep:
+class OperationStep(Frozen):
     """A known operation with its arity and arguments; a table operation's argument is a row name."""
 
+    __slots__ = __match_args__ = ("op", "args")
     op: str
     args: tuple[Argument, ...]
 
-    def __post_init__(self) -> None:
-        if self.op not in ALL_OPS:
-            raise UnknownOperation(f"unknown operation {self.op!r}")
-        if len(self.args) != arity(self.op):
-            raise ArityError(f"{self.op} takes {arity(self.op)} argument(s), got {len(self.args)}")
-        for arg in self.args:
+    def __init__(self, op: str, args: tuple[Argument, ...]):
+        if op not in ALL_OPS:
+            raise UnknownOperation(f"unknown operation {op!r}")
+        if len(args) != arity(op):
+            raise ArityError(f"{op} takes {arity(op)} argument(s), got {len(args)}")
+        for arg in args:
             if not isinstance(arg, (NumberLiteral, Constant, RowName, StepRef)):
-                raise ProgramError(f"{self.op} takes program arguments, not {arg!r}")
-        if self.op in TABLE_OPS and not isinstance(self.args[0], RowName):
-            raise ProgramError(f"{self.op} takes a table row name, not {self.args[0]!r}")
+                raise ProgramError(f"{op} takes program arguments, not {arg!r}")
+        if op in TABLE_OPS and not isinstance(args[0], RowName):
+            raise ProgramError(f"{op} takes a table row name, not {args[0]!r}")
+        set_field(self, "op", op)
+        set_field(self, "args", args)
 
     def render(self) -> str:
         return f"{self.op}({', '.join(a.render() for a in self.args)})"
 
 
-@dataclass(frozen=True)
-class Program:
+class Program(Frozen):
     """One to MAX_PROGRAM_STEPS steps; every step reference points to an earlier step that is not a ``greater``."""
 
+    __slots__ = __match_args__ = ("steps",)
     steps: tuple[OperationStep, ...]
 
-    def __post_init__(self) -> None:
-        if not self.steps:
+    def __init__(self, steps: tuple[OperationStep, ...]):
+        if not steps:
             raise ProgramError("a program needs at least one step")
-        if len(self.steps) > MAX_PROGRAM_STEPS:
+        if len(steps) > MAX_PROGRAM_STEPS:
             raise ProgramError(f"a program may have at most {MAX_PROGRAM_STEPS} steps")
-        for i, step in enumerate(self.steps):
+        for i, step in enumerate(steps):
             for arg in step.args:
                 if not isinstance(arg, StepRef):
                     continue
@@ -243,10 +249,11 @@ class Program:
                     raise ForwardStepRef(
                         f"step {i} references #{arg.index}, which is not an earlier step"
                     )
-                if self.steps[arg.index].op == "greater":
+                if steps[arg.index].op == "greater":
                     raise ProgramError(
                         f"step {i} feeds the boolean result of step {arg.index} into {step.op}"
                     )
+        set_field(self, "steps", steps)
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -415,8 +422,7 @@ def render_program(program: Program) -> str:
     return ", ".join(step.render() for step in program.steps)
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     code: str
     message: str
     step: int | None = None

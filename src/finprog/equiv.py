@@ -78,7 +78,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .context import normalize_row_name
 from .dsl import (
@@ -468,8 +468,7 @@ def _sample(
     return ("randomized-agreement" if agreed >= points else "degenerate"), agreed
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
+class EquivalenceReport(NamedTuple):
     """The decision, its reason, and how many sample points it compared.
 
     ``points`` counts the live points read modulo p * q, the disagreeing

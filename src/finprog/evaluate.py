@@ -10,22 +10,14 @@ for error analysis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import Decimal
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
-from .corpus import EvidenceRecord, PredictionRecord, source_bucket, steps_bucket
+from .corpus import EvidenceRecord, PredictionRecord, UnknownRecordId, source_bucket, steps_bucket
 from .dsl import Constant, ProgramError, parse_program
 from .equiv import DEFAULT_SAMPLE_POINTS, compare_programs
 from .executor import ExecutionError, execute, render_value
 from .numeric import DEFAULT_TOLERANCE, NotANumber, TolerancePolicy, parse_mantissa, values_equal
-
-
-class UnknownRecordId(KeyError):
-    """A prediction id that matches no record."""
-
-    def __str__(self) -> str:
-        return str(self.args[0])  # KeyError's own str would quote the message
 
 
 def parse_answer(raw) -> bool | Decimal | None:
@@ -51,8 +43,7 @@ def parse_answer(raw) -> bool | Decimal | None:
     return None
 
 
-@dataclass(frozen=True)
-class RecordVerdict:
+class RecordVerdict(NamedTuple):
     id: str
     exe_correct: bool
     prog_correct: bool
@@ -60,7 +51,7 @@ class RecordVerdict:
     predicted_value: Optional[str]
 
     def to_dict(self) -> dict:
-        return dict(vars(self))  # the fields, in their order
+        return self._asdict()  # the fields, in their order
 
 
 def _predictions_by_id(
@@ -118,18 +109,16 @@ def score_record(
     return RecordVerdict(record.id, exe_correct, prog_correct, failure, render_value(value))
 
 
-@dataclass(frozen=True)
-class BucketScore:
+class BucketScore(NamedTuple):
     count: int
     execution_accuracy: float
     program_accuracy: float
 
     def to_dict(self) -> dict:
-        return dict(vars(self))  # the fields, in their order
+        return self._asdict()  # the fields, in their order
 
 
-@dataclass(frozen=True)
-class EvalReport:
+class EvalReport(NamedTuple):
     """Corpus accuracies plus the standard breakdown dimensions.
 
     Buckets partition the scored records: by gold fact source (table-only,

@@ -16,10 +16,9 @@ floor division, P being the reference's displayed decimal places.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 
 class NotANumber(ValueError):
@@ -65,8 +64,7 @@ def format_decimal(value: Decimal) -> str:
     return text
 
 
-@dataclass(frozen=True)
-class Quantity:
+class Quantity(NamedTuple):
     """One number as written in a sentence, with its decoration split off.
 
     ``mantissa`` is the written magnitude with the sign applied; scale words,
@@ -93,9 +91,13 @@ class Quantity:
 
 
 def _signed(digits: str, negative: str | None) -> Decimal:
-    """The value of ``_NUM`` digits, negated when ``negative`` is a nonempty text; a negated zero reads as 0."""
+    """The value of ``_NUM`` digits, negated when ``negative`` is a nonempty text; a negated zero reads as 0.
+
+    ``copy_negate`` flips the sign alone, so every digit is kept: unary minus
+    would round to the context's 28 digits.
+    """
     mantissa = Decimal(digits.replace(",", ""))
-    return -mantissa if negative else mantissa
+    return mantissa.copy_negate() if negative and mantissa else mantissa
 
 
 def _mantissa(groups: tuple) -> Decimal:
@@ -232,8 +234,7 @@ def _ratio(value) -> tuple[int, int]:
     raise TypeError(f"not a numeric value: {value!r}")
 
 
-@dataclass(frozen=True)
-class TolerancePolicy:
+class TolerancePolicy(NamedTuple):
     """Clauses under which two answer values count as equal.
 
     A pair matches when the absolute difference is within ``abs_tol``, the

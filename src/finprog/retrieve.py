@@ -10,8 +10,7 @@ Numbers are kept as tokens.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .corpus import EvidenceRecord, Fact, candidate_facts
 from .dsl import ProgramError, parse_program
@@ -44,8 +43,7 @@ class NoGoldFacts(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class TfIdfIndex:
+class TfIdfIndex(NamedTuple):
     """Immutable index over one fact collection; safe for concurrent queries.
 
     ``facts`` keeps the insertion order, which is the tie-break order for
@@ -182,8 +180,7 @@ def corpus_recall(records: Iterable[EvidenceRecord], k: int) -> tuple[float, lis
     return mean, [(record_id, recall) for record_id, recall, _ in per_record]
 
 
-@dataclass(frozen=True)
-class SingleOpResult:
+class SingleOpResult(NamedTuple):
     """The baseline's emitted program, and its value or failure reason."""
 
     program_text: str

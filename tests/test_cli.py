@@ -185,6 +185,15 @@ class TestUsage:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.endswith("no record with id ''\n")
 
+    @pytest.mark.parametrize("argv", [["exec", "add(1, 2)"], ["stats", "--records", "SAMPLE"]])
+    def test_a_closed_stdout_exits_zero(self, monkeypatch, sample_path, argv):
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert cli_dispatch([str(sample_path) if arg == "SAMPLE" else arg for arg in argv]) == 0
+
     def test_console_script_names_main(self):
         pyproject = pathlib.Path(__file__).parents[1] / "pyproject.toml"
         scripts = pyproject.read_text(encoding="utf-8").split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
@@ -625,6 +634,14 @@ class TestExecCommand:
 
     def test_execution_error_exit_one(self, capsys):
         assert cli_dispatch(["exec", "divide(1, 0)"]) == 1
+
+    @pytest.mark.parametrize("length", [29, 31, 50, 100])
+    def test_a_long_negative_literal_keeps_every_digit(self, capsys, length):
+        digits = ("1234567890" * 10)[:length]
+        assert cli_dispatch(["exec", f"add(-{digits}, 0)"]) == 0
+        assert capsys.readouterr().out == f"-{digits}\n"
+        assert cli_dispatch(["exec", f"multiply(-{digits}.5, const_m1)"]) == 0
+        assert capsys.readouterr().out == f"{digits}.5\n"
 
     @pytest.mark.parametrize(
         "program, message",

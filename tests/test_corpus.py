@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import time
 
@@ -832,8 +831,7 @@ class TestDatasetStats:
             ctx = random_context(rng)
             cut = rng.randint(0, len(ctx.text_sentences))
             records.append(
-                dataclasses.replace(
-                    sample_records[0],
+                sample_records[0]._replace(
                     pre_text=ctx.text_sentences[:cut],
                     post_text=ctx.text_sentences[cut:],
                     table=ctx.table,

@@ -79,6 +79,13 @@ class TestBuildVocabulary:
         vocab = build_vocabulary(ctx, max_steps=2)
         assert vocab.input_rows == ("plain row",)
 
+    def test_row_names_that_read_as_step_references_or_repeat_excluded(self):
+        table = FinTable.from_rows([["", "a"], ["revenue", "5"], ["#1", "6"], ["Revenue", "7"], ["revenue", "8"]])
+        vocab = build_vocabulary(EvidenceContext.build([], table), max_steps=1)
+        # "#1" is no step memory token at one step, but a row name cannot read as one either.
+        assert vocab.step_memory_tokens == ("#0",)
+        assert vocab.input_rows == ("revenue", "Revenue")
+
     def test_numbers_no_literal_can_hold_excluded(self):
         ctx = EvidenceContext.build(["a total of 12 and a serial of " + "7" * 101], FinTable.from_rows([[""]]))
         assert build_vocabulary(ctx, max_steps=2).input_numbers == ("12",)

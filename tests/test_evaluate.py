@@ -1,4 +1,3 @@
-import dataclasses
 import json
 from decimal import Decimal
 from fractions import Fraction
@@ -32,6 +31,8 @@ class TestParseAnswer:
         assert parse_answer("$1,500") == Decimal("1500")
         assert parse_answer(-1164) == Decimal("-1164")
         assert parse_answer("n.m.") is None
+        assert parse_answer(None) is None
+        assert parse_answer(["1"]) is None
 
 
 class TestExecutionAccuracy:
@@ -135,12 +136,12 @@ class TestScoreRecord:
         assert not verdict.exe_correct
 
     def test_text_answer_compares_as_text(self, sample_records):
-        record = dataclasses.replace(sample_records[0], gold_answer="1/3")
+        record = sample_records[0]._replace(gold_answer="1/3")
         verdict = score_record("divide(1, 3)", record)
         assert verdict == RecordVerdict(record.id, True, False, "not-equivalent", "1/3")
 
     def test_boolean_value_never_matches_numeric_gold(self, sample_records):
-        record = dataclasses.replace(sample_records[0], gold_answer=5)
+        record = sample_records[0]._replace(gold_answer=5)
         verdict = score_record("greater(2, 1)", record)
         assert verdict == RecordVerdict(record.id, False, False, "value-mismatch", "yes")
 
@@ -195,7 +196,7 @@ class TestBreakdown:
         report = breakdown_report(preds, sample_records)
         assert report.failure_counts == {"missing": len(sample_records)}
 
-    def test_to_dict_keeps_the_field_order_of_the_dataclass(self, sample_records):
+    def test_to_dict_keeps_the_field_order(self, sample_records):
         preds = gold_predictions(sample_records)[:-3] + [
             PredictionRecord(id=sample_records[-3].id, program_text=None),
             PredictionRecord(id=sample_records[-2].id, program_text="][ junk"),
@@ -203,8 +204,22 @@ class TestBreakdown:
         ]
         report = breakdown_report(preds, sample_records)
         buckets = [*report.by_source.values(), *report.by_steps.values(), *report.by_constants.values()]
-        for item in [*report.verdicts, *buckets]:
-            assert json.dumps(item.to_dict()) == json.dumps(dataclasses.asdict(item))
+        for verdict in report.verdicts:
+            expected = {
+                "id": verdict.id,
+                "exe_correct": verdict.exe_correct,
+                "prog_correct": verdict.prog_correct,
+                "failure": verdict.failure,
+                "predicted_value": verdict.predicted_value,
+            }
+            assert json.dumps(verdict.to_dict()) == json.dumps(expected)
+        for bucket in buckets:
+            expected = {
+                "count": bucket.count,
+                "execution_accuracy": bucket.execution_accuracy,
+                "program_accuracy": bucket.program_accuracy,
+            }
+            assert json.dumps(bucket.to_dict()) == json.dumps(expected)
 
     def test_report_formats(self, sample_records):
         report = breakdown_report(gold_predictions(sample_records), sample_records)

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from finprog.context import EvidenceContext, FinTable
+from finprog.dsl import parse_program, validate
 from finprog.numeric import (
     _QUANTITY_BODY,
     _QUANTITY_RE,
@@ -94,8 +95,8 @@ class TestParseQuantity:
     )
     # parse_mantissa reads a plain number, a minus at most before it, on its
     # own path: a negated zero still reads as 0, a minus before more than 28
-    # digits rounds as _QUANTITY_RE's path does, and every other text falls
-    # through to the quantity pattern.
+    # digits keeps every digit as _QUANTITY_RE's path does, and every other
+    # text falls through to the quantity pattern.
     @example("-0")
     @example("-.0")
     @example("-0.000")
@@ -118,6 +119,40 @@ class TestParseQuantity:
         else:
             got = parse_mantissa(text)
             assert (repr(got), got.as_tuple()) == (repr(expected), expected.as_tuple())
+
+
+class TestLongNegatives:
+    """A negative number keeps every digit, past the 28 of decimal's default context too."""
+
+    DIGITS = "1234567890" * 10
+
+    @pytest.mark.parametrize("length", [28, 29, 30, 41, 64, 99, 100])
+    def test_every_digit_is_kept(self, length):
+        digits = self.DIGITS[:length]
+        grouped = f"{int(digits):,}"
+        for text, written in [
+            (f"-{digits}", f"-{digits}"),
+            (f"-{digits}.25", f"-{digits}.25"),
+            (f"-.{digits}", f"-0.{digits}"),
+            (f"({digits})", f"-{digits}"),
+            (f"\u2212{digits}", f"-{digits}"),
+            (f"-${grouped}", f"-{digits}"),
+            (f"( $ {grouped} ) million", f"-{digits}"),
+        ]:
+            expected = Decimal(written)  # the constructor is exact; unary minus would round
+            assert parse_quantity(text).mantissa.as_tuple() == expected.as_tuple(), text
+            assert parse_mantissa(text).as_tuple() == expected.as_tuple(), text
+            sentence = f"the balance was {text} in 2019 ."
+            assert [q.mantissa for q in extract_numbers(sentence)] == [expected, 2019]
+            assert list(mantissas([sentence])) == [expected, 2019]
+            assert first_mantissa(sentence) == expected
+            assert EvidenceContext.build([sentence]).mentions(expected)
+
+    @pytest.mark.parametrize("text", ["-0", "-.0", "-0.000", "(0)", "-$0.00", "\u22120", "-0,000"])
+    def test_a_negated_zero_reads_as_a_non_negative_zero(self, text):
+        for value in (parse_quantity(text).mantissa, parse_mantissa(text)):
+            assert value == 0 and not value.is_signed(), text
+        assert parse_mantissa("-0.000").as_tuple() == Decimal("0.000").as_tuple()
 
 
 class TestExtractNumbers:
@@ -295,6 +330,16 @@ class TestMentions:
         for value in ("100", "10", "3.5", "-0.5", "70", "-7", "5"):
             assert not ctx.mentions(Decimal(value)), value
 
+    @pytest.mark.parametrize("length", [29, 40, 100])
+    def test_a_number_past_28_digits(self, length):
+        digits = ("1234567890" * 10)[:length]
+        ctx = EvidenceContext.build([f"assets of {digits} and ({digits[1:]}.5) ."])
+        for value in (digits, f"-{digits[1:]}.5", f"-{digits[1:]}.50"):
+            assert ctx.mentions(Decimal(value)), value
+        for value in (f"-{digits}", str(int(digits) + 1), f"{digits[1:]}.5"):
+            assert not ctx.mentions(Decimal(value)), value
+        assert validate(parse_program(f"add({digits}, const_1)"), ctx) == []
+
 
 _mantissas = st.decimals(
     min_value=Decimal("-999999999"),
@@ -377,6 +422,10 @@ class TestValuesEqual:
         assert decimal_places(Fraction(3, 4)) == 2
         assert decimal_places(Fraction(1, 3)) is None
         assert decimal_places(0.25) == 2
+        assert decimal_places(True) is None
+        assert decimal_places(Decimal("NaN")) is None
+        assert decimal_places(Decimal("-Infinity")) is None
+        assert decimal_places("1.25") is None
 
 
 # Differential tests: ``values_equal`` and ``decimal_places`` work in integers;

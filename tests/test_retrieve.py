@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import re
@@ -10,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from finprog.context import FinTable
 from finprog.corpus import Fact, candidate_facts, load_records
 from finprog.retrieve import (
     EmptyCorpus,
@@ -18,6 +18,7 @@ from finprog.retrieve import (
     corpus_recall,
     rank,
     rank_records,
+    ranked_recall,
     recall_at_k,
     single_op_answer,
     tokenize,
@@ -296,6 +297,11 @@ class TestRecall:
         full, _ = corpus_recall(sample_records, k=30)
         assert full == 1.0
 
+    def test_no_records(self):
+        for recall in (corpus_recall, ranked_recall):
+            with pytest.raises(EmptyCorpus, match="no records to evaluate"):
+                recall([], 3)
+
     def test_one_index_per_run_of_equal_evidence(self, monkeypatch, aaba_path):
         import finprog.retrieve
 
@@ -320,10 +326,10 @@ class TestRecall:
     def test_records_differing_in_one_field_get_their_own_index(self, sample_records, field):
         record = next(r for r in sample_records if r.post_text and len(r.table.rows) > 1)
         if field == "table":
-            other = dataclasses.replace(record.table, rows=record.table.rows[::-1])
+            other = FinTable(header=record.table.header, rows=record.table.rows[::-1])
         else:
             other = getattr(record, field)[::-1] + ("another sentence .",)
-        records = [record, dataclasses.replace(record, id="other", **{field: other})]
+        records = [record, record._replace(id="other", **{field: other})]
         fresh = [rank(r.question, build_index(candidate_facts(r)), 30) for r in records]
         assert fresh[0] != fresh[1]
         assert [ranked for _, ranked in rank_records(records, 30)] == fresh

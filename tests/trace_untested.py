@@ -13,7 +13,8 @@ start ``python -m finprog.cli``, is not traced.
 
 Tracing makes the suite about three times slower, so tests bound by wall
 time may fail here; the trace is reported all the same, after pytest's own
-summary.
+summary. The last line printed is always the count, ``N statements in
+functions never executed; ...``, which CI reads.
 pytest does not collect this file: it is a tool, not a test.
 """
 
@@ -72,9 +73,9 @@ def main(argv: list[str]) -> int:
         for line in missed:
             print(f"{path.relative_to(ROOT)}:{line}: {text[line - 1].strip()}")
         untested += len(missed)
-    print(f"{untested} statements in functions never executed; pytest exit status {int(status)}")
     if status != 0:
         print("tracing slows every test: a failure bound by wall time may be the trace's own cost")
+    print(f"{untested} statements in functions never executed; pytest exit status {int(status)}")
     return 0
 
 
