@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import re
 from decimal import Decimal
-from functools import cached_property
 from typing import Iterator
 
 from .frozen import Frozen, set_field
@@ -109,12 +108,10 @@ class EvidenceContext(Frozen):
 
     Numbers are read from the texts on demand: ``mentions`` grounds one
     value, reading only the texts that can hold it; ``number_values`` and
-    ``sentence_quantities`` extract every number once, when first asked,
-    into the ``__dict__`` that ``cached_property`` writes.
+    ``sentence_quantities`` extract every number each time they are read.
     """
 
-    __match_args__ = ("text_sentences", "table")
-    __slots__ = (*__match_args__, "__dict__")
+    __slots__ = __match_args__ = ("text_sentences", "table")
     text_sentences: tuple[str, ...]
     table: FinTable
 
@@ -128,7 +125,7 @@ class EvidenceContext(Frozen):
             table = FinTable(header=("",), rows=())
         return cls(text_sentences=tuple(sentences), table=table)
 
-    @cached_property
+    @property
     def sentence_quantities(self) -> tuple[tuple[Quantity, ...], ...]:
         return tuple(tuple(extract_numbers(s)) for s in self.text_sentences)
 
@@ -140,7 +137,7 @@ class EvidenceContext(Frozen):
             texts.extend(cells)
         return texts
 
-    @cached_property
+    @property
     def number_values(self) -> frozenset[Decimal]:
         """Every number present anywhere in the evidence, as its signed mantissa.
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from decimal import Decimal
 from typing import Iterable, NamedTuple, Optional
 
-from .corpus import EvidenceRecord, PredictionRecord, UnknownRecordId, source_bucket, steps_bucket
+from .corpus import EvidenceRecord, PredictionRecord, SchemaError, UnknownRecordId, source_bucket, steps_bucket
 from .dsl import Constant, ProgramError, parse_program
 from .equiv import DEFAULT_SAMPLE_POINTS, compare_programs
 from .executor import ExecutionError, execute, render_value
@@ -62,6 +62,8 @@ def _predictions_by_id(
     for pred in preds:
         if pred.id not in known:
             raise UnknownRecordId(f"prediction id {pred.id!r} matches no record")
+        if pred.id in table:
+            raise SchemaError(f"prediction id {pred.id!r} appears more than once")
         table[pred.id] = pred.program_text
     return table
 
@@ -201,7 +203,11 @@ def breakdown_report(
     seed: int = 0,
     strict_grounding: bool = False,
 ) -> EvalReport:
-    """Score every record and aggregate; order-independent and idempotent."""
+    """Score every record and aggregate; order-independent and idempotent.
+
+    A prediction id that matches no record raises UnknownRecordId, and one
+    that appears more than once raises SchemaError.
+    """
     by_id = _predictions_by_id(preds, records)
     ordered = sorted(records, key=lambda r: r.id)
     verdicts = tuple(

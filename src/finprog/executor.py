@@ -18,7 +18,6 @@ from typing import Optional, Union
 from .context import EvidenceContext
 from .dsl import (
     TABLE_OPS,
-    Argument,
     Constant,
     NumberLiteral,
     Program,
@@ -86,7 +85,7 @@ def _iroot(n: int, k: int) -> int | None:
 
 
 #: The largest size, in bits, of a step result's larger term (numerator or
-#: denominator). Past it ``eval_step`` raises DomainError rather than keep a
+#: denominator). Past it ``execute`` raises DomainError rather than keep a
 #: number whose exact decimal rendering alone takes seconds: at the bound,
 #: rendering takes under 0.1 s on a 2-vCPU host. ``power`` checks an estimate
 #: first, without building the number: |n| times the bit length of the base's
@@ -140,7 +139,9 @@ def _greater(a: Pair, b: Pair) -> bool:
 
 
 def aggregate_row(cells: list[Pair], kind: str) -> Pair:
-    """sum / average / max / min (``kind``) over one row's numeric cells."""
+    """sum / average / max / min (``kind``) over one row's numeric cells; any other kind is a ValueError."""
+    if kind not in ("sum", "average", "max", "min"):
+        raise ValueError(f"unknown aggregation {kind!r}")
     if not cells:
         raise EmptyNumericRow("the row has no numeric cells")
     if kind in ("sum", "average"):
@@ -155,62 +156,12 @@ def aggregate_row(cells: list[Pair], kind: str) -> Pair:
     return best
 
 
-#: The exception that the executor raises for each error code of ``argument_error``.
-ARGUMENT_ERRORS = {
+#: The exception that ``execute`` raises for each error code of ``argument_error``.
+_ARGUMENT_ERRORS = {
     "bad-argument-kind": InvalidProgram,
     "unknown-row-name": RowNotFound,
     "ungrounded-number": UngroundedNumber,
 }
-
-
-def resolve_argument(
-    op: str, arg: Argument, ctx: EvidenceContext, env: list[Union[Pair, bool]]
-) -> Union[Pair, list[Pair], None]:
-    """A literal's value, a constant's value, a step lookup, or the cells of a table operation's row.
-
-    None for a row name that matches no table row, or that is a math
-    operation's argument: that one is refused without reading the table.
-    """
-    if isinstance(arg, NumberLiteral):
-        return arg.value.as_integer_ratio()
-    if isinstance(arg, Constant):
-        return constant_value(arg.name).as_integer_ratio()
-    if isinstance(arg, StepRef):
-        return env[arg.index]  # a number: a Program refuses a reference to a greater step
-    index = ctx.table.find_row(arg.name) if op in TABLE_OPS else None
-    return None if index is None else ctx.table.numeric_cells(index)
-
-
-def eval_step(op: str, resolved_args: list) -> Union[Pair, bool]:
-    """Apply one step's operation to its resolved arguments: pairs, or one row's list of pairs.
-
-    A number whose larger term (numerator or denominator) has more than
-    MAX_POWER_BITS bits raises DomainError, so no product or sum passes on a
-    result that takes seconds to render.
-    """
-    if op in TABLE_OPS:
-        result = aggregate_row(resolved_args[0], op.removeprefix("table-"))
-    else:
-        a, b = resolved_args
-        if op == "greater":
-            return _greater(a, b)
-        (an, ad), (bn, bd) = a, b
-        if op == "add":
-            result = _reduced(an * bd + bn * ad, ad * bd)
-        elif op == "subtract":
-            result = _reduced(an * bd - bn * ad, ad * bd)
-        elif op == "multiply":
-            result = _reduced(an * bn, ad * bd)
-        elif op == "divide":
-            if bn == 0:
-                raise DivisionByZero("division by zero")
-            result = _reduced(an * bd, ad * bn) if bn > 0 else _reduced(-an * bd, -ad * bn)
-        else:
-            result = power(Fraction(an, ad), Fraction(bn, bd)).as_integer_ratio()
-    size = max(result[0].bit_length(), result[1].bit_length())
-    if size > MAX_POWER_BITS:
-        raise DomainError(f"result of {size} bits exceeds the {MAX_POWER_BITS}-bit bound")
-    return result
 
 
 def execute(
@@ -225,25 +176,61 @@ def execute(
     a Fraction, or as the bool of a final ``greater``. The default grounding
     mode is lenient (literals need not appear in the evidence), matching how
     predictions are scored; strict mode reproduces the annotation
-    validator's behavior. A step's arguments are read in order; one that
-    does not resolve, and in strict mode each one, goes to
-    ``argument_error``, whose code picks the exception from ARGUMENT_ERRORS.
+    validator's behavior. A step's arguments are read in order, before the
+    step runs: a row name is a table operation's list of numeric cell pairs,
+    and one that matches no row, or that a math operation takes, does not
+    resolve. That one, and in strict mode each argument, goes to
+    ``argument_error``, whose code picks the exception raised. A result
+    other than a ``greater`` bool whose larger term (numerator or
+    denominator) has more than MAX_POWER_BITS bits raises DomainError, so no
+    product or sum passes on a number that takes seconds to render.
     """
     if ctx is None:
         ctx = EvidenceContext.build(())
     grounding = ctx if strict_grounding else None
     env: list[Union[Pair, bool]] = []
     for step in program.steps:
-        resolved = []
+        op = step.op
+        args = []
         for arg in step.args:
-            value = resolve_argument(step.op, arg, ctx, env)
+            if isinstance(arg, NumberLiteral):
+                value = arg.value.as_integer_ratio()
+            elif isinstance(arg, Constant):
+                value = constant_value(arg.name).as_integer_ratio()
+            elif isinstance(arg, StepRef):
+                value = env[arg.index]  # a number: a Program refuses a reference to a greater step
+            else:  # a row name, read from the table by a table operation alone
+                index = ctx.table.find_row(arg.name) if op in TABLE_OPS else None
+                value = None if index is None else ctx.table.numeric_cells(index)
             if value is None or grounding is not None:
-                error = argument_error(step.op, arg, grounding, matched=value is not None)
+                error = argument_error(op, arg, grounding, matched=value is not None)
                 if error is not None:
                     code, message = error
-                    raise ARGUMENT_ERRORS[code](message)
-            resolved.append(value)
-        env.append(eval_step(step.op, resolved))
+                    raise _ARGUMENT_ERRORS[code](message)
+            args.append(value)
+        if op == "greater":
+            env.append(_greater(*args))
+            continue
+        if op in TABLE_OPS:
+            result = aggregate_row(args[0], op.removeprefix("table-"))
+        else:
+            (an, ad), (bn, bd) = args
+            if op == "add":
+                result = _reduced(an * bd + bn * ad, ad * bd)
+            elif op == "subtract":
+                result = _reduced(an * bd - bn * ad, ad * bd)
+            elif op == "multiply":
+                result = _reduced(an * bn, ad * bd)
+            elif op == "divide":
+                if bn == 0:
+                    raise DivisionByZero("division by zero")
+                result = _reduced(an * bd, ad * bn) if bn > 0 else _reduced(-an * bd, -ad * bn)
+            else:
+                result = power(Fraction(an, ad), Fraction(bn, bd)).as_integer_ratio()
+        size = max(result[0].bit_length(), result[1].bit_length())
+        if size > MAX_POWER_BITS:
+            raise DomainError(f"result of {size} bits exceeds the {MAX_POWER_BITS}-bit bound")
+        env.append(result)
     result = env[-1]
     return result if isinstance(result, bool) else Fraction(*result)
 

@@ -10,7 +10,7 @@ Numbers are kept as tokens.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .corpus import EvidenceRecord, Fact, candidate_facts
 from .dsl import ProgramError, parse_program
@@ -144,30 +144,22 @@ def recall_at_k(ranked: RankedFacts, gold_ids: frozenset, k: int) -> float:
     return len(top & set(gold_ids)) / len(gold_ids)
 
 
-def rank_records(
+def ranked_recall(
     records: Iterable[EvidenceRecord], k: int
-) -> Iterator[tuple[EvidenceRecord, RankedFacts]]:
-    """Each record with its top-k facts, in order.
+) -> tuple[float, list[tuple[str, float, RankedFacts]]]:
+    """Mean per-record recall@k, with each record's id, recall and top-k facts.
 
     Adjacent records with equal evidence (several questions on one report
     page) are ranked against one index, built for the first of them.
     """
+    per_record = []
     indexed = index = None
     for record in records:
         evidence = (record.pre_text, record.table, record.post_text)
         if evidence != indexed:
             indexed, index = evidence, build_index(candidate_facts(record))
-        yield record, rank(record.question, index, k)
-
-
-def ranked_recall(
-    records: Iterable[EvidenceRecord], k: int
-) -> tuple[float, list[tuple[str, float, RankedFacts]]]:
-    """Mean per-record recall@k, with each record's id, recall and top-k facts."""
-    per_record = [
-        (record.id, recall_at_k(ranked, record.gold_fact_ids, k), ranked)
-        for record, ranked in rank_records(records, k)
-    ]
+        ranked = rank(record.question, index, k)
+        per_record.append((record.id, recall_at_k(ranked, record.gold_fact_ids, k), ranked))
     if not per_record:
         raise EmptyCorpus("no records to evaluate")
     mean = sum(r for _, r, _ in per_record) / len(per_record)

@@ -354,6 +354,17 @@ class TestEvalCommand:
         assert captured.err == "error: prediction id 'nope' matches no record\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("programs", [("add(1, 2)", None), (None, "add(1, 2)")])
+    def test_repeated_prediction_id_is_input_error(self, capsys, tmp_path, sample_path, sample_records, programs):
+        record_id = sample_records[0].id
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text("".join(json.dumps({"id": record_id, "program": p}) + "\n" for p in programs))
+        code = cli_dispatch(["eval", "--records", str(sample_path), "--preds", str(preds)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == f"error: prediction id {record_id!r} appears more than once\n"
+        assert captured.out == ""
+
     def test_prediction_id_that_is_not_a_string_is_input_error(self, capsys, tmp_path, sample_path):
         preds = tmp_path / "preds.jsonl"
         preds.write_text(json.dumps({"id": 5, "program": "add(1, 2)"}) + "\n")

@@ -5,7 +5,7 @@ from random import Random
 
 import pytest
 
-from finprog.corpus import PredictionRecord
+from finprog.corpus import PredictionRecord, SchemaError
 from finprog.dsl import render_program
 from finprog.evaluate import (
     RecordVerdict,
@@ -57,6 +57,12 @@ class TestExecutionAccuracy:
     def test_unknown_prediction_id(self, sample_records):
         preds = [PredictionRecord(id="nope-0", program_text="add(1, 2)")]
         with pytest.raises(UnknownRecordId):
+            breakdown_report(preds, sample_records)
+
+    def test_repeated_prediction_id(self, sample_records):
+        record_id = sample_records[0].id
+        preds = [PredictionRecord(id=record_id, program_text=p) for p in ("add(1, 2)", None)]
+        with pytest.raises(SchemaError, match=f"prediction id {record_id!r} appears more than once"):
             breakdown_report(preds, sample_records)
 
 

@@ -33,11 +33,9 @@ from finprog.executor import (
     UngroundedNumber,
     _iroot,
     aggregate_row,
-    eval_step,
     execute,
     power,
     render_value,
-    resolve_argument,
 )
 
 from generators import (
@@ -257,31 +255,41 @@ class TestPieces:
         assert aggregate_row([(-3, 4), (-2, 3)], "min") == (-3, 4)
         with pytest.raises(EmptyNumericRow):
             aggregate_row([], "sum")
+        with pytest.raises(ValueError, match="unknown aggregation 'median'"):
+            aggregate_row([], "median")  # the kind is checked before the row
 
-    def test_eval_step(self):
-        assert eval_step("exp", [(2, 1), (3, 1)]) == (8, 1)
-        assert eval_step("exp", [(9, 4), (1, 2)]) == (3, 2)
-        assert eval_step("table-average", [[(1, 1), (2, 1), (3, 1)]]) == (2, 1)
-        assert eval_step("add", [(1, 6), (1, 3)]) == (1, 2)
-        assert eval_step("subtract", [(1, 6), (2, 3)]) == (-1, 2)
-        assert eval_step("multiply", [(-4, 3), (3, 8)]) == (-1, 2)
-        # the sign moves to the numerator
-        assert eval_step("divide", [(3, 4), (-9, 2)]) == (-1, 6)
-        assert eval_step("divide", [(0, 1), (-9, 2)]) == (0, 1)
-        assert eval_step("greater", [(3, 2), (3, 2)]) is False
-        assert eval_step("greater", [(-1, 3), (-1, 2)]) is True
+    @pytest.mark.parametrize(
+        "text, value",
+        [
+            ("exp(2, 3)", 8),
+            ("exp(2.25, 0.5)", Fraction(3, 2)),
+            ("table-average(steady)", 2),
+            ("divide(1, 6), divide(1, 3), add(#0, #1)", Fraction(1, 2)),
+            ("divide(1, 6), divide(2, 3), subtract(#0, #1)", Fraction(-1, 2)),
+            ("divide(-4, 3), divide(3, 8), multiply(#0, #1)", Fraction(-1, 2)),
+            # the sign moves to the numerator
+            ("divide(0.75, -4.5)", Fraction(-1, 6)),
+            ("divide(0, -4.5)", 0),
+            ("greater(1.5, 1.5)", False),
+            ("divide(-1, 3), divide(-1, 2), greater(#0, #1)", True),
+            # each kind of argument
+            ("add(11.64, 0), add(#0, 0)", Fraction(291, 25)),
+            ("add(-1.50, 0)", Fraction(-3, 2)),
+            ("add(const_m1, 0)", -1),
+            ("table-sum(steady)", 6),
+            ("table-sum(risk-free interest rate)", Fraction(46, 5)),
+            ("table-min(risk-free interest rate)", Fraction(21, 5)),
+        ],
+    )
+    def test_each_operation_and_argument(self, table_ctx, text, value):
+        result = execute(parse_program(text), table_ctx)
+        assert result == value and isinstance(result, bool) == isinstance(value, bool)
 
-    def test_resolve_argument(self, table_ctx):
-        env = [Decimal("11.64").as_integer_ratio()]
-        assert resolve_argument("add", StepRef(0), table_ctx, env) == (291, 25)
-        assert resolve_argument("add", NumberLiteral(Decimal("-1.50")), table_ctx, []) == (-3, 2)
-        assert resolve_argument("add", Constant("const_m1"), table_ctx, []) == (-1, 1)
-        cells = resolve_argument("table-sum", RowName("steady"), table_ctx, [])
-        assert cells == [(1, 1), (2, 1), (3, 1)]
-        assert resolve_argument("table-sum", RowName("risk-free interest rate"), table_ctx, []) == [(5, 1), (21, 5)]
-        # None for a row name that matches no row, or that a math operation takes
-        assert resolve_argument("table-sum", RowName("absent row"), table_ctx, []) is None
-        assert resolve_argument("add", RowName("steady"), table_ctx, []) is None
+    def test_unresolved_row_names(self, table_ctx):
+        with pytest.raises(RowNotFound):
+            execute(parse_program("table-sum(absent row)"), table_ctx)
+        with pytest.raises(InvalidProgram):
+            execute(parse_program("add(steady, 1)"), table_ctx)
 
     def test_power_exact_and_widened(self):
         assert power(Fraction(2), Fraction(-2)) == Fraction(1, 4)

@@ -17,7 +17,6 @@ from finprog.retrieve import (
     build_index,
     corpus_recall,
     rank,
-    rank_records,
     ranked_recall,
     recall_at_k,
     single_op_answer,
@@ -332,7 +331,7 @@ class TestRecall:
         records = [record, record._replace(id="other", **{field: other})]
         fresh = [rank(r.question, build_index(candidate_facts(r)), 30) for r in records]
         assert fresh[0] != fresh[1]
-        assert [ranked for _, ranked in rank_records(records, 30)] == fresh
+        assert [ranked for _, _, ranked in ranked_recall(records, 30)[1]] == fresh
 
 
 class TestSingleOp:
