@@ -160,10 +160,21 @@ def _load_context(args) -> EvidenceContext:
         if len(loaded.records) == 1:
             return loaded.records[0].context()
         raise SchemaError("--id is required when the record file has several records")
+    return _record_with_id(loaded, args.id).context()
+
+
+def _record_with_id(loaded, record_id: str):
+    """The loaded record with ``record_id``, or a SchemaError naming its reject's field and reason, if any."""
+    from .corpus import SchemaError
+
     for record in loaded.records:
-        if record.id == args.id:
-            return record.context()
-    raise SchemaError(f"no record with id {args.id!r}")
+        if record.id == record_id:
+            return record
+    for reject in loaded.rejects:
+        if reject.id == record_id:
+            where = f" at {reject.field_path}" if reject.field_path else ""
+            raise SchemaError(f"record {record_id!r} was rejected{where}: {reject.reason}")
+    raise SchemaError(f"no record with id {record_id!r}")
 
 
 def _cmd_validate(args) -> int:
@@ -308,13 +319,9 @@ def _cmd_linearize(args) -> int:
     from .corpus import linearize_table, load_records
 
     loaded = load_records(args.records)
-    chosen = [r for r in loaded.records if args.id is None or r.id == args.id]
-    lines = [sentence for record in chosen for sentence in linearize_table(record.table)]
-    if args.id is not None and not chosen:
-        print(f"no record with id {args.id!r}", file=sys.stderr)
-        return 2
-    _emit("\n".join(lines), args.out)
-    return 0
+    chosen = loaded.records if args.id is None else [_record_with_id(loaded, args.id)]
+    _emit("\n".join(sentence for record in chosen for sentence in linearize_table(record.table)), args.out)
+    return 1 if loaded.rejects else 0
 
 
 def _cmd_mask(args) -> int:

@@ -17,7 +17,7 @@ import re
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .context import EvidenceContext, FinTable
-from .dsl import GROUNDING_CODES, MAX_NUMBER_DIGITS, Program, ProgramError, _fits, parse_program, validate
+from .dsl import MAX_NUMBER_DIGITS, Program, ProgramError, _fits, parse_program, validate
 from .numeric import NotANumber, parse_mantissa
 
 
@@ -195,13 +195,8 @@ def _sentences(raw: dict, name: str) -> tuple[str, ...]:
     return tuple(value)
 
 
-class _Page(NamedTuple):
-    """A record's evidence as built at load, with the context it is validated against."""
-
-    pre_text: tuple[str, ...]
-    post_text: tuple[str, ...]
-    table: FinTable
-    context: EvidenceContext
+#: A record's evidence as built at load: its pre_text, post_text and table.
+_Page = tuple[tuple[str, ...], tuple[str, ...], FinTable]
 
 
 def _page(raw: dict) -> _Page:
@@ -215,7 +210,7 @@ def _page(raw: dict) -> _Page:
         table = FinTable.from_rows(raw_table)
     except ValueError as exc:
         raise _BuildError("table", str(exc))
-    return _Page(pre_text, post_text, table, EvidenceContext.build(pre_text + post_text, table))
+    return pre_text, post_text, table
 
 
 def _build_record(
@@ -224,9 +219,10 @@ def _build_record(
     """Build one record, or reject it at its first malformed field.
 
     ``page_of`` builds the record's evidence (see ``_page``). The gold program
-    is validated once, against that evidence: grounding problems
-    (``GROUNDING_CODES``) and warnings become record warnings; any other
-    error rejects the record.
+    is validated without a context: an error (a row name in a math operation)
+    rejects the record and a warning (a nonstandard constant) becomes a record
+    warning. Its grounding in the evidence is not checked here;
+    ``validate(record.gold_program, record.context())`` reports it.
     """
     if not isinstance(raw, dict):
         return RejectedRecord(
@@ -238,7 +234,7 @@ def _build_record(
     elif not isinstance(record_id, str):
         return RejectedRecord(id=f"record-{ordinal}", field_path="id", reason="must be a string")
     try:
-        page = page_of(raw)
+        pre_text, post_text, table = page_of(raw)
         qa = raw.get("qa")
         if not isinstance(qa, dict):
             raise _BuildError("qa", "must be an object")
@@ -253,9 +249,9 @@ def _build_record(
             program = parse_program(program_text)
         except ProgramError as exc:
             raise _BuildError("qa.program", str(exc))
-        diagnostics = validate(program, page.context)
+        diagnostics = validate(program)
         for diag in diagnostics:
-            if diag.severity == "error" and diag.code not in GROUNDING_CODES:
+            if diag.severity == "error":
                 raise _BuildError("qa.program", diag.message)
         if "exe_ans" not in qa:
             raise _BuildError("qa.exe_ans", "missing")
@@ -276,15 +272,15 @@ def _build_record(
                 if not _fits(answer):
                     reason = f"a number must have terms of at most {MAX_NUMBER_DIGITS} digits"
                     raise _BuildError("qa.exe_ans", reason)
-        gold_ids = _gold_ids(qa.get("gold_inds"), page.pre_text, page.table, page.post_text, warnings)
+        gold_ids = _gold_ids(qa.get("gold_inds"), pre_text, table, post_text, warnings)
     except _BuildError as exc:
         return RejectedRecord(id=record_id, field_path=exc.field_path, reason=exc.reason)
     warnings.extend(f"gold program: {diag.message}" for diag in diagnostics)
     return EvidenceRecord(
         id=record_id,
-        pre_text=page.pre_text,
-        post_text=page.post_text,
-        table=page.table,
+        pre_text=pre_text,
+        post_text=post_text,
+        table=table,
         question=question,
         gold_program=program,
         gold_answer=qa["exe_ans"],
@@ -385,11 +381,9 @@ def load_records(path) -> LoadResult:
 
     Adjacent records with equal evidence (several questions on one report
     page) share its immutable objects: their ``pre_text``, ``post_text`` and
-    ``table`` are the same objects, and their gold programs are validated
-    against one context. A gold literal is grounded with
-    ``EvidenceContext.mentions``, which reads only the texts that can hold
-    it; the page's whole number set is never built. Every record still gets
-    its own parse, checks, warnings and gold ids.
+    ``table`` are the same objects. Every record still gets its own parse,
+    checks, warnings and gold ids. No evidence context is built: a gold
+    program is not grounded at load.
 
     Ids are unique among loaded records: a record whose id a loaded record
     already has is rejected at ``id``, and the first keeps it.

@@ -22,10 +22,6 @@ MATH_OPS = ("add", "subtract", "multiply", "divide", "exp", "greater")
 TABLE_OPS = ("table-sum", "table-average", "table-max", "table-min")
 ALL_OPS = MATH_OPS + TABLE_OPS
 
-#: Diagnostic codes that only a grounded validation (one given an evidence
-#: context) can produce.
-GROUNDING_CODES = frozenset({"unknown-row-name", "duplicate-row-name", "ungrounded-number"})
-
 #: Predefined constant arguments. The set covers unit conversion (const_1000),
 #: percent scaling (const_100), implicit denominators (const_2..const_5), and
 #: sign flips (const_m1).

@@ -44,7 +44,7 @@ class NoGoldFacts(ValueError):
 
 
 class TfIdfIndex(NamedTuple):
-    """Immutable index over one fact collection; safe for concurrent queries.
+    """An index over one fact collection; queries do not mutate it.
 
     ``facts`` keeps the insertion order, which is the tie-break order for
     equal scores; build from facts in document order. ``postings`` maps each

@@ -185,6 +185,22 @@ class TestUsage:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.endswith("no record with id ''\n")
 
+    @pytest.mark.parametrize("argv", [["linearize"], ["validate", "add(1, 2)"], ["exec", "add(1, 2)"], ["mask"]])
+    @pytest.mark.parametrize(
+        "record_id, message",
+        [
+            ("bad", "record 'bad' was rejected at table: must be a list of rows"),
+            ("record-3", "record 'record-3' was rejected: record is not an object"),
+        ],
+    )
+    def test_id_of_a_rejected_record_names_the_reject(self, capsys, tmp_path, sample_path, argv, record_id, message):
+        records = tmp_path / "with_rejects.jsonl"
+        first = sample_path.read_text(encoding="utf-8").splitlines()[0]
+        records.write_text(f'{first}\n{{"id": "bad"}}\n5\n', encoding="utf-8")
+        assert cli_dispatch([*argv, "--records", str(records), "--id", record_id]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
     @pytest.mark.parametrize("argv", [["exec", "add(1, 2)"], ["stats", "--records", "SAMPLE"]])
     def test_a_closed_stdout_exits_zero(self, monkeypatch, sample_path, argv):
         class ClosedPipe(io.StringIO):
@@ -838,6 +854,19 @@ class TestLinearizeCommand:
 
     def test_unknown_id(self, capsys, sample_path):
         assert cli_dispatch(["linearize", "--records", str(sample_path), "--id", "zz"]) == 2
+        assert capsys.readouterr().err == "error: no record with id 'zz'\n"
+
+    @pytest.mark.parametrize("select", [[], ["--id", "alpha/2019/page_12.pdf-0"]])
+    def test_rejects_exit_one(self, capsys, sample_path, tmp_path, select):
+        first = sample_path.read_text(encoding="utf-8").splitlines()[0]
+        clean, with_reject = tmp_path / "clean.jsonl", tmp_path / "with_reject.jsonl"
+        clean.write_text(first + "\n", encoding="utf-8")
+        with_reject.write_text(first + '\n{"id": "bad"}\n', encoding="utf-8")
+        assert cli_dispatch(["linearize", "--records", str(clean), *select]) == 0
+        expected = capsys.readouterr()
+        assert cli_dispatch(["linearize", "--records", str(with_reject), *select]) == 1
+        assert capsys.readouterr() == expected
+        assert "the " in expected.out and expected.err == ""
 
     def test_found_record_without_rows(self, capsys, sample_path, tmp_path):
         first = json.loads(sample_path.read_text(encoding="utf-8").splitlines()[0])

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import SAMPLE_PATH
-from finprog.context import FinTable
+from finprog.context import EvidenceContext, FinTable
 from finprog.corpus import (
     FileUnreadable,
     PredictionRecord,
@@ -19,7 +19,7 @@ from finprog.corpus import (
     normalize_program_text,
     _fact_position,
 )
-from finprog.dsl import MAX_NUMBER_DIGITS, MAX_PROGRAM_STEPS, _fits, render_program
+from finprog.dsl import MAX_NUMBER_DIGITS, MAX_PROGRAM_STEPS, _fits, render_program, validate
 from finprog.evaluate import score_record
 from finprog.numeric import NotANumber, parse_mantissa
 
@@ -122,6 +122,7 @@ class TestLoadRecords:
             ("greater(5, 3), add(#0, 1)", "step 1 feeds the boolean result of step 0 into add"),
             ("multiply(5, const_bogus)", "unknown constant 'const_bogus'"),
             ("add(operating income, 1)", "add takes numbers, constants, or step references, not 'operating income'"),
+            ("add(999999, 1), add(net sales, #0)", "add takes numbers, constants, or step references, not 'net sales'"),
         ],
     )
     def test_argument_rule_rejected(self, tmp_path, program, reason):
@@ -332,14 +333,16 @@ class TestLoadRecords:
         assert len(got.gold_program.steps[0].args) == 1
         assert any("none" in w for w in got.warnings)
 
-    def test_ungrounded_gold_number_is_warning_not_reject(self, tmp_path):
+    def test_ungrounded_gold_number_loads_and_validate_reports_it(self, tmp_path):
         path = tmp_path / "records.jsonl"
         record = minimal_record()
         record["qa"] = dict(record["qa"], program="subtract(999999, 80)", exe_ans=999919)
         write_jsonl(path, [record])
         loaded = load_records(path)
         assert not loaded.rejects
-        assert any("999999" in w for w in loaded.records[0].warnings)
+        (got,) = loaded.records
+        assert got.warnings == ()
+        assert any("999999" in d.message for d in validate(got.gold_program, got.context()))
 
     def test_ungrounded_gold_literal_warning_text(self, tmp_path):
         path = tmp_path / "records.jsonl"
@@ -347,7 +350,10 @@ class TestLoadRecords:
         record["qa"] = dict(record["qa"], program="subtract(100, 80), divide(#0, 81)", exe_ans=0.24691)
         write_jsonl(path, [record])
         (got,) = load_records(path).records
-        assert got.warnings == ("gold program: 81 does not appear in the evidence",)
+        assert got.warnings == ()
+        assert [d.message for d in validate(got.gold_program, got.context())] == [
+            "81 does not appear in the evidence"
+        ]
 
     def test_literal_grounded_in_another_spelling(self, tmp_path):
         path = tmp_path / "records.jsonl"
@@ -356,6 +362,26 @@ class TestLoadRecords:
         write_jsonl(path, [record])
         (got,) = load_records(path).records
         assert got.warnings == ()
+        assert validate(got.gold_program, got.context()) == []
+
+    def test_nonstandard_constant_stays_a_record_warning(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        record = minimal_record()
+        record["qa"] = dict(record["qa"], program="subtract(100, 80), multiply(#0, const_7)", exe_ans=140)
+        write_jsonl(path, [record])
+        (got,) = load_records(path).records
+        assert got.warnings == ("gold program: constant 'const_7' is outside the configured vocabulary",)
+
+    def test_load_grounds_no_gold_program(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("load_records grounded a gold program")
+
+        expected = load_records(SAMPLE_PATH)
+        monkeypatch.setattr(EvidenceContext, "mentions", refuse)
+        monkeypatch.setattr(EvidenceContext, "build", refuse)
+        monkeypatch.setattr(FinTable, "matching_rows", refuse)
+        assert load_records(SAMPLE_PATH) == expected
+        assert expected.records and not expected.rejects
 
     def test_program_over_the_step_cap_rejected(self, tmp_path):
         path = tmp_path / "records.jsonl"
@@ -378,12 +404,14 @@ class TestLoadRecords:
             gold_inds=["text_0"],
         )
         write_jsonl(path, [record])
-        loaded = load_records(path)
-        assert loaded.records[0].warnings == (
+        (got,) = load_records(path).records
+        assert got.warnings == (
             "dropped placeholder 'none' argument from a table operation",
             "mapped legacy fact id 'text_0' to 'text:0'",
-            "gold program: 999999 does not appear in the evidence",
         )
+        assert [d.message for d in validate(got.gold_program, got.context())] == [
+            "999999 does not appear in the evidence"
+        ]
 
     @pytest.mark.parametrize("value", [5, None, "x", [1]])
     @pytest.mark.parametrize("form", ["jsonl", "array"])
@@ -748,8 +776,11 @@ class TestPageSharing:
         write_jsonl(path, [minimal_record(), ungrounded])
         first, second = load_records(path).records
         assert first.table is second.table
-        assert first.warnings == ()
-        assert second.warnings == ("gold program: 999999 does not appear in the evidence",)
+        assert (first.warnings, second.warnings) == ((), ())
+        assert validate(first.gold_program, first.context()) == []
+        assert [d.message for d in validate(second.gold_program, second.context())] == [
+            "999999 does not appear in the evidence"
+        ]
 
 
 class TestNormalizeProgramText:

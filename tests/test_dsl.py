@@ -38,7 +38,14 @@ from finprog.dsl import (
 from finprog.equiv import compare_programs
 from finprog.executor import ExecutionError, execute
 
-from generators import char_loop_tokens, oracle_fits, random_context, random_program, random_symbolic_program
+from generators import (
+    char_loop_tokens,
+    oracle_fits,
+    random_context,
+    random_evidence_program,
+    random_program,
+    random_symbolic_program,
+)
 
 
 class TestParse:
@@ -638,3 +645,18 @@ class TestValidate:
         for _ in range(300):
             ctx = random_context(rng)
             assert validate(random_program(rng, ctx)) == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32), duplicate_row=st.booleans(), nonstandard=st.booleans())
+    def test_without_evidence_is_grounded_validation_minus_grounding(self, seed, duplicate_row, nonstandard):
+        """What ``load_records`` checks of a gold program: no reject or warning depends on the evidence."""
+        rng = Random(seed)
+        ctx = random_context(rng)
+        if duplicate_row:
+            table = ctx.table
+            ctx = EvidenceContext(ctx.text_sentences, FinTable(table.header, table.rows + table.rows[:1]))
+        program = random_evidence_program(rng, ctx)
+        if nonstandard:
+            program = Program(program.steps + (OperationStep("multiply", (_number(5), Constant("const_250"))),))
+        grounding = {"ungrounded-number", "unknown-row-name", "duplicate-row-name"}
+        assert validate(program) == [d for d in validate(program, ctx) if d.code not in grounding]
