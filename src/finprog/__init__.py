@@ -17,8 +17,8 @@ _EXPORTS = {
     "context": ("EvidenceContext", "FinTable", "normalize_row_name"),
     "corpus": (
         "EvidenceRecord", "Fact", "FileUnreadable", "LoadResult", "PredictionRecord", "RejectedRecord",
-        "SchemaError", "StatsReport", "UnknownRecordId", "candidate_facts", "dataset_stats",
-        "linearize_table", "load_predictions", "load_records",
+        "SchemaError", "StatsReport", "candidate_facts", "dataset_stats", "linearize_table",
+        "load_predictions", "load_records",
     ),
     "decoding": (
         "DecodeState", "IllegalToken", "TokenVocabulary", "advance", "build_vocabulary", "next_token_mask",

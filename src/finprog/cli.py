@@ -124,9 +124,9 @@ def _input_errors() -> tuple[type[Exception], ...]:
     ``cli_dispatch`` calls it only when a command raises, so a command that
     reads no record file never imports the corpus module.
     """
-    from .corpus import FileUnreadable, SchemaError, UnknownRecordId
+    from .corpus import FileUnreadable, SchemaError
 
-    return FileUnreadable, OutputUnwritable, SchemaError, UnknownRecordId
+    return FileUnreadable, OutputUnwritable, SchemaError
 
 
 def _emit(text: str, out: Optional[str] = None) -> None:

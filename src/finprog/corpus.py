@@ -14,6 +14,8 @@ from __future__ import annotations
 import json
 import math
 import re
+from itertools import groupby
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .context import EvidenceContext, FinTable
@@ -27,18 +29,6 @@ class FileUnreadable(Exception):
 
 class SchemaError(Exception):
     """A file-level format problem; per-record problems become rejects."""
-
-    def __init__(self, message: str, record_id: str = "", field_path: str = ""):
-        self.record_id = record_id
-        self.field_path = field_path
-        super().__init__(message)
-
-
-class UnknownRecordId(KeyError):
-    """A prediction id that matches no record."""
-
-    def __str__(self) -> str:
-        return str(self.args[0])  # KeyError's own str would quote the message
 
 
 class Fact(NamedTuple):
@@ -380,10 +370,10 @@ def load_records(path) -> LoadResult:
     that is not valid JSON). Per-record problems become RejectedRecord entries.
 
     Adjacent records with equal evidence (several questions on one report
-    page) share its immutable objects: their ``pre_text``, ``post_text`` and
-    ``table`` are the same objects. Every record still gets its own parse,
-    checks, warnings and gold ids. No evidence context is built: a gold
-    program is not grounded at load.
+    page, a run of ``page_runs``) share its immutable objects: their
+    ``pre_text``, ``post_text`` and ``table`` are the same objects. Every
+    record still gets its own parse, checks, warnings and gold ids. No
+    evidence context is built: a gold program is not grounded at load.
 
     Ids are unique among loaded records: a record whose id a loaded record
     already has is rejected at ``id``, and the first keeps it.
@@ -434,6 +424,16 @@ def load_records(path) -> LoadResult:
         else:
             rejects.append(built)
     return LoadResult(records=records, rejects=invalid_json + rejects)
+
+
+def page_runs(records: Iterable[EvidenceRecord]) -> Iterator[list[EvidenceRecord]]:
+    """Each run of adjacent records with equal evidence, in order: one report page's questions.
+
+    Evidence is ``(pre_text, post_text, table)``; records that ``load_records``
+    built from one page hold the same objects, so each comparison is cheap.
+    """
+    for _, run in groupby(records, attrgetter("pre_text", "post_text", "table")):
+        yield list(run)
 
 
 def load_predictions(path) -> list[PredictionRecord]:
@@ -550,7 +550,8 @@ def dataset_stats(records: list[EvidenceRecord]) -> StatsReport:
 
     Token counts use whitespace tokenization; one table row counts as one
     "sentence" for fact distances, which are measured over the candidate-fact
-    ordering.
+    ordering. The texts of each ``page_runs`` run (one report page) are
+    counted once, and their counts weigh once per question.
     """
     if not records:
         raise ValueError("need at least one record")
@@ -559,7 +560,6 @@ def dataset_stats(records: list[EvidenceRecord]) -> StatsReport:
     pages = {_PAGE_SUFFIX_RE.sub("", r.id) for r in records}
     vocabulary: set[str] = set()
     text_sentences = text_tokens = table_rows = table_tokens = 0
-    input_tokens_total = 0
     max_input_tokens = 0
     question_tokens = 0
     source_counts = {"text-only": 0, "table-only": 0, "table-text": 0}
@@ -570,26 +570,26 @@ def dataset_stats(records: list[EvidenceRecord]) -> StatsReport:
     total_steps = 0
     step_counts = {"1": 0, "2": 0, ">2": 0}
 
-    for record in records:
-        sentences = record.pre_text + record.post_text
-        text_sentences += len(sentences)
-        record_text_tokens = sum(_tokens(s) for s in sentences)
-        text_tokens += record_text_tokens
-
-        rows = record.table.rows
-        table_rows += len(rows)
-        table_texts = [*record.table.header, *(name for name, _ in rows)]
+    for run in page_runs(records):
+        page = run[0]
+        sentences = page.pre_text + page.post_text
+        page_text_tokens = sum(_tokens(s) for s in sentences)
+        rows = page.table.rows
+        table_texts = [*page.table.header, *(name for name, _ in rows)]
         table_texts += (cell for _, cells in rows for cell in cells)
-        record_table_tokens = sum(_tokens(text) for text in table_texts)
-        table_tokens += record_table_tokens
+        page_table_tokens = sum(_tokens(text) for text in table_texts)
         for text in (*sentences, *table_texts):
-            vocabulary.update(w.lower() for w in text.split())
+            vocabulary.update(text.lower().split())
 
-        record_input_tokens = record_text_tokens + record_table_tokens
-        input_tokens_total += record_input_tokens
-        max_input_tokens = max(max_input_tokens, record_input_tokens)
+        questions = len(run)
+        text_sentences += questions * len(sentences)
+        text_tokens += questions * page_text_tokens
+        table_rows += questions * len(rows)
+        table_tokens += questions * page_table_tokens
+        max_input_tokens = max(max_input_tokens, page_text_tokens + page_table_tokens)
+
+    for record in records:
         question_tokens += _tokens(record.question)
-
         source_counts[source_bucket(record)] += 1
 
         count = len(record.gold_fact_ids)
@@ -619,7 +619,7 @@ def dataset_stats(records: list[EvidenceRecord]) -> StatsReport:
         avg_text_tokens=text_tokens / n,
         avg_table_rows=table_rows / n,
         avg_table_tokens=table_tokens / n,
-        avg_input_tokens=input_tokens_total / n,
+        avg_input_tokens=(text_tokens + table_tokens) / n,
         max_input_tokens=max_input_tokens,
         avg_question_tokens=question_tokens / n,
         source_pct=_pct(source_counts, n),

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, NamedTuple, Optional
 
-from .corpus import EvidenceRecord, Fact, candidate_facts
+from .corpus import EvidenceRecord, Fact, candidate_facts, page_runs
 from .dsl import ProgramError, parse_program
 from .executor import ExecutionError, Value, execute
 from .numeric import first_mantissa, format_decimal
@@ -149,17 +149,15 @@ def ranked_recall(
 ) -> tuple[float, list[tuple[str, float, RankedFacts]]]:
     """Mean per-record recall@k, with each record's id, recall and top-k facts.
 
-    Adjacent records with equal evidence (several questions on one report
+    The records of one run of ``page_runs`` (several questions on one report
     page) are ranked against one index, built for the first of them.
     """
     per_record = []
-    indexed = index = None
-    for record in records:
-        evidence = (record.pre_text, record.table, record.post_text)
-        if evidence != indexed:
-            indexed, index = evidence, build_index(candidate_facts(record))
-        ranked = rank(record.question, index, k)
-        per_record.append((record.id, recall_at_k(ranked, record.gold_fact_ids, k), ranked))
+    for run in page_runs(records):
+        index = build_index(candidate_facts(run[0]))
+        for record in run:
+            ranked = rank(record.question, index, k)
+            per_record.append((record.id, recall_at_k(ranked, record.gold_fact_ids, k), ranked))
     if not per_record:
         raise EmptyCorpus("no records to evaluate")
     mean = sum(r for _, r, _ in per_record) / len(per_record)

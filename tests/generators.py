@@ -13,9 +13,11 @@ works in integers, and the literal-bound oracle reads a value's digit tuple
 where the package reads its text. Shared pieces
 are limited to definitional layers: quantity parsing, the widening rule
 (``numeric.to_fraction``), the displayed precision of a non-Fraction,
-decimal formatting, and the hashed sample-point convention; the symbol-identity
-rule (``_oracle_symbol_key``) is restated here from the constant and
-row-name oracles.
+decimal formatting, the hashed sample-point convention, and the stats
+report's buckets and percentages; the symbol-identity rule
+(``_oracle_symbol_key``) is restated here from the constant and row-name
+oracles. The stats oracle counts every record's page texts, where the package
+counts each page once.
 """
 
 from __future__ import annotations
@@ -27,6 +29,15 @@ from fractions import Fraction
 from random import Random
 
 from finprog.context import EvidenceContext, FinTable
+from finprog.corpus import (
+    _PAGE_SUFFIX_RE,
+    StatsReport,
+    _count_bucket,
+    _fact_position,
+    _pct,
+    source_bucket,
+    steps_bucket,
+)
 from finprog.decoding import DecodeState, TokenVocabulary, advance, next_token_mask
 from finprog.dsl import (
     DEFAULT_CONSTANTS,
@@ -861,6 +872,91 @@ def naive_tfidf_rank(contents: list[str], question: str, k: int) -> list[tuple[i
     ]
     scored.sort()
     return [(position, -neg) for neg, position in scored[: max(k, 0)]]
+
+
+def per_record_stats(records) -> StatsReport:
+    """``dataset_stats`` as one pass per record: each record counts its page's texts again.
+
+    The vocabulary lowers each word of a text, not the text, and the input
+    tokens are summed per record. The buckets, fact positions and
+    percentages are the package's own helpers.
+    """
+    if not records:
+        raise ValueError("need at least one record")
+
+    n = len(records)
+    pages = {_PAGE_SUFFIX_RE.sub("", r.id) for r in records}
+    vocabulary: set[str] = set()
+    text_sentences = text_tokens = table_rows = table_tokens = 0
+    input_tokens_total = 0
+    max_input_tokens = 0
+    question_tokens = 0
+    source_counts = {"text-only": 0, "table-only": 0, "table-text": 0}
+    fact_count_counts = {"1": 0, "2": 0, ">2": 0}
+    fact_distance_counts = {"<=3": 0, "4-6": 0, ">6": 0}
+    multi_fact_records = 0
+    op_counts: dict[str, int] = {}
+    total_steps = 0
+    step_counts = {"1": 0, "2": 0, ">2": 0}
+
+    for record in records:
+        sentences = record.pre_text + record.post_text
+        text_sentences += len(sentences)
+        record_text_tokens = sum(len(s.split()) for s in sentences)
+        text_tokens += record_text_tokens
+
+        rows = record.table.rows
+        table_rows += len(rows)
+        table_texts = [*record.table.header, *(name for name, _ in rows)]
+        table_texts += (cell for _, cells in rows for cell in cells)
+        record_table_tokens = sum(len(text.split()) for text in table_texts)
+        table_tokens += record_table_tokens
+        for text in (*sentences, *table_texts):
+            vocabulary.update(w.lower() for w in text.split())
+
+        record_input_tokens = record_text_tokens + record_table_tokens
+        input_tokens_total += record_input_tokens
+        max_input_tokens = max(max_input_tokens, record_input_tokens)
+        question_tokens += len(record.question.split())
+
+        source_counts[source_bucket(record)] += 1
+
+        count = len(record.gold_fact_ids)
+        if count:
+            fact_count_counts[_count_bucket(count)] += 1
+        if count >= 2:
+            multi_fact_records += 1
+            spots = sorted(_fact_position(record, fid) for fid in record.gold_fact_ids)
+            distance = spots[-1] - spots[0]
+            if distance <= 3:
+                fact_distance_counts["<=3"] += 1
+            elif distance <= 6:
+                fact_distance_counts["4-6"] += 1
+            else:
+                fact_distance_counts[">6"] += 1
+
+        total_steps += len(record.gold_program.steps)
+        step_counts[steps_bucket(record)] += 1
+        for step in record.gold_program.steps:
+            op_counts[step.op] = op_counts.get(step.op, 0) + 1
+
+    return StatsReport(
+        examples=n,
+        report_pages=len(pages),
+        vocabulary=len(vocabulary),
+        avg_text_sentences=text_sentences / n,
+        avg_text_tokens=text_tokens / n,
+        avg_table_rows=table_rows / n,
+        avg_table_tokens=table_tokens / n,
+        avg_input_tokens=input_tokens_total / n,
+        max_input_tokens=max_input_tokens,
+        avg_question_tokens=question_tokens / n,
+        source_pct=_pct(source_counts, n),
+        fact_count_pct=_pct(fact_count_counts, n),
+        fact_distance_pct=_pct(fact_distance_counts, multi_fact_records),
+        op_pct=_pct(op_counts, total_steps),
+        step_pct=_pct(step_counts, n),
+    )
 
 
 def round_half_up(value: Fraction, places: int) -> Fraction:

@@ -751,6 +751,12 @@ class TestStatsCommand:
         payload = json.loads(capsys.readouterr().out)
         assert code == 0 and payload["examples"] == 20
 
+    @pytest.mark.parametrize("fmt, golden", [("machine", "stats_sample.json"), ("table", "stats_sample.txt")])
+    def test_output_matches_golden_file(self, capsys, sample_path, fmt, golden):
+        expected = (pathlib.Path(__file__).parent / "data" / golden).read_text(encoding="utf-8")
+        assert cli_dispatch(["stats", "--records", str(sample_path), "--format", fmt]) == 0
+        assert capsys.readouterr().out == expected
+
 
 class TestRetrieveCommand:
     def test_recall_report(self, capsys, sample_path):

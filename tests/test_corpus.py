@@ -1,11 +1,14 @@
 import json
 import time
+from collections import Counter
+from random import Random
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import SAMPLE_PATH
+from generators import per_record_stats, random_context
 from finprog.context import EvidenceContext, FinTable
 from finprog.corpus import (
     FileUnreadable,
@@ -17,6 +20,7 @@ from finprog.corpus import (
     load_predictions,
     load_records,
     normalize_program_text,
+    page_runs,
     _fact_position,
 )
 from finprog.dsl import MAX_NUMBER_DIGITS, MAX_PROGRAM_STEPS, _fits, render_program, validate
@@ -728,11 +732,12 @@ class TestPageSharing:
         assert load_records(aaba_path).records == alone
 
     def test_adjacent_records_of_one_page_share_evidence(self, aaba_path):
-        first, second, other, _ = load_records(aaba_path).records
+        first, second, other, last = load_records(aaba_path).records
         assert first.pre_text is second.pre_text
         assert first.post_text is second.post_text
         assert first.table is second.table
         assert other.table is not first.table
+        assert list(page_runs([first, second, other, last])) == [[first, second], [other], [last]]
 
     @pytest.mark.parametrize(
         "change",
@@ -747,6 +752,7 @@ class TestPageSharing:
         path = tmp_path / "records.jsonl"
         write_jsonl(path, [minimal_record(), minimal_record(id="co/2019/page_1.pdf-1", **change)])
         first, second = load_records(path).records
+        assert list(page_runs([first, second])) == [[first], [second]]
         write_jsonl(path, [minimal_record(id="co/2019/page_1.pdf-1", **change)])
         assert [second] == load_records(path).records
         assert (first.pre_text, first.post_text, first.table) != (
@@ -852,10 +858,6 @@ class TestDatasetStats:
         assert stats.fact_distance_pct == {"<=3": 0.0, "4-6": 100.0, ">6": 0.0}
 
     def test_fact_positions_from_counts(self, sample_records):
-        from random import Random
-
-        from generators import random_context
-
         records = list(sample_records)
         rng = Random(11)
         for _ in range(200):
@@ -888,6 +890,86 @@ class TestDatasetStats:
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
             dataset_stats([])
+
+    # repr, not ==: it also pins the order of each distribution's keys.
+    def test_equals_per_record_oracle(self, sample_records, aaba_path):
+        for records in (sample_records, load_records(aaba_path).records, *([r] for r in sample_records)):
+            assert repr(dataset_stats(records)) == repr(per_record_stats(records))
+
+    def test_generated_runs_equal_per_record_oracle(self, sample_records):
+        rng = Random(37)
+        for _ in range(150):
+            pages = []
+            for _ in range(rng.randint(1, 3)):
+                ctx = random_context(rng)
+                cut = rng.randint(0, len(ctx.text_sentences))
+                pages.append((ctx.text_sentences[:cut], ctx.text_sentences[cut:], ctx.table))
+            # Pages that differ from the first in one field, by words that lowering merges.
+            extra = ("Revenue revenue REVENUE \u03a3 \u03c3 .",)
+            pre_text, post_text, table = pages[0]
+            pages.append((pre_text + extra, post_text, table))
+            pages.append((pre_text, post_text + extra, table))
+            more_rows = table.rows + (("Revenue", table.header[1:]),)
+            pages.append((pre_text, post_text, FinTable(table.header, more_rows)))
+            records, page = [], rng.choice(pages)
+            for i in range(rng.randint(1, 8)):
+                if rng.random() < 0.5:  # else the next record asks about the same page
+                    page = rng.choice(pages)
+                pre_text, post_text, table = page
+                if rng.random() < 0.3:  # equal evidence held in objects of its own
+                    pre_text, post_text = tuple(list(pre_text)), tuple(list(post_text))
+                    table = FinTable(header=tuple(list(table.header)), rows=tuple(list(table.rows)))
+                record = rng.choice(sample_records)._replace(
+                    id=f"gen/page_{pages.index(page)}.pdf-{i}",
+                    pre_text=pre_text,
+                    post_text=post_text,
+                    table=table,
+                    question=" ".join(rng.choices(["what", "was", "the", "Change", "?"], k=rng.randint(1, 6))),
+                )
+                fact_ids = [fact.id for fact in candidate_facts(record)]
+                gold = rng.sample(fact_ids, rng.randint(1, min(3, len(fact_ids))))
+                records.append(record._replace(gold_fact_ids=frozenset(gold)))
+            assert repr(dataset_stats(records)) == repr(per_record_stats(records))
+
+    def test_each_run_tokenizes_its_page_texts_once(self, monkeypatch, aaba_path):
+        import finprog.corpus
+
+        records = load_records(aaba_path).records
+        calls = Counter()
+
+        def counted(text):
+            calls[text] += 1
+            return len(text.split())
+
+        monkeypatch.setattr(finprog.corpus, "_tokens", counted)
+        assert repr(dataset_stats(records)) == repr(per_record_stats(records))
+        expected = Counter(record.question for record in records)
+        for page in (records[0], records[2], records[3]):  # the runs: A A, B, A
+            table = page.table
+            expected.update([*page.pre_text, *page.post_text, *table.header, *table.row_names])
+            expected.update(cell for _, cells in table.rows for cell in cells)
+        assert calls == expected
+
+
+_CASE_TEXT = st.text(
+    st.sampled_from(
+        [" ", "\t", "\n", "\x1c", "\x85", "\u2028", "\u3000"]  # whitespace that str.split splits at
+        + ["a", "B", "\u0130", "\u00df", "\u03a3", "\u03c2", "\u03c3"]  # letters: \u0130 lowers to two characters
+        + ["'", ".", ":", "\u2019", "\u00ad", "\u0301", "\u0345", "\u180e", "\u200b"]  # case-ignorable
+    ),
+    max_size=24,
+)
+
+
+class TestLowerThenSplit:
+    """``dataset_stats`` adds ``text.lower().split()`` to the vocabulary, one lowering per text."""
+
+    @settings(derandomize=True, max_examples=500, deadline=None)
+    @given(_CASE_TEXT)
+    @example("a\u03a3 b\u03a3\u00ad a\u03a3\u0301b \u03a3")
+    def test_same_words_as_lowering_each_word(self, text):
+        # str.lower picks final or medial sigma from the characters around a capital sigma.
+        assert {word.lower() for word in text.split()} == set(text.lower().split())
 
 
 

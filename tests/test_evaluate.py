@@ -9,7 +9,6 @@ from finprog.corpus import PredictionRecord, SchemaError
 from finprog.dsl import render_program
 from finprog.evaluate import (
     RecordVerdict,
-    UnknownRecordId,
     breakdown_report,
     parse_answer,
     score_record,
@@ -56,7 +55,7 @@ class TestExecutionAccuracy:
 
     def test_unknown_prediction_id(self, sample_records):
         preds = [PredictionRecord(id="nope-0", program_text="add(1, 2)")]
-        with pytest.raises(UnknownRecordId):
+        with pytest.raises(SchemaError, match="^prediction id 'nope-0' matches no record$"):
             breakdown_report(preds, sample_records)
 
     def test_repeated_prediction_id(self, sample_records):
