@@ -2,7 +2,8 @@
 
 Subcommands: validate, exec, equiv, eval, retrieve, stats, linearize, mask.
 Exit codes: 0 success, 1 completed with findings (diagnostics, rejects, or an
-execution failure), 2 usage or input errors.
+execution failure), 2 usage or input errors. A command that reads a record
+file writes one stderr line for each record the loader rejected.
 
 Each subcommand's handler imports the modules it runs, so that a command
 loads only what it needs: ``exec`` and ``validate`` never import the
@@ -19,11 +20,6 @@ from typing import Optional
 from .context import EvidenceContext
 from .dsl import MAX_PROGRAM_STEPS, ProgramError, parse_program
 from .numeric import DEFAULT_TOLERANCE
-
-
-_SAMPLES_HELP = (
-    "most random points the equivalence fallback takes (at least 1); it takes fewer when the degree bound allows"
-)
 
 
 def _at_least(kind: type, low: int, high: float = math.inf):
@@ -49,8 +45,6 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Parse, validate, execute, and compare financial reasoning programs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # --samples defaults to None, read as equiv.DEFAULT_SAMPLE_POINTS by the
-    # handlers, so that parsing the arguments imports no equivalence checker.
 
     def add_output(p):
         p.add_argument("--out", help="write the report to this path instead of stdout")
@@ -79,7 +73,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("program_a")
     p.add_argument("program_b")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=_at_least(int, 1), help=_SAMPLES_HELP)
 
     p = sub.add_parser("eval", help="score predictions against a record file")
     p.add_argument("--records", required=True)
@@ -89,7 +82,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-gold-rounding", action="store_true", help="disable the gold-precision rounding clause")
     p.add_argument("--percent-insensitive", action="store_true")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=_at_least(int, 1), help=_SAMPLES_HELP)
     p.add_argument("--strict-grounding", action="store_true")
     add_output(p)
 
@@ -147,15 +139,31 @@ def _emit(text: str, out: Optional[str] = None) -> None:
         print(text)
 
 
+def _rejected(reject) -> str:
+    """How a reject reads on stderr and in an input error: its id, field and reason."""
+    where = f" at {reject.field_path}" if reject.field_path else ""
+    return f"record {reject.id!r} was rejected{where}: {reject.reason}"
+
+
+def _load_records(path):
+    """``load_records(path)``, after writing one stderr line per reject."""
+    from .corpus import load_records
+
+    loaded = load_records(path)
+    for reject in loaded.rejects:
+        print(_rejected(reject), file=sys.stderr)
+    return loaded
+
+
 def _load_context(args) -> EvidenceContext:
     """The evidence context selected by --records/--id, or an empty one."""
     if not args.records and args.id is None:
         return EvidenceContext.build(())
-    from .corpus import SchemaError, load_records
+    from .corpus import SchemaError
 
     if not args.records:
         raise SchemaError("--id needs --records")
-    loaded = load_records(args.records)
+    loaded = _load_records(args.records)
     if args.id is None:
         if len(loaded.records) == 1:
             return loaded.records[0].context()
@@ -172,8 +180,7 @@ def _record_with_id(loaded, record_id: str):
             return record
     for reject in loaded.rejects:
         if reject.id == record_id:
-            where = f" at {reject.field_path}" if reject.field_path else ""
-            raise SchemaError(f"record {record_id!r} was rejected{where}: {reject.reason}")
+            raise SchemaError(_rejected(reject))
     raise SchemaError(f"no record with id {record_id!r}")
 
 
@@ -215,7 +222,7 @@ def _cmd_exec(args) -> int:
 
 
 def _cmd_equiv(args) -> int:
-    from .equiv import DEFAULT_SAMPLE_POINTS, canonical_texts, compare_programs
+    from .equiv import canonical_texts, compare_programs
 
     try:
         a = parse_program(args.program_a)
@@ -223,7 +230,7 @@ def _cmd_equiv(args) -> int:
     except ProgramError as exc:
         print(f"invalid program: {exc}", file=sys.stderr)
         return 2
-    report = compare_programs(a, b, samples=args.samples or DEFAULT_SAMPLE_POINTS, seed=args.seed)
+    report = compare_programs(a, b, seed=args.seed)
     print("equivalent" if report.equivalent else "not equivalent")
     print(f"reason: {report.reason}")
     print(f"points: {report.points}")
@@ -241,12 +248,11 @@ def _report(args, loaded, machine, table) -> int:
 
 
 def _cmd_eval(args) -> int:
-    from .corpus import load_predictions, load_records
-    from .equiv import DEFAULT_SAMPLE_POINTS
+    from .corpus import load_predictions
     from .evaluate import breakdown_report
     from .numeric import TolerancePolicy, to_fraction
 
-    loaded = load_records(args.records)
+    loaded = _load_records(args.records)
     # a prediction for a rejected record is not scored; the reject is reported
     rejected = {r.id for r in loaded.rejects} - {r.id for r in loaded.records}
     preds = [p for p in load_predictions(args.preds) if p.id not in rejected]
@@ -256,14 +262,7 @@ def _cmd_eval(args) -> int:
         round_to_reference=not args.no_gold_rounding,
         percent_insensitive=args.percent_insensitive,
     )
-    report = breakdown_report(
-        preds,
-        loaded.records,
-        policy,
-        samples=args.samples or DEFAULT_SAMPLE_POINTS,
-        seed=args.seed,
-        strict_grounding=args.strict_grounding,
-    )
+    report = breakdown_report(preds, loaded.records, policy, seed=args.seed, strict_grounding=args.strict_grounding)
     rejects = [{"id": r.id, "field": r.field_path, "reason": r.reason} for r in loaded.rejects]
     rejected_line = f"\nrejected records        {len(loaded.rejects)}" if loaded.rejects else ""
     return _report(
@@ -275,10 +274,9 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_retrieve(args) -> int:
-    from .corpus import load_records
     from .retrieve import ranked_recall
 
-    loaded = load_records(args.records)
+    loaded = _load_records(args.records)
     if not loaded.records:
         print("no records loaded", file=sys.stderr)
         return 2
@@ -305,9 +303,9 @@ def _cmd_retrieve(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    from .corpus import dataset_stats, load_records
+    from .corpus import dataset_stats
 
-    loaded = load_records(args.records)
+    loaded = _load_records(args.records)
     if not loaded.records:
         print("no records loaded", file=sys.stderr)
         return 2
@@ -316,9 +314,9 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_linearize(args) -> int:
-    from .corpus import linearize_table, load_records
+    from .corpus import linearize_table
 
-    loaded = load_records(args.records)
+    loaded = _load_records(args.records)
     chosen = loaded.records if args.id is None else [_record_with_id(loaded, args.id)]
     _emit("\n".join(sentence for record in chosen for sentence in linearize_table(record.table)), args.out)
     return 1 if loaded.rejects else 0

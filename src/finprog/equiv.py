@@ -48,11 +48,11 @@ wrong pair then agrees at each live point with probability at most
     bound = mu * (D + A) / (1 - (mu + nu) * (Q + A)).
 
 The fallback takes the fewest points k with bound**k below 2**-64
-(``TARGET_ERROR_BITS``), and at most ``samples``. When the bound says
-nothing (it reaches 1, as when D nears p) it takes ``samples`` points. A
-pair whose first j trials all die, j the fewest with ((mu + nu) * (Q +
-A))**j below 2**-64, is degenerate; otherwise it has ``20 * samples``
-trials to find its points.
+(``TARGET_ERROR_BITS``), and at most ``MAX_SAMPLE_POINTS``. When the bound
+says nothing (it reaches 1, as when D nears p) it takes
+``MAX_SAMPLE_POINTS`` points. A pair whose first j trials all die, j the
+fewest with ((mu + nu) * (Q + A))**j below 2**-64, is degenerate;
+otherwise it has ``20 * MAX_SAMPLE_POINTS`` trials to find its points.
 
 The bound also says nothing about a difference that vanishes mod p as a
 function: a program can build a coefficient that is a multiple of p, or an
@@ -90,11 +90,13 @@ from .dsl import (
     constant_value,
 )
 
-DEFAULT_SAMPLE_POINTS = 32
+# Most points the fallback compares: a bound on its cost, like
+# MAX_PROGRAM_STEPS. The degree bound usually asks for fewer.
+MAX_SAMPLE_POINTS = 32
 
 # A wrong pair agrees modulo p * q at every point the fallback takes with
-# probability below 2**-TARGET_ERROR_BITS, unless ``samples`` caps the points
-# or the module's bound says nothing.
+# probability below 2**-TARGET_ERROR_BITS, unless ``MAX_SAMPLE_POINTS`` caps
+# the points or the module's bound says nothing.
 TARGET_ERROR_BITS = 64
 
 # Longest canonical text ``canonical_texts`` writes out; a longer one is elided.
@@ -480,13 +482,7 @@ class EquivalenceReport(NamedTuple):
     points: int
 
 
-def compare_programs(
-    p1: Program,
-    p2: Program,
-    *,
-    samples: int = DEFAULT_SAMPLE_POINTS,
-    seed: int = 0,
-) -> EquivalenceReport:
+def compare_programs(p1: Program, p2: Program, *, seed: int = 0) -> EquivalenceReport:
     """Full equivalence decision with the reason it was based on.
 
     Reasons: canonical-match, randomized-agreement, counterexample,
@@ -495,17 +491,14 @@ def compare_programs(
 
     A pair whose forms differ is degenerate at once when a divisor it
     reaches is the zero form. Otherwise it is compared at random points,
-    drawn from at most ``20 * samples`` trials, and is degenerate when its
-    first trials all die, as many as make that chance for a divisor that is
-    not zero as a function below 2**-64; ``samples`` below 1 raises
-    ValueError, since no point would then be checked. Points are evaluated
-    modulo p * q, q the seed's second prime, as many as bring the module's
+    drawn from at most ``20 * MAX_SAMPLE_POINTS`` trials, and is degenerate
+    when its first trials all die, as many as make that chance for a divisor
+    that is not zero as a function below 2**-64. Points are evaluated modulo
+    p * q, q the seed's second prime, as many as bring the module's
     per-point bound below 2**-64 (``TARGET_ERROR_BITS``) but at most
-    ``samples``. Two comparisons are compared by their operands'
+    ``MAX_SAMPLE_POINTS``. Two comparisons are compared by their operands'
     differences, at the same points and with the same bound.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be at least 1, got {samples}")
     symbols, nodes, (left, right) = _intern_pair(p1, p2)
     if (nodes[left][0] == ">") != (nodes[right][0] == ">"):
         return EquivalenceReport(False, "incomparable-types", 0)
@@ -519,7 +512,7 @@ def compare_programs(
         return EquivalenceReport(False, "degenerate", 0)
     # q catches a difference that vanishes mod p, which p alone would call agreement.
     modulus = _P * _second_prime(seed)
-    points, deaths = _points_needed(plan, degrees, roots, samples)
-    reason, points = _sample(plan, roots, seed, points, deaths, samples * 20, modulus)
+    points, deaths = _points_needed(plan, degrees, roots, MAX_SAMPLE_POINTS)
+    reason, points = _sample(plan, roots, seed, points, deaths, 20 * MAX_SAMPLE_POINTS, modulus)
     return EquivalenceReport(reason == "randomized-agreement", reason, points)
 

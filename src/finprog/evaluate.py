@@ -15,7 +15,7 @@ from typing import Iterable, NamedTuple, Optional
 
 from .corpus import EvidenceRecord, PredictionRecord, SchemaError, source_bucket, steps_bucket
 from .dsl import Constant, ProgramError, parse_program
-from .equiv import DEFAULT_SAMPLE_POINTS, compare_programs
+from .equiv import compare_programs
 from .executor import ExecutionError, execute, render_value
 from .numeric import DEFAULT_TOLERANCE, NotANumber, TolerancePolicy, parse_mantissa, values_equal
 
@@ -73,7 +73,6 @@ def score_record(
     record: EvidenceRecord,
     policy: TolerancePolicy = DEFAULT_TOLERANCE,
     *,
-    samples: int = DEFAULT_SAMPLE_POINTS,
     seed: int = 0,
     strict_grounding: bool = False,
 ) -> RecordVerdict:
@@ -85,7 +84,7 @@ def score_record(
     except ProgramError as exc:
         return RecordVerdict(record.id, False, False, f"parse-error: {exc}", None)
 
-    prog_correct = compare_programs(program, record.gold_program, samples=samples, seed=seed).equivalent
+    prog_correct = compare_programs(program, record.gold_program, seed=seed).equivalent
 
     try:
         value = execute(program, record.context(), strict_grounding=strict_grounding)
@@ -199,7 +198,6 @@ def breakdown_report(
     records: list[EvidenceRecord],
     policy: TolerancePolicy = DEFAULT_TOLERANCE,
     *,
-    samples: int = DEFAULT_SAMPLE_POINTS,
     seed: int = 0,
     strict_grounding: bool = False,
 ) -> EvalReport:
@@ -211,14 +209,7 @@ def breakdown_report(
     by_id = _predictions_by_id(preds, records)
     ordered = sorted(records, key=lambda r: r.id)
     verdicts = tuple(
-        score_record(
-            by_id.get(record.id),
-            record,
-            policy,
-            samples=samples,
-            seed=seed,
-            strict_grounding=strict_grounding,
-        )
+        score_record(by_id.get(record.id), record, policy, seed=seed, strict_grounding=strict_grounding)
         for record in ordered
     )
     n = len(ordered)

@@ -92,7 +92,7 @@ def test_criterion_3_equivalence_matches_randomized_oracle():
         oracle = oracle_equivalent(a, b, samples=32, seed=13)
         if oracle is None:
             continue
-        if compare_programs(a, b, samples=32, seed=13).equivalent != oracle:
+        if compare_programs(a, b, seed=13).equivalent != oracle:
             disagreements += 1
             print("disagreement:", render_program(a), "||", render_program(b))
         compared += 1
@@ -174,29 +174,32 @@ def _load_split(directory: pathlib.Path, name: str):
 
 
 def _load_full(directory: pathlib.Path):
-    records = []
+    """The records of all three splits, and how many the splits rejected."""
+    records, rejected = [], 0
     for split in ("train", "dev", "test"):
         loaded = _load_split(directory, split)
         records.extend(loaded.records)
-    return records
+        rejected += len(loaded.rejects)
+    return records, rejected
 
 
 def test_criterion_6a_gold_execution_matches_stored_answers():
     directory = _dataset_dir()
-    records = _load_full(directory)
+    records, rejected = _load_full(directory)
     agreeing = 0
     for record in records:
         verdict = score_record(render_program(record.gold_program), record)
         agreeing += verdict.exe_correct
     share = agreeing / len(records)
-    print(f"gold execution agreement: {100 * share:.2f}% of {len(records)}")
+    print(f"gold execution agreement: {100 * share:.2f}% of {len(records)} ({rejected} rejected)")
     assert share >= 0.99
     _report("criterion 6a: gold programs reproduce stored answers", 0.0)
 
 
 def test_criterion_6b_stats_reproduction():
     directory = _dataset_dir()
-    records = _load_full(directory)
+    records, rejected = _load_full(directory)
+    print(f"statistics over {len(records)} records ({rejected} rejected)")
     stats = dataset_stats(records)
     expectations = {
         ("op_pct", "divide"): 45.29,
@@ -218,16 +221,16 @@ def test_criterion_6b_stats_reproduction():
 
 def test_criterion_6c_tfidf_recall_at_5():
     directory = _dataset_dir()
-    records = _load_split(directory, "test").records
+    records, rejects = _load_split(directory, "test")
     mean, _ = corpus_recall(records, k=5)
-    print(f"tf-idf recall@5 = {100 * mean:.2f}% (expected 82.91 ± 3.0)")
+    print(f"tf-idf recall@5 = {100 * mean:.2f}% of {len(records)} ({len(rejects)} rejected; expected 82.91 ± 3.0)")
     assert abs(100 * mean - 82.91) <= 3.0
     _report("criterion 6c: TF-IDF recall@5", 0.0)
 
 
 def test_criterion_6d_single_op_baseline():
     directory = _dataset_dir()
-    records = _load_split(directory, "test").records
+    records, rejects = _load_split(directory, "test")
     correct = 0
     for record in records:
         result = single_op_answer(record)
@@ -236,6 +239,9 @@ def test_criterion_6d_single_op_baseline():
         verdict = score_record(result.program_text, record)
         correct += verdict.exe_correct
     accuracy = 100 * correct / len(records)
-    print(f"single-op execution accuracy = {accuracy:.2f}% (expected 1.01 ± 0.5)")
+    print(
+        f"single-op execution accuracy = {accuracy:.2f}% of {len(records)}"
+        f" ({len(rejects)} rejected; expected 1.01 ± 0.5)"
+    )
     assert abs(accuracy - 1.01) <= 0.5
     _report("criterion 6d: retrieve-and-divide baseline accuracy", 0.0)

@@ -33,6 +33,8 @@ def gold_preds_path(tmp_path, sample_records):
 
 FACTORED = "add(a, b), multiply(#0, c)"
 DISTRIBUTED = "multiply(a, c), multiply(b, c), add(#0, #1)"
+# The reject line of '{"id": "bad"}', on stderr and in an input error.
+BAD_REJECT = "record 'bad' was rejected at table: must be a list of rows"
 
 
 def _exp_of_squarings(a, b, c, d):
@@ -98,23 +100,24 @@ class TestEquivCommand:
         assert captured.err == f"invalid program: a program may have at most {MAX_PROGRAM_STEPS} steps\n"
 
     @pytest.mark.parametrize(
-        "left, right, samples, lines",
+        "left, right, cap, lines",
         [
-            # the degree bound asks for 2 of the points --samples allows
-            (FACTORED, DISTRIBUTED, "32", ["equivalent", "reason: randomized-agreement", "points: 2"]),
-            (FACTORED, DISTRIBUTED, "1", ["equivalent", "reason: randomized-agreement", "points: 1"]),
-            ("add(a, b)", "add(a, c)", "32", ["not equivalent", "reason: counterexample", "points: 1"]),
+            # the degree bound asks for 2 of the points MAX_SAMPLE_POINTS allows
+            (FACTORED, DISTRIBUTED, 32, ["equivalent", "reason: randomized-agreement", "points: 2"]),
+            (FACTORED, DISTRIBUTED, 1, ["equivalent", "reason: randomized-agreement", "points: 1"]),
+            ("add(a, b)", "add(a, c)", 32, ["not equivalent", "reason: counterexample", "points: 1"]),
             # a pair ending in greater compares its operands' differences, as a number pair does
-            (f"{FACTORED}, greater(#1, d)", f"{DISTRIBUTED}, greater(#2, d)", "5",
+            (f"{FACTORED}, greater(#1, d)", f"{DISTRIBUTED}, greater(#2, d)", 5,
              ["equivalent", "reason: randomized-agreement", "points: 2"]),
             # a zero-form divisor decides without sampling
-            ("subtract(a, a), divide(b, #0)", "subtract(a, a), divide(c, #0)", "32",
+            ("subtract(a, a), divide(b, #0)", "subtract(a, a), divide(c, #0)", 32,
              ["not equivalent", "reason: degenerate", "points: 0"]),
         ],
     )
-    def test_prints_the_points_compared(self, capsys, left, right, samples, lines):
+    def test_prints_the_points_compared(self, capsys, monkeypatch, left, right, cap, lines):
+        monkeypatch.setattr("finprog.equiv.MAX_SAMPLE_POINTS", cap)
         start = time.perf_counter()
-        assert cli_dispatch(["equiv", left, right, "--samples", samples]) == 0
+        assert cli_dispatch(["equiv", left, right]) == 0
         elapsed = time.perf_counter() - start
         assert capsys.readouterr().out.splitlines()[:3] == lines
         assert elapsed < 1.0, elapsed
@@ -137,18 +140,6 @@ class TestEquivCommand:
         assert re.fullmatch(r"canonical a: \(elided: \d+ characters\)", lines[3]), lines[3]
         assert int(lines[3].split()[3]) > 10**14
         assert lines[4] == "canonical b: (+ 1*s0 1*s1)"
-
-    @pytest.mark.parametrize("command", ["equiv", "eval"])
-    def test_samples_below_one_is_usage_error(self, capsys, command, sample_path, gold_preds_path):
-        if command == "equiv":
-            argv = ["equiv", "add(1, 2)", "multiply(1, 3)"]
-        else:
-            argv = ["eval", "--records", str(sample_path), "--preds", str(gold_preds_path)]
-        assert cli_dispatch(argv + ["--samples", "0"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "--samples: must be at least 1" in captured.err
-        assert "Traceback" not in captured.err
 
     def test_flagship_pair(self, capsys):
         code = cli_dispatch(
@@ -179,6 +170,13 @@ class TestUsage:
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", "error: --id needs --records\n")
 
+    @pytest.mark.parametrize("argv", [["validate", "add(1, 2)"], ["exec", "add(1, 2)"], ["mask"]])
+    def test_records_of_several_need_an_id(self, capsys, sample_path, argv):
+        assert cli_dispatch([*argv, "--records", str(sample_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --id is required when the record file has several records\n"
+
     @pytest.mark.parametrize("argv", [["linearize"], ["validate", "add(1, 2)"], ["exec", "add(1, 2)"], ["mask"]])
     def test_empty_id_selects_no_record(self, capsys, sample_path, argv):
         assert cli_dispatch([*argv, "--records", str(sample_path), "--id", ""]) == 2
@@ -188,10 +186,7 @@ class TestUsage:
     @pytest.mark.parametrize("argv", [["linearize"], ["validate", "add(1, 2)"], ["exec", "add(1, 2)"], ["mask"]])
     @pytest.mark.parametrize(
         "record_id, message",
-        [
-            ("bad", "record 'bad' was rejected at table: must be a list of rows"),
-            ("record-3", "record 'record-3' was rejected: record is not an object"),
-        ],
+        [("bad", BAD_REJECT), ("record-3", "record 'record-3' was rejected: record is not an object")],
     )
     def test_id_of_a_rejected_record_names_the_reject(self, capsys, tmp_path, sample_path, argv, record_id, message):
         records = tmp_path / "with_rejects.jsonl"
@@ -199,7 +194,8 @@ class TestUsage:
         records.write_text(f'{first}\n{{"id": "bad"}}\n5\n', encoding="utf-8")
         assert cli_dispatch([*argv, "--records", str(records), "--id", record_id]) == 2
         captured = capsys.readouterr()
-        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+        reject_lines = f"{BAD_REJECT}\nrecord 'record-3' was rejected: record is not an object\n"
+        assert (captured.out, captured.err) == ("", f"{reject_lines}error: {message}\n")
 
     @pytest.mark.parametrize("argv", [["exec", "add(1, 2)"], ["stats", "--records", "SAMPLE"]])
     def test_a_closed_stdout_exits_zero(self, monkeypatch, sample_path, argv):
@@ -295,6 +291,40 @@ class TestEmptyGoldRecords:
         assert cli_dispatch(argv) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["execution_accuracy"] == 1.0
+
+
+class TestRejectLines:
+    """A command that reads a record file writes one stderr line per reject; stdout and exit codes stay."""
+
+    @pytest.fixture()
+    def files(self, tmp_path, sample_path):
+        first = sample_path.read_text(encoding="utf-8").splitlines()[0]
+        clean, with_reject, preds = tmp_path / "clean.jsonl", tmp_path / "with_reject.jsonl", tmp_path / "preds.jsonl"
+        clean.write_text(first + "\n", encoding="utf-8")
+        with_reject.write_text(first + '\n{"id": "bad"}\n', encoding="utf-8")
+        record = json.loads(first)
+        preds.write_text(json.dumps({"id": record["id"], "program": record["qa"]["program"]}) + "\n", encoding="utf-8")
+        return clean, with_reject, preds
+
+    @pytest.mark.parametrize("command", ["eval", "retrieve", "stats"])
+    def test_each_reject_has_one_stderr_line(self, capsys, files, command):
+        clean, with_reject, preds = files
+        extra = ["--preds", str(preds)] if command == "eval" else []
+        assert cli_dispatch([command, "--records", str(clean), *extra]) == 0
+        expected = capsys.readouterr()
+        assert cli_dispatch([command, "--records", str(with_reject), *extra]) == 1
+        captured = capsys.readouterr()
+        assert (expected.err, captured.err) == ("", BAD_REJECT + "\n")
+        if command == "eval":  # its table adds a count of the rejects
+            assert captured.out == expected.out.rstrip("\n") + "\nrejected records        1\n"
+        else:
+            assert captured.out == expected.out
+
+    def test_exec_of_a_loaded_record_still_succeeds(self, capsys, files, sample_records):
+        _, with_reject, _ = files
+        argv = ["exec", "add(1, 2)", "--records", str(with_reject), "--id", sample_records[0].id]
+        assert cli_dispatch(argv) == 0
+        assert capsys.readouterr() == ("3\n", BAD_REJECT + "\n")
 
 
 class TestEvalCommand:
@@ -871,7 +901,7 @@ class TestLinearizeCommand:
         assert cli_dispatch(["linearize", "--records", str(clean), *select]) == 0
         expected = capsys.readouterr()
         assert cli_dispatch(["linearize", "--records", str(with_reject), *select]) == 1
-        assert capsys.readouterr() == expected
+        assert capsys.readouterr() == (expected.out, BAD_REJECT + "\n")
         assert "the " in expected.out and expected.err == ""
 
     def test_found_record_without_rows(self, capsys, sample_path, tmp_path):
@@ -941,9 +971,9 @@ _PROGRAMS = (
 _ARGS = {
     "validate": (1, ("--records", "--id", "--symbolic")),
     "exec": (1, ("--records", "--id", "--strict-grounding")),
-    "equiv": (2, ("--seed", "--samples")),
+    "equiv": (2, ("--seed",)),
     "eval": (0, ("--records", "--preds", "--abs-tol", "--rel-tol", "--no-gold-rounding", "--percent-insensitive",
-                 "--seed", "--samples", "--strict-grounding", "--out", "--format")),
+                 "--seed", "--strict-grounding", "--out", "--format")),
     "retrieve": (0, ("--records", "--k", "--out", "--format")),
     "stats": (0, ("--records", "--out", "--format")),
     "linearize": (0, ("--records", "--id", "--out")),
@@ -957,7 +987,7 @@ _POOLS = {
     "--id": ("alpha/2019/page_12.pdf-0", "bravo/2017/page_45.pdf-0", "zz"),
     "--format": ("table", "machine", "json"),
     "--prefix": ("add (", "table-sum (", ") (", "add ( 1 , 2 )", ""),
-    "--k": _NUMBERS, "--samples": _NUMBERS, "--seed": _NUMBERS, "--max-steps": _NUMBERS,
+    "--k": _NUMBERS, "--seed": _NUMBERS, "--max-steps": _NUMBERS,
     "--abs-tol": _NUMBERS, "--rel-tol": _NUMBERS,
 }
 

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from finprog import equiv
 from finprog.dsl import MAX_PROGRAM_STEPS, Program, ProgramError, parse_program, render_program
 from finprog.equiv import (
-    DEFAULT_SAMPLE_POINTS,
     _P,
     _build,
     _chain,
@@ -339,12 +338,13 @@ class TestDeepPrograms:
             report = compare_programs(chain, chain)
         assert report.equivalent and report.reason == "canonical-match"
 
-    def test_deep_chain_rewrite_decided_by_sampling(self):
+    def test_deep_chain_rewrite_decided_by_sampling(self, monkeypatch):
         chain = P(_deep_chain(MAX_PROGRAM_STEPS - 1))
         rewrite = P(_deep_chain(MAX_PROGRAM_STEPS - 1, distributed=True))
         assert len(rewrite.steps) == MAX_PROGRAM_STEPS
+        monkeypatch.setattr(equiv, "MAX_SAMPLE_POINTS", 8)
         with _frames_left(self.FRAMES):
-            report = compare_programs(chain, rewrite, samples=8)
+            report = compare_programs(chain, rewrite)
             texts = canonical_texts(chain, rewrite)
         assert report.equivalent and report.reason == "randomized-agreement"
         assert texts[0] != texts[1]
@@ -574,11 +574,6 @@ class TestModularSampling:
         report = compare_programs(P(left), P(right))
         assert report.equivalent and report.reason == "randomized-agreement"
 
-    @pytest.mark.parametrize("samples", [0, -1])
-    def test_samples_below_one_rejected(self, samples):
-        with pytest.raises(ValueError):
-            compare_programs(P("add(1, 2)"), P("multiply(1, 3)"), samples=samples)
-
 
 class TestSequentialSampling:
     """Trials are evaluated one at a time, in order, each in one pass over the plan."""
@@ -610,19 +605,20 @@ class TestSequentialSampling:
             ),
         ],
     )
-    def test_sampling_paths(self, left, right, reason):
-        for samples in (1, 2, 32):
-            report = compare_programs(P(left), P(right), samples=samples)
-            assert report.reason == reason, samples
+    def test_sampling_paths(self, monkeypatch, left, right, reason):
+        for cap in (1, 2, 32):
+            monkeypatch.setattr(equiv, "MAX_SAMPLE_POINTS", cap)
+            report = compare_programs(P(left), P(right))
+            assert report.reason == reason, cap
             assert report.equivalent == (reason == "randomized-agreement")
-            assert report.points <= samples
+            assert report.points <= cap
 
     @staticmethod
     def _spy(monkeypatch):
         """The (modulus, trial) of each ``_evaluate`` call, the trial read back from its hash head."""
         calls = []
         evaluate = equiv._evaluate
-        trial_of = {_head(0, trial).digest(): trial for trial in range(20 * DEFAULT_SAMPLE_POINTS)}
+        trial_of = {_head(0, trial).digest(): trial for trial in range(20 * equiv.MAX_SAMPLE_POINTS)}
 
         def spy(plan, head, modulus):
             calls.append((modulus, trial_of[head.digest()]))
@@ -631,16 +627,15 @@ class TestSequentialSampling:
         monkeypatch.setattr(equiv, "_evaluate", spy)
         return calls
 
-    @pytest.mark.parametrize("samples", [1, 2, 5])
-    def test_agreement_evaluates_exactly_the_needed_trials(self, monkeypatch, samples):
-        # The degree bound asks for 2 points, at most ``samples``: trials 0
-        # and 1 modulo p * q.
+    @pytest.mark.parametrize("cap", [1, 2, 5])
+    def test_agreement_evaluates_exactly_the_needed_trials(self, monkeypatch, cap):
+        # The degree bound asks for 2 points, at most ``MAX_SAMPLE_POINTS``:
+        # trials 0 and 1 modulo p * q.
         calls = self._spy(monkeypatch)
-        report = compare_programs(
-            P("add(a, b), multiply(#0, c)"), P("multiply(a, c), multiply(b, c), add(#0, #1)"), samples=samples
-        )
-        assert report.reason == "randomized-agreement" and report.points == min(samples, 2)
-        assert calls == [(_P * _second_prime(0), trial) for trial in range(min(samples, 2))]
+        monkeypatch.setattr(equiv, "MAX_SAMPLE_POINTS", cap)
+        report = compare_programs(P("add(a, b), multiply(#0, c)"), P("multiply(a, c), multiply(b, c), add(#0, #1)"))
+        assert report.reason == "randomized-agreement" and report.points == min(cap, 2)
+        assert calls == [(_P * _second_prime(0), trial) for trial in range(min(cap, 2))]
 
     @pytest.mark.parametrize("squarings, points", [(14, 2), (17, 2), (20, 2), (40, 4)])
     def test_squared_distributive_pair_decides_in_one_modular_pass(self, monkeypatch, squarings, points):
@@ -656,16 +651,17 @@ class TestSequentialSampling:
         assert calls == [(_P * _second_prime(0), trial) for trial in range(points)]
         assert elapsed < 0.1, elapsed
 
-    @pytest.mark.parametrize("samples", [1, 2, 32])
-    def test_degenerate_pair_evaluates_only_the_trials_that_decide_it(self, monkeypatch, samples):
+    @pytest.mark.parametrize("cap", [1, 2, 32])
+    def test_degenerate_pair_evaluates_only_the_trials_that_decide_it(self, monkeypatch, cap):
         # The divisor is zero as a rational function, not as a form. Its
         # numerator has degree Q = 2, so two dead trials in a row happen by
         # chance with probability (11 * 2 / 2**63)**2, below 2**-64.
         calls = self._spy(monkeypatch)
         zero = "add(a, b), multiply(#0, c), multiply(a, c), multiply(b, c), add(#2, #3), subtract(#1, #4)"
         left, right = f"{zero}, divide(d, #5)", f"{zero}, divide(e, #5)"
-        assert _budget(left, right, samples) == (min(samples, 2), 2)
-        report = compare_programs(P(left), P(right), samples=samples)
+        monkeypatch.setattr(equiv, "MAX_SAMPLE_POINTS", cap)
+        assert _budget(left, right) == (min(cap, 2), 2)
+        report = compare_programs(P(left), P(right))
         assert (report.equivalent, report.reason, report.points) == (False, "degenerate", 0)
         assert calls == [(_P * _second_prime(0), trial) for trial in range(2)]
 
@@ -680,8 +676,9 @@ class TestSequentialSampling:
     )
     def test_zero_form_divisor_evaluates_nothing(self, monkeypatch, left, right):
         calls = self._spy(monkeypatch)
-        for samples in (1, 2, 32):
-            report = compare_programs(P(left), P(right), samples=samples)
+        for cap in (1, 2, 32):
+            monkeypatch.setattr(equiv, "MAX_SAMPLE_POINTS", cap)
+            report = compare_programs(P(left), P(right))
             assert (report.equivalent, report.reason, report.points) == (False, "degenerate", 0)
         assert calls == []
 
@@ -781,14 +778,15 @@ class TestEvaluatorMatchesExactArithmetic:
     """At a live trial each root's residue is its exact value at the same hashed point, reduced mod M."""
 
     @pytest.mark.parametrize("seed", [-3, 0, 7, 10**30])
-    def test_root_residues_match_exact_values(self, seed):
+    def test_root_residues_match_exact_values(self, monkeypatch, seed):
         rng = Random(seed)
         modulus = _P * _second_prime(seed)
         compared = 0
         for _ in range(80):
             pair = random_program_pair(rng) if rng.random() < 0.6 else _symbolic_pair(rng)
-            for samples in range(1, 41):
-                assert isinstance(compare_programs(*pair, samples=samples, seed=seed), equiv.EquivalenceReport)
+            for cap in range(1, 41):
+                monkeypatch.setattr(equiv, "MAX_SAMPLE_POINTS", cap)
+                assert isinstance(compare_programs(*pair, seed=seed), equiv.EquivalenceReport)
             if any(step.op == "exp" for program in pair for step in program.steps):
                 continue  # the oracle hashes exp on exact operands, the evaluator on residues
             symbols, nodes, roots = _intern_pair(*pair)
@@ -841,11 +839,11 @@ def _arithmetic_programs(draw):
     return P(", ".join(steps))
 
 
-def _budget(left: str, right: str, cap: int = DEFAULT_SAMPLE_POINTS) -> tuple[int, int | None]:
-    """``_points_needed`` of a pair: its points, and the trials that may all die before it is degenerate."""
+def _budget(left: str, right: str) -> tuple[int, int | None]:
+    """``_points_needed`` of a pair under ``MAX_SAMPLE_POINTS``: its points, and the trials that may all die first."""
     symbols, nodes, roots = _intern_pair(P(left), P(right))
     plan, positions, degrees = _plan(nodes, roots, tuple(symbols))
-    return _points_needed(plan, degrees, positions, cap)
+    return _points_needed(plan, degrees, positions, equiv.MAX_SAMPLE_POINTS)
 
 
 def _oracle_fewest(chance: int, whole: int, limit: int) -> int | None:
@@ -873,8 +871,8 @@ def _edge(whole: int, m: int, weight: int) -> int:
     return degree
 
 
-def _needed(left: str, right: str, cap: int = DEFAULT_SAMPLE_POINTS) -> int:
-    return _budget(left, right, cap)[0]
+def _needed(left: str, right: str) -> int:
+    return _budget(left, right)[0]
 
 
 class TestDegreeBound:
@@ -918,14 +916,15 @@ class TestDegreeBound:
             (30, 32, 3),  # degree 2**31
             (40, 32, 4),  # degree 2**41
             (58, 100, 46),  # degree 2**59: each point gives under 1.5 bits
-            (58, 32, 32),  # ... and samples caps the points
+            (58, 32, 32),  # ... and MAX_SAMPLE_POINTS caps the points
             (61, 32, 32),  # degree 2**62: the bound says nothing
             (0, 1, 1),
         ],
     )
-    def test_points_follow_the_degree(self, squarings, cap, points):
+    def test_points_follow_the_degree(self, monkeypatch, squarings, cap, points):
+        monkeypatch.setattr(equiv, "MAX_SAMPLE_POINTS", cap)
         left = ", ".join(_squared("x", squarings))
-        assert _needed(left, "add(x, y)", cap) == points
+        assert _needed(left, "add(x, y)") == points
 
     def test_divisors_and_exp_accidents_count(self):
         # Under exp, a divisor of degree 2**62 leaves the bound saying nothing.

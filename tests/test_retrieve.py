@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import re
@@ -10,10 +11,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from finprog.context import FinTable
-from finprog.corpus import Fact, candidate_facts, load_records
+from finprog.corpus import Fact, candidate_facts, load_records, page_runs
 from finprog.retrieve import (
     EmptyCorpus,
     NoGoldFacts,
+    TfIdfIndex,
     build_index,
     corpus_recall,
     rank,
@@ -160,6 +162,18 @@ class TestRank:
     def test_deterministic(self):
         index = build_index(facts("a b c", "b c d", "c d e"))
         assert rank("b c", index, 3) == rank("b c", index, 3)
+
+    def test_queries_do_not_mutate_the_index(self, sample_records):
+        for run in page_runs(sample_records):
+            index = build_index(candidate_facts(run[0]))
+            before = copy.deepcopy(index)
+            for record in run:
+                rank(record.question, index, 3)
+                rank(record.question, index, len(index.facts) + 1)
+                single_op_answer(record, index)
+            # repr, so that the order of idf's and postings' keys counts too
+            for field in TfIdfIndex._fields:
+                assert repr(getattr(index, field)) == repr(getattr(before, field)), field
 
 
 # Words that repeat, digit runs, non-ASCII letters (which split tokens) and
