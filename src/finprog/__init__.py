@@ -34,7 +34,7 @@ _EXPORTS = {
     "evaluate": ("EvalReport", "RecordVerdict", "breakdown_report", "parse_answer", "score_record"),
     "executor": (
         "DivisionByZero", "DomainError", "EmptyNumericRow", "ExecutionError", "InvalidProgram", "RowNotFound",
-        "UngroundedNumber", "Value", "aggregate_row", "execute", "render_value",
+        "Value", "aggregate_row", "execute", "render_value",
     ),
     "numeric": (
         "DEFAULT_TOLERANCE", "NotANumber", "Quantity", "TolerancePolicy", "extract_numbers", "parse_quantity",

@@ -67,7 +67,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("exec", help="execute a program and print its value")
     p.add_argument("program")
     add_record_selector(p)
-    p.add_argument("--strict-grounding", action="store_true")
 
     p = sub.add_parser("equiv", help="decide whether two programs are equivalent")
     p.add_argument("program_a")
@@ -82,7 +81,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-gold-rounding", action="store_true", help="disable the gold-precision rounding clause")
     p.add_argument("--percent-insensitive", action="store_true")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--strict-grounding", action="store_true")
     add_output(p)
 
     p = sub.add_parser("retrieve", help="rank facts and report corpus recall@k")
@@ -165,9 +163,11 @@ def _load_context(args) -> EvidenceContext:
         raise SchemaError("--id needs --records")
     loaded = _load_records(args.records)
     if args.id is None:
-        if len(loaded.records) == 1:
-            return loaded.records[0].context()
-        raise SchemaError("--id is required when the record file has several records")
+        if not loaded.records:
+            raise SchemaError("no records loaded")
+        if len(loaded.records) > 1:
+            raise SchemaError("--id is required when the record file has several records")
+        return loaded.records[0].context()
     return _record_with_id(loaded, args.id).context()
 
 
@@ -213,7 +213,7 @@ def _cmd_exec(args) -> int:
         return 1
     ctx = _load_context(args)
     try:
-        value = execute(program, ctx, strict_grounding=args.strict_grounding)
+        value = execute(program, ctx)
     except ExecutionError as exc:
         print(f"error: {type(exc).__name__}: {exc}")
         return 1
@@ -262,7 +262,7 @@ def _cmd_eval(args) -> int:
         round_to_reference=not args.no_gold_rounding,
         percent_insensitive=args.percent_insensitive,
     )
-    report = breakdown_report(preds, loaded.records, policy, seed=args.seed, strict_grounding=args.strict_grounding)
+    report = breakdown_report(preds, loaded.records, policy, seed=args.seed)
     rejects = [{"id": r.id, "field": r.field_path, "reason": r.reason} for r in loaded.rejects]
     rejected_line = f"\nrejected records        {len(loaded.rejects)}" if loaded.rejects else ""
     return _report(

@@ -15,9 +15,11 @@ from .frozen import Frozen, set_field
 from .numeric import (
     NotANumber,
     Quantity,
+    exact_ratio,
     extract_numbers,
     format_decimal,
     mantissas,
+    oversized_number,
     parse_mantissa,
 )
 
@@ -55,7 +57,8 @@ class FinTable(Frozen):
 
         Every row, the header included, must be a list of strings; row ``i``
         of another type, or a value of another type in its column ``j``,
-        raises ValueError naming ``i`` (and ``j``).
+        raises ValueError naming ``i`` (and ``j``), as does a value cell
+        (``i``, ``j`` >= 1) that reads as a number past MAX_NUMBER_DIGITS.
         """
         for i, row in enumerate(raw):
             if not isinstance(row, list):
@@ -63,6 +66,8 @@ class FinTable(Frozen):
             for j, value in enumerate(row):
                 if not isinstance(value, str):
                     raise ValueError(f"row {i} column {j} is not a string")
+                if i and j and (reason := oversized_number(value)):
+                    raise ValueError(f"row {i} column {j}: {reason}")
         if not raw or not raw[0]:
             raise ValueError("table needs a header row")
         rows = tuple((r[0] if r else "", tuple(r[1:])) for r in raw[1:])
@@ -97,7 +102,7 @@ class FinTable(Frozen):
         values = []
         for cell in self.rows[index][1]:
             try:
-                values.append(parse_mantissa(cell).as_integer_ratio())
+                values.append(exact_ratio(parse_mantissa(cell)))
             except NotANumber:
                 continue
         return values

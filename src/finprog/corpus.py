@@ -19,8 +19,8 @@ from operator import attrgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .context import EvidenceContext, FinTable
-from .dsl import MAX_NUMBER_DIGITS, Program, ProgramError, _fits, parse_program, validate
-from .numeric import NotANumber, parse_mantissa
+from .dsl import Program, ProgramError, parse_program, validate
+from .numeric import oversized_number
 
 
 class FileUnreadable(Exception):
@@ -252,16 +252,8 @@ def _build_record(
         if isinstance(qa["exe_ans"], float) and not math.isfinite(qa["exe_ans"]):
             raise _BuildError("qa.exe_ans", "must be a finite number")
         # A numeric string must fit a literal's bound, so that no answer stalls the scorer.
-        # One of at most MAX_NUMBER_DIGITS characters always fits: only longer ones are read.
-        if isinstance(qa["exe_ans"], str) and len(qa["exe_ans"]) > MAX_NUMBER_DIGITS:
-            try:
-                answer = parse_mantissa(qa["exe_ans"])
-            except NotANumber:
-                pass
-            else:
-                if not _fits(answer):
-                    reason = f"a number must have terms of at most {MAX_NUMBER_DIGITS} digits"
-                    raise _BuildError("qa.exe_ans", reason)
+        if isinstance(qa["exe_ans"], str) and (reason := oversized_number(qa["exe_ans"])):
+            raise _BuildError("qa.exe_ans", reason)
         gold_ids = _gold_ids(qa.get("gold_inds"), pre_text, table, post_text, warnings)
     except _BuildError as exc:
         return RejectedRecord(id=record_id, field_path=exc.field_path, reason=exc.reason)

@@ -16,7 +16,7 @@ from typing import Iterator, Mapping, NamedTuple, Optional, Union
 
 from .context import EvidenceContext
 from .frozen import Frozen, set_field
-from .numeric import NotANumber, format_decimal, parse_mantissa
+from .numeric import MAX_NUMBER_DIGITS, NotANumber, _fits, exact_ratio, format_decimal, parse_mantissa
 
 MATH_OPS = ("add", "subtract", "multiply", "divide", "exp", "greater")
 TABLE_OPS = ("table-sum", "table-average", "table-max", "table-min")
@@ -38,11 +38,6 @@ DEFAULT_CONSTANTS: Mapping[str, Fraction] = {
     "const_m1": Fraction(-1),
 }
 
-#: The most decimal digits that the numerator or the denominator of a number
-#: literal's or a constant's exact value, in lowest terms, may have. Reported
-#: figures have far fewer; docs/grammar.md says why the bound is 100.
-MAX_NUMBER_DIGITS = 100
-
 #: The most steps a program may have. Reported calculations take a handful;
 #: at this bound an add chain, an alternating add/multiply chain and a chain
 #: that uses each step twice all decide in ``compare_programs`` within tens
@@ -63,39 +58,6 @@ def result_kind(op: str) -> str:
     return "bool" if op == "greater" else "number"
 
 
-def _fits(value: Decimal) -> bool:
-    """Whether ``value`` is finite and within MAX_NUMBER_DIGITS, decided exactly.
-
-    The digits are read from ``str(value)``, one character each, and only
-    when the magnitude alone does not refuse the value.
-    """
-    if not value.is_finite():
-        return False
-    if not value:
-        return True  # 0/1, whatever the exponent
-    adjusted = value.adjusted()
-    if adjusted >= MAX_NUMBER_DIGITS:
-        return False  # |value| >= 10**adjusted, so its numerator is at least as large
-    text = str(value)
-    if len(text) <= MAX_NUMBER_DIGITS and "E" not in text:
-        return True  # at most MAX_NUMBER_DIGITS digits and fewer places: n and d are below 10**MAX_NUMBER_DIGITS
-    mantissa, _, exponent_text = text.partition("E")
-    if "." in mantissa:
-        mantissa = mantissa.rstrip("0")  # zeros past the point; the value is unchanged
-    shift = int(exponent_text or 0)
-    exponent = shift - len(mantissa.partition(".")[2])
-    kept = adjusted - exponent + 1  # the digits without trailing zeros, when exponent < 0
-    # A value that fits is n/d with d = 2**x * 5**y < 10**MAX_NUMBER_DIGITS:
-    # it is written with k = max(x, y) < 3.33 * MAX_NUMBER_DIGITS places and
-    # fewer than k + MAX_NUMBER_DIGITS digits, so kept + |exponent| stays
-    # below 7.7 * MAX_NUMBER_DIGITS. A longer one is refused before its
-    # Fraction is built, which takes time quadratic in its length.
-    if kept + abs(exponent) > 8 * MAX_NUMBER_DIGITS:
-        return False
-    exact = Fraction(f"{mantissa}E{shift}")
-    return max(abs(exact.numerator), exact.denominator) < 10**MAX_NUMBER_DIGITS
-
-
 def constant_value(name: str) -> Fraction | None:
     """Value of a constant name, or None when it cannot be resolved.
 
@@ -108,7 +70,8 @@ def constant_value(name: str) -> Fraction | None:
     m = _CONST_NAME_RE.fullmatch(name)
     if m is None or not _fits(value := Decimal(m.group(2))):
         return None
-    return -Fraction(value) if m.group(1) else Fraction(value)
+    ratio = Fraction(*exact_ratio(value))
+    return -ratio if m.group(1) else ratio
 
 
 class ProgramError(ValueError):

@@ -89,6 +89,7 @@ from .dsl import (
     TABLE_OPS,
     constant_value,
 )
+from .numeric import exact_ratio
 
 # Most points the fallback compares: a bound on its cost, like
 # MAX_PROGRAM_STEPS. The degree bound usually asks for fewer.
@@ -161,7 +162,7 @@ def _build(program: Program, symbols: dict, table: dict, nodes: list) -> int:
                 operands.append(ids[arg.index])
                 continue
             if isinstance(arg, NumberLiteral):
-                key = ("num", arg.value.as_integer_ratio())
+                key = ("num", exact_ratio(arg.value))
             elif isinstance(arg, Constant):
                 key = ("num", constant_value(arg.name).as_integer_ratio())
             else:

@@ -74,7 +74,6 @@ def score_record(
     policy: TolerancePolicy = DEFAULT_TOLERANCE,
     *,
     seed: int = 0,
-    strict_grounding: bool = False,
 ) -> RecordVerdict:
     """Score one prediction for both metrics, with a failure reason."""
     if program_text is None:
@@ -87,7 +86,7 @@ def score_record(
     prog_correct = compare_programs(program, record.gold_program, seed=seed).equivalent
 
     try:
-        value = execute(program, record.context(), strict_grounding=strict_grounding)
+        value = execute(program, record.context())
     except ExecutionError as exc:
         reason = f"exec-error: {type(exc).__name__}"
         return RecordVerdict(record.id, False, prog_correct, reason, None)
@@ -199,7 +198,6 @@ def breakdown_report(
     policy: TolerancePolicy = DEFAULT_TOLERANCE,
     *,
     seed: int = 0,
-    strict_grounding: bool = False,
 ) -> EvalReport:
     """Score every record and aggregate; order-independent and idempotent.
 
@@ -208,10 +206,7 @@ def breakdown_report(
     """
     by_id = _predictions_by_id(preds, records)
     ordered = sorted(records, key=lambda r: r.id)
-    verdicts = tuple(
-        score_record(by_id.get(record.id), record, policy, seed=seed, strict_grounding=strict_grounding)
-        for record in ordered
-    )
+    verdicts = tuple(score_record(by_id.get(record.id), record, policy, seed=seed) for record in ordered)
     n = len(ordered)
     failure_counts: dict[str, int] = {}
     for verdict in verdicts:

@@ -11,7 +11,7 @@ scores incorrect during evaluation.
 from __future__ import annotations
 
 import math
-from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal
+from decimal import Decimal
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -25,7 +25,7 @@ from .dsl import (
     argument_error,
     constant_value,
 )
-from .numeric import decimal_places, format_decimal
+from .numeric import _EXACT, decimal_places, exact_ratio, format_decimal
 
 #: A result of ``execute``: exact number, or bool from `greater`.
 Value = Union[Fraction, bool]
@@ -53,10 +53,6 @@ class RowNotFound(ExecutionError):
 
 class EmptyNumericRow(ExecutionError):
     pass
-
-
-class UngroundedNumber(ExecutionError):
-    """Strict mode only: a literal that appears nowhere in the evidence."""
 
 
 class DomainError(ExecutionError):
@@ -156,30 +152,19 @@ def aggregate_row(cells: list[Pair], kind: str) -> Pair:
     return best
 
 
-#: The exception that ``execute`` raises for each error code of ``argument_error``.
-_ARGUMENT_ERRORS = {
-    "bad-argument-kind": InvalidProgram,
-    "unknown-row-name": RowNotFound,
-    "ungrounded-number": UngroundedNumber,
-}
+#: The exception that ``execute`` raises for each error code ``argument_error`` gives it without a context.
+_ARGUMENT_ERRORS = {"bad-argument-kind": InvalidProgram, "unknown-row-name": RowNotFound}
 
 
-def execute(
-    program: Program,
-    ctx: Optional[EvidenceContext] = None,
-    *,
-    strict_grounding: bool = False,
-) -> Value:
+def execute(program: Program, ctx: Optional[EvidenceContext] = None) -> Value:
     """Run every step in order and return the final step's value.
 
     Steps compute on reduced integer pairs; the final value is returned as
-    a Fraction, or as the bool of a final ``greater``. The default grounding
-    mode is lenient (literals need not appear in the evidence), matching how
-    predictions are scored; strict mode reproduces the annotation
-    validator's behavior. A step's arguments are read in order, before the
-    step runs: a row name is a table operation's list of numeric cell pairs,
-    and one that matches no row, or that a math operation takes, does not
-    resolve. That one, and in strict mode each argument, goes to
+    a Fraction, or as the bool of a final ``greater``. A literal need not
+    appear in the evidence; ``validate`` reports one that does not. A step's
+    arguments are read in order, before the step runs: a row name is a table
+    operation's list of numeric cell pairs, and one that matches no row, or
+    that a math operation takes, does not resolve. That one goes to
     ``argument_error``, whose code picks the exception raised. A result
     other than a ``greater`` bool whose larger term (numerator or
     denominator) has more than MAX_POWER_BITS bits raises DomainError, so no
@@ -187,14 +172,13 @@ def execute(
     """
     if ctx is None:
         ctx = EvidenceContext.build(())
-    grounding = ctx if strict_grounding else None
     env: list[Union[Pair, bool]] = []
     for step in program.steps:
         op = step.op
         args = []
         for arg in step.args:
             if isinstance(arg, NumberLiteral):
-                value = arg.value.as_integer_ratio()
+                value = exact_ratio(arg.value)
             elif isinstance(arg, Constant):
                 value = constant_value(arg.name).as_integer_ratio()
             elif isinstance(arg, StepRef):
@@ -202,11 +186,9 @@ def execute(
             else:  # a row name, read from the table by a table operation alone
                 index = ctx.table.find_row(arg.name) if op in TABLE_OPS else None
                 value = None if index is None else ctx.table.numeric_cells(index)
-            if value is None or grounding is not None:
-                error = argument_error(op, arg, grounding, matched=value is not None)
-                if error is not None:
-                    code, message = error
-                    raise _ARGUMENT_ERRORS[code](message)
+            if value is None:
+                code, message = argument_error(op, arg, None, matched=False)
+                raise _ARGUMENT_ERRORS[code](message)
             args.append(value)
         if op == "greater":
             env.append(_greater(*args))
@@ -233,10 +215,6 @@ def execute(
         env.append(result)
     result = env[-1]
     return result if isinstance(result, bool) else Fraction(*result)
-
-
-#: Decimal arithmetic that never rounds, whatever the number of digits.
-_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
 
 def render_value(value: Value) -> str:

@@ -16,7 +16,7 @@ floor division, P being the reference's displayed decimal places.
 from __future__ import annotations
 
 import re
-from decimal import Decimal
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
 
@@ -179,6 +179,71 @@ def first_mantissa(text: str) -> Decimal | None:
     return _mantissa(m.groups())
 
 
+#: The most decimal digits that the numerator or the denominator of a number
+#: literal's or a constant's exact value, in lowest terms, may have; a record's
+#: numeric answer and table cells obey it too. Reported figures have far
+#: fewer; docs/grammar.md says why the bound is 100.
+MAX_NUMBER_DIGITS = 100
+
+#: Decimal arithmetic that never rounds, whatever the number of digits.
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
+
+
+def _fits(value: Decimal) -> bool:
+    """Whether ``value`` is finite and within MAX_NUMBER_DIGITS, decided exactly.
+
+    The digits are read from ``str(value)``, one character each, and only
+    when the magnitude alone does not refuse the value.
+    """
+    if not value.is_finite():
+        return False
+    if not value:
+        return True  # 0/1, whatever the exponent
+    adjusted = value.adjusted()
+    if adjusted >= MAX_NUMBER_DIGITS:
+        return False  # |value| >= 10**adjusted, so its numerator is at least as large
+    text = str(value)
+    if len(text) <= MAX_NUMBER_DIGITS and "E" not in text:
+        return True  # at most MAX_NUMBER_DIGITS digits and fewer places: n and d are below 10**MAX_NUMBER_DIGITS
+    mantissa, _, exponent_text = text.partition("E")
+    if "." in mantissa:
+        mantissa = mantissa.rstrip("0")  # zeros past the point; the value is unchanged
+    shift = int(exponent_text or 0)
+    exponent = shift - len(mantissa.partition(".")[2])
+    kept = adjusted - exponent + 1  # the digits without trailing zeros, when exponent < 0
+    # A value that fits is n/d with d = 2**x * 5**y < 10**MAX_NUMBER_DIGITS:
+    # it is written with k = max(x, y) < 3.33 * MAX_NUMBER_DIGITS places and
+    # fewer than k + MAX_NUMBER_DIGITS digits, so kept + |exponent| stays
+    # below 7.7 * MAX_NUMBER_DIGITS. A longer one is refused before its
+    # Fraction is built, which takes time quadratic in its length.
+    if kept + abs(exponent) > 8 * MAX_NUMBER_DIGITS:
+        return False
+    exact = Fraction(f"{mantissa}E{shift}")
+    return max(abs(exact.numerator), exact.denominator) < 10**MAX_NUMBER_DIGITS
+
+
+def oversized_number(text: str) -> str | None:
+    """Why ``text`` reads as a number past MAX_NUMBER_DIGITS, or None; a text no longer than that is not read."""
+    try:
+        if len(text) <= MAX_NUMBER_DIGITS or _fits(parse_mantissa(text)):
+            return None
+    except NotANumber:
+        return None
+    return f"a number must have terms of at most {MAX_NUMBER_DIGITS} digits"
+
+
+def exact_ratio(value: Decimal) -> tuple[int, int]:
+    """``value.as_integer_ratio()``, in time linear in the length of a ``value`` that ``_fits``.
+
+    That method takes time quadratic in the coefficient's digits, and a value
+    that fits may have any number of trailing zeros; so a value written with
+    more than MAX_NUMBER_DIGITS characters drops them first, in linear time.
+    """
+    if len(str(value)) > MAX_NUMBER_DIGITS:
+        value = value.normalize(_EXACT)
+    return value.as_integer_ratio()
+
+
 def to_fraction(value) -> Fraction:
     """Widen a number to an exact Fraction.
 
@@ -222,7 +287,7 @@ def decimal_places(value) -> int | None:
 def _ratio(value) -> tuple[int, int]:
     """``to_fraction(value)`` as a reduced (numerator, denominator), testing Decimal (the reference type) first."""
     if isinstance(value, Decimal):
-        return value.as_integer_ratio()
+        return exact_ratio(value)
     if isinstance(value, bool):
         raise TypeError("boolean is not a numeric value")
     if isinstance(value, (Fraction, int)):
@@ -230,7 +295,7 @@ def _ratio(value) -> tuple[int, int]:
     if isinstance(value, float):
         return Decimal(repr(value)).as_integer_ratio()
     if isinstance(value, str):
-        return Decimal(value).as_integer_ratio()
+        return exact_ratio(Decimal(value))
     raise TypeError(f"not a numeric value: {value!r}")
 
 

@@ -392,7 +392,7 @@ def naive_execute(program: Program, ctx: EvidenceContext):
 
 
 def oracle_fits(value: Decimal) -> bool:
-    """The literal bound decided from the value's digit tuple: the reference for ``dsl._fits``.
+    """The literal bound decided from the value's digit tuple: the reference for ``numeric._fits``.
 
     A nonzero value must agree with ``_fits``. A zero with more than about
     800 places or zeros is refused here, though its exact value 0/1 fits.

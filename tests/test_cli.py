@@ -177,6 +177,14 @@ class TestUsage:
         assert captured.out == ""
         assert captured.err == "error: --id is required when the record file has several records\n"
 
+    @pytest.mark.parametrize("argv", [["validate", "add(1, 2)"], ["exec", "add(1, 2)"], ["mask"]])
+    def test_records_of_none_loaded_say_so(self, capsys, tmp_path, argv):
+        records = tmp_path / "only_reject.jsonl"
+        records.write_text('{"id": "bad"}\n', encoding="utf-8")
+        assert cli_dispatch([*argv, "--records", str(records)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"{BAD_REJECT}\nerror: no records loaded\n")
+
     @pytest.mark.parametrize("argv", [["linearize"], ["validate", "add(1, 2)"], ["exec", "add(1, 2)"], ["mask"]])
     def test_empty_id_selects_no_record(self, capsys, sample_path, argv):
         assert cli_dispatch([*argv, "--records", str(sample_path), "--id", ""]) == 2
@@ -717,15 +725,6 @@ class TestExecCommand:
         numerator, denominator = capsys.readouterr().out.strip().split("/")
         assert (Decimal(numerator), denominator) == (15**4000, "7")
 
-    def test_strict_grounding(self, capsys, sample_path):
-        argv = ["exec", "add(987654321, 1)", "--records", str(sample_path), "--id", "bravo/2017/page_45.pdf-0"]
-        assert cli_dispatch(argv) == 0
-        assert cli_dispatch(argv + ["--strict-grounding"]) == 1
-        assert capsys.readouterr().out.splitlines() == [
-            "987654322",
-            "error: UngroundedNumber: 987654321 does not appear in the evidence",
-        ]
-
 
 class TestValidateCommand:
     @pytest.mark.parametrize(
@@ -754,21 +753,22 @@ class TestValidateCommand:
         assert code == 1 and "ungrounded-number" in out
 
     @pytest.mark.parametrize(
-        "program, flags, error, code",
+        "program, code, status, exec_out",
         [
-            ("add(operating incomes, 1)", [], "InvalidProgram", "bad-argument-kind"),
-            ("add(987654321, 1)", ["--strict-grounding"], "UngroundedNumber", "ungrounded-number"),
+            ("add(operating incomes, 1)", "bad-argument-kind", 1, "error: InvalidProgram: {}\n"),
+            ("add(987654321, 1)", "ungrounded-number", 0, "987654322\n"),
         ],
     )
-    def test_exec_and_validate_print_one_message(self, capsys, sample_path, program, flags, error, code):
-        # exec and validate read each argument by the same evidence rule.
+    def test_exec_and_validate_print_one_message(self, capsys, sample_path, program, code, status, exec_out):
+        # exec and validate read each argument by the same evidence rule;
+        # only validate grounds a literal in the evidence.
         context = ["--records", str(sample_path), "--id", "alpha/2019/page_12.pdf-0"]
         assert cli_dispatch(["validate", program, *context]) == 1
         first = capsys.readouterr().out.splitlines()[0]
         prefix = f"error: {code} (step 0): "
         assert first.startswith(prefix) and len(first) > len(prefix), first
-        assert cli_dispatch(["exec", program, *flags, *context]) == 1
-        assert capsys.readouterr().out == f"error: {error}: {first[len(prefix):]}\n"
+        assert cli_dispatch(["exec", program, *context]) == status
+        assert capsys.readouterr().out == exec_out.format(first[len(prefix):])
 
 
 class TestStatsCommand:
@@ -970,10 +970,10 @@ _PROGRAMS = (
 # a pool, where a name in capitals stands for one of the fuzz files.
 _ARGS = {
     "validate": (1, ("--records", "--id", "--symbolic")),
-    "exec": (1, ("--records", "--id", "--strict-grounding")),
+    "exec": (1, ("--records", "--id")),
     "equiv": (2, ("--seed",)),
     "eval": (0, ("--records", "--preds", "--abs-tol", "--rel-tol", "--no-gold-rounding", "--percent-insensitive",
-                 "--seed", "--strict-grounding", "--out", "--format")),
+                 "--seed", "--out", "--format")),
     "retrieve": (0, ("--records", "--k", "--out", "--format")),
     "stats": (0, ("--records", "--out", "--format")),
     "linearize": (0, ("--records", "--id", "--out")),

@@ -51,6 +51,15 @@ def minimal_record(**overrides):
     return record
 
 
+def _with_number(field, number):
+    """A minimal record with ``number`` as its ``qa.exe_ans``, or as the last cell of its ``table``."""
+    if field == "table":
+        return minimal_record(table=[["", "2019", "2018"], ["net sales", "100", number]])
+    record = minimal_record()
+    record["qa"] = dict(record["qa"], exe_ans=number)
+    return record
+
+
 class TestLinearize:
     def test_row_template_shape(self):
         table = FinTable.from_rows([["", "2006"], ["risk-free interest rate", "5%"]])
@@ -557,6 +566,7 @@ class TestLoadRecords:
             ("co/2019/page_1.pdf-0", "qa.exe_ans", "must be a finite number")
         ]
 
+    @pytest.mark.parametrize("field", ["qa.exe_ans", "table"])
     @pytest.mark.parametrize(
         "exe_ans",
         [
@@ -567,19 +577,19 @@ class TestLoadRecords:
             "1" * 4_000_000,
         ],
     )
-    def test_numeric_exe_ans_past_the_literal_bound_rejected(self, tmp_path, exe_ans):
+    def test_numeric_exe_ans_past_the_literal_bound_rejected(self, tmp_path, exe_ans, field):
         path = tmp_path / "records.jsonl"
-        record = minimal_record()
-        record["qa"] = dict(record["qa"], exe_ans=exe_ans)
-        write_jsonl(path, [record])
+        write_jsonl(path, [_with_number(field, exe_ans)])
         started = time.perf_counter()
         loaded = load_records(path)
         assert time.perf_counter() - started < 2.0
         assert not loaded.records
+        reason = "a number must have terms of at most 100 digits"
         assert [(r.id, r.field_path, r.reason) for r in loaded.rejects] == [
-            ("co/2019/page_1.pdf-0", "qa.exe_ans", "a number must have terms of at most 100 digits")
+            ("co/2019/page_1.pdf-0", field, reason if field == "qa.exe_ans" else f"row 1 column 2: {reason}")
         ]
 
+    @pytest.mark.parametrize("field", ["qa.exe_ans", "table"])
     @pytest.mark.parametrize(
         "exe_ans",
         [
@@ -592,13 +602,11 @@ class TestLoadRecords:
             "not a number " * 10,
         ],
     )
-    def test_exe_ans_within_the_literal_bound_or_not_numeric_loads(self, tmp_path, exe_ans):
+    def test_exe_ans_within_the_literal_bound_or_not_numeric_loads(self, tmp_path, exe_ans, field):
         path = tmp_path / "records.jsonl"
-        record = minimal_record()
-        record["qa"] = dict(record["qa"], exe_ans=exe_ans)
-        write_jsonl(path, [record])
+        write_jsonl(path, [_with_number(field, exe_ans)])
         (got,) = load_records(path).records
-        assert got.gold_answer == exe_ans
+        assert (got.gold_answer if field == "qa.exe_ans" else got.table.rows[0][1][1]) == exe_ans
 
     @given(st.text(alphabet="0123456789", min_size=1, max_size=MAX_NUMBER_DIGITS), st.integers(-1, MAX_NUMBER_DIGITS))
     @example("9" * MAX_NUMBER_DIGITS, -1)

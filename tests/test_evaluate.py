@@ -1,4 +1,5 @@
 import json
+import time
 from decimal import Decimal
 from fractions import Fraction
 from random import Random
@@ -149,6 +150,13 @@ class TestScoreRecord:
         record = sample_records[0]._replace(gold_answer=5)
         verdict = score_record("greater(2, 1)", record)
         assert verdict == RecordVerdict(record.id, False, False, "value-mismatch", "yes")
+
+    def test_answer_with_a_megabyte_of_trailing_zeros_scores_fast(self, sample_records):
+        record = sample_records[0]  # gold 1164
+        long = record._replace(gold_answer="1164." + "0" * 1_000_000)
+        started = time.perf_counter()
+        assert score_record("multiply(582, 2)", long) == score_record("multiply(582, 2)", record)
+        assert time.perf_counter() - started < 2.0
 
     def test_tolerance_policy_flows_through(self, sample_records):
         record = sample_records[0]  # gold 1164

@@ -22,6 +22,7 @@ from finprog.dsl import (
     render_program,
     validate,
 )
+from finprog.equiv import compare_programs
 from finprog.executor import (
     MAX_POWER_BITS,
     DivisionByZero,
@@ -30,7 +31,6 @@ from finprog.executor import (
     ExecutionError,
     InvalidProgram,
     RowNotFound,
-    UngroundedNumber,
     _iroot,
     aggregate_row,
     execute,
@@ -146,31 +146,33 @@ class TestGrounding:
     def test_lenient_by_default(self, table_ctx):
         assert execute(parse_program("add(123456, 1)"), table_ctx) == 123457
 
-    def test_strict_mode_rejects_ungrounded(self, table_ctx):
-        with pytest.raises(UngroundedNumber):
-            execute(parse_program("add(123456, 1)"), table_ctx, strict_grounding=True)
 
-    def test_strict_mode_names_the_literal(self, table_ctx):
-        # 7 is in the table, -7 is not.
-        with pytest.raises(UngroundedNumber, match="^-7 does not appear in the evidence$"):
-            execute(parse_program("add(-7, 1)"), table_ctx, strict_grounding=True)
-
-    def test_strict_mode_accepts_other_spellings(self, table_ctx):
-        # "(2)" is -2, "4.2%" is 4.2 and "11.64" is 11.640.
-        program = parse_program("add(-2, 4.20), add(#0, 11.640)")
-        assert execute(program, table_ctx, strict_grounding=True) == Fraction(Decimal("13.84"))
-
-    def test_strict_mode_accepts_grounded(self, table_ctx):
-        assert execute(
-            parse_program("add(11.64, 2006)"), table_ctx, strict_grounding=True
-        ) == Fraction(Decimal("2017.64"))
+#: 20 written with a megabyte of trailing zeros: it fits the literal bound.
+_LONG_20 = "20." + "0" * 1_000_000
 
 
-#: The exception that each of validate's error codes stands for.
+class TestLongSpellings:
+    """A number with a megabyte of trailing zeros reads in linear time, as the value of its short spelling."""
+
+    @pytest.mark.parametrize("argument", [_LONG_20, "const_" + _LONG_20], ids=["literal", "constant"])
+    def test_literal_and_constant(self, argument):
+        started = time.perf_counter()
+        program = parse_program(f"multiply({argument}, 3)")
+        assert execute(program) == 60
+        assert compare_programs(program, parse_program("multiply(20, 3)")).reason == "canonical-match"
+        assert time.perf_counter() - started < 2.0
+
+    def test_table_cell(self):
+        started = time.perf_counter()
+        ctx = EvidenceContext.build([], FinTable.from_rows([["", "a", "b"], ["x", _LONG_20, "1"]]))
+        assert execute(parse_program("table-sum(x)"), ctx) == 21
+        assert time.perf_counter() - started < 2.0
+
+
+#: The exception that execute raises for each of validate's error codes that it checks.
 _RULE_ERRORS = {
     "bad-argument-kind": InvalidProgram,
     "unknown-row-name": RowNotFound,
-    "ungrounded-number": UngroundedNumber,
 }
 
 
@@ -186,10 +188,9 @@ class TestEvidenceRules:
         # Refused from the operation alone: no row is read, found or not.
         message = validate(parse_program(text), table_ctx)[0].message
         assert message.startswith("add takes numbers, constants, or step references, not ")
-        for strict in (False, True):
-            with pytest.raises(InvalidProgram) as info:
-                execute(parse_program(text), table_ctx, strict_grounding=strict)
-            assert str(info.value) == message
+        with pytest.raises(InvalidProgram) as info:
+            execute(parse_program(text), table_ctx)
+        assert str(info.value) == message
 
     @pytest.mark.parametrize(
         "text", ["add(operating incomes, 1)", "add(operating income, 1)", "add(operating income, 77777)"]
@@ -200,24 +201,21 @@ class TestEvidenceRules:
         ctx = next(r for r in sample_records if r.id == "alpha/2019/page_12.pdf-0").context()
         first = validate(parse_program(text), ctx)[0]
         assert first.code == "bad-argument-kind"
-        for strict in (False, True):
-            with pytest.raises(InvalidProgram) as info:
-                execute(parse_program(text), ctx, strict_grounding=strict)
-            assert str(info.value) == first.message
+        with pytest.raises(InvalidProgram) as info:
+            execute(parse_program(text), ctx)
+        assert str(info.value) == first.message
 
-    @pytest.mark.parametrize("strict", [True, False])
-    def test_execute_raises_validates_first_error(self, strict):
-        # Lenient mode grounds no literal, so there ungrounded-number is left out.
-        codes = [code for code in _RULE_ERRORS if strict or code != "ungrounded-number"]
-        classes = tuple(_RULE_ERRORS[code] for code in codes)
+    def test_execute_raises_validates_first_error(self):
+        # execute grounds no literal, so ungrounded-number is left out.
+        classes = tuple(_RULE_ERRORS.values())
         rng = Random(83)
         raised = Counter()
         for _ in range(2000):
             ctx = random_context(rng)
             program = random_evidence_program(rng, ctx)
-            errors = _first_errors(program, ctx, codes)
+            errors = _first_errors(program, ctx, _RULE_ERRORS)
             try:
-                execute(program, ctx, strict_grounding=strict)
+                execute(program, ctx)
             except classes as exc:
                 # so a program that validate passes raises none of them
                 assert errors, render_program(program)
