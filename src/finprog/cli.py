@@ -144,12 +144,14 @@ def _rejected(reject) -> str:
 
 
 def _load_records(path):
-    """``load_records(path)``, after writing one stderr line per reject."""
-    from .corpus import load_records
+    """``load_records(path)``, after writing one stderr line per reject; a SchemaError when none loaded."""
+    from .corpus import SchemaError, load_records
 
     loaded = load_records(path)
     for reject in loaded.rejects:
         print(_rejected(reject), file=sys.stderr)
+    if not loaded.records:
+        raise SchemaError("no records loaded")
     return loaded
 
 
@@ -163,8 +165,6 @@ def _load_context(args) -> EvidenceContext:
         raise SchemaError("--id needs --records")
     loaded = _load_records(args.records)
     if args.id is None:
-        if not loaded.records:
-            raise SchemaError("no records loaded")
         if len(loaded.records) > 1:
             raise SchemaError("--id is required when the record file has several records")
         return loaded.records[0].context()
@@ -277,9 +277,6 @@ def _cmd_retrieve(args) -> int:
     from .retrieve import ranked_recall
 
     loaded = _load_records(args.records)
-    if not loaded.records:
-        print("no records loaded", file=sys.stderr)
-        return 2
     mean, per_record = ranked_recall(loaded.records, args.k)
 
     def machine() -> dict:
@@ -306,9 +303,6 @@ def _cmd_stats(args) -> int:
     from .corpus import dataset_stats
 
     loaded = _load_records(args.records)
-    if not loaded.records:
-        print("no records loaded", file=sys.stderr)
-        return 2
     report = dataset_stats(loaded.records)
     return _report(args, loaded, report.to_dict, report.format_table)
 

@@ -1,15 +1,13 @@
 """Evidence containers: one financial table plus its surrounding text.
 
-Row names resolve case-insensitively with punctuation and whitespace folded,
-so a program argument "risk-free interest rate" finds the row even when the
-table writes "Risk-Free Interest Rate".
+``tokenize`` is the one word rule: retrieval indexes a text's words, and a row
+name finds each row with the same words, so "risk-free interest rate" finds
+"Risk-Free Interest Rate" (docs/grammar.md, "Evidence rules").
 """
 
 from __future__ import annotations
 
-import re
 from decimal import Decimal
-from typing import Iterator
 
 from .frozen import Frozen, set_field
 from .numeric import (
@@ -23,11 +21,24 @@ from .numeric import (
     parse_mantissa,
 )
 
-_NORMALIZE_RE = re.compile(r"[^0-9a-z]+")
+#: Keeps the bytes of ``[a-z0-9]`` and blanks every other byte.
+_BLANK_NON_TOKEN = bytes(
+    b if chr(b) in "abcdefghijklmnopqrstuvwxyz0123456789" else ord(" ") for b in range(256)
+)
+
+
+def tokenize(text: str) -> list[str]:
+    """The ``[a-z0-9]`` runs of the lowered text, by one byte-table pass.
+
+    Every UTF-8 byte of a non-ASCII character, a lone surrogate's included
+    (``surrogatepass``), is 0x80 or above, so the table blanks it.
+    """
+    return text.lower().encode("utf-8", "surrogatepass").translate(_BLANK_NON_TOKEN).decode().split()
 
 
 def normalize_row_name(name: str) -> str:
-    return _NORMALIZE_RE.sub(" ", name.lower()).strip()
+    """The name's words, by ``tokenize``, joined by one space."""
+    return " ".join(tokenize(name))
 
 
 class FinTable(Frozen):
@@ -81,17 +92,17 @@ class FinTable(Frozen):
     def row_names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.rows)
 
-    def _matches(self, name: str) -> Iterator[int]:
-        """Indexes of the rows whose normalized name equals the query's, in order, read as asked for."""
-        key = normalize_row_name(name)
-        return (i for i, (row_name, _) in enumerate(self.rows) if normalize_row_name(row_name) == key)
-
-    def matching_rows(self, name: str) -> list[int]:
-        return list(self._matches(name))
+    def rows_by_name(self) -> dict[str, list[int]]:
+        """A new map from each ``normalize_row_name`` of a row to its row indexes, in order; built per call."""
+        by_name: dict[str, list[int]] = {}
+        for i, (name, _) in enumerate(self.rows):
+            by_name.setdefault(normalize_row_name(name), []).append(i)
+        return by_name
 
     def find_row(self, name: str) -> int | None:
-        """First row matching the name, or None. Ties resolve to the first; later rows are not read."""
-        return next(self._matches(name), None)
+        """First row matching the name, or None, read from a new ``rows_by_name`` map."""
+        rows = self.rows_by_name().get(normalize_row_name(name))
+        return rows[0] if rows else None
 
     def numeric_cells(self, index: int) -> list[tuple[int, int]]:
         """Numeric cell values of one row, in column order, as reduced (numerator, denominator) pairs.

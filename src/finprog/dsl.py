@@ -14,7 +14,7 @@ from decimal import Decimal
 from fractions import Fraction
 from typing import Iterator, Mapping, NamedTuple, Optional, Union
 
-from .context import EvidenceContext
+from .context import EvidenceContext, normalize_row_name
 from .frozen import Frozen, set_field
 from .numeric import MAX_NUMBER_DIGITS, NotANumber, _fits, exact_ratio, format_decimal, parse_mantissa
 
@@ -428,9 +428,11 @@ def validate(
     resolve to a table row; duplicate row matches produce a warning.
     """
     diags: list[Diagnostic] = []
+    by_name = None if ctx is None else ctx.table.rows_by_name()
     for i, step in enumerate(program.steps):
+        reads_rows = by_name is not None and step.op in TABLE_OPS
         for arg in step.args:
-            rows = ctx.table.matching_rows(arg.name) if ctx is not None and step.op in TABLE_OPS else None
+            rows = by_name.get(normalize_row_name(arg.name), []) if reads_rows else None
             error = argument_error(step.op, arg, ctx, matched=rows is None or bool(rows))
             if error is not None:
                 if not (allow_symbols and error[0] == "bad-argument-kind"):

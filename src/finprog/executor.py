@@ -15,7 +15,7 @@ from decimal import Decimal
 from fractions import Fraction
 from typing import Optional, Union
 
-from .context import EvidenceContext
+from .context import EvidenceContext, normalize_row_name
 from .dsl import (
     TABLE_OPS,
     Constant,
@@ -172,6 +172,7 @@ def execute(program: Program, ctx: Optional[EvidenceContext] = None) -> Value:
     """
     if ctx is None:
         ctx = EvidenceContext.build(())
+    by_name: Optional[dict[str, list[int]]] = None  # the table's rows_by_name, built at the first table operation
     env: list[Union[Pair, bool]] = []
     for step in program.steps:
         op = step.op
@@ -184,8 +185,10 @@ def execute(program: Program, ctx: Optional[EvidenceContext] = None) -> Value:
             elif isinstance(arg, StepRef):
                 value = env[arg.index]  # a number: a Program refuses a reference to a greater step
             else:  # a row name, read from the table by a table operation alone
-                index = ctx.table.find_row(arg.name) if op in TABLE_OPS else None
-                value = None if index is None else ctx.table.numeric_cells(index)
+                if by_name is None and op in TABLE_OPS:
+                    by_name = ctx.table.rows_by_name()
+                rows = by_name.get(normalize_row_name(arg.name)) if op in TABLE_OPS else None
+                value = ctx.table.numeric_cells(rows[0]) if rows else None
             if value is None:
                 code, message = argument_error(op, arg, None, matched=False)
                 raise _ARGUMENT_ERRORS[code](message)

@@ -335,7 +335,9 @@ def values_equal(a, b, policy: TolerancePolicy = DEFAULT_TOLERANCE) -> bool:
     - relative: |an·bd − bn·ad|·Rd <= Rn·max(ad·bd, |an|·bd, |bn|·ad);
     - rounding, with P = ``decimal_places(b)`` and m = (2·|an|·10^P + ad) //
       (2·ad), the magnitude of a·10^P rounded half up:
-      sign(an)·m·bd == bn·10^P.
+      sign(an)·m·bd == bn·10^P. When P > bits(d) + bits(bd), for d the
+      largest candidate denominator, 10^P > d·bd puts a·10^P over 1 from
+      b·10^P unless a = b, so the clause is a = b and 10^P is not built.
 
     The percent-insensitive candidates are (an·100, ad) and (an, ad·100).
     """
@@ -354,6 +356,8 @@ def values_equal(a, b, policy: TolerancePolicy = DEFAULT_TOLERANCE) -> bool:
     places = decimal_places(b) if policy.round_to_reference else None
     if places is None:
         return False
+    if places > max(d for _, d in candidates).bit_length() + bd.bit_length():
+        return any(n * bd == bn * d for n, d in candidates)
     scale = 10**places
     for n, d in candidates:
         m = (2 * abs(n) * scale + d) // (2 * d)

@@ -1,10 +1,9 @@
 """TF-IDF fact retrieval, recall@k, and the retrieve-then-divide baseline.
 
 The weighting is the common smoothed variant: raw term counts scaled by
-idf = ln((1+N)/(1+df)) + 1, L2-normalized, cosine-scored. A token is a run
-of ASCII ``[a-z0-9]`` in ``str.lower()`` of the text; every other character,
-``é``, ``ß`` and other non-ASCII letters and digits included, ends a token.
-Numbers are kept as tokens.
+idf = ln((1+N)/(1+df)) + 1, L2-normalized, cosine-scored. A text's terms
+are its words by ``context.tokenize``, the one rule that row names also fold
+by; numbers are kept as terms.
 """
 
 from __future__ import annotations
@@ -12,27 +11,14 @@ from __future__ import annotations
 import math
 from typing import Iterable, NamedTuple, Optional
 
+from .context import tokenize
 from .corpus import EvidenceRecord, Fact, candidate_facts, page_runs
 from .dsl import ProgramError, parse_program
 from .executor import ExecutionError, Value, execute
 from .numeric import first_mantissa, format_decimal
 
-#: Keeps the bytes of ``[a-z0-9]`` and blanks every other byte.
-_BLANK_NON_TOKEN = bytes(
-    b if chr(b) in "abcdefghijklmnopqrstuvwxyz0123456789" else ord(" ") for b in range(256)
-)
-
 #: Ranked retrieval output: (fact id, score) with scores non-increasing.
 RankedFacts = list[tuple[str, float]]
-
-
-def tokenize(text: str) -> list[str]:
-    """The ``[a-z0-9]`` runs of the lowered text, by one byte-table pass.
-
-    Every UTF-8 byte of a non-ASCII character, a lone surrogate's included
-    (``surrogatepass``), is 0x80 or above, so the table blanks it.
-    """
-    return text.lower().encode("utf-8", "surrogatepass").translate(_BLANK_NON_TOKEN).decode().split()
 
 
 class EmptyCorpus(ValueError):

@@ -286,18 +286,23 @@ def _oracle_norm(name: str) -> str:
     return _NORM_RE.sub(" ", name.lower()).strip()
 
 
-def _oracle_row_cells(ctx: EvidenceContext, name: str) -> list[Fraction]:
+def oracle_matching_rows(table: FinTable, name: str) -> list[int]:
+    """Indexes, in order, of the rows whose name normalizes as ``name`` does, by normalizing every row anew."""
     wanted = _oracle_norm(name)
-    for row_name, cells in ctx.table.rows:
-        if _oracle_norm(row_name) == wanted:
-            values = []
-            for cell in cells:
-                try:
-                    values.append(Fraction(parse_quantity(cell).mantissa))
-                except NotANumber:
-                    pass
-            return values
-    raise OracleFailure("RowNotFound")
+    return [i for i, (row_name, _) in enumerate(table.rows) if _oracle_norm(row_name) == wanted]
+
+
+def _oracle_row_cells(ctx: EvidenceContext, name: str) -> list[Fraction]:
+    rows = oracle_matching_rows(ctx.table, name)
+    if not rows:
+        raise OracleFailure("RowNotFound")
+    values = []
+    for cell in ctx.table.rows[rows[0]][1]:
+        try:
+            values.append(Fraction(parse_quantity(cell).mantissa))
+        except NotANumber:
+            pass
+    return values
 
 
 def _oracle_power(base: Fraction, exponent: Fraction) -> Fraction:

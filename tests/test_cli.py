@@ -177,7 +177,13 @@ class TestUsage:
         assert captured.out == ""
         assert captured.err == "error: --id is required when the record file has several records\n"
 
-    @pytest.mark.parametrize("argv", [["validate", "add(1, 2)"], ["exec", "add(1, 2)"], ["mask"]])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["validate", "add(1, 2)"], ["exec", "add(1, 2)"], ["mask"], ["stats"], ["retrieve"], ["linearize"],
+            ["eval", "--preds", str(pathlib.Path(__file__).parent / "data" / "eval_tolerance_preds.jsonl")],
+        ],
+    )
     def test_records_of_none_loaded_say_so(self, capsys, tmp_path, argv):
         records = tmp_path / "only_reject.jsonl"
         records.write_text('{"id": "bad"}\n', encoding="utf-8")
@@ -267,7 +273,7 @@ class TestEmptyGoldRecords:
             ("eval", "mixed", 1),
             ("retrieve", "only_empty", 2),
             ("stats", "only_empty", 2),
-            ("eval", "only_empty", 1),
+            ("eval", "only_empty", 2),
         ],
     )
     def test_exit_codes(self, capsys, paths, command, file, expected):
@@ -545,9 +551,9 @@ class TestEvalCommand:
         assert capsys.readouterr().out == (data / golden).read_text(encoding="utf-8")
 
     def test_non_finite_gold_answer_is_a_reject(self, capsys, tmp_path, sample_path):
-        line = sample_path.read_text(encoding="utf-8").splitlines()[0]
+        line, other = sample_path.read_text(encoding="utf-8").splitlines()[:2]
         records = tmp_path / "records.jsonl"
-        records.write_text(line.replace('"exe_ans": 1164', '"exe_ans": NaN') + "\n")
+        records.write_text(line.replace('"exe_ans": 1164', '"exe_ans": NaN') + "\n" + other + "\n")
         preds = tmp_path / "preds.jsonl"
         preds.write_text(json.dumps({"id": json.loads(line)["id"], "program": "add(1, 2)"}) + "\n")
         argv = ["eval", "--records", str(records), "--preds", str(preds), "--format", "machine"]

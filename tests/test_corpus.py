@@ -392,7 +392,7 @@ class TestLoadRecords:
         expected = load_records(SAMPLE_PATH)
         monkeypatch.setattr(EvidenceContext, "mentions", refuse)
         monkeypatch.setattr(EvidenceContext, "build", refuse)
-        monkeypatch.setattr(FinTable, "matching_rows", refuse)
+        monkeypatch.setattr(FinTable, "rows_by_name", refuse)
         assert load_records(SAMPLE_PATH) == expected
         assert expected.records and not expected.rejects
 

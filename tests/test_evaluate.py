@@ -158,6 +158,14 @@ class TestScoreRecord:
         assert score_record("multiply(582, 2)", long) == score_record("multiply(582, 2)", record)
         assert time.perf_counter() - started < 2.0
 
+    def test_wrong_answer_against_two_megabytes_of_trailing_zeros_scores_fast(self, sample_records):
+        record = sample_records[0]  # gold 1164
+        long = record._replace(gold_answer="1164." + "0" * 2_000_000)
+        started = time.perf_counter()
+        verdict = score_record("multiply(581, 2)", long)
+        assert time.perf_counter() - started < 2.0
+        assert not verdict.exe_correct and verdict == score_record("multiply(581, 2)", record)
+
     def test_tolerance_policy_flows_through(self, sample_records):
         record = sample_records[0]  # gold 1164
         tight = TolerancePolicy(abs_tol=Fraction(1, 10**9), rel_tol=Fraction(1, 10**9), round_to_reference=False)

@@ -12,6 +12,7 @@ from finprog.context import EvidenceContext, FinTable
 from finprog.dsl import (
     MATH_OPS,
     Constant,
+    Diagnostic,
     NumberLiteral,
     OperationStep,
     Program,
@@ -42,6 +43,7 @@ from generators import (
     OracleFailure,
     _oracle_constant,
     naive_execute,
+    oracle_matching_rows,
     oracle_render_value,
     random_context,
     random_evidence_program,
@@ -140,6 +142,52 @@ class TestTableOps:
         table = FinTable.from_rows([["", "a"], ["total", "1"], ["Total", "100"]])
         ctx = EvidenceContext.build([], table)
         assert execute(parse_program("table-sum(total)"), ctx) == 1
+
+
+#: Row names that differ only in case, punctuation or spacing, with a few that differ in their words.
+_ROW_SPELLINGS = [
+    "Net Sales", "net-sales", " net  sales ", "NET_SALES.", "Gross", "gross!", "gr oss", "x", "X", "--", "",
+]
+
+
+class TestRowNames:
+    """execute and validate read a row name as a scan that normalizes every row anew would."""
+
+    @given(
+        st.lists(st.sampled_from(_ROW_SPELLINGS), max_size=8),
+        st.lists(st.sampled_from([*_ROW_SPELLINGS[:-1], "absent", "net sales gross"]), min_size=1, max_size=6),
+    )
+    def test_value_and_diagnostics_match_a_scan_of_every_row(self, names, queries):
+        # Row i holds the one cell i + 1, so a value names the row it was read from.
+        table = FinTable(("", "2019"), tuple((name, (str(i + 1),)) for i, name in enumerate(names)))
+        ctx = EvidenceContext.build([], table)
+        steps = [OperationStep("table-sum", (RowName(query),)) for query in queries]
+        expected = []
+        for i, query in enumerate(queries):
+            rows = oracle_matching_rows(ctx.table, query)
+            if rows:
+                assert execute(Program((steps[i],)), ctx) == rows[0] + 1
+            else:
+                with pytest.raises(RowNotFound, match="no table row matches"):
+                    execute(Program((steps[i],)), ctx)
+                expected.append(Diagnostic("unknown-row-name", f"no table row matches {query!r}", i))
+            if len(rows) > 1:
+                message = f"{query!r} matches rows {rows}; the first is used"
+                expected.append(Diagnostic("duplicate-row-name", message, i, severity="warning"))
+        assert validate(Program(tuple(steps)), ctx) == expected
+
+
+class TestLongTable:
+    """One call looks its rows up in one pass over the table, however many steps read it."""
+
+    @pytest.mark.parametrize("run, expected", [(execute, 99999), (validate, [])], ids=["execute", "validate"])
+    def test_many_lookups_in_a_long_table(self, run, expected):
+        table = FinTable(("", "2019"), tuple((f"row {i}", (str(i),)) for i in range(100_000)))
+        ctx = EvidenceContext.build([], table)
+        program = parse_program(", ".join(["table-sum(row 99999)"] * 128))
+        started = time.perf_counter()
+        assert run(program, ctx) == expected
+        assert time.perf_counter() - started < 2.0
 
 
 class TestGrounding:
@@ -530,7 +578,7 @@ class TestProperties:
     )
     def test_find_row_is_the_first_matching_row(self, names, query):
         table = FinTable(header=("", "2019"), rows=tuple((name, ("1",)) for name in names))
-        assert table.find_row(query) == (table.matching_rows(query) or [None])[0]
+        assert table.find_row(query) == (oracle_matching_rows(table, query) or [None])[0]
 
     @pytest.mark.parametrize(
         "program",

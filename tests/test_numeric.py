@@ -1,4 +1,5 @@
 import re
+from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
 from random import Random
@@ -525,6 +526,34 @@ class TestIntegerTolerance:
         policy = TolerancePolicy(abs_tol=0, rel_tol=0)
         assert values_equal(a, b, policy) is expected
         assert oracle_values_equal(a, b, policy) is expected
+
+    @pytest.mark.parametrize("round_to_reference", [True, False])
+    @pytest.mark.parametrize("percent_insensitive", [True, False])
+    def test_rounding_cut_matches_the_uncut_formula_near_its_edge(self, round_to_reference, percent_insensitive):
+        # Past P = bits(d) + bits(bd), values_equal decides the rounding clause
+        # without building 10**P. A negative tolerance leaves a = b to that clause.
+        rng = Random(97)
+        seen = Counter()
+        for _ in range(3000):
+            bd = rng.choice([1, 2, 4, 5, 8, 10, 20, 25, 125, 1000])
+            fb = Fraction(rng.randint(-(10**6), 10**6), bd)
+            rounds = rng.random() < 0.2  # a ≠ b within half a unit of b's last place, far below the edge
+            places = rng.randint(3, 40)
+            if rounds:
+                fa = fb + Fraction(rng.choice([-1, 1]), rng.randint(3, 9) * 10**places)
+            else:
+                fa = rng.choice([fb, fb * 100, fb / 100, fb + Fraction(rng.randint(-3, 3), rng.randint(1, 2**60))])
+            denominators = [fa.denominator] + [fa.denominator * 100] * percent_insensitive
+            edge = max(denominators).bit_length() + fb.denominator.bit_length()
+            if not rounds:
+                places = max(edge + rng.randint(-4, 3), 3)
+            b = Decimal(f"{fb.numerator * 10**places // fb.denominator}E-{places}")
+            tolerance = rng.choice([0, Fraction(-1, 10**12)])
+            policy = TolerancePolicy(tolerance, tolerance, round_to_reference, percent_insensitive)
+            got = values_equal(fa, b, policy)
+            assert got == oracle_values_equal(fa, b, policy), (fa, b, policy)
+            seen[places > edge, got] += 1
+        assert len(seen) == 4 and min(seen.values()) > 100, seen
 
     def test_float_tolerance_is_its_exact_binary_value(self):
         # 0.1 as a float is a little more than 1/10, so a difference of exactly 1/10 is within it.

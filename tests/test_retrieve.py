@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from finprog.context import FinTable
+from finprog.context import FinTable, normalize_row_name, tokenize
 from finprog.corpus import Fact, candidate_facts, load_records, page_runs
 from finprog.retrieve import (
     EmptyCorpus,
@@ -22,7 +22,6 @@ from finprog.retrieve import (
     ranked_recall,
     recall_at_k,
     single_op_answer,
-    tokenize,
 )
 
 from generators import naive_tfidf_rank
@@ -65,7 +64,9 @@ class TestTokenize:
     @example("\u212a = 1.38e-23 J/\u212a")
     @example("\u0130stanbul caf\u00e9 stra\u00dfe \ud800x\x00y")
     def test_same_tokens_as_the_pattern_on_any_text(self, text):
-        assert tokenize(text) == re.findall(r"[a-z0-9]+", text.lower())
+        words = re.findall(r"[a-z0-9]+", text.lower())
+        assert tokenize(text) == words
+        assert normalize_row_name(text) == " ".join(words)
 
 
 class TestBuildIndex:
